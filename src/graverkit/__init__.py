@@ -6,6 +6,9 @@ the strongly robust simplicial complex of a monomial curve, and generalized
 Lawrence matrices that realize strongly robust ideals.
 """
 
+# The one version literal: packaging and the result-cache keys read it.
+__version__ = "0.1.0"
+
 from .errors import (
     BudgetExceededError,
     GraverKitError,
@@ -66,8 +69,6 @@ from .lawrence import (
     reconstruct_gen_lawrence,
 )
 from .search import SearchReport, sullivant_search
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Budget",

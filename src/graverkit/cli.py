@@ -219,8 +219,7 @@ def cmd_bouquets(args) -> str:
 
 def cmd_check_robust(args) -> str:
     A = _load(args)
-    _graver_for(args, A)  # seed the memo through the persistent cache
-    cert = is_strongly_robust(A, budget=_budget(args))
+    cert = is_strongly_robust(A, budget=_budget(args), G=_graver_for(args, A))
     payload = {
         "matrix_hash": cert.matrix_hash,
         "strongly_robust": cert.strongly_robust,

@@ -21,7 +21,7 @@ from typing import Iterable, Sequence
 
 from .bouquet import bouquet_decomposition, d_map, is_simple
 from .errors import GraverKitError, PreconditionError
-from .graver import Budget, _ReducerIndex, graver_basis
+from .graver import Budget, ConformalIndex, graver_basis
 from .linalg import IntMat, IntVec, project_out, vec_neg
 from .robustness import dispensability_witness, is_strongly_robust
 
@@ -101,30 +101,19 @@ def degree_t(T, u: Sequence[int]) -> int:
 def semigroup_min_multiple(n_i: int, n_j: int, n_k: int) -> int:
     """Least c >= 1 with c*n_i = a*n_j + b*n_k for some a, b >= 0.
 
-    c = n_j * n_k always works, so a reachability table up to n_i*n_j*n_k
-    suffices; past desk scale the table is replaced by a per-multiple
-    divisibility scan with the same answer.
+    With g = gcd(n_j, n_k), a = n_j/g and b = n_k/g, x is in <n_j, n_k> iff g
+    divides x and y = x/g has y >= a*((y * a^-1) mod b): of all y = a*s + b*t
+    the one with 0 <= s < b has the largest t. c = n_j * n_k always works.
     """
     if n_i <= 0 or n_j <= 0 or n_k <= 0:
         raise PreconditionError("semigroup generators must be positive")
-    c_bound = n_j * n_k
-    top = c_bound * n_i
-    if top <= 10**7:
-        reachable = bytearray(top + 1)
-        reachable[0] = 1
-        for gen in (n_j, n_k):
-            for value in range(gen, top + 1):
-                if reachable[value - gen]:
-                    reachable[value] = 1
-        for c in range(1, c_bound + 1):
-            if reachable[c * n_i]:
-                return c
-    else:
-        for c in range(1, c_bound + 1):
-            target = c * n_i
-            a_max = target // n_j
-            if any((target - a * n_j) % n_k == 0 for a in range(a_max + 1)):
-                return c
+    g = math.gcd(n_j, n_k)
+    a, b = n_j // g, n_k // g
+    a_inv = pow(a, -1, b)
+    for c in range(1, n_j * n_k + 1):
+        x = c * n_i
+        if x % g == 0 and x // g >= a * (x // g * a_inv % b):
+            return c
     raise GraverKitError("unreachable: c = n_j*n_k is always representable")
 
 
@@ -223,8 +212,7 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
 
     The projected set carries both signs of every projection, matching the
     up-to-sign semantics of the underlying Graver sets. Primitivity of x means
-    no other member v has v+ <= x+ and v- <= x-, exactly `is_primitive_in`;
-    the indexed dominator count only speeds the scan up.
+    no other member v has v+ <= x+ and v- <= x-, exactly `is_primitive_in`.
     """
     T = _as_row(T)
     _require_simple_curve(T)
@@ -233,7 +221,7 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
     G = graver_basis(T, budget=budget)
     if not G.elements:
         return True
-    index = _ReducerIndex(T.ncols - 1)
+    index = ConformalIndex(T.ncols - 1)
     for u in G.elements:
         p = project_out(u, i)
         index.add(p)

@@ -6,13 +6,15 @@ pairwise sums with cancellation, conformally reduce each sum to a normal form
 against the current set, and insert nonzero normal forms. At the fixpoint the
 conformally minimal elements are exactly the Graver basis.
 
-All arithmetic is exact. A numpy int64 index accelerates the search for
-conformal reducers; it is only consulted while every entry is provably far
-below the int64 range, otherwise the engine falls back to pure-integer scans.
+All arithmetic is exact. Every conformal-dominance test outside the oracles
+goes through `ConformalIndex`, whose numpy int64 stack is only consulted while
+every entry is provably far below the int64 range; otherwise the index falls
+back to pure-integer scans.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 import math
@@ -36,7 +38,7 @@ from .linalg import (
     vec_sub,
 )
 
-# Above this magnitude the int64 reducer index is abandoned; sums of two
+# Above this magnitude the int64 dominance index is abandoned; sums of two
 # in-range vectors must stay representable.
 _NP_SAFE_BOUND = 1 << 60
 
@@ -76,6 +78,11 @@ class GraverBasis:
     def contains_up_to_sign(self, u: Sequence[int]) -> bool:
         return sign_canonical(u) in self.as_set()
 
+    @functools.cached_property
+    def signed_index(self) -> ConformalIndex:
+        """Both signs of every element, in `full_set()` order, indexed once."""
+        return ConformalIndex(self.n, self.full_set())
+
 
 @dataclass(frozen=True)
 class CircuitSet:
@@ -93,26 +100,32 @@ class CircuitSet:
 
 
 # ---------------------------------------------------------------------------
-# completion engine
+# conformal dominance
 
-class _ReducerIndex:
-    """Set of vectors with fast conformal-divisor lookup.
+class ConformalIndex:
+    """A set of vectors under conformal-dominance queries (g+ <= p and g- <= m).
 
-    Row i of the int64 stack holds (g+, g-) of vector i; `find(sp, sm)`
-    returns the index of some stored g with g+ <= sp and g- <= sm, or -1.
-    Candidates discovered early have small norms and reduce most later sums,
-    so the scan runs over geometrically growing chunks from the front.
+    Row i of the int64 stack holds (g+, g-) of stored vector i. A query bounds
+    g+, g- or both; a half left as None is bounded by the largest stored
+    entry, which every row meets. Vectors stored early have small norms and
+    satisfy most later queries, so `find` scans geometrically growing chunks
+    from the front. The stack answers only while every entry stays far below
+    the int64 range; otherwise the pure-integer scan does.
     """
 
     _FIRST_CHUNK = 128
 
-    def __init__(self, n: int):
+    def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
         self.n = n
         self.vectors: list[IntVec] = []
+        self.members: set[IntVec] = set()
         self.parts: list[tuple[int, ...]] = []  # concatenated (pos, neg)
+        self._top = 0
         self._cap = 256
         self._stack = np.zeros((self._cap, 2 * n), dtype=np.int64)
         self._np_ok = True
+        for v in vectors:
+            self.add(v)
 
     def __len__(self) -> int:
         return len(self.vectors)
@@ -121,9 +134,10 @@ class _ReducerIndex:
         row = positive_part(v) + negative_part(v)
         k = len(self.vectors)
         self.vectors.append(v)
+        self.members.add(v)
         self.parts.append(row)
-        if self._np_ok and max(row) >= _NP_SAFE_BOUND // 2:
-            self._np_ok = False
+        self._top = max([self._top, *row])
+        self._np_ok = self._np_ok and self._top < _NP_SAFE_BOUND // 2
         if not self._np_ok:
             return
         if k == self._cap:
@@ -133,16 +147,26 @@ class _ReducerIndex:
             self._stack = grown
         self._stack[k] = row
 
-    def _scan(self, query: tuple[int, ...], count_all: bool) -> int:
-        """First index with row <= query, or the number of such rows."""
+    def find(self, pos: IntVec | None, neg: IntVec | None, start: int = 0) -> int:
+        """First index >= start of a stored g with g+ <= pos and g- <= neg, or -1."""
+        if pos is None or neg is None:
+            free = (self._top,) * self.n
+            pos, neg = (free if pos is None else pos), (free if neg is None else neg)
+        return self._scan(pos + neg, False, start)
+
+    def dominators(self, idx: int) -> int:
+        """How many stored vectors are conformally <= vector idx (including itself)."""
+        return self._scan(self.parts[idx], True, 0)
+
+    def _scan(self, query: tuple[int, ...], count_all: bool, start: int) -> int:
+        """First index >= start with row <= query, or the number of such rows."""
         k = len(self.vectors)
-        if k == 0:
+        if start >= k:
             return 0 if count_all else -1
-        if self._np_ok and max(query) < _NP_SAFE_BOUND:
+        if self._np_ok and max(query, default=0) < _NP_SAFE_BOUND:
             q = np.array(query, dtype=np.int64)
             if count_all:
                 return int((self._stack[:k] <= q).all(axis=1).sum())
-            start = 0
             chunk = self._FIRST_CHUNK
             while start < k:
                 end = min(k, start + chunk)
@@ -154,21 +178,16 @@ class _ReducerIndex:
                 chunk *= 8
             return -1
         found = 0
-        for i in range(k):
-            row = self.parts[i]
-            if all(a <= b for a, b in zip(row, query)):
+        for i in range(start, k):
+            if all(a <= b for a, b in zip(self.parts[i], query)):
                 if not count_all:
                     return i
                 found += 1
         return found if count_all else -1
 
-    def find(self, sp: IntVec, sm: IntVec) -> int:
-        return self._scan(sp + sm, count_all=False)
 
-    def dominators(self, idx: int) -> int:
-        """How many stored vectors are conformally <= vector idx (including itself)."""
-        return self._scan(self.parts[idx], count_all=True)
-
+# ---------------------------------------------------------------------------
+# completion engine
 
 def _has_cancellation(u: IntVec, v: IntVec) -> bool:
     return any(a * b < 0 for a, b in zip(u, v))
@@ -180,14 +199,13 @@ def _complete_lattice(
     """Run the completion; return canonical sorted Graver representatives."""
     if not basis:
         return []
-    index = _ReducerIndex(n)
-    members: set[IntVec] = set()
+    index = ConformalIndex(n)
+    members = index.members
 
     def insert(v: IntVec) -> None:
         # keep +/- side by side so reduction chains mirror under negation
         for w in (v, vec_neg(v)):
             if w not in members:
-                members.add(w)
                 index.add(w)
 
     for b in basis:
@@ -286,36 +304,19 @@ def graver_basis(A: IntMat, budget: Budget | None = None, use_cache: bool = True
 def is_primitive_in(u: Sequence[int], S: Iterable[IntVec]) -> bool:
     """True iff no v in S, v != u, has v+ <= u+ and v- <= u-."""
     u = tuple(u)
-    pool = set(map(tuple, S))
+    pool = list(set(map(tuple, S)))
     if u not in pool:
         raise PreconditionError(f"{u} is not a member of the given set")
-    up, um = positive_part(u), negative_part(u)
-    for v in pool:
-        if v == u:
-            continue
-        if all(a <= b for a, b in zip(positive_part(v), up)) and all(
-            a <= b for a, b in zip(negative_part(v), um)
-        ):
-            return False
-    return True
+    return ConformalIndex(len(u), pool).dominators(pool.index(u)) == 1
 
 
 def graver_of_set(S: Iterable[IntVec]) -> frozenset[IntVec]:
     """The primitive elements of S (with respect to membership in S itself)."""
     pool = list(set(map(tuple, S)))
-    parts = [(v, positive_part(v), negative_part(v)) for v in pool]
-    out = []
-    for v, vp, vm in parts:
-        primitive = True
-        for w, wp, wm in parts:
-            if w == v:
-                continue
-            if all(a <= b for a, b in zip(wp, vp)) and all(a <= b for a, b in zip(wm, vm)):
-                primitive = False
-                break
-        if primitive:
-            out.append(v)
-    return frozenset(out)
+    if not pool:
+        return frozenset()
+    index = ConformalIndex(len(pool[0]), pool)
+    return frozenset(v for i, v in enumerate(pool) if index.dominators(i) == 1)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,11 @@ non-primitive second summand w = w' +_c w'' turns u = v +_sc w into the
 semiconformal sums u = (v+w') +_sc w'' and u = (v+w'') +_sc w', so a second
 summand of minimal 1-norm is primitive. The brute-force oracle in
 `graverkit.oracle` guards this reduction in the test suite.
+
+The search over that summand w in +-Gr(A), w != u, is one dominance query
+per ordering: u = (u-w) +_sc w forbids u_i - w_i > 0 together with w_i < 0,
+which is exactly w- <= u-, and likewise u = w +_sc (u-w) holds iff
+w+ <= u+. Both summands are nonzero because w != u.
 """
 
 from __future__ import annotations
@@ -14,9 +19,17 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError
+from .errors import GraverKitError, PreconditionError
 from .graver import Budget, GraverBasis, assert_pointed, graver_basis
-from .linalg import IntMat, IntVec, is_semiconformal_sum, sign_canonical, vec_sub
+from .linalg import (
+    IntMat,
+    IntVec,
+    is_semiconformal_sum,
+    negative_part,
+    positive_part,
+    sign_canonical,
+    vec_sub,
+)
 
 Witness = tuple[IntVec, IntVec]
 
@@ -48,32 +61,36 @@ class RobustnessCertificate:
     # (u, v, w): u in Gr(A) with proper semiconformal decomposition u = v + w
     witness: tuple[IntVec, IntVec, IntVec] | None = None
 
-    @property
-    def verdict(self) -> bool:
-        return self.strongly_robust
-
 
 def dispensability_witness(u: Sequence[int], G: GraverBasis) -> Witness | None:
     """A proper semiconformal decomposition u = v +_sc w, or None.
 
-    Probes every w in +-G as either summand; both orderings matter because
-    semiconformality is not symmetric. The verdict is shared by u and -u.
+    Takes the first w != u of +-G, in `full_set()` order, with w- <= u- or
+    w+ <= u+, and returns (u-w, w) in the first case, else (w, u-w); both
+    orderings matter because semiconformality is not symmetric. The verdict
+    is shared by u and -u.
     """
     u = sign_canonical(u)
-    if u not in G.as_set():
+    index = G.signed_index
+    if u not in index.members:
         raise PreconditionError(f"{u} is not a Graver basis element (up to sign)")
-    zero = (0,) * len(u)
-    for w in G.full_set():
-        if w == u:
-            continue
-        v = vec_sub(u, w)
-        if v == zero:
-            continue
-        if is_semiconformal_sum(u, v, w):
-            return (v, w)
-        if is_semiconformal_sum(u, w, v):
-            return (w, v)
-    return None
+
+    def first_other(pos: IntVec | None, neg: IntVec | None) -> int:
+        i = index.find(pos, neg)
+        if i >= 0 and index.vectors[i] == u:
+            i = index.find(pos, neg, start=i + 1)
+        return len(index) if i < 0 else i
+
+    minus = first_other(None, negative_part(u))
+    plus = first_other(positive_part(u), None)
+    if minus == plus == len(index):
+        return None
+    w = index.vectors[min(minus, plus)]
+    v = vec_sub(u, w)
+    witness = (v, w) if minus <= plus else (w, v)
+    if not is_semiconformal_sum(u, *witness):
+        raise GraverKitError(f"dominance query returned a non-semiconformal pair for {u}")
+    return witness
 
 
 def is_indispensable(u: Sequence[int], G: GraverBasis) -> bool:
@@ -92,23 +109,18 @@ def indispensable_set(
     return IndispensableSet(n=G.n, elements=kept, matrix_hash=G.matrix_hash)
 
 
-def is_strongly_robust(A: IntMat, budget: Budget | None = None) -> RobustnessCertificate:
+def is_strongly_robust(
+    A: IntMat, budget: Budget | None = None, G: GraverBasis | None = None
+) -> RobustnessCertificate:
     """Decide Gr(A) = S(A); on failure include a validated witness triple."""
-    G = graver_basis(A, budget=budget)
-    if not assert_pointed(A, G):
-        raise PreconditionError("matrix is not pointed: Ker(A) meets N^n \\ {0}")
-    dispensable = 0
-    first_witness = None
-    for u in G.elements:
-        w = dispensability_witness(u, G)
-        if w is not None:
-            dispensable += 1
-            if first_witness is None:
-                first_witness = (u, w[0], w[1])
+    if G is None:
+        G = graver_basis(A, budget=budget)
+    S = indispensable_set(A, G=G).as_set()
+    u = next((u for u in G.elements if u not in S), None)
     return RobustnessCertificate(
         matrix_hash=G.matrix_hash,
-        strongly_robust=dispensable == 0,
+        strongly_robust=u is None,
         graver_size=len(G),
-        indispensable_size=len(G) - dispensable,
-        witness=first_witness,
+        indispensable_size=len(S),
+        witness=None if u is None else (u, *dispensability_witness(u, G)),
     )

@@ -15,10 +15,11 @@ import tempfile
 from pathlib import Path
 from typing import Iterable, Sequence
 
-from .graver import _GRAVER_MEMO, Budget, GraverBasis, graver_basis
+from . import __version__
+from .graver import Budget, GraverBasis, graver_basis
 from .linalg import IntMat, IntVec
 
-TOOL_VERSION = "0.1.0"
+TOOL_VERSION = __version__
 
 CACHE_DIR_ENV = "GRAVERKIT_CACHE_DIR"
 
@@ -102,21 +103,18 @@ def cached_graver_basis(A: IntMat, cache: Cache | None, budget: Budget | None = 
     """graver_basis through the persistent cache.
 
     Hits are byte-identical to recomputation because the stored payload is the
-    canonical element list. A hit also seeds the in-process memo so that
-    downstream library calls reuse it.
+    canonical element list.
     """
     if cache is None:
         return graver_basis(A, budget=budget)
     key = cache_key("graver", A)
     payload = cache.get(key)
     if payload is not None and payload.get("n") == A.ncols:
-        basis = GraverBasis(
+        return GraverBasis(
             n=A.ncols,
             elements=tuple(tuple(int(x) for x in v) for v in payload["elements"]),
             matrix_hash=A.content_hash(),
         )
-        _GRAVER_MEMO[(A.rows, A.ncols)] = basis
-        return basis
     basis = graver_basis(A, budget=budget)
     cache.put(key, {"n": basis.n, "elements": vectors_to_json(basis.elements)})
     return basis

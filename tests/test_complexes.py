@@ -87,6 +87,18 @@ class TestSemigroupMinimum:
         with pytest.raises(PreconditionError):
             semigroup_min_multiple(0, 2, 3)
 
+    def test_matches_brute_force_on_small_grid(self):
+        def brute(n_i, n_j, n_k):
+            c = 1
+            while not any(
+                (c * n_i - a * n_j) % n_k == 0 for a in range(c * n_i // n_j + 1)
+            ):
+                c += 1
+            return c
+
+        for triple in itertools.product(range(1, 13), repeat=3):
+            assert semigroup_min_multiple(*triple) == brute(*triple), triple
+
 
 class TestClassification:
     def test_table(self):

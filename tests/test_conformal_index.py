@@ -1,0 +1,136 @@
+"""ConformalIndex, the one conformal-dominance test, on both of its paths.
+
+The int64 stack answers while entries stay far below the int64 range; the
+pure-integer scan answers otherwise. Lowering `_NP_SAFE_BOUND` to 1 forces
+the pure-integer scan everywhere, and every result must stay identical.
+"""
+
+from unittest import mock
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import graverkit.graver as graver_module
+from graverkit import (
+    IntMat,
+    graver_basis,
+    graver_of_set,
+    indispensable_set,
+    is_primitive_in,
+    is_strongly_robust,
+    lambda_matrix,
+    robust_complex,
+)
+from graverkit.graver import ConformalIndex
+from graverkit.linalg import negative_part, positive_part
+
+from _paper import T_BIG, example_e
+
+
+def _pure_integer(monkeypatch):
+    monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", 1)
+    monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+
+
+def _robustness_results(A):
+    cert = is_strongly_robust(A)
+    return indispensable_set(A).elements, cert
+
+
+class TestPureIntegerFallback:
+    def test_graver_bases_and_complex(self, monkeypatch):
+        curve = IntMat.row_vector(T_BIG)
+        fast = (graver_basis(example_e()), graver_basis(curve), robust_complex(T_BIG).faces)
+        _pure_integer(monkeypatch)
+        slow_complex = robust_complex(T_BIG).faces  # computes Gr(T_BIG) on this path
+        slow = (graver_basis(example_e()), graver_basis(curve), slow_complex)
+        assert not slow[0].signed_index._np_ok
+        assert slow == fast
+
+    def test_indispensable_set_and_certificate(self, monkeypatch):
+        matrices = (example_e(), lambda_matrix([4, 5, 6], [1]).matrix)
+        fast = [_robustness_results(A) for A in matrices]
+        assert fast[0][1].strongly_robust and not fast[1][1].strongly_robust
+        _pure_integer(monkeypatch)
+        assert [_robustness_results(A) for A in matrices] == fast
+
+    def test_natural_input_above_2_60(self):
+        a, b = 2**61 + 1, 2**61 + 3
+        lam = lambda_matrix([a, b], [])
+        G = graver_basis(lam.matrix)
+        assert G.elements == ((b, -a, -b, a),)
+        assert not G.signed_index._np_ok
+        cert = is_strongly_robust(lam.matrix)
+        assert cert.strongly_robust and cert.witness is None
+
+
+# ---------------------------------------------------------------------------
+# property tests against nested loops
+
+def _leq(a, b):
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _satisfies(v, pos, neg):
+    return (pos is None or _leq(positive_part(v), pos)) and (
+        neg is None or _leq(negative_part(v), neg)
+    )
+
+
+def _on_both_paths(check):
+    check()
+    with mock.patch.object(graver_module, "_NP_SAFE_BOUND", 1):
+        check()
+
+
+@st.composite
+def vector_sets(draw):
+    n = draw(st.integers(1, 5))
+    entry = st.integers(-4, 4)
+    vectors = draw(st.lists(st.tuples(*[entry] * n), max_size=12))
+    bound = st.tuples(*[st.integers(0, 4)] * n)
+    pos = draw(st.none() | bound)
+    neg = draw(bound) if pos is None else draw(st.none() | bound)
+    start = draw(st.integers(0, len(vectors) + 1))
+    return n, vectors, pos, neg, start
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sets())
+def test_queries_match_nested_loops(case):
+    n, vectors, pos, neg, start = case
+    first = next(
+        (i for i, v in enumerate(vectors) if i >= start and _satisfies(v, pos, neg)), -1
+    )
+    dominators = [
+        sum(1 for w in vectors if _satisfies(w, positive_part(v), negative_part(v)))
+        for v in vectors
+    ]
+
+    def check():
+        index = ConformalIndex(n, vectors)
+        assert index.find(pos, neg, start) == first
+        assert [index.dominators(i) for i in range(len(vectors))] == dominators
+
+    _on_both_paths(check)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sets())
+def test_primitive_sets_match_nested_loops(case):
+    _, vectors, _, _, _ = case
+    pool = set(vectors)
+
+    def primitive(u):
+        return not any(
+            w != u and _satisfies(w, positive_part(u), negative_part(u)) for w in pool
+        )
+
+    expected = frozenset(u for u in pool if primitive(u))
+
+    def check():
+        assert graver_of_set(vectors) == expected
+        for u in pool:
+            assert is_primitive_in(u, vectors) == (u in expected)
+
+    _on_both_paths(check)

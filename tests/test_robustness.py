@@ -14,15 +14,32 @@ from graverkit import (
     is_strongly_robust,
     lambda_matrix,
 )
-from graverkit.linalg import is_semiconformal_sum, positive_part
+from graverkit.linalg import is_semiconformal_sum, positive_part, sign_canonical, vec_sub
 from graverkit.oracle import dispensability_witness_by_enumeration
 from graverkit.robustness import dispensability_witness
 
-from _paper import example_e
+from _paper import GEN_MATRIX_ROWS, example_e
 
 
 def T(*entries):
     return IntMat.row_vector(entries)
+
+
+def pairwise_witness(u, G):
+    """Reference witness search: probe every w in +-G as either summand."""
+    u = sign_canonical(u)
+    zero = (0,) * len(u)
+    for w in G.full_set():
+        if w == u:
+            continue
+        v = vec_sub(u, w)
+        if v == zero:
+            continue
+        if is_semiconformal_sum(u, v, w):
+            return (v, w)
+        if is_semiconformal_sum(u, w, v):
+            return (w, v)
+    return None
 
 
 class TestIndispensable:
@@ -71,6 +88,19 @@ class TestIndispensable:
                 assert v != zero and w != zero
                 assert A.in_kernel(v) and A.in_kernel(w)
                 assert is_semiconformal_sum(u, v, w)
+
+    def test_witnesses_equal_pairwise_reference(self):
+        matrices = [example_e(), IntMat.from_rows(GEN_MATRIX_ROWS)]
+        for entries in [(4, 5, 6), (3, 5, 7), (6, 8, 11), (5, 7, 9, 11)]:
+            for omega in [(), (1,), (2,), (1, 2)]:
+                matrices.append(lambda_matrix(entries, omega).matrix)
+        for entries in itertools.combinations(range(2, 10), 3):
+            if math.gcd(*entries) == 1:
+                matrices.append(T(*entries))
+        for A in matrices:
+            G = graver_basis(A)
+            for u in G.elements:
+                assert dispensability_witness(u, G) == pairwise_witness(u, G), u
 
     def test_agrees_with_enumeration_oracle(self):
         rng = random.Random(91)

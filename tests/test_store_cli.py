@@ -2,9 +2,11 @@ import json
 
 import pytest
 
-from graverkit import IntMat, graver_basis
+import graverkit
+from graverkit import IntMat, graver_basis, is_strongly_robust, lambda_matrix
 from graverkit.cli import main
 from graverkit.store import (
+    TOOL_VERSION,
     Cache,
     cache_key,
     cached_graver_basis,
@@ -49,6 +51,9 @@ class TestCache:
         assert cache_key("graver", A) != cache_key("circuits", A)
         assert cache_key("graver", A) != cache_key("graver", B)
 
+    def test_key_version_is_the_package_version(self):
+        assert TOOL_VERSION == graverkit.__version__ == "0.1.0"
+
     def test_hit_equals_recomputation(self, tmp_path):
         cache = Cache(tmp_path)
         A = IntMat.row_vector([3, 5, 7])
@@ -56,6 +61,14 @@ class TestCache:
         hit = cached_graver_basis(A, cache)
         assert hit == fresh == graver_basis(A)
         assert list(tmp_path.glob("*.json"))
+
+    def test_robustness_from_a_cache_hit(self, tmp_path):
+        cache = Cache(tmp_path)
+        for A in (IntMat.from_rows(EXAMPLE_E_ROWS), lambda_matrix([4, 5, 6], [1]).matrix):
+            cached_graver_basis(A, cache)
+            hit = cached_graver_basis(A, cache)
+            assert hit is not graver_basis(A)  # read from disk, not the memo
+            assert is_strongly_robust(A, G=hit) == is_strongly_robust(A)
 
     def test_corrupt_entry_recomputed(self, tmp_path):
         cache = Cache(tmp_path)
