@@ -166,8 +166,9 @@ def bouquet_decomposition(A: IntMat, _gale: tuple[IntVec, ...] | None = None) ->
             c_restriction=tuple(1 for _ in free),
         )
 
-    a_matrix = IntMat.from_rows(
-        [[a_cols[i][t] for i in range(len(bouquets))] for t in range(A.nrows)]
+    a_matrix = IntMat(
+        [[a_cols[i][t] for i in range(len(bouquets))] for t in range(A.nrows)],
+        ncols=len(bouquets),
     )
     return BouquetDecomposition(
         matrix=A, bouquets=bouquets, free_bouquet=free_bouquet, a_matrix=a_matrix

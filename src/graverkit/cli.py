@@ -1,8 +1,13 @@
 """Command-line front end.
 
+Each subcommand handler computes its result once and returns it twice: as the
+payload that --format json prints and as the text that --format text prints.
+Only `main` reads --format for a result, and writes the chosen form to stdout
+or --out; `_emit_error` reads it for an error.
+
 Exit codes: 0 success, 2 usage or input error, 3 mathematical precondition
-failure (e.g. a non-pointed matrix), 4 budget exhaustion. With --format json
-errors are emitted as machine-readable JSON on stdout.
+failure (e.g. a non-pointed matrix), 4 budget exhaustion, 1 any other toolkit
+error. With --format json errors are emitted as machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -18,20 +23,10 @@ from .errors import BudgetExceededError, GraverKitError, PreconditionError
 from .graver import Budget, circuits
 from .lawrence import GenLawrenceSpec, build_gen_lawrence, reconstruct_gen_lawrence
 from .linalg import IntMat
-from .oracle import (
-    graver_by_enumeration,
-    indispensable_by_enumeration,
-    kernel_points_in_box,
-)
+from .oracle import graver_by_enumeration, indispensable_by_enumeration, kernel_points_in_box
 from .robustness import indispensable_set, is_strongly_robust
 from .search import sullivant_search
-from .store import (
-    cached_graver_basis,
-    format_vectors,
-    read_matrix,
-    resolve_cache,
-    vectors_to_json,
-)
+from .store import cached_graver_basis, format_vectors, read_matrix, resolve_cache, vectors_to_json
 
 
 class UsageError(GraverKitError):
@@ -55,82 +50,57 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("graver", help="Graver basis of a matrix file")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_graver)
+    def command(name, func, help):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("circuits", help="circuits of a matrix file")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_circuits)
+    command("graver", cmd_graver, "Graver basis of a matrix file").add_argument("matrix")
+    command("circuits", cmd_circuits, "circuits of a matrix file").add_argument("matrix")
+    command("indispensable", cmd_indispensable, "indispensable elements S(A)").add_argument("matrix")
+    command("bouquets", cmd_bouquets, "bouquet decomposition report").add_argument("matrix")
+    command("check-robust", cmd_check_robust, "decide Gr(A) = S(A)").add_argument("matrix")
 
-    p = sub.add_parser("indispensable", help="indispensable elements S(A)")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_indispensable)
-
-    p = sub.add_parser("bouquets", help="bouquet decomposition report")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_bouquets)
-
-    p = sub.add_parser("check-robust", help="decide Gr(A) = S(A)")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_check_robust)
-
-    p = sub.add_parser("complex", help="strongly robust complex of a monomial curve")
+    p = command("complex", cmd_complex, "strongly robust complex of a monomial curve")
     p.add_argument("entries", nargs="+", type=int, metavar="N")
     p.add_argument("--verify", action="store_true",
                    help="cross-check each singleton against the lifting test")
-    _add_common(p)
-    p.set_defaults(func=cmd_complex)
 
-    p = sub.add_parser("classify3", help="complete-intersection classification of a 1x3 curve")
+    p = command("classify3", cmd_classify3, "complete-intersection classification of a 1x3 curve")
     p.add_argument("entries", nargs=3, type=int, metavar="N")
-    _add_common(p)
-    p.set_defaults(func=cmd_classify3)
 
-    p = sub.add_parser("lambda", help="lifted matrix Lambda(T)_omega")
+    p = command("lambda", cmd_lambda, "lifted matrix Lambda(T)_omega")
     p.add_argument("entries", nargs="+", type=int, metavar="N")
     p.add_argument("--omega", default="", metavar="I,J,...",
                    help="comma-separated 1-based indices (default: empty set)")
-    _add_common(p)
-    p.set_defaults(func=cmd_lambda)
 
-    p = sub.add_parser("genlaw", help="build a generalized Lawrence matrix from a JSON spec")
+    p = command("genlaw", cmd_genlaw, "build a generalized Lawrence matrix from a JSON spec")
     p.add_argument("spec", help='JSON file {"T": [...], "c": [[...],...], "lambda": [[...],...]? }')
     p.add_argument("--verify", action="store_true",
                    help="also run the strong-robustness check on the result")
     p.add_argument("--skip-hypothesis", action="store_true",
                    help="skip the mixedness hypothesis check")
-    _add_common(p)
-    p.set_defaults(func=cmd_genlaw)
 
-    p = sub.add_parser("reconstruct", help="generalized Lawrence form of a matrix file")
-    p.add_argument("matrix")
-    _add_common(p)
-    p.set_defaults(func=cmd_reconstruct)
+    command("reconstruct", cmd_reconstruct,
+            "generalized Lawrence form of a matrix file").add_argument("matrix")
 
-    p = sub.add_parser("search", help="bounded scan of robust complexes")
+    p = command("search", cmd_search, "bounded scan of robust complexes")
     p.add_argument("--s", nargs="+", type=int, default=[3], metavar="S")
     p.add_argument("--bound", type=int, default=20)
     p.add_argument("--samples", type=int, default=None,
                    help="random sample size per s (default: exhaustive)")
     p.add_argument("--seed", type=int, default=0)
-    _add_common(p)
-    p.set_defaults(func=cmd_search)
 
-    p = sub.add_parser("oracle", help="brute-force reference computations")
+    p = command("oracle", cmd_oracle, "brute-force reference computations")
     p.add_argument("mode", choices=("kernel", "graver", "indispensable"))
     p.add_argument("matrix")
     p.add_argument("--box", type=int, default=12, help="coordinate bound (default 12)")
     p.add_argument("--wbox", type=int, default=None,
                    help="bound for the semiconformal second summand (default: --box)")
-    _add_common(p)
-    p.set_defaults(func=cmd_oracle)
 
+    # last, so that --help lists each command's own arguments first
+    for p in sub.choices.values():
+        _add_common(p)
     return parser
 
 
@@ -150,47 +120,37 @@ def _graver_for(args, A: IntMat):
 
 
 # ---------------------------------------------------------------------------
-# handlers; each returns the output string
+# handlers; each returns (payload, text) for `main` to print one of
 
-def cmd_graver(args) -> str:
-    A = _load(args)
-    G = _graver_for(args, A)
-    if args.format == "json":
-        return json.dumps(
-            {"n": G.n, "count": len(G), "elements": vectors_to_json(G.elements),
-             "matrix_hash": G.matrix_hash},
-            indent=2,
-        )
-    return format_vectors(G.elements, G.n)
+Output = tuple[dict, str]
 
 
-def cmd_circuits(args) -> str:
-    A = _load(args)
-    C = circuits(A)
-    if args.format == "json":
-        return json.dumps(
-            {"n": C.n, "count": len(C), "elements": vectors_to_json(C.elements)}, indent=2
-        )
-    return format_vectors(C.elements, C.n)
+def _vector_set(payload: dict) -> Output:
+    return payload, format_vectors(payload["elements"], payload["n"])
 
 
-def cmd_indispensable(args) -> str:
+def cmd_graver(args) -> Output:
+    G = _graver_for(args, _load(args))
+    return _vector_set({"n": G.n, "count": len(G), "elements": vectors_to_json(G.elements),
+                        "matrix_hash": G.matrix_hash})
+
+
+def cmd_circuits(args) -> Output:
+    C = circuits(_load(args))
+    return _vector_set({"n": C.n, "count": len(C), "elements": vectors_to_json(C.elements)})
+
+
+def cmd_indispensable(args) -> Output:
     A = _load(args)
     G = _graver_for(args, A)
     S = indispensable_set(A, budget=_budget(args), G=G)
-    if args.format == "json":
-        return json.dumps(
-            {"n": S.n, "count": len(S), "elements": vectors_to_json(S.elements),
-             "graver_size": len(G), "matrix_hash": S.matrix_hash},
-            indent=2,
-        )
-    return format_vectors(S.elements, S.n)
+    return _vector_set({"n": S.n, "count": len(S), "elements": vectors_to_json(S.elements),
+                        "graver_size": len(G), "matrix_hash": S.matrix_hash})
 
 
-def cmd_bouquets(args) -> str:
-    A = _load(args)
-    dec = bouquet_decomposition(A)
-    report = {
+def cmd_bouquets(args) -> Output:
+    dec = bouquet_decomposition(_load(args))
+    payload = {
         "bouquets": [
             {
                 "members": list(b.members),
@@ -204,20 +164,17 @@ def cmd_bouquets(args) -> str:
         "omega": sorted(dec.non_mixed_indices()),
         "simple": dec.free_bouquet is None and all(len(b.members) == 1 for b in dec.bouquets),
     }
-    if args.format == "json":
-        return json.dumps(report, indent=2)
-    lines = []
-    for i, b in enumerate(dec.bouquets, start=1):
-        lines.append(f"B{i}: members={list(b.members)} kind={b.kind} c={list(b.c_restriction)}")
+    lines = [f"B{i}: members={list(b.members)} kind={b.kind} c={list(b.c_restriction)}"
+             for i, b in enumerate(dec.bouquets, start=1)]
     if dec.free_bouquet:
         lines.append(f"free: members={list(dec.free_bouquet.members)}")
-    lines.append(f"omega: {sorted(dec.non_mixed_indices())}")
+    lines.append(f"omega: {payload['omega']}")
     lines.append("A_B:")
     lines.append(dec.a_matrix.to_text().rstrip())
-    return "\n".join(lines) + "\n"
+    return payload, "\n".join(lines) + "\n"
 
 
-def cmd_check_robust(args) -> str:
+def cmd_check_robust(args) -> Output:
     A = _load(args)
     cert = is_strongly_robust(A, budget=_budget(args), G=_graver_for(args, A))
     payload = {
@@ -226,21 +183,17 @@ def cmd_check_robust(args) -> str:
         "graver_size": cert.graver_size,
         "indispensable_size": cert.indispensable_size,
     }
-    if cert.witness is not None:
-        u, v, w = cert.witness
-        payload["witness"] = {"u": list(u), "v": list(v), "w": list(w)}
-    if args.format == "json":
-        return json.dumps(payload, indent=2)
     lines = [f"strongly_robust: {str(cert.strongly_robust).lower()}",
              f"graver_size: {cert.graver_size}",
              f"indispensable_size: {cert.indispensable_size}"]
     if cert.witness is not None:
         u, v, w = cert.witness
+        payload["witness"] = {"u": list(u), "v": list(v), "w": list(w)}
         lines.append(f"witness: {list(u)} = {list(v)} +sc {list(w)}")
-    return "\n".join(lines) + "\n"
+    return payload, "\n".join(lines) + "\n"
 
 
-def cmd_complex(args) -> str:
+def cmd_complex(args) -> Output:
     rc = robust_complex(args.entries, verify=args.verify, budget=_budget(args))
     faces = rc.sorted_faces()
     payload = {
@@ -248,6 +201,8 @@ def cmd_complex(args) -> str:
         "faces": faces,
         "cross_checked": rc.cross_checked,
     }
+    lines = [f"T: {' '.join(str(x) for x in rc.T)}",
+             "faces: " + ", ".join(str(f) for f in faces)]
     if len(rc.T) == 3:
         cls = classify_curve3(rc.T)
         payload["classification"] = {
@@ -255,40 +210,27 @@ def cmd_complex(args) -> str:
             "c": list(cls.c),
             "betti_candidates": list(cls.betti_candidates),
         }
-    if args.format == "json":
-        return json.dumps(payload, indent=2)
-    lines = [f"T: {' '.join(str(x) for x in rc.T)}",
-             "faces: " + ", ".join(str(f) for f in faces)]
-    if "classification" in payload:
-        lines.append(f"classification: {payload['classification']['kind']}")
-    return "\n".join(lines) + "\n"
+        lines.append(f"classification: {cls.describe()}")
+    return payload, "\n".join(lines) + "\n"
 
 
-def cmd_classify3(args) -> str:
+def cmd_classify3(args) -> Output:
     cls = classify_curve3(args.entries)
-    if args.format == "json":
-        return json.dumps(
-            {"T": list(cls.T), "kind": cls.describe(), "on": cls.on,
-             "c": list(cls.c), "betti_candidates": list(cls.betti_candidates)},
-            indent=2,
-        )
+    payload = {"T": list(cls.T), "kind": cls.describe(), "on": cls.on,
+               "c": list(cls.c), "betti_candidates": list(cls.betti_candidates)}
     degrees = ",".join(str(d) for d in cls.betti_candidates)
-    return f"{cls.describe()}, degrees {degrees}\n"
+    return payload, f"{cls.describe()}, degrees {degrees}\n"
 
 
-def cmd_lambda(args) -> str:
+def cmd_lambda(args) -> Output:
     omega = [int(t) for t in args.omega.split(",") if t.strip()] if args.omega else []
     lam = lambda_matrix(args.entries, omega)
-    if args.format == "json":
-        return json.dumps(
-            {"T": list(lam.T.rows[0]), "omega": sorted(lam.omega),
-             "matrix": [list(r) for r in lam.matrix.rows]},
-            indent=2,
-        )
-    return lam.matrix.to_text()
+    payload = {"T": list(lam.T.rows[0]), "omega": sorted(lam.omega),
+               "matrix": [list(r) for r in lam.matrix.rows]}
+    return payload, lam.matrix.to_text()
 
 
-def cmd_genlaw(args) -> str:
+def cmd_genlaw(args) -> Output:
     try:
         raw = json.loads(Path(args.spec).read_text())
         spec = GenLawrenceSpec(
@@ -300,47 +242,35 @@ def cmd_genlaw(args) -> str:
         raise UsageError(f"cannot read spec from {args.spec}: {exc}") from exc
     built = build_gen_lawrence(spec, check_hypothesis=not args.skip_hypothesis,
                                budget=_budget(args))
-    verdict = None
+    payload = {"matrix": [list(r) for r in built.matrix.rows],
+               "p": built.matrix.nrows, "q": built.matrix.ncols}
+    text = built.matrix.to_text()
     if args.verify:
         verdict = is_strongly_robust(built.matrix, budget=_budget(args)).strongly_robust
-    if args.format == "json":
-        payload = {"matrix": [list(r) for r in built.matrix.rows],
-                   "p": built.matrix.nrows, "q": built.matrix.ncols}
-        if verdict is not None:
-            payload["strongly_robust"] = verdict
-        return json.dumps(payload, indent=2)
-    text = built.matrix.to_text()
-    if verdict is not None:
+        payload["strongly_robust"] = verdict
         text += f"strongly_robust: {str(verdict).lower()}\n"
-    return text
+    return payload, text
 
 
-def cmd_reconstruct(args) -> str:
-    A = _load(args)
-    rec = reconstruct_gen_lawrence(A, budget=_budget(args))
-    if args.format == "json":
-        return json.dumps(
-            {
-                "T": list(rec.spec.T),
-                "c": [list(c) for c in rec.spec.c_vectors],
-                "lambda": [list(l) for l in rec.spec.resolved_lambdas()],
-                "matrix": [list(r) for r in rec.matrix.rows],
-                "permutation": list(rec.column_permutation),
-            },
-            indent=2,
-        )
+def cmd_reconstruct(args) -> Output:
+    rec = reconstruct_gen_lawrence(_load(args), budget=_budget(args))
+    payload = {
+        "T": list(rec.spec.T),
+        "c": [list(c) for c in rec.spec.c_vectors],
+        "lambda": [list(l) for l in rec.spec.resolved_lambdas()],
+        "matrix": [list(r) for r in rec.matrix.rows],
+        "permutation": list(rec.column_permutation),
+    }
     lines = [rec.matrix.to_text().rstrip(),
              "permutation: " + " ".join(str(p) for p in rec.column_permutation),
              "T: " + " ".join(str(x) for x in rec.spec.T)]
-    return "\n".join(lines) + "\n"
+    return payload, "\n".join(lines) + "\n"
 
 
-def cmd_search(args) -> str:
+def cmd_search(args) -> Output:
     report = sullivant_search(
         args.s, args.bound, sample_budget=args.samples, seed=args.seed, budget=_budget(args)
     )
-    if args.format == "json":
-        return json.dumps(report.to_dict(), indent=2)
     d = report.to_dict()
     lines = [
         f"instances: {d['instances']}",
@@ -350,12 +280,11 @@ def cmd_search(args) -> str:
         f"skipped: {len(d['skipped'])}",
         f"ok: {str(d['ok']).lower()}",
     ]
-    for v in d["violations"]:
-        lines.append(f"VIOLATION: {v}")
-    return "\n".join(lines) + "\n"
+    lines.extend(f"VIOLATION: {v}" for v in d["violations"])
+    return d, "\n".join(lines) + "\n"
 
 
-def cmd_oracle(args) -> str:
+def cmd_oracle(args) -> Output:
     A = _load(args)
     box = args.box
     if args.mode == "kernel":
@@ -364,13 +293,8 @@ def cmd_oracle(args) -> str:
         vectors = graver_by_enumeration(A, box)
     else:
         vectors = indispensable_by_enumeration(A, box, args.wbox or box)
-    if args.format == "json":
-        return json.dumps(
-            {"n": A.ncols, "box": box, "mode": args.mode,
-             "count": len(vectors), "elements": vectors_to_json(vectors)},
-            indent=2,
-        )
-    return format_vectors(vectors, A.ncols)
+    return _vector_set({"n": A.ncols, "box": box, "mode": args.mode,
+                        "count": len(vectors), "elements": vectors_to_json(vectors)})
 
 
 # ---------------------------------------------------------------------------
@@ -393,26 +317,20 @@ def _emit_error(args, exc: Exception) -> None:
         print(f"error: {exc}", file=sys.stderr)
 
 
-def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    try:
-        output = args.func(args)
-    except (UsageError, ValueError) as exc:
-        _emit_error(args, exc)
-        return 2
-    except BudgetExceededError as exc:
-        _emit_error(args, exc)
-        return 4
-    except PreconditionError as exc:
-        _emit_error(args, exc)
-        return 3
-    except GraverKitError as exc:
-        _emit_error(args, exc)
-        return 1
-    _emit(args, output)
-    return 0
+# the first matching class decides the exit code; see the module docstring
+_EXIT_CODES = ((UsageError, 2), (ValueError, 2), (BudgetExceededError, 4),
+               (PreconditionError, 3), (GraverKitError, 1))
 
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        payload, text = args.func(args)
+    except (GraverKitError, ValueError) as exc:
+        _emit_error(args, exc)
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
+    _emit(args, json.dumps(payload, indent=2) if args.format == "json" else text)
+    return 0
 
 if __name__ == "__main__":
     sys.exit(main())

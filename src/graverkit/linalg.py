@@ -19,10 +19,6 @@ IntVec = tuple[int, ...]
 # ---------------------------------------------------------------------------
 # vector helpers
 
-def vec(entries: Iterable[int]) -> IntVec:
-    return tuple(int(e) for e in entries)
-
-
 def positive_part(u: Sequence[int]) -> IntVec:
     return tuple(x if x > 0 else 0 for x in u)
 
@@ -30,11 +26,6 @@ def positive_part(u: Sequence[int]) -> IntVec:
 def negative_part(u: Sequence[int]) -> IntVec:
     """The vector u^- with u = u^+ - u^-; nonnegative, support disjoint from u^+."""
     return tuple(-x if x < 0 else 0 for x in u)
-
-
-def support(u: Sequence[int]) -> frozenset[int]:
-    """1-based support of u."""
-    return frozenset(i + 1 for i, x in enumerate(u) if x != 0)
 
 
 def sign_canonical(u: Sequence[int]) -> IntVec:
@@ -110,18 +101,24 @@ def project_out(u: Sequence[int], i: int) -> IntVec:
 
 @dataclass(frozen=True)
 class IntMat:
-    """Immutable integer matrix with exact arithmetic."""
+    """Immutable integer matrix with exact arithmetic.
+
+    `ncols` defaults to the length of the first row; a matrix with no rows
+    keeps the column count it is given.
+    """
 
     rows: tuple[IntVec, ...]
+    ncols: int | None = None
 
     def __post_init__(self):
         rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        if rows:
-            width = len(rows[0])
-            for row in rows:
-                if len(row) != width:
-                    raise ValueError("ragged rows")
+        ncols = self.ncols
+        if ncols is None:
+            ncols = len(rows[0]) if rows else 0
+        if any(len(row) != ncols for row in rows):
+            raise ValueError(f"ragged rows: each row must have {ncols} entries")
         object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "ncols", ncols)
 
     # -- construction ------------------------------------------------------
 
@@ -152,22 +149,13 @@ class IntMat:
             entries = [int(t) for t in body]
         except ValueError as exc:
             raise ValueError("non-integer matrix entry") from exc
-        rows = [tuple(entries[i * n:(i + 1) * n]) for i in range(m)]
-        mat = cls(tuple(rows))
-        object.__setattr__(mat, "_ncols", n)
-        return mat
+        return cls(tuple(entries[i * n:(i + 1) * n] for i in range(m)), n)
 
     # -- basic shape -------------------------------------------------------
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def ncols(self) -> int:
-        if self.rows:
-            return len(self.rows[0])
-        return getattr(self, "_ncols", 0)
 
     def column(self, j: int) -> IntVec:
         """Column j, 1-based."""
@@ -177,9 +165,6 @@ class IntMat:
 
     def columns(self) -> list[IntVec]:
         return [self.column(j) for j in range(1, self.ncols + 1)]
-
-    def transpose(self) -> "IntMat":
-        return IntMat.from_rows([self.column(j) for j in range(1, self.ncols + 1)])
 
     # -- arithmetic --------------------------------------------------------
 
@@ -263,7 +248,6 @@ class LatticeBasis:
 
     n: int
     vectors: tuple[IntVec, ...]
-    matrix_hash: str
 
     @property
     def rank(self) -> int:
@@ -297,4 +281,4 @@ def kernel_lattice(A: IntMat) -> LatticeBasis:
     kernel_rows, k = _row_hermite(kernel_rows, n)
     basis = [sign_canonical(row) for row in kernel_rows[:k]]
     basis.sort()
-    return LatticeBasis(n=n, vectors=tuple(basis), matrix_hash=A.content_hash())
+    return LatticeBasis(n=n, vectors=tuple(basis))

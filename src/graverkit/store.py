@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 from . import __version__
 from .graver import Budget, GraverBasis, graver_basis
-from .linalg import IntMat, IntVec
+from .linalg import IntMat, IntVec, sign_canonical
 
 TOOL_VERSION = __version__
 
@@ -26,10 +26,6 @@ CACHE_DIR_ENV = "GRAVERKIT_CACHE_DIR"
 
 def read_matrix(path: str | Path) -> IntMat:
     return IntMat.parse(Path(path).read_text())
-
-
-def write_text(path: str | Path, text: str) -> None:
-    Path(path).write_text(text)
 
 
 def format_vectors(vectors: Sequence[IntVec], n: int) -> str:
@@ -99,22 +95,40 @@ def resolve_cache(cache_dir: str | None) -> Cache | None:
     return None
 
 
+def _cached_elements(A: IntMat, payload) -> tuple[IntVec, ...] | None:
+    """The element list of a cached Graver entry, or None if it is malformed.
+
+    Well formed means: integer vectors of length n in Ker(A), each nonzero and
+    sign-canonical, in strictly increasing order, as `graver_basis` returns them.
+    """
+    if not isinstance(payload, dict) or payload.get("n") != A.ncols \
+            or not isinstance(payload.get("elements"), list):
+        return None
+    elements: list[IntVec] = []
+    for v in payload["elements"]:
+        if not (isinstance(v, list) and len(v) == A.ncols and all(type(x) is int for x in v)):
+            return None
+        v = tuple(v)
+        if not any(v) or sign_canonical(v) != v or (elements and v <= elements[-1]) \
+                or not A.in_kernel(v):
+            return None
+        elements.append(v)
+    return tuple(elements)
+
+
 def cached_graver_basis(A: IntMat, cache: Cache | None, budget: Budget | None = None) -> GraverBasis:
     """graver_basis through the persistent cache.
 
     Hits are byte-identical to recomputation because the stored payload is the
-    canonical element list.
+    canonical element list. An entry that is not such a list counts as a miss
+    and is overwritten.
     """
     if cache is None:
         return graver_basis(A, budget=budget)
     key = cache_key("graver", A)
-    payload = cache.get(key)
-    if payload is not None and payload.get("n") == A.ncols:
-        return GraverBasis(
-            n=A.ncols,
-            elements=tuple(tuple(int(x) for x in v) for v in payload["elements"]),
-            matrix_hash=A.content_hash(),
-        )
+    elements = _cached_elements(A, cache.get(key))
+    if elements is not None:
+        return GraverBasis(n=A.ncols, elements=elements, matrix_hash=A.content_hash())
     basis = graver_basis(A, budget=budget)
     cache.put(key, {"n": basis.n, "elements": vectors_to_json(basis.elements)})
     return basis

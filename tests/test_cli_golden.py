@@ -58,6 +58,7 @@ BOTH_FORMATS = [
     ("indispensable", "exampleE.mat"),
     ("bouquets", "curve.mat"),
     ("bouquets", "exampleE.mat"),
+    ("bouquets", "zero.mat"),
     ("check-robust", "curve.mat"),
     ("check-robust", "exampleE.mat"),
     ("reconstruct", "exampleE.mat"),
@@ -144,6 +145,8 @@ GOLDEN = {
     'bouquets curve.mat --format json': [0, '91607ab0936dd05d051befa11120bf75b6a9796893f3d8a0969590e8b26d670b'],
     'bouquets exampleE.mat --format text': [0, '5627c23a834f9902a019b1f23467ff3cdb08acea7518507738906a1b9c4ba027'],
     'bouquets exampleE.mat --format json': [0, '29d176e7acc05e557b6452377b41862f28665740517f8e0690a342968c788df4'],
+    'bouquets zero.mat --format text': [0, '7c6a6e3a7ac5691a8c9890c06c1d29ef36e52db0ffc65ca4c5a50eb16b3597cd'],
+    'bouquets zero.mat --format json': [0, 'c708273aebb022f3be0ab38d9aa74af7290401247b02cbd28c984d91b18a8d0c'],
     'check-robust curve.mat --format text': [0, '0c3fd27c930753891d83de9445f1cbb1c29127b50bde900b2caa0898c24c0dae'],
     'check-robust curve.mat --format json': [0, 'e2604aebff91bbbb2cb5d3a7b05f69d3b8bb3a7034717226f09179c8493b9ad4'],
     'check-robust exampleE.mat --format text': [0, 'd575877bbf8e3c9c994e1a8705d02c127818231de79a4a68449ef688bcf6df86'],

@@ -79,7 +79,7 @@ class TestSemigroupMinimum:
         assert semigroup_min_multiple(6, 2, 9) == 1  # 6 = 3*2
 
     def test_scan_fallback(self):
-        # product above the table cutoff takes the per-multiple scan;
+        # large generators, far beyond the small brute-force grid below;
         # parity forces the doubled generator here
         assert semigroup_min_multiple(2, 2357, 3001) == 2357
 

@@ -105,6 +105,14 @@ class TestIntMat:
         with pytest.raises(ValueError):
             IntMat.from_rows([[1, 2], [3]])
 
+    def test_zero_rows_keep_the_column_count(self):
+        A = IntMat.parse("0 3\n")
+        assert (A.nrows, A.ncols) == (0, 3)
+        assert A == IntMat((), ncols=3) != IntMat.from_rows([])
+        assert A.to_text() == "0 3\n"
+        with pytest.raises(ValueError):
+            IntMat([[1, 2]], ncols=3)
+
     def test_hash_distinguishes(self):
         a = IntMat.from_rows([[1, 2]])
         b = IntMat.from_rows([[1], [2]])

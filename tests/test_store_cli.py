@@ -77,6 +77,21 @@ class TestCache:
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cached_graver_basis(A, cache) == graver_basis(A)
 
+    @pytest.mark.parametrize("elements", [
+        [[1, 1, 1]],  # well typed, but not in Ker(A)
+        [["x", 1, 1]],  # not integers
+        [[7, 0, -3], [5, -3, 0]],  # kernel vectors out of canonical order
+        [[-5, 3, 0]],  # not sign-canonical
+        [[5, -3, 0, 0]],  # wrong length
+    ])
+    def test_malformed_entry_recomputed_and_overwritten(self, tmp_path, elements):
+        cache = Cache(tmp_path)
+        A = IntMat.row_vector([3, 5, 7])
+        key = cache_key("graver", A)
+        (tmp_path / f"{key}.json").write_text(json.dumps({"n": 3, "elements": elements}))
+        assert cached_graver_basis(A, cache) == graver_basis(A)
+        assert cache.get(key)["elements"] == [list(v) for v in graver_basis(A).elements]
+
 
 class TestCli:
     def run(self, capsys, *argv):
@@ -126,6 +141,13 @@ class TestCli:
         assert payload["omega"] == [3]
         assert payload["simple"] is False
         assert payload["bouquets"][2]["members"] == [6, 7]
+
+    def test_bouquets_of_a_zero_row_matrix_keep_its_columns(self, capsys, tmp_path):
+        path = tmp_path / "zero.mat"
+        path.write_text("0 3\n")
+        code, out = self.run(capsys, "bouquets", str(path))
+        assert code == 0
+        assert out.endswith("omega: [1, 2, 3]\nA_B:\n0 3\n")
 
     def test_check_robust_command(self, capsys, example_e_file):
         code, out = self.run(capsys, "check-robust", example_e_file, "--format", "json")
