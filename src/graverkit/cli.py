@@ -50,8 +50,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name, func, help):
-        p = sub.add_parser(name, help=help)
+    def command(name, func, summary):
+        p = sub.add_parser(name, help=summary)
         p.set_defaults(func=func)
         return p
 
