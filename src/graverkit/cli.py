@@ -7,13 +7,15 @@ or --out; `_emit_error` reads it for an error.
 
 Exit codes: 0 success, 2 usage or input error, 3 mathematical precondition
 failure (e.g. a non-pointed matrix), 4 budget exhaustion, 1 any other toolkit
-error. With --format json errors are emitted as machine-readable JSON on stdout.
+error or a stdout closed before the output was written (e.g. piped into
+`head`). With --format json errors are emitted as machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -322,8 +324,7 @@ _EXIT_CODES = ((UsageError, 2), (ValueError, 2), (BudgetExceededError, 4),
                (PreconditionError, 3), (GraverKitError, 1))
 
 
-def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+def _run(args) -> int:
     try:
         payload, text = args.func(args)
     except (GraverKitError, ValueError) as exc:
@@ -331,6 +332,18 @@ def main(argv=None) -> int:
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
     _emit(args, json.dumps(payload, indent=2) if args.format == "json" else text)
     return 0
+
+
+def main(argv=None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        code = _run(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left early; point stdout at devnull so the exit flush cannot raise
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -4,7 +4,10 @@ The Graver basis is computed by a Pottier-style completion over the saturated
 kernel lattice: seed with a lattice basis and its negations, repeatedly form
 pairwise sums with cancellation, conformally reduce each sum to a normal form
 against the current set, and insert nonzero normal forms. At the fixpoint the
-conformally minimal elements are exactly the Graver basis.
+conformally minimal elements are exactly the Graver basis. Pair generation
+pairs each new element with every stored vector in one numpy pass over the
+index's int64 stack while every entry is below `_NP_SAFE_BOUND // 2`, and in
+a pure-integer loop once one is not.
 
 All arithmetic is exact. Every conformal-dominance test outside the oracles
 goes through `ConformalIndex`, whose numpy int64 stack is only consulted while
@@ -217,40 +220,32 @@ def _complete_lattice(
 
     def enqueue_pairs(v: IntVec) -> None:
         nonlocal generated
-        for g in list(index.vectors):
-            if g == v or not _has_cancellation(v, g):
-                continue
-            s = vec_add(v, g)
-            if all(x == 0 for x in s):
-                continue
-            s = sign_canonical(s)
-            if s in queued:
-                continue
-            queued.add(s)
-            generated += 1
-            heapq.heappush(heap, (one_norm(s), s))
+        if index._np_ok:
+            # entries < _NP_SAFE_BOUND // 2, so the pair sums fit in int64
+            stack = index._stack[: len(index)]
+            G = stack[:, :n] - stack[:, n:]
+            u = np.array(v, dtype=np.int64)
+            S = G[(np.sign(G) * np.sign(u) < 0).any(axis=1)] + u
+            S = S[S.any(axis=1)]
+            S *= np.sign(S[np.arange(len(S)), (S != 0).argmax(axis=1)])[:, None]
+            rows = map(tuple, S.tolist())
+        else:
+            sums = (vec_add(v, g) for g in index.vectors if _has_cancellation(v, g))
+            rows = (sign_canonical(s) for s in sums if any(s))
+        for s in rows:
+            if s not in queued:
+                queued.add(s)
+                generated += 1
+                heapq.heappush(heap, (one_norm(s), s))
 
-    seeds = list(index.vectors)
-    for i, j in itertools.combinations(range(len(seeds)), 2):
-        f, g = seeds[i], seeds[j]
-        if not _has_cancellation(f, g):
-            continue
-        s = vec_add(f, g)
-        if all(x == 0 for x in s):
-            continue
-        s = sign_canonical(s)
-        if s not in queued:
-            queued.add(s)
-            generated += 1
-            heapq.heappush(heap, (one_norm(s), s))
+    for v in index.vectors:
+        enqueue_pairs(v)
 
     start = time.monotonic()
-    pops = 0
     while heap:
         if generated > budget.max_candidates:
             raise BudgetExceededError("elements", budget.max_candidates, generated)
-        pops += 1
-        if pops % 64 == 0 and time.monotonic() - start > budget.max_seconds:
+        if time.monotonic() - start > budget.max_seconds:
             raise BudgetExceededError("time", budget.max_seconds, generated)
         _, s = heapq.heappop(heap)
         # normal form of s against the current set
@@ -272,6 +267,8 @@ def _complete_lattice(
 
     minimal = []
     for i, v in enumerate(index.vectors):
+        if time.monotonic() - start > budget.max_seconds:
+            raise BudgetExceededError("time", budget.max_seconds, generated)
         if index.dominators(i) == 1:
             minimal.append(sign_canonical(v))
     return sorted(set(minimal))

@@ -54,6 +54,22 @@ class TestPureIntegerFallback:
         _pure_integer(monkeypatch)
         assert [_robustness_results(A) for A in matrices] == fast
 
+    def test_guard_switches_off_partway_through_a_run(self, monkeypatch):
+        # Gr(24 40 41 60 80) has entries up to 80, its kernel basis only up to 20
+        curve = IntMat.row_vector((24, 40, 41, 60, 80))
+        fast = graver_basis(curve, use_cache=False)
+        monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", 42)
+        flags = []
+        add = ConformalIndex.add
+
+        def recording(index, v):
+            add(index, v)
+            flags.append(index._np_ok)
+
+        monkeypatch.setattr(ConformalIndex, "add", recording)
+        assert graver_basis(curve, use_cache=False) == fast
+        assert flags.index(False) == 396 and not any(flags[396:])
+
     def test_natural_input_above_2_60(self):
         a, b = 2**61 + 1, 2**61 + 3
         lam = lambda_matrix([a, b], [])
@@ -62,6 +78,23 @@ class TestPureIntegerFallback:
         assert not G.signed_index._np_ok
         cert = is_strongly_robust(lam.matrix)
         assert cert.strongly_robust and cert.witness is None
+
+
+@st.composite
+def small_matrices(draw):
+    d, n = draw(st.sampled_from([(2, 4), (3, 5)]))
+    zero = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    entry = st.integers(-3, 3)
+    rows = [[0 if j in zero else draw(entry) for j in range(n)] for _ in range(d)]
+    return IntMat.from_rows(rows)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_completion_identical_on_both_paths(A):
+    fast = graver_basis(A, use_cache=False)
+    with mock.patch.object(graver_module, "_NP_SAFE_BOUND", 1):
+        assert graver_basis(A, use_cache=False) == fast
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,10 @@
 import itertools
 import random
+from types import SimpleNamespace
 
 import pytest
 
+import graverkit.graver as graver_module
 from graverkit import (
     Budget,
     BudgetExceededError,
@@ -94,6 +96,23 @@ class TestGraverBasis:
                 use_cache=False,
             )
         assert info.value.kind == "time"
+
+    def test_time_budget_raises_in_minimality_filter(self, monkeypatch):
+        # the clock stands still until the minimality filter counts its first dominators
+        counted = []
+        dominators = graver_module.ConformalIndex.dominators
+
+        def counting(index, i):
+            counted.append(i)
+            return dominators(index, i)
+
+        clock = SimpleNamespace(monotonic=lambda: 1e9 if counted else 0.0)
+        monkeypatch.setattr(graver_module.ConformalIndex, "dominators", counting)
+        monkeypatch.setattr(graver_module, "time", clock)
+        with pytest.raises(BudgetExceededError) as info:
+            graver_basis(T(24, 40, 41, 60, 80), budget=Budget(max_seconds=1.0), use_cache=False)
+        assert info.value.kind == "time"
+        assert counted == [0]
 
 
 class TestPrimitiveSets:

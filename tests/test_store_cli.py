@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -98,6 +102,19 @@ class TestCli:
         code = main(list(argv))
         out = capsys.readouterr().out
         return code, out
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_closed_stdout_exits_without_traceback(self, curve_file, fmt):
+        env = {**os.environ, "PYTHONPATH": str(Path(graverkit.__file__).parents[1])}
+        child = subprocess.Popen(
+            [sys.executable, "-m", "graverkit.cli", "graver", curve_file, "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        child.stdout.close()  # long before the child has imported graverkit
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait(timeout=120) == 1
+        assert err == b""
 
     def test_complex_command(self, capsys):
         code, out = self.run(capsys, "complex", "4", "5", "6")
