@@ -7,7 +7,9 @@ against the current set, and insert nonzero normal forms. At the fixpoint the
 conformally minimal elements are exactly the Graver basis. Pair generation
 pairs each new element with every stored vector in one numpy pass over the
 index's int64 stack while every entry is below `_NP_SAFE_BOUND // 2`, and in
-a pure-integer loop once one is not.
+a pure-integer loop once one is not. Reduction finds each reducer with one
+index scan that resumes past the previous one and subtracts all its multiples
+that still divide; the chains are those of one reducer per step.
 
 All arithmetic is exact. Every conformal-dominance test outside the oracles
 goes through `ConformalIndex`, whose numpy int64 stack is only consulted while
@@ -20,6 +22,7 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
+import logging
 import math
 import time
 from dataclasses import dataclass
@@ -40,6 +43,8 @@ from .linalg import (
     vec_neg,
     vec_sub,
 )
+
+log = logging.getLogger(__name__)
 
 # Above this magnitude the int64 dominance index is abandoned; sums of two
 # in-range vectors must stay representable.
@@ -242,28 +247,38 @@ def _complete_lattice(
         enqueue_pairs(v)
 
     start = time.monotonic()
+    pops = scans = subtractions = inserts = 0
     while heap:
         if generated > budget.max_candidates:
             raise BudgetExceededError("elements", budget.max_candidates, generated)
         if time.monotonic() - start > budget.max_seconds:
             raise BudgetExceededError("time", budget.max_seconds, generated)
         _, s = heapq.heappop(heap)
-        # normal form of s against the current set
-        while True:
-            if s in members:
-                s = None
-                break
-            i = index.find(positive_part(s), negative_part(s))
+        pops += 1
+        if s in members:
+            continue
+        # Normal form of s. Each step subtracts a g conformal to s, so q = (s+, s-)
+        # only shrinks and a row that fails q fails it for good: reducer i is
+        # subtracted while it divides (k times at once on q), then scan from i + 1.
+        q, i = positive_part(s) + negative_part(s), -1
+        while s is not None:
+            i = index._scan(q, False, i + 1)
+            scans += 1
             if i < 0:
                 break
-            s = vec_sub(s, index.vectors[i])
-            if all(x == 0 for x in s):
-                s = None
-                break
-        if s is None:
-            continue
-        insert(s)
-        enqueue_pairs(s)
+            p, g = index.parts[i], index.vectors[i]
+            k = min(a // b for a, b in zip(q, p) if b)
+            q = tuple(a - k * b for a, b in zip(q, p))
+            for _ in range(k):
+                s = vec_sub(s, g)
+                subtractions += 1
+                if not any(s) or s in members:
+                    s = None
+                    break
+        if s is not None:
+            insert(s)
+            inserts += 1
+            enqueue_pairs(s)
 
     minimal = []
     for i, v in enumerate(index.vectors):
@@ -271,7 +286,10 @@ def _complete_lattice(
             raise BudgetExceededError("time", budget.max_seconds, generated)
         if index.dominators(i) == 1:
             minimal.append(sign_canonical(v))
-    return sorted(set(minimal))
+    kept = sorted(set(minimal))
+    log.debug("completion: %s", dict(pops=pops, scans=scans, subtractions=subtractions,
+              inserts=inserts, generated=generated, index=len(index), kept=len(kept)))
+    return kept
 
 
 _GRAVER_MEMO: dict[tuple, GraverBasis] = {}

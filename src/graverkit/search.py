@@ -3,8 +3,8 @@
 Checks, over an exhaustive or sampled family of curves, that the complex
 never carries more than one vertex, and (for 1x3 curves) that the vertex
 pattern agrees with the complete-intersection classification. Any violation
-is recorded and fails the run loudly; budget exhaustion on an instance only
-skips it.
+is recorded and fails the run loudly; so is any other toolkit error on an
+instance, and the scan goes on. Budget exhaustion on an instance only skips it.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import time
 from dataclasses import dataclass, field
 
 from .complexes import CurveKind, classify_curve3, robust_complex
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, GraverKitError
 from .graver import Budget
 from .linalg import IntMat
 
@@ -110,6 +110,9 @@ def sullivant_search(
                 complex_ = robust_complex(T, budget=budget)
             except BudgetExceededError as exc:
                 report.skipped.append({"T": list(t), "reason": str(exc)})
+                continue
+            except GraverKitError as exc:
+                report.violations.append(f"T={t}: {type(exc).__name__}: {exc}")
                 continue
             singles = [sorted(f)[0] for f in complex_.faces if len(f) == 1]
             if any(len(f) > 1 for f in complex_.faces):

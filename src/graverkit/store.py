@@ -3,7 +3,9 @@
 Cache keys hash the canonical matrix serialization together with an operation
 tag and the tool version, so results from stale formats can never be served.
 Writes go through a temp file and an atomic rename; concurrent processes
-sharing a cache directory cannot corrupt it.
+sharing a cache directory cannot corrupt it. A Graver entry is served only if
+its stored sha256 matches its element list, so a truncated entry is recomputed;
+the directory is trusted, and an entry forged with a fresh digest is not caught.
 """
 
 from __future__ import annotations
@@ -95,14 +97,20 @@ def resolve_cache(cache_dir: str | None) -> Cache | None:
     return None
 
 
+def _digest(elements: list[list[int]]) -> str:
+    return hashlib.sha256(json.dumps(elements).encode()).hexdigest()
+
+
 def _cached_elements(A: IntMat, payload) -> tuple[IntVec, ...] | None:
     """The element list of a cached Graver entry, or None if it is malformed.
 
-    Well formed means: integer vectors of length n in Ker(A), each nonzero and
+    Well formed means: the stored sha256 is that of the element list, and the
+    elements are integer vectors of length n in Ker(A), each nonzero and
     sign-canonical, in strictly increasing order, as `graver_basis` returns them.
     """
     if not isinstance(payload, dict) or payload.get("n") != A.ncols \
-            or not isinstance(payload.get("elements"), list):
+            or not isinstance(payload.get("elements"), list) \
+            or payload.get("sha256") != _digest(payload["elements"]):
         return None
     elements: list[IntVec] = []
     for v in payload["elements"]:
@@ -120,8 +128,8 @@ def cached_graver_basis(A: IntMat, cache: Cache | None, budget: Budget | None = 
     """graver_basis through the persistent cache.
 
     Hits are byte-identical to recomputation because the stored payload is the
-    canonical element list. An entry that is not such a list counts as a miss
-    and is overwritten.
+    canonical element list. An entry that is not such a list, or whose digest
+    does not match it, counts as a miss and is overwritten.
     """
     if cache is None:
         return graver_basis(A, budget=budget)
@@ -130,5 +138,6 @@ def cached_graver_basis(A: IntMat, cache: Cache | None, budget: Budget | None = 
     if elements is not None:
         return GraverBasis(n=A.ncols, elements=elements, matrix_hash=A.content_hash())
     basis = graver_basis(A, budget=budget)
-    cache.put(key, {"n": basis.n, "elements": vectors_to_json(basis.elements)})
+    listed = vectors_to_json(basis.elements)
+    cache.put(key, {"n": basis.n, "elements": listed, "sha256": _digest(listed)})
     return basis

@@ -1,8 +1,14 @@
+import functools
+import heapq
 import itertools
+import logging
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graverkit.graver as graver_module
 from graverkit import (
@@ -17,14 +23,132 @@ from graverkit import (
     is_primitive_in,
     lambda_matrix,
 )
-from graverkit.linalg import project_out, sign_canonical, vec_neg
+from graverkit.graver import ConformalIndex
+from graverkit.linalg import (
+    kernel_lattice,
+    one_norm,
+    project_out,
+    sign_canonical,
+    vec_add,
+    vec_neg,
+    vec_sub,
+)
 from graverkit.oracle import graver_by_enumeration
 
-from _paper import reduce_by_set
+from _paper import T_BIG, example_e, reduce_by_set
+from test_conformal_index import small_matrices
 
 
 def T(*entries):
     return IntMat.row_vector(entries)
+
+
+def reference_completion(A):
+    """The completion as first written, kept as an independent reference.
+
+    Each reduction step scans the stored vectors from the front for the first
+    conformal reducer and subtracts it once. Returns the stored vectors in
+    insertion order, the number of distinct sums queued and of subtractions.
+    """
+    stored, members = [], set()
+    subtractions = 0
+
+    def insert(v):
+        for w in (v, vec_neg(v)):
+            if w not in members:
+                stored.append(w)
+                members.add(w)
+
+    heap, queued = [], set()
+
+    def enqueue_pairs(v):
+        for g in list(stored):
+            if any(a * b < 0 for a, b in zip(v, g)):
+                s = sign_canonical(vec_add(v, g))
+                if any(s) and s not in queued:
+                    queued.add(s)
+                    heapq.heappush(heap, (one_norm(s), s))
+
+    for b in kernel_lattice(A).vectors:
+        insert(b)
+    for v in list(stored):
+        enqueue_pairs(v)
+    while heap:
+        _, s = heapq.heappop(heap)
+        while s is not None:
+            if s in members:
+                s = None
+                break
+            g = next((g for g in stored if all(0 <= a <= b or b <= a <= 0 for a, b in zip(g, s))), None)
+            if g is None:
+                break
+            s = vec_sub(s, g)
+            subtractions += 1
+            if not any(s):
+                s = None
+        if s is not None:
+            insert(s)
+            enqueue_pairs(s)
+    return stored, len(queued), subtractions
+
+
+def completion_run(A):
+    """The completion index's stored vectors and the counters the run logs."""
+    made = []
+    init = ConformalIndex.__init__
+
+    def spying(index, *args, **kwargs):
+        init(index, *args, **kwargs)
+        made.append(index)
+
+    with mock.patch.object(ConformalIndex, "__init__", spying), \
+            mock.patch.object(graver_module.log, "debug") as debug:
+        graver_basis(A, use_cache=False)
+    return made[0].vectors, debug.call_args.args[1]
+
+
+CHAIN_INPUTS = {
+    "T_BIG": lambda: T(*T_BIG),
+    "1 6 8 12 19": lambda: T(1, 6, 8, 12, 19),
+    "exampleE": example_e,
+    "lambda 4 5 6 {1}": lambda: lambda_matrix([4, 5, 6], [1]).matrix,
+}
+
+
+@functools.cache
+def reference_chain(name):
+    return reference_completion(CHAIN_INPUTS[name]())
+
+
+class TestReductionChain:
+    """The completion stores the same vectors, in the same order, as the reference."""
+
+    @pytest.mark.parametrize("bound", [None, 1, 42])
+    @pytest.mark.parametrize("name", CHAIN_INPUTS)
+    def test_stored_sequence_equals_reference(self, monkeypatch, name, bound):
+        if bound is not None:
+            monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", bound)
+        stored, counts = completion_run(CHAIN_INPUTS[name]())
+        assert (stored, counts["generated"], counts["subtractions"]) == reference_chain(name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_matrices(), st.sampled_from([graver_module._NP_SAFE_BOUND, 1, 42]))
+    def test_stored_sequence_on_small_matrices(self, A, bound):
+        with mock.patch.object(graver_module, "_NP_SAFE_BOUND", bound):
+            stored, counts = completion_run(A)
+        assert (stored, counts["generated"], counts["subtractions"]) == reference_completion(A)
+
+    def test_logged_counters_agree_with_the_result(self, caplog):
+        A = T(1, 6, 8, 12, 19)
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = graver_basis(A, use_cache=False)
+        [record] = [r for r in caplog.records if r.msg.startswith("completion:")]
+        counts = record.args
+        assert counts["kept"] == len(G)
+        assert counts["index"] == 2 * kernel_lattice(A).rank + 2 * counts["inserts"]
+        assert counts["pops"] == counts["generated"]  # the heap is drained
+        # each reducer scan that hits is followed by a subtraction; at most one per pop misses
+        assert counts["inserts"] <= counts["scans"] <= counts["subtractions"] + counts["pops"]
 
 
 class TestGraverBasis:

@@ -1,0 +1,25 @@
+"""The bounded search records a failing instance and goes on."""
+
+import graverkit.search as search_module
+from graverkit import PreconditionError
+from graverkit.search import sullivant_search
+
+
+def test_failing_instance_is_a_violation_and_the_scan_goes_on(monkeypatch):
+    clean = sullivant_search([3], 6)
+    assert clean.ok and clean.instances > 1
+    robust_complex = search_module.robust_complex
+
+    def failing(T, **kwargs):
+        if T.rows[0] == (3, 4, 5):
+            raise PreconditionError("not pointed")
+        return robust_complex(T, **kwargs)
+
+    monkeypatch.setattr(search_module, "robust_complex", failing)
+    report = sullivant_search([3], 6)
+    assert not report.ok
+    assert report.violations == ["T=(3, 4, 5): PreconditionError: not pointed"]
+    assert report.instances == clean.instances
+    assert report.empty_complex + report.one_vertex == clean.instances - 1
+    assert report.skipped == []
+    assert set(report.to_dict()) == set(clean.to_dict())

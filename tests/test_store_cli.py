@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -19,6 +20,19 @@ from graverkit.store import (
 )
 
 from _paper import EXAMPLE_E_ROWS, GEN_C_VECTORS, GEN_LAMBDAS, GEN_T
+
+
+MALFORMED_ELEMENTS = [
+    [[1, 1, 1]],  # well typed, but not in Ker(A)
+    [["x", 1, 1]],  # not integers
+    [[7, 0, -3], [5, -3, 0]],  # kernel vectors out of canonical order
+    [[-5, 3, 0]],  # not sign-canonical
+    [[5, -3, 0, 0]],  # wrong length
+]
+
+
+def sha256_of(elements):
+    return hashlib.sha256(json.dumps(elements).encode()).hexdigest()
 
 
 @pytest.fixture
@@ -81,13 +95,7 @@ class TestCache:
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cached_graver_basis(A, cache) == graver_basis(A)
 
-    @pytest.mark.parametrize("elements", [
-        [[1, 1, 1]],  # well typed, but not in Ker(A)
-        [["x", 1, 1]],  # not integers
-        [[7, 0, -3], [5, -3, 0]],  # kernel vectors out of canonical order
-        [[-5, 3, 0]],  # not sign-canonical
-        [[5, -3, 0, 0]],  # wrong length
-    ])
+    @pytest.mark.parametrize("elements", MALFORMED_ELEMENTS)
     def test_malformed_entry_recomputed_and_overwritten(self, tmp_path, elements):
         cache = Cache(tmp_path)
         A = IntMat.row_vector([3, 5, 7])
@@ -95,6 +103,29 @@ class TestCache:
         (tmp_path / f"{key}.json").write_text(json.dumps({"n": 3, "elements": elements}))
         assert cached_graver_basis(A, cache) == graver_basis(A)
         assert cache.get(key)["elements"] == [list(v) for v in graver_basis(A).elements]
+
+    @pytest.mark.parametrize("elements", MALFORMED_ELEMENTS)
+    def test_malformed_entry_with_its_digest_recomputed(self, tmp_path, elements):
+        cache = Cache(tmp_path)
+        A = IntMat.row_vector([3, 5, 7])
+        entry = {"n": 3, "elements": elements, "sha256": sha256_of(elements)}
+        (tmp_path / f"{cache_key('graver', A)}.json").write_text(json.dumps(entry))
+        assert cached_graver_basis(A, cache) == graver_basis(A)
+
+    @pytest.mark.parametrize("digest", ["missing", "stale"])
+    def test_truncated_entry_recomputed_and_overwritten(self, tmp_path, digest):
+        # the first 2 of the 8 elements of Gr(3 5 7) pass every element check
+        cache = Cache(tmp_path)
+        A = IntMat.row_vector([3, 5, 7])
+        key = cache_key("graver", A)
+        full = [list(v) for v in graver_basis(A).elements]
+        assert len(full) == 8
+        entry = {"n": 3, "elements": full[:2]}
+        if digest == "stale":
+            entry["sha256"] = sha256_of(full)
+        (tmp_path / f"{key}.json").write_text(json.dumps(entry))
+        assert cached_graver_basis(A, cache) == graver_basis(A)
+        assert cache.get(key) == {"n": 3, "elements": full, "sha256": sha256_of(full)}
 
 
 class TestCli:
