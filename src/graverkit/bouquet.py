@@ -53,6 +53,11 @@ class BouquetDecomposition:
     def num_bouquets(self) -> int:
         return len(self.bouquets)
 
+    @property
+    def simple(self) -> bool:
+        """True iff every bouquet is a singleton and there are no free columns."""
+        return self.free_bouquet is None and all(len(b.members) == 1 for b in self.bouquets)
+
     def c_vector(self, i: int) -> IntVec:
         """Ambient c_B vector of non-free bouquet i (1-based), length n."""
         b = self.bouquets[i - 1]
@@ -196,7 +201,4 @@ def d_map(dec: BouquetDecomposition, u) -> IntVec:
 
 def is_simple(A: IntMat) -> bool:
     """True iff every bouquet is a singleton and there are no free columns."""
-    dec = bouquet_decomposition(A)
-    if dec.free_bouquet is not None:
-        return False
-    return all(len(b.members) == 1 for b in dec.bouquets)
+    return bouquet_decomposition(A).simple

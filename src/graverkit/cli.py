@@ -22,13 +22,13 @@ from pathlib import Path
 from .bouquet import bouquet_decomposition
 from .complexes import classify_curve3, lambda_matrix, robust_complex
 from .errors import BudgetExceededError, GraverKitError, PreconditionError
-from .graver import Budget, circuits
+from .graver import DEFAULT_BUDGET, Budget, circuits
 from .lawrence import GenLawrenceSpec, build_gen_lawrence, reconstruct_gen_lawrence
 from .linalg import IntMat
 from .oracle import graver_by_enumeration, indispensable_by_enumeration, kernel_points_in_box
 from .robustness import indispensable_set, is_strongly_robust
 from .search import sullivant_search
-from .store import cached_graver_basis, format_vectors, read_matrix, resolve_cache, vectors_to_json
+from .store import cached_graver_basis, read_matrix, resolve_cache, vectors_to_json
 
 
 class UsageError(GraverKitError):
@@ -39,9 +39,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--out", metavar="FILE", help="write the result to FILE instead of stdout")
     p.add_argument("--cache-dir", metavar="PATH", help="persistent result cache (env GRAVERKIT_CACHE_DIR)")
-    p.add_argument("--budget-elems", type=int, default=2_000_000, metavar="N",
+    p.add_argument("--budget-elems", type=int, default=DEFAULT_BUDGET.max_candidates, metavar="N",
                    help="candidate cap per Graver completion (default 2e6)")
-    p.add_argument("--budget-secs", type=float, default=600.0, metavar="S",
+    p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET.max_seconds, metavar="S",
                    help="wall-clock cap per Graver completion (default 600)")
 
 
@@ -128,7 +128,7 @@ Output = tuple[dict, str]
 
 
 def _vector_set(payload: dict) -> Output:
-    return payload, format_vectors(payload["elements"], payload["n"])
+    return payload, IntMat(payload["elements"], payload["n"]).to_text()
 
 
 def cmd_graver(args) -> Output:
@@ -164,7 +164,7 @@ def cmd_bouquets(args) -> Output:
         "free_columns": list(dec.free_columns()),
         "a_matrix": [list(row) for row in dec.a_matrix.rows],
         "omega": sorted(dec.non_mixed_indices()),
-        "simple": dec.free_bouquet is None and all(len(b.members) == 1 for b in dec.bouquets),
+        "simple": dec.simple,
     }
     lines = [f"B{i}: members={list(b.members)} kind={b.kind} c={list(b.c_restriction)}"
              for i, b in enumerate(dec.bouquets, start=1)]

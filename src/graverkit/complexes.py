@@ -7,6 +7,10 @@ face iff every projection of a Graver element (delete coordinate i) stays
 primitive among all such projections. The expensive lifting route is kept as
 an independent cross-check.
 
+Delta_T is defined only for a simple toric ideal I_T. A row T with positive
+entries is simple exactly when s >= 3 (see `_curve_row`), so the entry points
+check that by arithmetic instead of decomposing T into bouquets.
+
 Also houses the 1x3 complete-intersection classification driving the
 structure theorems: the candidate generator degrees c_i * n_i, where c_i is
 the least multiple of n_i lying in the numerical semigroup of the other two.
@@ -19,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bouquet import bouquet_decomposition, d_map, is_simple
+from .bouquet import bouquet_decomposition, d_map
 from .errors import GraverKitError, PreconditionError
 from .graver import Budget, ConformalIndex, graver_basis
 from .linalg import IntMat, IntVec, project_out, vec_neg
@@ -149,11 +153,24 @@ def classify_curve3(T) -> CurveClassification:
 # ---------------------------------------------------------------------------
 # faces of the complex
 
-def _require_simple_curve(T: IntMat) -> None:
+def _curve_row(T) -> IntMat:
+    """T as a 1xs matrix with s >= 3 and positive entries: a simple monomial curve.
+
+    Two columns share a bouquet when their Gale rows are parallel, and a column
+    is free when its Gale row is zero. For s >= 3 neither happens: given i != j,
+    pick k outside {i, j}; the circuit on {i, k} has u_i != 0 and u_j = 0, and
+    the circuit on {j, k} has u_j != 0 and u_i = 0, so the rows i and j are
+    nonzero and not parallel. For s <= 2 the kernel has rank at most 1, so its
+    Gale rows are zero or pairwise parallel and T is never simple.
+    """
+    T = _as_row(T)
+    if T.ncols < 3:
+        raise PreconditionError(
+            "complex computation needs s >= 3 (a 1x2 toric ideal is principal, never simple)"
+        )
     if any(x <= 0 for x in T.rows[0]):
         raise PreconditionError("monomial curve entries must be positive")
-    if not is_simple(T):
-        raise PreconditionError("matrix is not simple (some bouquet is not a singleton)")
+    return T
 
 
 def _lifting_decomposition(T: IntMat, omega: frozenset[int]):
@@ -181,8 +198,7 @@ def lift_curve_vector(dec, u: Sequence[int]) -> IntVec:
 
 def s_omega(T, omega: Iterable[int], budget: Budget | None = None) -> frozenset[IntVec]:
     """The elements u of Gr(T) whose image D(u) is indispensable in Lambda(T)_omega."""
-    T = _as_row(T)
-    _require_simple_curve(T)
+    T = _curve_row(T)
     omega = frozenset(int(i) for i in omega)
     lam, dec = _lifting_decomposition(T, omega)
     G_T = graver_basis(T, budget=budget)
@@ -201,8 +217,7 @@ def s_omega(T, omega: Iterable[int], budget: Budget | None = None) -> frozenset[
 
 def face_test_lifting(T, omega: Iterable[int], budget: Budget | None = None) -> bool:
     """omega is a face iff the lifted toric ideal is strongly robust."""
-    T = _as_row(T)
-    _require_simple_curve(T)
+    T = _curve_row(T)
     lam = lambda_matrix(T, omega)
     return is_strongly_robust(lam.matrix, budget=budget).strongly_robust
 
@@ -214,8 +229,7 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
     up-to-sign semantics of the underlying Graver sets. Primitivity of x means
     no other member v has v+ <= x+ and v- <= x-, exactly `is_primitive_in`.
     """
-    T = _as_row(T)
-    _require_simple_curve(T)
+    T = _curve_row(T)
     if not 1 <= i <= T.ncols:
         raise PreconditionError(f"index {i} out of range 1..{T.ncols}")
     G = graver_basis(T, budget=budget)
@@ -264,15 +278,10 @@ def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> Rob
     T is gcd-normalized first. With verify=True every singleton verdict is
     cross-checked against the Lambda(T)_{i} lifting test; a mismatch raises.
     """
-    T = _as_row(T)
+    T = _curve_row(T)
     s = T.ncols
-    if s < 3:
-        raise PreconditionError(
-            "complex computation needs s >= 3 (a 1x2 toric ideal is principal, never simple)"
-        )
     g = math.gcd(*T.rows[0])
     T = IntMat.row_vector(tuple(x // g for x in T.rows[0]))
-    _require_simple_curve(T)
     faces = {frozenset()}
     for i in range(1, s + 1):
         fast = face_test_projection(T, i, budget=budget)

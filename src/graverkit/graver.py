@@ -23,7 +23,6 @@ import functools
 import heapq
 import itertools
 import logging
-import math
 import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -346,16 +345,6 @@ def circuits(A: IntMat) -> CircuitSet:
     """
     n = A.ncols
     found: set[IntVec] = set()
-
-    if A.nrows == 1 and all(e > 0 for e in A.rows[0]):
-        entries = A.rows[0]
-        for i, j in itertools.combinations(range(n), 2):
-            g = math.gcd(entries[i], entries[j])
-            u = [0] * n
-            u[i] = entries[j] // g
-            u[j] = -entries[i] // g
-            found.add(tuple(u))
-        return CircuitSet(n=n, elements=tuple(sorted(found)))
 
     # zero columns are circuits on their own
     for j in range(n):

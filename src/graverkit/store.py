@@ -15,7 +15,7 @@ import json
 import os
 import tempfile
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from . import __version__
 from .graver import Budget, GraverBasis, graver_basis
@@ -28,25 +28,6 @@ CACHE_DIR_ENV = "GRAVERKIT_CACHE_DIR"
 
 def read_matrix(path: str | Path) -> IntMat:
     return IntMat.parse(Path(path).read_text())
-
-
-def format_vectors(vectors: Sequence[IntVec], n: int) -> str:
-    """Vector-set text format: "count n" header, one vector per line."""
-    lines = [f"{len(vectors)} {n}"]
-    lines.extend(" ".join(str(x) for x in v) for v in vectors)
-    return "\n".join(lines) + "\n"
-
-
-def parse_vectors(text: str) -> tuple[int, tuple[IntVec, ...]]:
-    tokens = text.split()
-    if len(tokens) < 2:
-        raise ValueError("vector file must start with 'count n'")
-    count, n = int(tokens[0]), int(tokens[1])
-    body = [int(t) for t in tokens[2:]]
-    if len(body) != count * n:
-        raise ValueError(f"expected {count * n} entries, got {len(body)}")
-    vectors = tuple(tuple(body[i * n:(i + 1) * n]) for i in range(count))
-    return n, vectors
 
 
 def vectors_to_json(vectors: Iterable[IntVec]) -> list[list[int]]:

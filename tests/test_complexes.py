@@ -13,12 +13,13 @@ from graverkit import (
     face_test_lifting,
     face_test_projection,
     graver_basis,
+    is_simple,
     lambda_matrix,
     robust_complex,
     s_omega,
     semigroup_min_multiple,
 )
-from graverkit.complexes import _lifting_decomposition
+from graverkit.complexes import _curve_row, _lifting_decomposition
 
 from _paper import CLASSIFICATION_TABLE
 
@@ -162,6 +163,39 @@ class TestSOmega:
         assert (0, 6, -5) not in s_omega([4, 5, 6], [1])
 
 
+def entry_point_calls(entries):
+    """One call of each Delta_T entry point on a row."""
+    return (lambda: robust_complex(entries),
+            lambda: face_test_projection(T(*entries), 1),
+            lambda: face_test_lifting(T(*entries), {1}),
+            lambda: s_omega(entries, [1]))
+
+
+class TestCurveCheck:
+    def test_accepts_exactly_the_simple_rows(self):
+        # the arithmetic check (s >= 3, entries positive) against the bouquet route
+        for s in range(1, 6):
+            for entries in itertools.product(range(1, 7), repeat=s):
+                try:
+                    _curve_row(entries)
+                    accepted = True
+                except PreconditionError:
+                    accepted = False
+                assert accepted == is_simple(T(*entries)), entries
+
+    def test_nonpositive_entries_rejected(self):
+        for entries in ((0, 5, 6), (4, -5, 6), (-4, -5, -6), (4, 5, 6, 0)):
+            for call in entry_point_calls(entries):
+                with pytest.raises(PreconditionError, match="positive"):
+                    call()
+
+    def test_short_rows_rejected(self):
+        for entries in ((5,), (2, 3)):
+            for call in entry_point_calls(entries):
+                with pytest.raises(PreconditionError, match="s >= 3"):
+                    call()
+
+
 class TestRobustComplex:
     def test_curve_4_5_6(self):
         rc = robust_complex([4, 5, 6], verify=True)
@@ -186,6 +220,11 @@ class TestRobustComplex:
     def test_s2_rejected(self):
         with pytest.raises(PreconditionError):
             robust_complex([2, 3])
+
+    def test_zero_row_rejected(self):
+        # the gcd of an all-zero row is 0; the check must come before the division
+        with pytest.raises(PreconditionError, match="positive"):
+            robust_complex([0, 0, 0])
 
     def test_classification_equivalence_small_range(self):
         for entries in itertools.combinations(range(3, 16), 3):

@@ -15,8 +15,6 @@ from graverkit.store import (
     Cache,
     cache_key,
     cached_graver_basis,
-    format_vectors,
-    parse_vectors,
 )
 
 from _paper import EXAMPLE_E_ROWS, GEN_C_VECTORS, GEN_LAMBDAS, GEN_T
@@ -51,15 +49,12 @@ def example_e_file(tmp_path):
 
 class TestVectorFiles:
     def test_round_trip(self):
+        # a vector set is written as a matrix: "count n", then one vector per line
         vectors = ((3, -2, 0), (0, 6, -5))
-        text = format_vectors(vectors, 3)
-        assert text.splitlines()[0] == "2 3"
-        n, parsed = parse_vectors(text)
-        assert n == 3 and parsed == vectors
-
-    def test_parse_errors(self):
-        with pytest.raises(ValueError):
-            parse_vectors("2 3\n1 2 3\n")
+        text = IntMat(vectors, 3).to_text()
+        assert text == "2 3\n3 -2 0\n0 6 -5\n"
+        assert IntMat.parse(text).rows == vectors
+        assert IntMat((), 3).to_text() == "0 3\n"
 
 
 class TestCache:
