@@ -225,7 +225,11 @@ def cmd_classify3(args) -> Output:
 
 
 def cmd_lambda(args) -> Output:
-    omega = [int(t) for t in args.omega.split(",") if t.strip()] if args.omega else []
+    try:
+        omega = [int(t) for t in args.omega.split(",") if t.strip()]
+    except ValueError:
+        raise UsageError(
+            f"--omega takes comma-separated 1-based indices, got {args.omega!r}") from None
     lam = lambda_matrix(args.entries, omega)
     payload = {"T": list(lam.T.rows[0]), "omega": sorted(lam.omega),
                "matrix": [list(r) for r in lam.matrix.rows]}

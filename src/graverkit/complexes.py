@@ -233,8 +233,6 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
     if not 1 <= i <= T.ncols:
         raise PreconditionError(f"index {i} out of range 1..{T.ncols}")
     G = graver_basis(T, budget=budget)
-    if not G.elements:
-        return True
     index = ConformalIndex(T.ncols - 1)
     for u in G.elements:
         p = project_out(u, i)

@@ -3,11 +3,26 @@
 These are the independent oracles the test suite checks the fast paths
 against: boxed enumeration of kernel points, a conformal-minimality filter
 (giving the Graver basis whenever the box provably contains it), and an
-exhaustive semiconformal witness search for indispensability.
+exhaustive semiconformal witness search for indispensability. They run on
+plain Python loops and share no code with the completion.
+
+The minimality filter visits the points in order of one-norm and tests each
+one only against the minimal points found so far. This is exact:
+
+- v ⊑ u with v ≠ u forces ‖v‖₁ < ‖u‖₁, so every dominator comes first;
+- a dominated u is also dominated by a minimal point, which lies in the box.
+
+The cost is O(P·|Gr|) for P points instead of O(P²).
+
+`indispensable_by_enumeration` enumerates the box once per matrix, at
+max(box, wbox), and takes both the Graver candidates and the witness points
+from that one list. The enumeration is lexicographic, so each filtered list is
+in the order a separate enumeration at its own box would give.
 """
 
 from __future__ import annotations
 
+from operator import le
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -16,6 +31,7 @@ from .linalg import (
     IntVec,
     is_semiconformal_sum,
     negative_part,
+    one_norm,
     positive_part,
     sign_canonical,
     vec_sub,
@@ -26,7 +42,8 @@ def kernel_points_in_box(A: IntMat, box: int) -> list[IntVec]:
     """All nonzero u with A*u = 0 and |u_i| <= box, both signs included.
 
     Depth-first over coordinates with a per-row residual bound; the final
-    coordinate is solved instead of enumerated.
+    coordinate is solved instead of enumerated. The points come out in
+    lexicographic order.
     """
     if box < 0:
         raise ValueError("box must be nonnegative")
@@ -39,14 +56,16 @@ def kernel_points_in_box(A: IntMat, box: int) -> list[IntVec]:
     for j in range(n - 1, -1, -1):
         for t in range(m):
             suffix_reach[j][t] = suffix_reach[j + 1][t] + box * abs(cols[j][t])
+    last = cols[n - 1]
+    # the row that solves for the last coordinate; None if that column is zero
+    t0 = next((t for t in range(m) if last[t] != 0), None)
 
     out: list[IntVec] = []
     partial = [0] * n
 
     def descend(j: int, residual: list[int]) -> None:
         if j == n - 1:
-            col = cols[j]
-            if all(c == 0 for c in col):
+            if t0 is None:
                 if any(residual):
                     return
                 for x in range(-box, box + 1):
@@ -55,13 +74,12 @@ def kernel_points_in_box(A: IntMat, box: int) -> list[IntVec]:
                         out.append(tuple(partial))
                 partial[j] = 0
                 return
-            t0 = next(t for t in range(m) if col[t] != 0)
-            if residual[t0] % col[t0] != 0:
+            if residual[t0] % last[t0] != 0:
                 return
-            x = -residual[t0] // col[t0]
+            x = -residual[t0] // last[t0]
             if abs(x) > box:
                 return
-            if any(residual[t] + x * col[t] != 0 for t in range(m)):
+            if any(residual[t] + x * last[t] != 0 for t in range(m)):
                 return
             partial[j] = x
             if any(partial):
@@ -87,31 +105,46 @@ def kernel_points_in_box(A: IntMat, box: int) -> list[IntVec]:
     return out
 
 
+def _conformally_minimal(points: list[IntVec]) -> list[IntVec]:
+    """The points no other point conformally precedes, in their given order."""
+    minimal: list[IntVec] = []  # u⁺ followed by u⁻, for each minimal point
+    keep = set()
+    for u in sorted(points, key=one_norm):
+        parts = positive_part(u) + negative_part(u)
+        if not any(all(map(le, v, parts)) for v in minimal):
+            minimal.append(parts)
+            keep.add(u)
+    return [u for u in points if u in keep]
+
+
+def _graver_of_points(points: list[IntVec], box: int) -> tuple[IntVec, ...]:
+    minimal = _conformally_minimal(points)
+    for u in minimal:
+        if max(map(abs, u)) == box:
+            raise PreconditionError(
+                f"oracle box {box} too small: minimal element {u} touches the boundary"
+            )
+    return tuple(sorted({sign_canonical(u) for u in minimal}))
+
+
 def graver_by_enumeration(A: IntMat, box: int) -> tuple[IntVec, ...]:
     """Conformally minimal nonzero kernel vectors inside the box, canonical.
 
     Raises if any minimal element touches the box boundary: the box is then
     not certified to contain the whole Graver basis.
     """
-    points = kernel_points_in_box(A, box)
-    parts = [(u, positive_part(u), negative_part(u)) for u in points]
-    minimal: list[IntVec] = []
-    for u, up, um in parts:
-        dominated = False
-        for v, vp, vm in parts:
-            if v == u:
-                continue
-            if all(a <= b for a, b in zip(vp, up)) and all(a <= b for a, b in zip(vm, um)):
-                dominated = True
-                break
-        if not dominated:
-            minimal.append(u)
-    for u in minimal:
-        if max(abs(x) for x in u) == box:
-            raise PreconditionError(
-                f"oracle box {box} too small: minimal element {u} touches the boundary"
-            )
-    return tuple(sorted({sign_canonical(u) for u in minimal}))
+    return _graver_of_points(kernel_points_in_box(A, box), box)
+
+
+def _witness(u: IntVec, points: list[IntVec]) -> tuple[IntVec, IntVec] | None:
+    """The first w in points with u = (u - w) +_sc w and u - w nonzero."""
+    for w in points:
+        if w == u:
+            continue
+        v = vec_sub(u, w)
+        if is_semiconformal_sum(u, v, w):
+            return (v, w)
+    return None
 
 
 def dispensability_witness_by_enumeration(
@@ -125,21 +158,18 @@ def dispensability_witness_by_enumeration(
     u = tuple(int(x) for x in u)
     if not A.in_kernel(u):
         raise PreconditionError(f"{u} is not in the kernel")
-    for w in kernel_points_in_box(A, box):
-        if w == u:
-            continue
-        v = vec_sub(u, w)
-        if all(x == 0 for x in v):
-            continue
-        if is_semiconformal_sum(u, v, w):
-            return (v, w)
-    return None
+    return _witness(u, kernel_points_in_box(A, box))
 
 
 def indispensable_by_enumeration(A: IntMat, box: int, wbox: int) -> tuple[IntVec, ...]:
-    """Brute-force indispensable set: Graver-by-box filtered by witness search."""
-    out = []
-    for u in graver_by_enumeration(A, box):
-        if dispensability_witness_by_enumeration(A, u, wbox) is None:
-            out.append(u)
-    return tuple(out)
+    """Brute-force indispensable set: Graver-by-box filtered by witness search.
+
+    One enumeration at max(box, wbox) serves both the Graver candidates and
+    the witness points.
+    """
+    if box < 0 or wbox < 0:
+        raise ValueError("box must be nonnegative")
+    points = kernel_points_in_box(A, max(box, wbox))
+    graver = _graver_of_points([u for u in points if max(map(abs, u)) <= box], box)
+    witnesses = [w for w in points if max(map(abs, w)) <= wbox]
+    return tuple(u for u in graver if _witness(u, witnesses) is None)

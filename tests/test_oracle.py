@@ -1,6 +1,19 @@
-import pytest
+import itertools
+import random
 
-from graverkit import IntMat, PreconditionError, graver_basis
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from graverkit import (
+    IntMat,
+    PreconditionError,
+    assert_pointed,
+    graver_basis,
+    indispensable_set,
+    is_strongly_robust,
+)
+from graverkit.linalg import negative_part, positive_part, sign_canonical
 from graverkit.oracle import (
     dispensability_witness_by_enumeration,
     graver_by_enumeration,
@@ -8,9 +21,52 @@ from graverkit.oracle import (
     kernel_points_in_box,
 )
 
+from test_acceptance import FIXED_2X4
+from test_conformal_index import small_matrices
+
 
 def T(*entries):
     return IntMat.row_vector(entries)
+
+
+def reference_graver(A, box):
+    """`graver_by_enumeration` as first written, kept as an independent reference.
+
+    Every kernel point in the box is tested against every other one, O(P²).
+    """
+    points = kernel_points_in_box(A, box)
+    parts = [(u, positive_part(u), negative_part(u)) for u in points]
+    minimal = []
+    for u, up, um in parts:
+        dominated = False
+        for v, vp, vm in parts:
+            if v == u:
+                continue
+            if all(a <= b for a, b in zip(vp, up)) and all(a <= b for a, b in zip(vm, um)):
+                dominated = True
+                break
+        if not dominated:
+            minimal.append(u)
+    for u in minimal:
+        if max(abs(x) for x in u) == box:
+            raise PreconditionError(
+                f"oracle box {box} too small: minimal element {u} touches the boundary"
+            )
+    return tuple(sorted({sign_canonical(u) for u in minimal}))
+
+
+def reference_indispensable(A, box, wbox):
+    """The box enumerated once for the basis and once more per element."""
+    return tuple(u for u in reference_graver(A, box)
+                 if dispensability_witness_by_enumeration(A, u, wbox) is None)
+
+
+def outcome(f, *args):
+    """The result of f(*args), or the type and message of what it raised."""
+    try:
+        return f(*args)
+    except (ValueError, PreconditionError) as exc:
+        return type(exc), str(exc)
 
 
 class TestKernelEnumeration:
@@ -76,3 +132,78 @@ class TestIndispensabilityEnumeration:
             (3, 1, -2),
             (4, -1, -1),
         }
+
+
+CURVE_SAMPLE = random.Random(7).sample(
+    list(itertools.combinations_with_replacement(range(1, 16), 3)), 12)
+# box < wbox, box = wbox, box > wbox; most sampled bases fit the first two
+BOXES = [(15, 17), (16, 16), (16, 12)]
+
+
+class TestAgainstReferences:
+    """Both oracles give the results and raise the errors of the references."""
+
+    @pytest.mark.parametrize("box, wbox", BOXES)
+    def test_curve_sample(self, box, wbox):
+        for entries in CURVE_SAMPLE:
+            A = T(*entries)
+            assert outcome(graver_by_enumeration, A, box) == outcome(reference_graver, A, box)
+            assert outcome(indispensable_by_enumeration, A, box, wbox) == outcome(
+                reference_indispensable, A, box, wbox)
+
+    @pytest.mark.parametrize("rows", FIXED_2X4)
+    def test_fixed_2x4(self, rows):
+        A = IntMat.from_rows(rows)
+        assert graver_by_enumeration(A, 12) == reference_graver(A, 12)
+        assert indispensable_by_enumeration(A, 12, 12) == reference_indispensable(A, 12, 12)
+
+    @pytest.mark.parametrize("rows, box, wbox", [
+        ([[2, 0, 3]], 4, 6),  # a zero column: e2 is a Graver element
+        ([[1, 2, 0, 3], [0, 1, 0, 1]], 5, 5),
+        ([[3, 5, 7]], 7, 20),  # box too small: an element touches the boundary
+        ([[3, 5, 7]], 12, 5),  # a witness box smaller than the Graver box
+        ([[2, 3]], 2, 4),  # the one element, (3, -2), lies outside the Graver box
+        ([[3, 5, 7]], -1, 20),  # a negative box or wbox: ValueError
+        ([[3, 5, 7]], 12, -1),
+    ])
+    def test_edge_cases(self, rows, box, wbox):
+        A = IntMat.from_rows(rows)
+        assert outcome(graver_by_enumeration, A, box) == outcome(reference_graver, A, box)
+        assert outcome(indispensable_by_enumeration, A, box, wbox) == outcome(
+            reference_indispensable, A, box, wbox)
+
+    def test_one_enumeration_serves_every_smaller_box(self):
+        # the enumeration is lexicographic, so filtering it to a smaller box
+        # gives that box's own enumeration, in the same order
+        for A in (T(4, 5, 6), IntMat.from_rows(FIXED_2X4[1]), IntMat.from_rows([[2, 0, 3]])):
+            points = kernel_points_in_box(A, 9)
+            assert points == sorted(points)
+            for box in range(10):
+                inside = [u for u in points if max(map(abs, u)) <= box]
+                assert inside == kernel_points_in_box(A, box)
+
+
+BOX = 6
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_matrices())
+def test_graver_by_enumeration_is_the_graver_basis_in_the_box(A):
+    G = graver_basis(A, use_cache=False)
+    if any(max(map(abs, g)) == BOX for g in G.elements):
+        with pytest.raises(PreconditionError):
+            graver_by_enumeration(A, BOX)
+    else:
+        inside = {g for g in G.elements if max(map(abs, g)) <= BOX}
+        assert set(graver_by_enumeration(A, BOX)) == inside
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=2, max_size=2))
+def test_indispensable_by_enumeration_is_the_indispensable_set(rows):
+    A = IntMat.from_rows(rows)
+    G = graver_basis(A, use_cache=False)
+    assume(all(max(map(abs, g)) < BOX for g in G.elements) and assert_pointed(A, G))
+    S = indispensable_by_enumeration(A, BOX, BOX)
+    assert set(S) == indispensable_set(A, G=G).as_set()
+    assert is_strongly_robust(A, G=G).strongly_robust == (S == graver_by_enumeration(A, BOX))
