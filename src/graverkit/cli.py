@@ -298,7 +298,7 @@ def cmd_oracle(args) -> Output:
     elif args.mode == "graver":
         vectors = graver_by_enumeration(A, box)
     else:
-        vectors = indispensable_by_enumeration(A, box, args.wbox or box)
+        vectors = indispensable_by_enumeration(A, box, box if args.wbox is None else args.wbox)
     return _vector_set({"n": A.ncols, "box": box, "mode": args.mode,
                         "count": len(vectors), "elements": vectors_to_json(vectors)})
 

@@ -6,15 +6,14 @@ pairwise sums with cancellation, conformally reduce each sum to a normal form
 against the current set, and insert nonzero normal forms. At the fixpoint the
 conformally minimal elements are exactly the Graver basis. Pair generation
 pairs each new element with every stored vector in one numpy pass over the
-index's int64 stack while every entry is below `_NP_SAFE_BOUND // 2`, and in
-a pure-integer loop once one is not. Reduction finds each reducer with one
-index scan that resumes past the previous one and subtracts all its multiples
-that still divide; the chains are those of one reducer per step.
+index's stack. Reduction finds each reducer with one index scan that resumes
+past the previous one and subtracts all its multiples that still divide; the
+chains are those of one reducer per step.
 
 All arithmetic is exact. Every conformal-dominance test outside the oracles
-goes through `ConformalIndex`, whose numpy int64 stack is only consulted while
-every entry is provably far below the int64 range; otherwise the index falls
-back to pure-integer scans.
+goes through `ConformalIndex`, which has one code path for each operation.
+Its stack is int64 while every entry is provably far below the int64 range,
+and holds exact Python ints (dtype object) from then on.
 """
 
 from __future__ import annotations
@@ -38,15 +37,14 @@ from .linalg import (
     one_norm,
     positive_part,
     sign_canonical,
-    vec_add,
     vec_neg,
     vec_sub,
 )
 
 log = logging.getLogger(__name__)
 
-# Above this magnitude the int64 dominance index is abandoned; sums of two
-# in-range vectors must stay representable.
+# Above this magnitude the index leaves int64 for exact Python ints; sums of
+# two in-range vectors must stay representable.
 _NP_SAFE_BOUND = 1 << 60
 
 
@@ -112,12 +110,13 @@ class CircuitSet:
 class ConformalIndex:
     """A set of vectors under conformal-dominance queries (g+ <= p and g- <= m).
 
-    Row i of the int64 stack holds (g+, g-) of stored vector i. A query bounds
-    g+, g- or both; a half left as None is bounded by the largest stored
-    entry, which every row meets. Vectors stored early have small norms and
-    satisfy most later queries, so `find` scans geometrically growing chunks
-    from the front. The stack answers only while every entry stays far below
-    the int64 range; otherwise the pure-integer scan does.
+    Row i of the stack holds (g+, g-) of stored vector i. A query bounds g+,
+    g- or both; a half left as None is bounded by the largest stored entry,
+    which every row meets. Vectors stored early have small norms and satisfy
+    most later queries, so `find` scans geometrically growing chunks from the
+    front. Every operation has one code path, and the stack's dtype makes it
+    exact: int64 while every entry stays far below the int64 range, converted
+    once to Python ints (dtype object) by the first `add` that crosses it.
     """
 
     _FIRST_CHUNK = 128
@@ -144,12 +143,12 @@ class ConformalIndex:
         self.members.add(v)
         self.parts.append(row)
         self._top = max([self._top, *row])
-        self._np_ok = self._np_ok and self._top < _NP_SAFE_BOUND // 2
-        if not self._np_ok:
-            return
+        if self._np_ok and self._top >= _NP_SAFE_BOUND // 2:
+            self._np_ok = False
+            self._stack = self._stack.astype(object)
         if k == self._cap:
             self._cap *= 2
-            grown = np.zeros((self._cap, 2 * self.n), dtype=np.int64)
+            grown = np.zeros((self._cap, 2 * self.n), dtype=self._stack.dtype)
             grown[:k] = self._stack[:k]
             self._stack = grown
         self._stack[k] = row
@@ -165,40 +164,45 @@ class ConformalIndex:
         """How many stored vectors are conformally <= vector idx (including itself)."""
         return self._scan(self.parts[idx], True, 0)
 
+    def pair_sums(self, v: IntVec) -> list[IntVec]:
+        """Sign-canonical nonzero v + g for every stored g that cancels v somewhere.
+
+        The sums come in stack order. Cancellation is read off signs, so no
+        product can overflow.
+        """
+        safe = self._np_ok and max(map(abs, v), default=0) < _NP_SAFE_BOUND // 2
+        # on an int64 stack entries are < _NP_SAFE_BOUND // 2, so the pair sums fit in int64
+        stack = self._stack[: len(self)]
+        G = stack[:, : self.n] - stack[:, self.n :]
+        u = np.array(v, dtype=np.int64 if safe else object)
+        S = G[(np.sign(G) * np.sign(u) < 0).any(axis=1)] + u
+        S = S[(S != 0).any(axis=1)]
+        S *= np.sign(S[np.arange(len(S)), (S != 0).argmax(axis=1)])[:, None]
+        return list(map(tuple, S.tolist()))
+
     def _scan(self, query: tuple[int, ...], count_all: bool, start: int) -> int:
         """First index >= start with row <= query, or the number of such rows."""
         k = len(self.vectors)
         if start >= k:
             return 0 if count_all else -1
-        if self._np_ok and max(query, default=0) < _NP_SAFE_BOUND:
-            q = np.array(query, dtype=np.int64)
-            if count_all:
-                return int((self._stack[:k] <= q).all(axis=1).sum())
-            chunk = self._FIRST_CHUNK
-            while start < k:
-                end = min(k, start + chunk)
-                mask = (self._stack[start:end] <= q).all(axis=1)
-                hit = int(mask.argmax())
-                if mask[hit]:
-                    return start + hit
-                start = end
-                chunk *= 8
-            return -1
-        found = 0
-        for i in range(start, k):
-            if all(a <= b for a, b in zip(self.parts[i], query)):
-                if not count_all:
-                    return i
-                found += 1
-        return found if count_all else -1
+        safe = self._np_ok and max(query, default=0) < _NP_SAFE_BOUND
+        q = np.array(query, dtype=np.int64 if safe else object)
+        if count_all:
+            return int((self._stack[:k] <= q).all(axis=1).sum())
+        chunk = self._FIRST_CHUNK
+        while start < k:
+            end = min(k, start + chunk)
+            mask = (self._stack[start:end] <= q).all(axis=1)
+            hit = int(mask.argmax())
+            if mask[hit]:
+                return start + hit
+            start = end
+            chunk *= 8
+        return -1
 
 
 # ---------------------------------------------------------------------------
 # completion engine
-
-def _has_cancellation(u: IntVec, v: IntVec) -> bool:
-    return any(a * b < 0 for a, b in zip(u, v))
-
 
 def _complete_lattice(
     basis: Sequence[IntVec], n: int, budget: Budget
@@ -224,19 +228,7 @@ def _complete_lattice(
 
     def enqueue_pairs(v: IntVec) -> None:
         nonlocal generated
-        if index._np_ok:
-            # entries < _NP_SAFE_BOUND // 2, so the pair sums fit in int64
-            stack = index._stack[: len(index)]
-            G = stack[:, :n] - stack[:, n:]
-            u = np.array(v, dtype=np.int64)
-            S = G[(np.sign(G) * np.sign(u) < 0).any(axis=1)] + u
-            S = S[S.any(axis=1)]
-            S *= np.sign(S[np.arange(len(S)), (S != 0).argmax(axis=1)])[:, None]
-            rows = map(tuple, S.tolist())
-        else:
-            sums = (vec_add(v, g) for g in index.vectors if _has_cancellation(v, g))
-            rows = (sign_canonical(s) for s in sums if any(s))
-        for s in rows:
+        for s in index.pair_sums(v):
             if s not in queued:
                 queued.add(s)
                 generated += 1
@@ -294,21 +286,20 @@ def _complete_lattice(
 _GRAVER_MEMO: dict[tuple, GraverBasis] = {}
 
 
-def graver_basis(A: IntMat, budget: Budget | None = None, use_cache: bool = True) -> GraverBasis:
+def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     """Exact Graver basis of Ker_Z(A), canonical order, one element per +/- pair.
 
     Raises BudgetExceededError when the completion outgrows its caps; that is
     a resource condition, reported distinctly from any mathematical failure.
     """
     key = (A.rows, A.ncols)
-    if use_cache and key in _GRAVER_MEMO:
+    if key in _GRAVER_MEMO:
         return _GRAVER_MEMO[key]
     budget = budget or DEFAULT_BUDGET
     lattice = kernel_lattice(A)
     elements = _complete_lattice(lattice.vectors, A.ncols, budget)
     result = GraverBasis(n=A.ncols, elements=tuple(elements), matrix_hash=A.content_hash())
-    if use_cache:
-        _GRAVER_MEMO[key] = result
+    _GRAVER_MEMO[key] = result
     return result
 
 

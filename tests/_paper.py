@@ -1,6 +1,9 @@
-"""Shared fixed data for the test suite: matrices and expected values."""
+"""Shared fixed data for the test suite: matrices, expected values and helpers."""
 
-from graverkit import IntMat
+from unittest import mock
+
+import graverkit.graver as graver_module
+from graverkit import IntMat, graver_basis
 
 # 8x11 matrix whose toric ideal is strongly robust with bouquet ideal the
 # monomial curve (24, 40, 41, 60, 80)
@@ -86,6 +89,12 @@ CLASSIFICATION_TABLE = [
 
 def example_e() -> IntMat:
     return IntMat.from_rows(EXAMPLE_E_ROWS)
+
+
+def fresh_graver_basis(A, budget=None):
+    """Gr(A) from a new completion; the shared memo is neither read nor written."""
+    with mock.patch.object(graver_module, "_GRAVER_MEMO", {}):
+        return graver_basis(A, budget)
 
 
 def reduce_by_set(vec, pool):

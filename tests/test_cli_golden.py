@@ -75,6 +75,7 @@ BOTH_FORMATS = [
     ("oracle", "kernel", "curve.mat", "--box", "6"),
     ("oracle", "graver", "curve.mat", "--box", "12"),
     ("oracle", "indispensable", "curve.mat", "--box", "12", "--wbox", "18"),
+    ("oracle", "indispensable", "curve.mat", "--box", "12", "--wbox", "0"),
     ("graver", "curve.mat", "--out", "result.out"),
 ]
 
@@ -181,6 +182,8 @@ GOLDEN = {
     'oracle graver curve.mat --box 12 --format json': [0, '6808409952362efa54e2b98db325a531d7da7390552305e43269cfdc1632e69f'],
     'oracle indispensable curve.mat --box 12 --wbox 18 --format text': [0, '4658017148b83cc5323a2651164d866fd4b9485e53a2b5c07f66922204ca3db3'],
     'oracle indispensable curve.mat --box 12 --wbox 18 --format json': [0, 'aa4ace0f8e08d29d3bfdb9145e8e7aa5fbb9f83e14776a5b477aa303c8648775'],
+    'oracle indispensable curve.mat --box 12 --wbox 0 --format text': [0, '25d0d418c6296fc99e0b4cd05189c483ef09c51a2ae4760b268badfcc701afba'],
+    'oracle indispensable curve.mat --box 12 --wbox 0 --format json': [0, '009d9885657e6473dc3261be184dd5bb66094c5621ba8f86203d44d778915a9c'],
     'graver curve.mat --out result.out --format text': [0, '25d0d418c6296fc99e0b4cd05189c483ef09c51a2ae4760b268badfcc701afba'],
     'graver curve.mat --out result.out --format json': [0, '912cd1cb5dfc64e12f6fcd2c018aa81b6b4e76d487d13323db9630520cae0c6a'],
     'graver absent.mat --format json': [2, '835b7bd77a60ced2716a1f73c321ed40edb3439b19c29a41e3341209e33d1bf3'],

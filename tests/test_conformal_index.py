@@ -1,12 +1,14 @@
-"""ConformalIndex, the one conformal-dominance test, on both of its paths.
+"""ConformalIndex, the one conformal-dominance test, on both of its stacks.
 
-The int64 stack answers while entries stay far below the int64 range; the
-pure-integer scan answers otherwise. Lowering `_NP_SAFE_BOUND` to 1 forces
-the pure-integer scan everywhere, and every result must stay identical.
+Every operation has one code path. The stack is int64 while entries stay far
+below the int64 range and holds exact Python ints (dtype object) otherwise.
+Lowering `_NP_SAFE_BOUND` to 1 puts every index on the object stack, and
+every result must stay identical.
 """
 
 from unittest import mock
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -22,9 +24,9 @@ from graverkit import (
     robust_complex,
 )
 from graverkit.graver import ConformalIndex
-from graverkit.linalg import negative_part, positive_part
+from graverkit.linalg import negative_part, positive_part, sign_canonical, vec_add
 
-from _paper import T_BIG, example_e
+from _paper import T_BIG, example_e, fresh_graver_basis
 
 
 def _pure_integer(monkeypatch):
@@ -38,6 +40,8 @@ def _robustness_results(A):
 
 
 class TestPureIntegerFallback:
+    """The exact object stack, forced by a lowered bound or reached by large inputs."""
+
     def test_graver_bases_and_complex(self, monkeypatch):
         curve = IntMat.row_vector(T_BIG)
         fast = (graver_basis(example_e()), graver_basis(curve), robust_complex(T_BIG).faces)
@@ -57,7 +61,7 @@ class TestPureIntegerFallback:
     def test_guard_switches_off_partway_through_a_run(self, monkeypatch):
         # Gr(24 40 41 60 80) has entries up to 80, its kernel basis only up to 20
         curve = IntMat.row_vector((24, 40, 41, 60, 80))
-        fast = graver_basis(curve, use_cache=False)
+        fast = fresh_graver_basis(curve)
         monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", 42)
         flags = []
         add = ConformalIndex.add
@@ -67,7 +71,7 @@ class TestPureIntegerFallback:
             flags.append(index._np_ok)
 
         monkeypatch.setattr(ConformalIndex, "add", recording)
-        assert graver_basis(curve, use_cache=False) == fast
+        assert fresh_graver_basis(curve) == fast
         assert flags.index(False) == 396 and not any(flags[396:])
 
     def test_natural_input_above_2_60(self):
@@ -82,7 +86,9 @@ class TestPureIntegerFallback:
 
 @st.composite
 def small_matrices(draw):
-    d, n = draw(st.sampled_from([(2, 4), (3, 5)]))
+    d, n = draw(st.sampled_from([(2, 4), (3, 5), (0, 3), (0, 4)]))
+    if d == 0:
+        return IntMat((), ncols=n)  # from_rows([]) would have 0 columns
     zero = draw(st.sets(st.integers(0, n - 1), max_size=2))
     entry = st.integers(-3, 3)
     rows = [[0 if j in zero else draw(entry) for j in range(n)] for _ in range(d)]
@@ -92,9 +98,9 @@ def small_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_completion_identical_on_both_paths(A):
-    fast = graver_basis(A, use_cache=False)
+    fast = fresh_graver_basis(A)
     with mock.patch.object(graver_module, "_NP_SAFE_BOUND", 1):
-        assert graver_basis(A, use_cache=False) == fast
+        assert fresh_graver_basis(A) == fast
 
 
 # ---------------------------------------------------------------------------
@@ -167,3 +173,42 @@ def test_primitive_sets_match_nested_loops(case):
             assert is_primitive_in(u, vectors) == (u in expected)
 
     _on_both_paths(check)
+
+
+def _pair_sums_by_loop(index, v):
+    """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced."""
+    sums = (vec_add(v, g) for g in index.vectors if any(a * b < 0 for a, b in zip(v, g)))
+    return [sign_canonical(s) for s in sums if any(s)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sets(), st.sampled_from([1, 2**61]))
+def test_pair_sums_match_nested_loops(case, scale):
+    # scaled by 2**61 the entries leave int64 range, and the stack goes object unpatched
+    n, vectors, _, _, _ = case
+    vectors = [tuple(scale * x for x in v) for v in vectors]
+
+    def check():
+        index = ConformalIndex(n, vectors)
+        assert index._stack.dtype == (np.int64 if index._np_ok else object)
+        for v in vectors:
+            assert index.pair_sums(v) == _pair_sums_by_loop(index, v)
+
+    _on_both_paths(check)
+
+
+def test_queries_above_the_bound_against_an_int64_stack():
+    vectors = [(1, -2), (3, 0), (-5, 4), (0, -7)]
+    index = ConformalIndex(2, vectors)
+    huge = 2**64  # above _NP_SAFE_BOUND and above the int64 range
+    queries = [((huge, 0), (0, huge)), ((0, huge), (huge, 0)), ((huge, huge), None),
+               (None, (huge, 1)), ((2, 2), (huge, 0))]
+    for pos, neg in queries:
+        for start in range(len(vectors) + 1):
+            first = next(
+                (i for i, v in enumerate(vectors) if i >= start and _satisfies(v, pos, neg)), -1
+            )
+            assert index.find(pos, neg, start) == first
+    for v in [(huge, -huge), (-huge, 1)]:
+        assert index.pair_sums(v) == _pair_sums_by_loop(index, v)
+    assert index._np_ok and index._stack.dtype == np.int64

@@ -35,7 +35,7 @@ from graverkit.linalg import (
 )
 from graverkit.oracle import graver_by_enumeration
 
-from _paper import T_BIG, example_e, reduce_by_set
+from _paper import T_BIG, example_e, fresh_graver_basis, reduce_by_set
 from test_conformal_index import small_matrices
 
 
@@ -103,7 +103,7 @@ def completion_run(A):
 
     with mock.patch.object(ConformalIndex, "__init__", spying), \
             mock.patch.object(graver_module.log, "debug") as debug:
-        graver_basis(A, use_cache=False)
+        fresh_graver_basis(A)
     return made[0].vectors, debug.call_args.args[1]
 
 
@@ -141,7 +141,7 @@ class TestReductionChain:
     def test_logged_counters_agree_with_the_result(self, caplog):
         A = T(1, 6, 8, 12, 19)
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
-            G = graver_basis(A, use_cache=False)
+            G = fresh_graver_basis(A)
         [record] = [r for r in caplog.records if r.msg.startswith("completion:")]
         counts = record.args
         assert counts["kept"] == len(G)
@@ -180,8 +180,8 @@ class TestGraverBasis:
         assert graver_basis(IntMat.from_rows([[1, 0], [0, 1]])).elements == ()
 
     def test_determinism(self):
-        a = graver_basis(T(7, 15, 20), use_cache=False)
-        b = graver_basis(T(7, 15, 20), use_cache=False)
+        a = fresh_graver_basis(T(7, 15, 20))
+        b = fresh_graver_basis(T(7, 15, 20))
         assert a.elements == b.elements
 
     def test_elements_are_canonical_and_sorted(self):
@@ -209,16 +209,12 @@ class TestGraverBasis:
 
     def test_element_budget_raises(self):
         with pytest.raises(BudgetExceededError) as info:
-            graver_basis(T(7, 15, 20), budget=Budget(max_candidates=1), use_cache=False)
+            fresh_graver_basis(T(7, 15, 20), budget=Budget(max_candidates=1))
         assert info.value.kind == "elements"
 
     def test_time_budget_raises(self):
         with pytest.raises(BudgetExceededError) as info:
-            graver_basis(
-                T(24, 40, 41, 60, 80),
-                budget=Budget(max_seconds=0.0),
-                use_cache=False,
-            )
+            fresh_graver_basis(T(24, 40, 41, 60, 80), budget=Budget(max_seconds=0.0))
         assert info.value.kind == "time"
 
     def test_time_budget_raises_in_minimality_filter(self, monkeypatch):
@@ -234,7 +230,7 @@ class TestGraverBasis:
         monkeypatch.setattr(graver_module.ConformalIndex, "dominators", counting)
         monkeypatch.setattr(graver_module, "time", clock)
         with pytest.raises(BudgetExceededError) as info:
-            graver_basis(T(24, 40, 41, 60, 80), budget=Budget(max_seconds=1.0), use_cache=False)
+            fresh_graver_basis(T(24, 40, 41, 60, 80), budget=Budget(max_seconds=1.0))
         assert info.value.kind == "time"
         assert counted == [0]
 

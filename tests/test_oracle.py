@@ -21,6 +21,7 @@ from graverkit.oracle import (
     kernel_points_in_box,
 )
 
+from _paper import fresh_graver_basis
 from test_acceptance import FIXED_2X4
 from test_conformal_index import small_matrices
 
@@ -189,7 +190,7 @@ BOX = 6
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_graver_by_enumeration_is_the_graver_basis_in_the_box(A):
-    G = graver_basis(A, use_cache=False)
+    G = fresh_graver_basis(A)
     if any(max(map(abs, g)) == BOX for g in G.elements):
         with pytest.raises(PreconditionError):
             graver_by_enumeration(A, BOX)
@@ -202,7 +203,7 @@ def test_graver_by_enumeration_is_the_graver_basis_in_the_box(A):
 @given(st.lists(st.lists(st.integers(-2, 2), min_size=4, max_size=4), min_size=2, max_size=2))
 def test_indispensable_by_enumeration_is_the_indispensable_set(rows):
     A = IntMat.from_rows(rows)
-    G = graver_basis(A, use_cache=False)
+    G = fresh_graver_basis(A)
     assume(all(max(map(abs, g)) < BOX for g in G.elements) and assert_pointed(A, G))
     S = indispensable_by_enumeration(A, BOX, BOX)
     assert set(S) == indispensable_set(A, G=G).as_set()

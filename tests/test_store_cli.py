@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,7 +11,8 @@ import pytest
 
 import graverkit
 from graverkit import IntMat, graver_basis, is_strongly_robust, lambda_matrix
-from graverkit.cli import main
+from graverkit.cli import _add_common, main
+from graverkit.graver import DEFAULT_BUDGET
 from graverkit.store import (
     TOOL_VERSION,
     Cache,
@@ -269,6 +272,15 @@ class TestCli:
         assert code == 4
         payload = json.loads(out)
         assert payload["error"]["type"] == "BudgetExceededError"
+
+    def test_budget_help_states_the_default_budget(self):
+        # the defaults are spelled out by hand in the help strings, whose bytes are pinned
+        parser = argparse.ArgumentParser()
+        _add_common(parser)
+        text = " ".join(parser.format_help().split())
+        stated = [float(re.search(rf"{cap} cap per Graver completion \(default (\S+)\)", text)[1])
+                  for cap in ("candidate", "wall-clock")]
+        assert stated == [DEFAULT_BUDGET.max_candidates, DEFAULT_BUDGET.max_seconds]
 
     def test_usage_exit_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
