@@ -6,9 +6,11 @@ pairwise sums with cancellation, conformally reduce each sum to a normal form
 against the current set, and insert nonzero normal forms. At the fixpoint the
 conformally minimal elements are exactly the Graver basis. Pair generation
 pairs each new element with every stored vector in one numpy pass over the
-index's stack. Reduction finds each reducer with one index scan that resumes
-past the previous one and subtracts all its multiples that still divide; the
-chains are those of one reducer per step.
+index's stack and drops the sums queued before while they are still rows of
+that pass, so only new sums become tuples. Reduction makes one ascending pass
+over the stored vectors below the popped sum and subtracts each while it
+still divides the shrinking remainder; the chains are those of one reducer
+per step.
 
 All arithmetic is exact. Every conformal-dominance test outside the oracles
 goes through `ConformalIndex`, which has one code path for each operation.
@@ -24,7 +26,8 @@ import itertools
 import logging
 import time
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from operator import gt, sub
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -34,11 +37,9 @@ from .linalg import (
     IntVec,
     kernel_lattice,
     negative_part,
-    one_norm,
     positive_part,
     sign_canonical,
     vec_neg,
-    vec_sub,
 )
 
 log = logging.getLogger(__name__)
@@ -113,7 +114,7 @@ class ConformalIndex:
     Row i of the stack holds (g+, g-) of stored vector i. A query bounds g+,
     g- or both; a half left as None is bounded by the largest stored entry,
     which every row meets. Vectors stored early have small norms and satisfy
-    most later queries, so `find` scans geometrically growing chunks from the
+    most later queries, so `below` scans geometrically growing chunks from the
     front. Every operation has one code path, and the stack's dtype makes it
     exact: int64 while every entry stays far below the int64 range, converted
     once to Python ints (dtype object) by the first `add` that crosses it.
@@ -130,6 +131,8 @@ class ConformalIndex:
         self._cap = 256
         self._stack = np.zeros((self._cap, 2 * n), dtype=np.int64)
         self._np_ok = True
+        self._sums: set = set()  # keys of the pair sums returned so far
+        self._byte_keys = True
         for v in vectors:
             self.add(v)
 
@@ -153,52 +156,65 @@ class ConformalIndex:
             self._stack = grown
         self._stack[k] = row
 
+    def below(self, query: tuple[int, ...], start: int = 0) -> Iterator[int]:
+        """Every index i >= start whose row (g+, g-) is <= query, in ascending order.
+
+        The rows are compared one chunk at a time, so a caller that stops at
+        the first few indices pays for the first chunk only.
+        """
+        q = self._as_query(query)
+        k, chunk = len(self.vectors), self._FIRST_CHUNK
+        while start < k:
+            end = min(k, start + chunk)
+            yield from (np.flatnonzero((self._stack[start:end] <= q).all(axis=1)) + start).tolist()
+            start, chunk = end, chunk * 8
+
     def find(self, pos: IntVec | None, neg: IntVec | None, start: int = 0) -> int:
         """First index >= start of a stored g with g+ <= pos and g- <= neg, or -1."""
         if pos is None or neg is None:
             free = (self._top,) * self.n
             pos, neg = (free if pos is None else pos), (free if neg is None else neg)
-        return self._scan(pos + neg, False, start)
+        return next(self.below(pos + neg, start), -1)
 
     def dominators(self, idx: int) -> int:
         """How many stored vectors are conformally <= vector idx (including itself)."""
-        return self._scan(self.parts[idx], True, 0)
+        q = self._as_query(self.parts[idx])
+        return int((self._stack[: len(self)] <= q).all(axis=1).sum())
 
-    def pair_sums(self, v: IntVec) -> list[IntVec]:
-        """Sign-canonical nonzero v + g for every stored g that cancels v somewhere.
+    def pair_sums(self, v: IntVec) -> list[tuple[int, IntVec]]:
+        """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
+        cancelling v somewhere, that no earlier call returned.
 
         The sums come in stack order. Cancellation is read off signs, so no
-        product can overflow.
+        product can overflow. While every sum has been int64, the sums returned
+        are remembered by their row bytes, so repeats are dropped before any
+        tuple is built; the first sum computed on exact ints turns those keys
+        into tuples, once, as `add` converts the stack once.
         """
         safe = self._np_ok and max(map(abs, v), default=0) < _NP_SAFE_BOUND // 2
         # on an int64 stack entries are < _NP_SAFE_BOUND // 2, so the pair sums fit in int64
         stack = self._stack[: len(self)]
-        G = stack[:, : self.n] - stack[:, self.n :]
         u = np.array(v, dtype=np.int64 if safe else object)
-        S = G[(np.sign(G) * np.sign(u) < 0).any(axis=1)] + u
-        S = S[(S != 0).any(axis=1)]
+        R = stack[(stack != 0) @ np.concatenate([u < 0, u > 0])]  # rows of the g that cancel v
+        S = R[:, : self.n] - R[:, self.n :] + u
+        S = S[S.any(axis=1)]
         S *= np.sign(S[np.arange(len(S)), (S != 0).argmax(axis=1)])[:, None]
-        return list(map(tuple, S.tolist()))
+        if self._byte_keys and not safe:
+            self._byte_keys = False
+            rows = np.frombuffer(b"".join(self._sums), dtype=np.int64).reshape(-1, self.n)
+            self._sums = set(map(tuple, rows.tolist()))
+        if self._byte_keys:
+            keys = S.view(np.dtype((np.void, S.itemsize * self.n))).ravel().tolist()
+        else:
+            keys = list(map(tuple, S.tolist()))
+        seen = self._sums
+        new = [j for j, key in enumerate(keys) if key not in seen and not seen.add(key)]
+        return [(sum(map(abs, s)), s) for s in map(tuple, S[new].tolist())]
 
-    def _scan(self, query: tuple[int, ...], count_all: bool, start: int) -> int:
-        """First index >= start with row <= query, or the number of such rows."""
-        k = len(self.vectors)
-        if start >= k:
-            return 0 if count_all else -1
+    def _as_query(self, query: tuple[int, ...]) -> np.ndarray:
+        """The query as an array to compare with the stack: int64 if it fits, else exact."""
         safe = self._np_ok and max(query, default=0) < _NP_SAFE_BOUND
-        q = np.array(query, dtype=np.int64 if safe else object)
-        if count_all:
-            return int((self._stack[:k] <= q).all(axis=1).sum())
-        chunk = self._FIRST_CHUNK
-        while start < k:
-            end = min(k, start + chunk)
-            mask = (self._stack[start:end] <= q).all(axis=1)
-            hit = int(mask.argmax())
-            if mask[hit]:
-                return start + hit
-            start = end
-            chunk *= 8
-        return -1
+        return np.array(query, dtype=np.int64 if safe else object)
 
 
 # ---------------------------------------------------------------------------
@@ -223,21 +239,19 @@ def _complete_lattice(
         insert(b)
 
     heap: list[tuple[int, IntVec]] = []
-    queued: set[IntVec] = set()
     generated = 0
 
     def enqueue_pairs(v: IntVec) -> None:
         nonlocal generated
-        for s in index.pair_sums(v):
-            if s not in queued:
-                queued.add(s)
-                generated += 1
-                heapq.heappush(heap, (one_norm(s), s))
+        sums = index.pair_sums(v)
+        generated += len(sums)
+        for entry in sums:
+            heapq.heappush(heap, entry)
 
+    start = time.monotonic()
     for v in index.vectors:
         enqueue_pairs(v)
 
-    start = time.monotonic()
     pops = scans = subtractions = inserts = 0
     while heap:
         if generated > budget.max_candidates:
@@ -249,24 +263,29 @@ def _complete_lattice(
         if s in members:
             continue
         # Normal form of s. Each step subtracts a g conformal to s, so q = (s+, s-)
-        # only shrinks and a row that fails q fails it for good: reducer i is
-        # subtracted while it divides (k times at once on q), then scan from i + 1.
-        q, i = positive_part(s) + negative_part(s), -1
-        while s is not None:
-            i = index._scan(q, False, i + 1)
+        # only shrinks and a row that fails q fails it for good: one ascending
+        # pass over the rows <= the first q, skipping those the shrunk q has
+        # dropped, meets the reducers in order; each is subtracted while it
+        # divides. s is never a member before a subtraction, so s - g != 0.
+        q = positive_part(s) + negative_part(s)
+        for i in index.below(q):
+            p = index.parts[i]
+            if any(map(gt, p, q)):
+                continue
             scans += 1
-            if i < 0:
-                break
-            p, g = index.parts[i], index.vectors[i]
-            k = min(a // b for a, b in zip(q, p) if b)
-            q = tuple(a - k * b for a, b in zip(q, p))
-            for _ in range(k):
-                s = vec_sub(s, g)
-                subtractions += 1
-                if not any(s) or s in members:
-                    s = None
+            g = index.vectors[i]
+            s = tuple(map(sub, s, g))
+            subtractions += 1
+            while s not in members:
+                q = tuple(map(sub, q, p))
+                if any(map(gt, p, q)):
                     break
-        if s is not None:
+                s = tuple(map(sub, s, g))
+                subtractions += 1
+            else:
+                break  # s reduced to a stored vector
+        else:
+            scans += 1  # the scan that finds no reducer
             insert(s)
             inserts += 1
             enqueue_pairs(s)
@@ -291,6 +310,8 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
 
     Raises BudgetExceededError when the completion outgrows its caps; that is
     a resource condition, reported distinctly from any mathematical failure.
+    A budget caps computation, not lookups: a basis this process has already
+    computed is returned from memory whatever the budget.
     """
     key = (A.rows, A.ncols)
     if key in _GRAVER_MEMO:

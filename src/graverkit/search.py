@@ -97,12 +97,13 @@ def sullivant_search(
     s = 3 exact agreement between the vertex and the classification verdict.
     """
     s_values = tuple(int(s) for s in s_values)
+    for s in s_values:
+        if not 3 <= s <= 6:
+            raise ValueError(f"s must be within 3..6, got {s}")
     report = SearchReport(s_values=s_values, bound=bound, sample_budget=sample_budget)
     rng = random.Random(seed)
     start = time.monotonic()
     for s in s_values:
-        if not 3 <= s <= 6:
-            raise ValueError(f"s must be within 3..6, got {s}")
         for t in _candidates(s, bound, sample_budget, rng):
             report.instances += 1
             T = IntMat.row_vector(t)

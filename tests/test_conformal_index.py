@@ -24,7 +24,7 @@ from graverkit import (
     robust_complex,
 )
 from graverkit.graver import ConformalIndex
-from graverkit.linalg import negative_part, positive_part, sign_canonical, vec_add
+from graverkit.linalg import negative_part, one_norm, positive_part, sign_canonical, vec_add
 
 from _paper import T_BIG, example_e, fresh_graver_basis
 
@@ -175,10 +175,19 @@ def test_primitive_sets_match_nested_loops(case):
     _on_both_paths(check)
 
 
-def _pair_sums_by_loop(index, v):
-    """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced."""
+def _pair_sums_by_loop(index, v, seen):
+    """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced.
+
+    Keeps the sums not yet in `seen`, a plain tuple set it adds them to, with
+    their one-norms.
+    """
     sums = (vec_add(v, g) for g in index.vectors if any(a * b < 0 for a, b in zip(v, g)))
-    return [sign_canonical(s) for s in sums if any(s)]
+    new = []
+    for s in map(sign_canonical, sums):
+        if any(s) and s not in seen:
+            seen.add(s)
+            new.append((one_norm(s), s))
+    return new
 
 
 @settings(max_examples=150, deadline=None)
@@ -191,8 +200,9 @@ def test_pair_sums_match_nested_loops(case, scale):
     def check():
         index = ConformalIndex(n, vectors)
         assert index._stack.dtype == (np.int64 if index._np_ok else object)
+        seen = set()
         for v in vectors:
-            assert index.pair_sums(v) == _pair_sums_by_loop(index, v)
+            assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
 
     _on_both_paths(check)
 
@@ -209,6 +219,47 @@ def test_queries_above_the_bound_against_an_int64_stack():
                 (i for i, v in enumerate(vectors) if i >= start and _satisfies(v, pos, neg)), -1
             )
             assert index.find(pos, neg, start) == first
-    for v in [(huge, -huge), (-huge, 1)]:
-        assert index.pair_sums(v) == _pair_sums_by_loop(index, v)
+    seen = set()
+    for v in [(huge, -huge), (-huge, 1), (1, 1), (4, -2)]:
+        assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
     assert index._np_ok and index._stack.dtype == np.int64
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sets(), st.sampled_from([(1, 1), (1, 2**61), (2**61, 2**61)]), st.data())
+def test_below_matches_nested_loop(case, scales, data):
+    # scaled by 2**61 the query, or the stack and the query, leave int64 range
+    n, vectors, _, _, start = case
+    vscale, qscale = scales
+    vectors = [tuple(vscale * x for x in v) for v in vectors]
+    query = tuple(qscale * x for x in data.draw(st.tuples(*[st.integers(0, 5)] * (2 * n))))
+    expected = [
+        i for i, v in enumerate(vectors)
+        if i >= start and _leq(positive_part(v) + negative_part(v), query)
+    ]
+
+    def check():
+        for chunk in (1, 3, ConformalIndex._FIRST_CHUNK):
+            with mock.patch.object(ConformalIndex, "_FIRST_CHUNK", chunk):
+                index = ConformalIndex(n, vectors)
+                assert list(index.below(query, start)) == expected
+
+    _on_both_paths(check)
+
+
+def test_pair_sums_dedup_across_the_switch_to_exact_ints(monkeypatch):
+    # at bound 42 the stack of Gr(24 40 41 60 80) turns object partway through the run
+    monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", 42)
+    seen, stacks = set(), []
+    pair_sums = ConformalIndex.pair_sums
+
+    def checked(index, v):
+        expected = _pair_sums_by_loop(index, v, seen)
+        assert pair_sums(index, v) == expected
+        stacks.append(index._np_ok)
+        return expected
+
+    monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
+    G = fresh_graver_basis(IntMat.row_vector(T_BIG))
+    assert len(G) == 266
+    assert stacks[0] and not stacks[-1]

@@ -138,6 +138,20 @@ class TestReductionChain:
             stored, counts = completion_run(A)
         assert (stored, counts["generated"], counts["subtractions"]) == reference_completion(A)
 
+    # the whole debug line of three runs: a faster completion must log the same work
+    PINNED_COUNTERS = {
+        "T_BIG": dict(pops=10217, scans=18489, subtractions=31019, inserts=262,
+                      generated=10217, index=532, kept=266),
+        "1 6 8 12 19": dict(pops=3288, scans=5309, subtractions=7528, inserts=138,
+                            generated=3288, index=284, kept=142),
+        "exampleE": dict(pops=10237, scans=18652, subtractions=31602, inserts=263,
+                         generated=10237, index=534, kept=266),
+    }
+
+    @pytest.mark.parametrize("name", PINNED_COUNTERS)
+    def test_logged_counters_are_pinned(self, name):
+        assert completion_run(CHAIN_INPUTS[name]())[1] == self.PINNED_COUNTERS[name]
+
     def test_logged_counters_agree_with_the_result(self, caplog):
         A = T(1, 6, 8, 12, 19)
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
@@ -216,6 +230,33 @@ class TestGraverBasis:
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(24, 40, 41, 60, 80), budget=Budget(max_seconds=0.0))
         assert info.value.kind == "time"
+
+    def test_time_budget_counts_seeding(self, monkeypatch):
+        # the clock jumps while the seed pairs are formed; the first pop sees it
+        seeded = []
+        pair_sums = graver_module.ConformalIndex.pair_sums
+
+        def counting(index, v):
+            seeded.append(v)
+            return pair_sums(index, v)
+
+        clock = SimpleNamespace(monotonic=lambda: 1e9 if seeded else 0.0)
+        monkeypatch.setattr(graver_module.ConformalIndex, "pair_sums", counting)
+        monkeypatch.setattr(graver_module, "time", clock)
+        A = T(24, 40, 41, 60, 80)
+        with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(A, budget=Budget(max_seconds=1.0))
+        assert info.value.kind == "time"
+        assert len(seeded) == 2 * kernel_lattice(A).rank
+
+    def test_budget_caps_computation_not_memo_lookups(self, monkeypatch):
+        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        A = T(7, 15, 20)
+        with pytest.raises(BudgetExceededError):
+            graver_basis(A, budget=Budget(max_candidates=1))
+        G = graver_basis(A)
+        assert len(G) == 9
+        assert graver_basis(A, budget=Budget(max_candidates=1)) is G
 
     def test_time_budget_raises_in_minimality_filter(self, monkeypatch):
         # the clock stands still until the minimality filter counts its first dominators

@@ -1,4 +1,6 @@
-"""The bounded search records a failing instance and goes on."""
+"""The bounded search checks its arguments first, records a failing instance and goes on."""
+
+import pytest
 
 import graverkit.search as search_module
 from graverkit import PreconditionError
@@ -23,3 +25,11 @@ def test_failing_instance_is_a_violation_and_the_scan_goes_on(monkeypatch):
     assert report.empty_complex + report.one_vertex == clean.instances - 1
     assert report.skipped == []
     assert set(report.to_dict()) == set(clean.to_dict())
+
+
+def test_every_s_is_checked_before_any_curve_is_scanned(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(search_module, "robust_complex", lambda T, **kwargs: scanned.append(T))
+    with pytest.raises(ValueError, match=r"^s must be within 3\.\.6, got 7$"):
+        sullivant_search([3, 7], 14)
+    assert scanned == []
