@@ -1,20 +1,20 @@
 """Gale transforms, bouquet decompositions, and the kernel isomorphism D.
 
-Columns whose Gale rows are mutual rational multiples (tested exactly via
-cross products) form the bouquet graph's edges; connected components are the
-bouquets. Every bouquet carries a coefficient vector whose anchor entry is
-positive; the induced map D identifies the kernel of the bouquet-ideal matrix
-with the kernel of the original matrix.
+Columns whose Gale rows are zero are free; the others are grouped by
+primitive sign-canonical Gale row. Two nonzero rows are rational multiples of
+each other iff they share that form, so each group is one bouquet, and its
+first column is the anchor. Every bouquet carries a coefficient vector whose
+anchor entry is positive; the induced map D identifies the kernel of the
+bouquet-ideal matrix with the kernel of the original matrix.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .linalg import IntMat, IntVec, kernel_lattice
+from .linalg import IntMat, IntVec, kernel_lattice, sign_canonical
 
 FREE = "free"
 MIXED = "mixed"
@@ -99,44 +99,24 @@ def gale_rows(A: IntMat) -> tuple[IntVec, ...]:
     )
 
 
-def _parallel(u: IntVec, v: IntVec) -> bool:
-    # exact rational-multiple test for nonzero vectors, no division
-    for p, q in itertools.combinations(range(len(u)), 2):
-        if u[p] * v[q] != u[q] * v[p]:
-            return False
-    return True
-
-
 def bouquet_decomposition(A: IntMat, _gale: tuple[IntVec, ...] | None = None) -> BouquetDecomposition:
     # _gale injects alternative kernel-basis coordinates; the result must not
     # depend on that choice (basis invariance, exercised by the tests)
     n = A.ncols
     rows = gale_rows(A) if _gale is None else _gale
-    free = [j for j in range(n) if all(x == 0 for x in rows[j])]
-    nonfree = [j for j in range(n) if j not in set(free)]
-
-    # union-find over non-free columns
-    parent = {j: j for j in nonfree}
-
-    def find(j: int) -> int:
-        while parent[j] != j:
-            parent[j] = parent[parent[j]]
-            j = parent[j]
-        return j
-
-    for a, b in itertools.combinations(nonfree, 2):
-        if _parallel(rows[a], rows[b]):
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
-
-    groups: dict[int, list[int]] = {}
-    for j in nonfree:
-        groups.setdefault(find(j), []).append(j)
+    # nonzero rows are parallel iff their primitive sign-canonical forms agree;
+    # columns are visited in order, so every group is ascending from its anchor
+    free: list[int] = []
+    groups: dict[IntVec, list[int]] = {}
+    for j in range(n):
+        if not any(rows[j]):
+            free.append(j)
+            continue
+        g = math.gcd(*rows[j])
+        groups.setdefault(sign_canonical([x // g for x in rows[j]]), []).append(j)
 
     with_columns = []
-    for anchor in sorted(groups):
-        members = sorted(groups[anchor])
+    for members in groups.values():
         # a coordinate nonzero on every member row exists because the rows
         # are pairwise parallel and all nonzero
         width = len(rows[members[0]])

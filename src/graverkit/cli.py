@@ -259,7 +259,7 @@ def cmd_genlaw(args) -> Output:
 
 
 def cmd_reconstruct(args) -> Output:
-    rec = reconstruct_gen_lawrence(_load(args), budget=_budget(args))
+    rec = reconstruct_gen_lawrence(_load(args))
     payload = {
         "T": list(rec.spec.T),
         "c": [list(c) for c in rec.spec.c_vectors],

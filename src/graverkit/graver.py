@@ -82,7 +82,7 @@ class GraverBasis:
         return frozenset(self.elements) | frozenset(vec_neg(u) for u in self.elements)
 
     def contains_up_to_sign(self, u: Sequence[int]) -> bool:
-        return sign_canonical(u) in self.as_set()
+        return tuple(u) in self.signed_index.members
 
     @functools.cached_property
     def signed_index(self) -> ConformalIndex:
@@ -230,10 +230,10 @@ def _complete_lattice(
     members = index.members
 
     def insert(v: IntVec) -> None:
-        # keep +/- side by side so reduction chains mirror under negation
-        for w in (v, vec_neg(v)):
-            if w not in members:
-                index.add(w)
+        # v is never a member, and members stays closed under negation, so
+        # rows 2k and 2k+1 are always a +/- pair (reduction chains mirror)
+        index.add(v)
+        index.add(vec_neg(v))
 
     for b in basis:
         insert(b)
@@ -290,13 +290,14 @@ def _complete_lattice(
             inserts += 1
             enqueue_pairs(s)
 
+    # u is conformally minimal iff -u is, so one sign of each pair decides
     minimal = []
-    for i, v in enumerate(index.vectors):
+    for i in range(0, len(index), 2):
         if time.monotonic() - start > budget.max_seconds:
             raise BudgetExceededError("time", budget.max_seconds, generated)
         if index.dominators(i) == 1:
-            minimal.append(sign_canonical(v))
-    kept = sorted(set(minimal))
+            minimal.append(sign_canonical(index.vectors[i]))
+    kept = sorted(minimal)
     log.debug("completion: %s", dict(pops=pops, scans=scans, subtractions=subtractions,
               inserts=inserts, generated=generated, index=len(index), kept=len(kept)))
     return kept

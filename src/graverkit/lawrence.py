@@ -5,7 +5,8 @@ A(n_j, c_j) = (lambda_1 n_j, ..., lambda_m n_j) and diagonal blocks C(c_j),
 checking the mixedness hypothesis against the strongly robust complex of T.
 `reconstruct_gen_lawrence` recovers that form (plus the column permutation
 grouping bouquets) from any matrix whose bouquet ideal is a monomial curve;
-the kernels agree up to the permutation.
+the kernels agree up to the permutation. It works by arithmetic on the bouquet
+decomposition alone and computes no Graver basis.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from typing import Sequence
 from .bouquet import BouquetDecomposition, bouquet_decomposition
 from .complexes import robust_complex
 from .errors import GraverKitError, PreconditionError
-from .graver import Budget, graver_basis, assert_pointed
+from .graver import Budget
 from .linalg import IntMat, IntVec, kernel_lattice
 
 
@@ -30,15 +31,8 @@ def _xgcd_min(a: int, b: int) -> tuple[int, int, int]:
     if a == 0:
         return (abs(b), 0, 1 if b > 0 else -1)
     g = math.gcd(a, b)
-    old_r, r = a, b
-    old_s, s = 1, 0
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-    x = old_s if old_r > 0 else -old_s
     period = abs(b) // g
-    x %= period
+    x = pow(a // g, -1, period)  # a*x = g (mod b); every solution is x + k*period
     if 2 * x > period:  # ties (2x == period) stay at the positive representative
         x -= period
     y = (g - a * x) // b
@@ -198,13 +192,19 @@ def build_gen_lawrence(
     return GenLawrenceMatrix(spec=spec, matrix=_assemble(spec.T, spec.c_vectors, spec.resolved_lambdas()))
 
 
-def reconstruct_gen_lawrence(A: IntMat, budget: Budget | None = None) -> GenLawrenceMatrix:
+def reconstruct_gen_lawrence(A: IntMat) -> GenLawrenceMatrix:
     """Generalized Lawrence form of A, up to the returned column permutation.
 
-    Requires the bouquet ideal of A to be a monomial curve (rank-one row
-    space of A_B) and A to be pointed. The permutation lists, in new column
-    order, the original 1-based column of each block slot; the permuted
-    kernels coincide.
+    Requires A to have no free columns and its bouquet ideal to be a monomial
+    curve: A_B has rank one with a primitive generator T > 0. The permutation
+    lists, in new column order, the original 1-based column of each block
+    slot; the permuted kernels coincide.
+
+    These checks imply that A is pointed. Every u in Ker(A) is, on each
+    bouquet B, lambda_B * c_B with A_B lambda = 0 (Gale rows), and
+    Ker(A_B) = Ker(T) since A_B has rank one. If u >= 0, a mixed c_B forces
+    lambda_B = 0 and a non-mixed one (all entries positive) lambda_B >= 0;
+    then T lambda = 0 with T > 0 gives lambda = 0, so u = 0.
     """
     dec = bouquet_decomposition(A)
     if dec.free_bouquet is not None:
@@ -212,8 +212,6 @@ def reconstruct_gen_lawrence(A: IntMat, budget: Budget | None = None) -> GenLawr
             "matrix has free columns; a generalized Lawrence matrix over a "
             "monomial curve has none"
         )
-    if not assert_pointed(A, graver_basis(A, budget=budget)):
-        raise PreconditionError("matrix is not pointed")
     T = _extract_curve(dec)
     cs = tuple(b.c_restriction for b in dec.bouquets)
     spec = GenLawrenceSpec(T=T, c_vectors=cs)

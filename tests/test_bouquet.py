@@ -1,6 +1,10 @@
+import itertools
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graverkit import (
     IntMat,
@@ -12,7 +16,7 @@ from graverkit import (
     is_simple,
     lambda_matrix,
 )
-from graverkit.bouquet import MIXED, NON_MIXED
+from graverkit.bouquet import FREE, MIXED, NON_MIXED, Bouquet, BouquetDecomposition
 from graverkit.complexes import _lifting_decomposition, lift_curve_vector
 from graverkit.linalg import sign_canonical
 
@@ -23,6 +27,67 @@ from _paper import (
     example_e,
     random_unimodular,
 )
+
+
+def reference_decomposition(A, _gale=None):
+    """The bouquet decomposition by pairwise cross products and a union-find.
+
+    This is the earlier grouping (every pair of non-free Gale rows tested for
+    parallelism, components joined at their least column), kept as the
+    reference `bouquet_decomposition` is held to.
+    """
+    n = A.ncols
+    rows = gale_rows(A) if _gale is None else _gale
+    free = [j for j in range(n) if all(x == 0 for x in rows[j])]
+    nonfree = [j for j in range(n) if j not in free]
+    parent = {j: j for j in nonfree}
+
+    def find(j):
+        while parent[j] != j:
+            j = parent[j]
+        return j
+
+    def parallel(u, v):
+        return all(u[p] * v[q] == u[q] * v[p] for p, q in itertools.combinations(range(len(u)), 2))
+
+    for a, b in itertools.combinations(nonfree, 2):
+        if parallel(rows[a], rows[b]):
+            ra, rb = find(a), find(b)
+            if ra != rb:
+                parent[max(ra, rb)] = min(ra, rb)
+    groups = {}
+    for j in nonfree:
+        groups.setdefault(find(j), []).append(j)
+
+    with_columns = []
+    for anchor in sorted(groups):
+        members = sorted(groups[anchor])
+        ell = next(l for l in range(len(rows[anchor])) if all(rows[j][l] for j in members))
+        g = math.gcd(*(rows[j][ell] for j in members))
+        eps = 1 if rows[anchor][ell] > 0 else -1
+        coeffs = tuple(eps * rows[j][ell] // g for j in members)
+        kind = MIXED if any(c < 0 for c in coeffs) else NON_MIXED
+        col = tuple(sum(c * A.rows[t][j] for c, j in zip(coeffs, members)) for t in range(A.nrows))
+        with_columns.append((Bouquet(tuple(j + 1 for j in members), kind, coeffs), col))
+    with_columns.sort(key=lambda pair: (pair[1], pair[0].anchor))
+    free_bouquet = Bouquet(tuple(j + 1 for j in free), FREE, (1,) * len(free)) if free else None
+    a_matrix = IntMat([[col[t] for _, col in with_columns] for t in range(A.nrows)],
+                      ncols=len(with_columns))
+    return BouquetDecomposition(A, tuple(b for b, _ in with_columns), free_bouquet, a_matrix)
+
+
+@st.composite
+def matrices_with_repeated_columns(draw):
+    """A small matrix, then extra columns that are nonzero multiples of its own."""
+    nrows = draw(st.integers(1, 3))
+    base = draw(st.integers(1, 4))
+    cols = [draw(st.lists(st.integers(-3, 3), min_size=nrows, max_size=nrows))
+            for _ in range(base)]
+    for _ in range(draw(st.integers(0, 4))):
+        col = draw(st.sampled_from(cols))
+        factor = draw(st.sampled_from((-3, -2, -1, 1, 2, 3)))
+        cols.insert(draw(st.integers(0, len(cols))), [factor * x for x in col])
+    return IntMat([[col[t] for col in cols] for t in range(nrows)], ncols=len(cols))
 
 
 class TestGaleRows:
@@ -71,6 +136,37 @@ class TestExampleEDecomposition:
             alt = bouquet_decomposition(A, _gale=transformed)
             assert alt.bouquets == base.bouquets
             assert alt.a_matrix == base.a_matrix
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("A", [
+        example_e(),
+        IntMat.row_vector([4, 5, 6]),
+        lambda_matrix([4, 5, 6], []).matrix,
+        lambda_matrix([24, 40, 41, 60, 80], [3]).matrix,
+        IntMat.from_rows([[1, 0]]),
+        IntMat.from_rows([[1, -1]]),
+    ], ids=["E", "curve", "lifting", "lifting-omega", "free", "unpointed"])
+    def test_fixed(self, A):
+        assert bouquet_decomposition(A) == reference_decomposition(A)
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices_with_repeated_columns())
+    def test_repeated_and_scaled_columns(self, A):
+        assert bouquet_decomposition(A) == reference_decomposition(A)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices_with_repeated_columns(), st.integers(0, 2**32))
+    def test_injected_gale_bases(self, A, seed):
+        rows = gale_rows(A)
+        k = len(rows[0])
+        V = random_unimodular(random.Random(seed), k) if k else []
+        transformed = tuple(
+            tuple(sum(row[p] * V[p][q] for p in range(k)) for q in range(k)) for row in rows
+        )
+        dec = bouquet_decomposition(A, _gale=transformed)
+        assert dec == reference_decomposition(A, _gale=transformed)
+        assert dec == bouquet_decomposition(A)
 
 
 class TestSimple:

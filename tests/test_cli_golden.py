@@ -83,6 +83,7 @@ JSON_ERRORS = [
     ("graver", "absent.mat"),  # exit 2: unreadable input
     ("search", "--s", "9", "--bound", "5"),  # exit 2: bad range
     ("check-robust", "unpointed.mat"),  # exit 3: not pointed
+    ("reconstruct", "unpointed.mat"),  # exit 3: bouquet ideal not a monomial curve
     ("lambda", "4", "5", "6", "--omega", "7"),  # exit 3: omega out of range
     ("lambda", "4", "5", "6", "--omega", "x"),  # exit 2: omega not a list of indices
     ("complex", "0", "0", "0"),  # exit 3: entries not positive
@@ -189,6 +190,7 @@ GOLDEN = {
     'graver absent.mat --format json': [2, '835b7bd77a60ced2716a1f73c321ed40edb3439b19c29a41e3341209e33d1bf3'],
     'search --s 9 --bound 5 --format json': [2, '087a3225893836577dda724f3f1448a9a20d98009441ae0d86d8bb8584994be4'],
     'check-robust unpointed.mat --format json': [3, '3b27d6dad2a9a545ee19bb719784ea31987c926c3714363cc3522311209a3a54'],
+    'reconstruct unpointed.mat --format json': [3, 'a11bd9853fd6b4abb836eea5a9620d5706fd7c9a9446c3f4ac631cc2805be487'],
     'lambda 4 5 6 --omega 7 --format json': [3, '3a7dfa322478e917179ab137b915ff201a2a05d2ce5261475f7906794d93e066'],
     'lambda 4 5 6 --omega x --format json': [2, '6d2cfc6d89d191c04dae6d0737c68def23af36bdabc23e33550fbe3debcbeb2f'],
     'complex 0 0 0 --format json': [3, '5e2b36f4424fb6b9f19ae907947c7f7a6a6c552bfd5ee9f0e95a9b6822f6706f'],

@@ -1,12 +1,16 @@
 import math
 import random
+import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from graverkit import (
     GenLawrenceSpec,
     IntMat,
     PreconditionError,
+    assert_pointed,
     bouquet_decomposition,
     build_gen_lawrence,
     extended_gcd_multi,
@@ -29,6 +33,43 @@ from _paper import (
 )
 
 
+def xgcd_min_by_euclid(a, b):
+    """The extended-Euclid loop `_xgcd_min` used before it took `pow`; the reference."""
+    if a == 0 and b == 0:
+        return (0, 0, 0)
+    if b == 0:
+        return (abs(a), 1 if a > 0 else -1, 0)
+    if a == 0:
+        return (abs(b), 0, 1 if b > 0 else -1)
+    g = math.gcd(a, b)
+    old_r, r = a, b
+    old_s, s = 1, 0
+    while r:
+        q = old_r // r
+        old_r, r = r, old_r - q * r
+        old_s, s = s, old_s - q * s
+    x = old_s if old_r > 0 else -old_s
+    period = abs(b) // g
+    x %= period
+    if 2 * x > period:
+        x -= period
+    return (g, x, (g - a * x) // b)
+
+
+@pytest.fixture
+def graver_calls(monkeypatch):
+    """Every call of `graver_basis` through any graverkit module, recorded."""
+    calls = []
+    for name, module in list(sys.modules.items()):
+        real = getattr(module, "graver_basis", None)
+        if name.startswith("graverkit") and real is not None:
+            def spy(A, *args, _real=real, **kwargs):
+                calls.append(A)
+                return _real(A, *args, **kwargs)
+            monkeypatch.setattr(module, "graver_basis", spy)
+    return calls
+
+
 class TestExtendedGcd:
     def test_pair_identities(self):
         rng = random.Random(13)
@@ -38,6 +79,11 @@ class TestExtendedGcd:
             g, x, y = _xgcd_min(a, b)
             assert g == math.gcd(a, b)
             assert a * x + b * y == g
+
+    def test_pow_matches_euclid_loop(self):
+        for a in range(-60, 61):
+            for b in range(-60, 61):
+                assert _xgcd_min(a, b) == xgcd_min_by_euclid(a, b), (a, b)
 
     def test_printed_relations(self):
         assert extended_gcd_multi((2, -1, -2023)) == (0, -1, 0)
@@ -178,4 +224,27 @@ class TestReconstruct:
     def test_free_columns_rejected(self):
         A = IntMat.from_rows([[1, 0]])
         with pytest.raises(PreconditionError, match="free"):
+            reconstruct_gen_lawrence(A)
+
+    def test_unpointed_rejected(self):
+        with pytest.raises(PreconditionError):
+            reconstruct_gen_lawrence(IntMat.from_rows([[1, -1]]))
+
+    def test_no_graver_basis_is_computed(self, graver_calls):
+        spec = GenLawrenceSpec(T=GEN_T, c_vectors=GEN_C_VECTORS, lambda_vectors=GEN_LAMBDAS)
+        built = build_gen_lawrence(spec)
+        graver_calls.clear()
+        for A in (example_e(), built.matrix, IntMat.row_vector([4, 5, 6])):
+            reconstruct_gen_lawrence(A)
+        assert graver_calls == []
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 2).flatmap(lambda r: st.lists(
+    st.lists(st.integers(-3, 3), min_size=4, max_size=4), min_size=r, max_size=r)))
+def test_unpointed_matrices_are_rejected(rows):
+    # the free-column check and the curve extraction imply pointedness
+    A = IntMat.from_rows(rows)
+    if not assert_pointed(A):
+        with pytest.raises(PreconditionError):
             reconstruct_gen_lawrence(A)
