@@ -118,7 +118,11 @@ def _load(args) -> IntMat:
 
 
 def _graver_for(args, A: IntMat):
-    return cached_graver_basis(A, resolve_cache(args.cache_dir), budget=_budget(args))
+    try:
+        cache = resolve_cache(args.cache_dir)
+    except OSError as exc:
+        raise UsageError(f"cannot use --cache-dir {exc.filename}: {exc.strerror}") from exc
+    return cached_graver_basis(A, cache, budget=_budget(args))
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +311,10 @@ def cmd_oracle(args) -> Output:
 
 def _emit(args, text: str) -> None:
     if getattr(args, "out", None):
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {args.out}: {exc.strerror}") from exc
     else:
         sys.stdout.write(text)
         if not text.endswith("\n"):
@@ -331,10 +338,10 @@ _EXIT_CODES = ((UsageError, 2), (ValueError, 2), (BudgetExceededError, 4),
 def _run(args) -> int:
     try:
         payload, text = args.func(args)
+        _emit(args, json.dumps(payload, indent=2) if args.format == "json" else text)
     except (GraverKitError, ValueError) as exc:
         _emit_error(args, exc)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    _emit(args, json.dumps(payload, indent=2) if args.format == "json" else text)
     return 0
 
 

@@ -14,8 +14,10 @@ per step.
 
 All arithmetic is exact. Every conformal-dominance test outside the oracles
 goes through `ConformalIndex`, which has one code path for each operation.
-Its stack is int64 while every entry is provably far below the int64 range,
-and holds exact Python ints (dtype object) from then on.
+Queries for the rows below a bound are answered from per-column threshold
+bitsets on Python ints. The whole-stack operations (pair sums, dominator
+counts) run on a numpy stack that is int64 while every entry is provably far
+below the int64 range, and holds exact Python ints (dtype object) from then on.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ import heapq
 import itertools
 import logging
 import time
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import gt, sub
 from typing import Iterable, Iterator, Sequence
@@ -113,14 +116,20 @@ class ConformalIndex:
 
     Row i of the stack holds (g+, g-) of stored vector i. A query bounds g+,
     g- or both; a half left as None is bounded by the largest stored entry,
-    which every row meets. Vectors stored early have small norms and satisfy
-    most later queries, so `below` scans geometrically growing chunks from the
-    front. Every operation has one code path, and the stack's dtype makes it
-    exact: int64 while every entry stays far below the int64 range, converted
-    once to Python ints (dtype object) by the first `add` that crosses it.
-    """
+    which every row meets.
 
-    _FIRST_CHUNK = 128
+    `below` and `find` read threshold bitsets: for each of the 2n columns, the
+    sorted distinct entries and, per entry, a Python int whose bit i is set
+    iff row i's entry in that column is <= it. A query is one bisection and
+    one `&` per column, exact at any size. A row is folded into the bitsets by
+    the first query after its `add`, so an index that only counts dominators
+    (face tests, primitive sets) never builds them; building them would cost
+    more than such an index's whole use.
+
+    `pair_sums` and `dominators` compare whole stacks in numpy. The stack is
+    int64 while every entry stays far below the int64 range, converted once to
+    Python ints (dtype object) by the first `add` that crosses it.
+    """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
         self.n = n
@@ -133,6 +142,9 @@ class ConformalIndex:
         self._np_ok = True
         self._sums: set = set()  # keys of the pair sums returned so far
         self._byte_keys = True
+        self._folded = 0  # rows 0.._folded-1 are in the bitsets
+        self._values: list[list[int]] = [[] for _ in range(2 * n)]
+        self._masks: list[list[int]] = [[] for _ in range(2 * n)]
         for v in vectors:
             self.add(v)
 
@@ -140,7 +152,7 @@ class ConformalIndex:
         return len(self.vectors)
 
     def add(self, v: IntVec) -> None:
-        row = positive_part(v) + negative_part(v)
+        row = tuple([x if x > 0 else 0 for x in v] + [-x if x < 0 else 0 for x in v])
         k = len(self.vectors)
         self.vectors.append(v)
         self.members.add(v)
@@ -157,17 +169,27 @@ class ConformalIndex:
         self._stack[k] = row
 
     def below(self, query: tuple[int, ...], start: int = 0) -> Iterator[int]:
-        """Every index i >= start whose row (g+, g-) is <= query, in ascending order.
-
-        The rows are compared one chunk at a time, so a caller that stops at
-        the first few indices pays for the first chunk only.
-        """
-        q = self._as_query(query)
-        k, chunk = len(self.vectors), self._FIRST_CHUNK
-        while start < k:
-            end = min(k, start + chunk)
-            yield from (np.flatnonzero((self._stack[start:end] <= q).all(axis=1)) + start).tolist()
-            start, chunk = end, chunk * 8
+        """Every index i >= start whose row (g+, g-) is <= query, in ascending order."""
+        for i in range(self._folded, len(self.parts)):  # rows stored since the last query
+            bit = 1 << i
+            for values, masks, x in zip(self._values, self._masks, self.parts[i]):
+                j = bisect_left(values, x)
+                if j == len(values) or values[j] != x:
+                    values.insert(j, x)
+                    masks.insert(j, masks[j - 1] if j else 0)
+                for t in range(j, len(masks)):
+                    masks[t] |= bit
+        self._folded = len(self.parts)
+        hits = ((1 << self._folded) - 1) >> start << start
+        for values, masks, x in zip(self._values, self._masks, query):
+            j = bisect_right(values, x)
+            if not j:
+                return
+            hits &= masks[j - 1]
+        while hits:
+            low = hits & -hits
+            yield low.bit_length() - 1
+            hits ^= low
 
     def find(self, pos: IntVec | None, neg: IntVec | None, start: int = 0) -> int:
         """First index >= start of a stored g with g+ <= pos and g- <= neg, or -1."""
@@ -178,8 +200,7 @@ class ConformalIndex:
 
     def dominators(self, idx: int) -> int:
         """How many stored vectors are conformally <= vector idx (including itself)."""
-        q = self._as_query(self.parts[idx])
-        return int((self._stack[: len(self)] <= q).all(axis=1).sum())
+        return int((self._stack[: len(self)] <= self._stack[idx]).all(axis=1).sum())
 
     def pair_sums(self, v: IntVec) -> list[tuple[int, IntVec]]:
         """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
@@ -210,11 +231,6 @@ class ConformalIndex:
         seen = self._sums
         new = [j for j, key in enumerate(keys) if key not in seen and not seen.add(key)]
         return [(sum(map(abs, s)), s) for s in map(tuple, S[new].tolist())]
-
-    def _as_query(self, query: tuple[int, ...]) -> np.ndarray:
-        """The query as an array to compare with the stack: int64 if it fits, else exact."""
-        safe = self._np_ok and max(query, default=0) < _NP_SAFE_BOUND
-        return np.array(query, dtype=np.int64 if safe else object)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,12 @@ IntVec = tuple[int, ...]
 # vector helpers
 
 def positive_part(u: Sequence[int]) -> IntVec:
-    return tuple(x if x > 0 else 0 for x in u)
+    return tuple([x if x > 0 else 0 for x in u])
 
 
 def negative_part(u: Sequence[int]) -> IntVec:
     """The vector u^- with u = u^+ - u^-; nonnegative, support disjoint from u^+."""
-    return tuple(-x if x < 0 else 0 for x in u)
+    return tuple([-x if x < 0 else 0 for x in u])
 
 
 def sign_canonical(u: Sequence[int]) -> IntVec:

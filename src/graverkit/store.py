@@ -55,7 +55,7 @@ class Cache:
             return None
         try:
             return json.loads(path.read_text())
-        except (OSError, json.JSONDecodeError):
+        except (OSError, ValueError):  # ValueError: invalid UTF-8 or invalid JSON
             return None
 
     def put(self, key: str, payload: dict) -> None:

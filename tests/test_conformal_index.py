@@ -1,9 +1,10 @@
 """ConformalIndex, the one conformal-dominance test, on both of its stacks.
 
-Every operation has one code path. The stack is int64 while entries stay far
-below the int64 range and holds exact Python ints (dtype object) otherwise.
-Lowering `_NP_SAFE_BOUND` to 1 puts every index on the object stack, and
-every result must stay identical.
+Every operation has one code path. `below` and `find` read threshold bitsets
+on Python ints. The stack that `pair_sums` and `dominators` read is int64
+while entries stay far below the int64 range and holds exact Python ints
+(dtype object) otherwise. Lowering `_NP_SAFE_BOUND` to 1 puts every index on
+the object stack, and every result must stay identical.
 """
 
 from unittest import mock
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 import graverkit.graver as graver_module
 from graverkit import (
     IntMat,
+    face_test_projection,
     graver_basis,
     graver_of_set,
     indispensable_set,
@@ -228,23 +230,51 @@ def test_queries_above_the_bound_against_an_int64_stack():
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([(1, 1), (1, 2**61), (2**61, 2**61)]), st.data())
 def test_below_matches_nested_loop(case, scales, data):
-    # scaled by 2**61 the query, or the stack and the query, leave int64 range
+    # scaled by 2**61 the query, or the stack and the query, leave int64 range.
+    # Queries interleave with the adds, so rows are folded in one or several at
+    # a time. The three leading vectors put 2, then 0 (below the smallest),
+    # then 1 (between) into every g+ column, and 0, then 2 (above the largest),
+    # then 0 (an existing entry) into every g- column.
     n, vectors, _, _, start = case
     vscale, qscale = scales
-    vectors = [tuple(vscale * x for x in v) for v in vectors]
-    query = tuple(qscale * x for x in data.draw(st.tuples(*[st.integers(0, 5)] * (2 * n))))
-    expected = [
-        i for i, v in enumerate(vectors)
-        if i >= start and _leq(positive_part(v) + negative_part(v), query)
-    ]
+    vectors = [tuple(vscale * x for x in v) for v in [(2,) * n, (-2,) * n, (1,) * n, *vectors]]
+    bound = st.tuples(*[st.integers(0, 5)] * (2 * n))
+    steps = [(data.draw(st.booleans()), tuple(qscale * x for x in data.draw(bound)))
+             for _ in vectors]
+
+    def expected(k, query):
+        return [
+            i for i, v in enumerate(vectors[:k])
+            if i >= start and _leq(positive_part(v) + negative_part(v), query)
+        ]
 
     def check():
-        for chunk in (1, 3, ConformalIndex._FIRST_CHUNK):
-            with mock.patch.object(ConformalIndex, "_FIRST_CHUNK", chunk):
-                index = ConformalIndex(n, vectors)
-                assert list(index.below(query, start)) == expected
+        index = ConformalIndex(n)
+        for k, (v, (ask, query)) in enumerate(zip(vectors, steps), start=1):
+            index.add(v)
+            if ask or k == len(vectors):
+                assert list(index.below(query, start)) == expected(k, query)
 
     _on_both_paths(check)
+
+
+def test_indexes_that_only_count_dominators_fold_no_rows():
+    # bitsets built on every add took sullivant_search's warm per-call time
+    # from about 2.0 to 4.5 ms; face tests and primitive sets never query them
+    G = graver_basis(IntMat.row_vector(T_BIG))  # computed outside the spy
+    made = []
+    init = ConformalIndex.__init__
+
+    def spying(index, *args, **kwargs):
+        init(index, *args, **kwargs)
+        made.append(index)
+
+    with mock.patch.object(ConformalIndex, "__init__", spying):
+        face_test_projection(T_BIG, 1)
+        graver_of_set(G.full_set())
+        is_primitive_in(G.elements[0], G.full_set())
+    assert [len(index) for index in made] == [2 * len(G)] * 3
+    assert [index._folded for index in made] == [0] * 3
 
 
 def test_pair_sums_dedup_across_the_switch_to_exact_ints(monkeypatch):

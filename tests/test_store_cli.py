@@ -93,6 +93,15 @@ class TestCache:
         (tmp_path / f"{key}.json").write_text("{not json")
         assert cached_graver_basis(A, cache) == graver_basis(A)
 
+    def test_entry_that_is_not_utf8_recomputed_and_overwritten(self, tmp_path):
+        cache = Cache(tmp_path)
+        A = IntMat.row_vector([3, 5, 7])
+        key = cache_key("graver", A)
+        (tmp_path / f"{key}.json").write_bytes(b"\xff\xfe{garbage")
+        assert cache.get(key) is None
+        assert cached_graver_basis(A, cache) == graver_basis(A)
+        assert cache.get(key)["elements"] == [list(v) for v in graver_basis(A).elements]
+
     @pytest.mark.parametrize("elements", MALFORMED_ELEMENTS)
     def test_malformed_entry_recomputed_and_overwritten(self, tmp_path, elements):
         cache = Cache(tmp_path)
@@ -252,6 +261,24 @@ class TestCli:
         code, out = self.run(capsys, "graver", curve_file, "--out", str(target))
         assert code == 0 and out == ""
         assert target.read_text().splitlines()[0] == "7 3"
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    @pytest.mark.parametrize("option, path", [("--out", "missing/dir/x.txt"),
+                                              ("--cache-dir", "some_file/sub")])
+    def test_unusable_output_paths_are_usage_errors(self, capsys, curve_file, tmp_path,
+                                                    monkeypatch, fmt, option, path):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "some_file").write_text("")
+        code = main(["graver", curve_file, option, path, "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 2
+        if fmt == "json":
+            assert err == ""
+            message = json.loads(out)["error"]["message"]
+        else:
+            assert out == "" and err.startswith("error: ")
+            message = err
+        assert f"{option} {path}" in message
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _ = self.run(capsys, "graver", str(tmp_path / "absent.mat"))
