@@ -118,11 +118,10 @@ def _load(args) -> IntMat:
 
 
 def _graver_for(args, A: IntMat):
-    try:
-        cache = resolve_cache(args.cache_dir)
+    try:  # the directory cannot be made, or an entry cannot be written
+        return cached_graver_basis(A, resolve_cache(args.cache_dir), budget=_budget(args))
     except OSError as exc:
         raise UsageError(f"cannot use --cache-dir {exc.filename}: {exc.strerror}") from exc
-    return cached_graver_basis(A, cache, budget=_budget(args))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,11 @@ per step.
 
 All arithmetic is exact. Every conformal-dominance test outside the oracles
 goes through `ConformalIndex`, which has one code path for each operation.
-Queries for the rows below a bound are answered from per-column threshold
-bitsets on Python ints. The whole-stack operations (pair sums, dominator
-counts) run on a numpy stack that is int64 while every entry is provably far
-below the int64 range, and holds exact Python ints (dtype object) from then on.
+Queries for the rows below a bound, and dominator counts, are answered from
+per-column threshold bitsets on Python ints. Pair generation alone runs on a
+numpy stack, int64 while every entry is provably far below the int64 range and
+exact Python ints (dtype object) from then on; numpy is imported by the first
+pair sum, so a process that computes no Graver basis never loads it.
 """
 
 from __future__ import annotations
@@ -31,8 +32,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import gt, sub
 from typing import Iterable, Iterator, Sequence
-
-import numpy as np
 
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import (
@@ -114,21 +113,23 @@ class CircuitSet:
 class ConformalIndex:
     """A set of vectors under conformal-dominance queries (g+ <= p and g- <= m).
 
-    Row i of the stack holds (g+, g-) of stored vector i. A query bounds g+,
+    Row i, `parts[i]`, holds (g+, g-) of stored vector i. A query bounds g+,
     g- or both; a half left as None is bounded by the largest stored entry,
     which every row meets.
 
-    `below` and `find` read threshold bitsets: for each of the 2n columns, the
-    sorted distinct entries and, per entry, a Python int whose bit i is set
-    iff row i's entry in that column is <= it. A query is one bisection and
-    one `&` per column, exact at any size. A row is folded into the bitsets by
-    the first query after its `add`, so an index that only counts dominators
-    (face tests, primitive sets) never builds them; building them would cost
-    more than such an index's whole use.
+    `below`, `find` and `dominators` read threshold bitsets: for each of the
+    2n columns, the sorted distinct entries and, per entry, a Python int whose
+    bit i is set iff row i's entry in that column is <= it. A query is one
+    bisection and one `&` per column, exact at any size; `dominators` is the
+    popcount of the query by the row itself. The rows added since the last
+    query are folded in by the next one, a column at a time, in time linear
+    in the column's distinct entries and the new rows.
 
-    `pair_sums` and `dominators` compare whole stacks in numpy. The stack is
-    int64 while every entry stays far below the int64 range, converted once to
-    Python ints (dtype object) by the first `add` that crosses it.
+    `pair_sums` alone uses numpy, on a stack of the rows that it builds at its
+    first call and extends at later ones. The stack is int64 while every entry
+    stays far below the int64 range (`_np_ok`, kept by `add`), and is converted
+    once to Python ints (dtype object) by the first `pair_sums` after an `add`
+    crosses it.
     """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
@@ -137,9 +138,9 @@ class ConformalIndex:
         self.members: set[IntVec] = set()
         self.parts: list[tuple[int, ...]] = []  # concatenated (pos, neg)
         self._top = 0
-        self._cap = 256
-        self._stack = np.zeros((self._cap, 2 * n), dtype=np.int64)
         self._np_ok = True
+        self._stack = None  # numpy rows 0.._stacked-1 of parts, spare rows after
+        self._stacked = 0
         self._sums: set = set()  # keys of the pair sums returned so far
         self._byte_keys = True
         self._folded = 0  # rows 0.._folded-1 are in the bitsets
@@ -153,39 +154,59 @@ class ConformalIndex:
 
     def add(self, v: IntVec) -> None:
         row = tuple([x if x > 0 else 0 for x in v] + [-x if x < 0 else 0 for x in v])
-        k = len(self.vectors)
         self.vectors.append(v)
         self.members.add(v)
         self.parts.append(row)
         self._top = max([self._top, *row])
         if self._np_ok and self._top >= _NP_SAFE_BOUND // 2:
             self._np_ok = False
-            self._stack = self._stack.astype(object)
-        if k == self._cap:
-            self._cap *= 2
-            grown = np.zeros((self._cap, 2 * self.n), dtype=self._stack.dtype)
-            grown[:k] = self._stack[:k]
-            self._stack = grown
-        self._stack[k] = row
 
-    def below(self, query: tuple[int, ...], start: int = 0) -> Iterator[int]:
-        """Every index i >= start whose row (g+, g-) is <= query, in ascending order."""
-        for i in range(self._folded, len(self.parts)):  # rows stored since the last query
-            bit = 1 << i
-            for values, masks, x in zip(self._values, self._masks, self.parts[i]):
+    def _fold(self) -> None:
+        """Fold the rows stored since the last query into the bitsets.
+
+        Per column: group the new rows by entry, insert each new entry as a
+        threshold that copies the mask below it, then one ascending walk ORs
+        the running union of the new rows into every threshold from the
+        smallest new entry up.
+        """
+        first, k = self._folded, len(self.parts)
+        bits = [1 << i for i in range(first, k)]
+        for values, masks, column in zip(self._values, self._masks, zip(*self.parts[first:])):
+            new: dict[int, int] = {}  # entry -> the new rows holding it
+            for x, bit in zip(column, bits):
+                new[x] = new.get(x, 0) | bit
+            entries = sorted(new)
+            at = []  # each entry's threshold; inserting in ascending order keeps them valid
+            for x in entries:
                 j = bisect_left(values, x)
                 if j == len(values) or values[j] != x:
                     values.insert(j, x)
                     masks.insert(j, masks[j - 1] if j else 0)
-                for t in range(j, len(masks)):
-                    masks[t] |= bit
-        self._folded = len(self.parts)
-        hits = ((1 << self._folded) - 1) >> start << start
+                at.append(j)
+            at.append(len(values))
+            union = 0
+            for x, lo, hi in zip(entries, at, at[1:]):
+                union |= new[x]
+                for t in range(lo, hi):
+                    masks[t] |= union
+        self._folded = k
+
+    def _hits(self, query: tuple[int, ...], start: int = 0) -> int:
+        """The bitset of the rows i >= start whose row (g+, g-) is <= query."""
+        k = len(self.parts)
+        if self._folded < k:
+            self._fold()
+        hits = ((1 << k) - 1) >> start << start
         for values, masks, x in zip(self._values, self._masks, query):
             j = bisect_right(values, x)
             if not j:
-                return
+                return 0
             hits &= masks[j - 1]
+        return hits
+
+    def below(self, query: tuple[int, ...], start: int = 0) -> Iterator[int]:
+        """Every index i >= start whose row (g+, g-) is <= query, in ascending order."""
+        hits = self._hits(query, start)
         while hits:
             low = hits & -hits
             yield low.bit_length() - 1
@@ -200,7 +221,7 @@ class ConformalIndex:
 
     def dominators(self, idx: int) -> int:
         """How many stored vectors are conformally <= vector idx (including itself)."""
-        return int((self._stack[: len(self)] <= self._stack[idx]).all(axis=1).sum())
+        return self._hits(self.parts[idx]).bit_count()
 
     def pair_sums(self, v: IntVec) -> list[tuple[int, IntVec]]:
         """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
@@ -210,11 +231,26 @@ class ConformalIndex:
         product can overflow. While every sum has been int64, the sums returned
         are remembered by their row bytes, so repeats are dropped before any
         tuple is built; the first sum computed on exact ints turns those keys
-        into tuples, once, as `add` converts the stack once.
+        into tuples, once, as the stack is converted once.
         """
+        import numpy as np  # here only: no other operation of the package needs numpy
+
+        k, stack = len(self.parts), self._stack
+        if stack is None:
+            stack = np.zeros((max(k, 256), 2 * self.n), dtype=np.int64 if self._np_ok else object)
+        elif not self._np_ok and stack.dtype != object:
+            stack = stack.astype(object)
+        if k > len(stack):
+            grown = np.zeros((max(k, 2 * len(stack)), 2 * self.n), dtype=stack.dtype)
+            grown[: self._stacked] = stack[: self._stacked]
+            stack = grown
+        if k > self._stacked:
+            stack[self._stacked : k] = self.parts[self._stacked : k]
+        self._stack, self._stacked = stack, k
+        stack = stack[:k]
+
         safe = self._np_ok and max(map(abs, v), default=0) < _NP_SAFE_BOUND // 2
         # on an int64 stack entries are < _NP_SAFE_BOUND // 2, so the pair sums fit in int64
-        stack = self._stack[: len(self)]
         u = np.array(v, dtype=np.int64 if safe else object)
         R = stack[(stack != 0) @ np.concatenate([u < 0, u > 0])]  # rows of the g that cancel v
         S = R[:, : self.n] - R[:, self.n :] + u

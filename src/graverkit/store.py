@@ -59,16 +59,18 @@ class Cache:
             return None
 
     def put(self, key: str, payload: dict) -> None:
+        """Write one entry; an OSError raised here names the entry's path."""
         path = self._path(key)
-        fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=self.directory, suffix=".tmp")
             with os.fdopen(fd, "w") as handle:
                 json.dump(payload, handle)
             os.replace(tmp, path)
-        except OSError:
-            if os.path.exists(tmp):
+        except OSError as exc:
+            if tmp is not None and os.path.exists(tmp):
                 os.unlink(tmp)
-            raise
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
 
 
 def resolve_cache(cache_dir: str | None) -> Cache | None:

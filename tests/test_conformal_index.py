@@ -1,10 +1,11 @@
 """ConformalIndex, the one conformal-dominance test, on both of its stacks.
 
-Every operation has one code path. `below` and `find` read threshold bitsets
-on Python ints. The stack that `pair_sums` and `dominators` read is int64
-while entries stay far below the int64 range and holds exact Python ints
-(dtype object) otherwise. Lowering `_NP_SAFE_BOUND` to 1 puts every index on
-the object stack, and every result must stay identical.
+Every operation has one code path. `below`, `find` and `dominators` read
+threshold bitsets on Python ints. The numpy stack, which only `pair_sums`
+builds and reads, is int64 while entries stay far below the int64 range and
+holds exact Python ints (dtype object) otherwise. Lowering `_NP_SAFE_BOUND`
+to 1 puts every index on the object stack, and every result must stay
+identical.
 """
 
 from unittest import mock
@@ -201,10 +202,10 @@ def test_pair_sums_match_nested_loops(case, scale):
 
     def check():
         index = ConformalIndex(n, vectors)
-        assert index._stack.dtype == (np.int64 if index._np_ok else object)
         seen = set()
         for v in vectors:
             assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
+            assert index._stack.dtype == (np.int64 if index._np_ok else object)
 
     _on_both_paths(check)
 
@@ -231,10 +232,10 @@ def test_queries_above_the_bound_against_an_int64_stack():
 @given(vector_sets(), st.sampled_from([(1, 1), (1, 2**61), (2**61, 2**61)]), st.data())
 def test_below_matches_nested_loop(case, scales, data):
     # scaled by 2**61 the query, or the stack and the query, leave int64 range.
-    # Queries interleave with the adds, so rows are folded in one or several at
-    # a time. The three leading vectors put 2, then 0 (below the smallest),
-    # then 1 (between) into every g+ column, and 0, then 2 (above the largest),
-    # then 0 (an existing entry) into every g- column.
+    # Queries and dominator counts interleave with the adds, so rows are folded
+    # in one or several at a time. The three leading vectors put 2, then 0
+    # (below the smallest), then 1 (between) into every g+ column, and 0, then
+    # 2 (above the largest), then 0 (an existing entry) into every g- column.
     n, vectors, _, _, start = case
     vscale, qscale = scales
     vectors = [tuple(vscale * x for x in v) for v in [(2,) * n, (-2,) * n, (1,) * n, *vectors]]
@@ -242,7 +243,7 @@ def test_below_matches_nested_loop(case, scales, data):
     steps = [(data.draw(st.booleans()), tuple(qscale * x for x in data.draw(bound)))
              for _ in vectors]
 
-    def expected(k, query):
+    def expected(k, query, start=start):
         return [
             i for i, v in enumerate(vectors[:k])
             if i >= start and _leq(positive_part(v) + negative_part(v), query)
@@ -254,13 +255,15 @@ def test_below_matches_nested_loop(case, scales, data):
             index.add(v)
             if ask or k == len(vectors):
                 assert list(index.below(query, start)) == expected(k, query)
+                assert [index.dominators(i) for i in range(k)] == [
+                    len(expected(k, index.parts[i], 0)) for i in range(k)]
 
     _on_both_paths(check)
 
 
-def test_indexes_that_only_count_dominators_fold_no_rows():
-    # bitsets built on every add took sullivant_search's warm per-call time
-    # from about 2.0 to 4.5 ms; face tests and primitive sets never query them
+def test_indexes_that_only_count_dominators_build_no_numpy_stack():
+    # face tests and primitive sets count dominators on the bitsets; only
+    # pair generation needs the numpy stack
     G = graver_basis(IntMat.row_vector(T_BIG))  # computed outside the spy
     made = []
     init = ConformalIndex.__init__
@@ -274,7 +277,11 @@ def test_indexes_that_only_count_dominators_fold_no_rows():
         graver_of_set(G.full_set())
         is_primitive_in(G.elements[0], G.full_set())
     assert [len(index) for index in made] == [2 * len(G)] * 3
-    assert [index._folded for index in made] == [0] * 3
+    assert [index._stack for index in made] == [None] * 3
+    for index in made:
+        rows = index.parts
+        assert [index.dominators(i) for i in range(len(rows))] == [
+            sum(1 for r in rows if _leq(r, q)) for q in rows]
 
 
 def test_pair_sums_dedup_across_the_switch_to_exact_ints(monkeypatch):

@@ -18,6 +18,7 @@ from graverkit import (
     is_strongly_robust,
     kernel_lattice,
     reconstruct_gen_lawrence,
+    robust_complex,
 )
 from graverkit.lawrence import _xgcd_min
 
@@ -248,3 +249,36 @@ def test_unpointed_matrices_are_rejected(rows):
     if not assert_pointed(A):
         with pytest.raises(PreconditionError):
             reconstruct_gen_lawrence(A)
+
+
+@st.composite
+def gen_lawrence_specs(draw):
+    """A monomial curve T in A^3 or A^4 and one coefficient vector per entry:
+    positive at a drawn set of indices, mixed (length 2 or 3) elsewhere."""
+    s = draw(st.sampled_from([3, 4]))
+    index = st.integers(1, s)
+    # omega is a singleton, as a vertex is, about half the time
+    omega = draw(index.map(lambda i: {i}) | st.sets(index, max_size=s))
+    T = draw(st.tuples(*[st.integers(2, 9)] * s).filter(lambda t: math.gcd(*t) == 1))
+    positive = st.integers(1, 3)
+    mixed = st.integers(1, 2).flatmap(
+        lambda m: st.tuples(positive, *[st.integers(-3, 3).filter(bool)] * m)
+    ).filter(lambda c: min(c) < 0)
+    plain = st.integers(1, 3).flatmap(lambda m: st.tuples(*[positive] * m))
+    cs = [draw((plain if j in omega else mixed).filter(lambda c: math.gcd(*c) == 1))
+          for j in range(1, s + 1)]
+    return GenLawrenceSpec(T=T, c_vectors=tuple(cs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(gen_lawrence_specs())
+def test_generated_matrices_obey_the_theorem(spec):
+    # I_A is strongly robust iff its non-mixed bouquets form a face of Delta_T,
+    # which for a monomial curve is {} or the one vertex; and A comes back as
+    # the generalized Lawrence matrix of T and its c vectors
+    built = build_gen_lawrence(spec, check_hypothesis=False)
+    omega = {j for j, c in enumerate(spec.c_vectors, start=1) if min(c) > 0}
+    face = not omega or omega == {robust_complex(spec.T).vertex()}
+    assert is_strongly_robust(built.matrix).strongly_robust == face
+    back = reconstruct_gen_lawrence(built.matrix).spec
+    assert sorted(zip(back.T, back.c_vectors)) == sorted(zip(spec.T, spec.c_vectors))

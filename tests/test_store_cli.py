@@ -18,6 +18,7 @@ from graverkit.store import (
     Cache,
     cache_key,
     cached_graver_basis,
+    read_matrix,
 )
 
 from _paper import EXAMPLE_E_ROWS, GEN_C_VECTORS, GEN_LAMBDAS, GEN_T
@@ -154,6 +155,32 @@ class TestCli:
         assert child.wait(timeout=120) == 1
         assert err == b""
 
+    def numpy_loaded_after(self, *commands):
+        """Run the commands through `main` in one fresh interpreter; True iff
+        numpy was imported by the end."""
+        script = (
+            "import contextlib, io, sys\n"
+            "from graverkit.cli import main\n"
+            f"for argv in {[list(c) for c in commands]!r}:\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            "        assert main(argv) == 0, argv\n"
+            "print('numpy' in sys.modules)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(graverkit.__file__).parents[1])}
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                               text=True, env=env, timeout=300)
+        assert child.returncode == 0, child.stderr
+        return {"True\n": True, "False\n": False}[child.stdout]
+
+    def test_only_pair_generation_imports_numpy(self, tmp_path):
+        # numpy takes most of the CLI's start-up; only a completion needs it
+        matrix = str(Path(__file__).parents[1] / "data" / "exampleE.mat")
+        cache = ["--cache-dir", str(tmp_path / "c")]
+        assert self.numpy_loaded_after(["graver", matrix, *cache])
+        assert not self.numpy_loaded_after(
+            ["bouquets", matrix], ["circuits", matrix], ["reconstruct", matrix],
+            ["check-robust", matrix, *cache])
+
     def test_complex_command(self, capsys):
         code, out = self.run(capsys, "complex", "4", "5", "6")
         assert code == 0
@@ -279,6 +306,24 @@ class TestCli:
             assert out == "" and err.startswith("error: ")
             message = err
         assert f"{option} {path}" in message
+
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_unwritable_cache_entry_is_usage_error(self, capsys, curve_file, tmp_path, fmt):
+        # a directory standing at the entry's path makes the cache write fail
+        entry = tmp_path / "c" / f"{cache_key('graver', read_matrix(curve_file))}.json"
+        entry.mkdir(parents=True)
+        code = main(["graver", curve_file, "--cache-dir", str(tmp_path / "c"),
+                     "--format", fmt])
+        out, err = capsys.readouterr()
+        assert code == 2
+        if fmt == "json":
+            assert err == ""
+            message = json.loads(out)["error"]["message"]
+        else:
+            assert out == "" and err.startswith("error: ")
+            message = err
+        assert f"--cache-dir {entry}" in message
+        assert entry.is_dir() and os.listdir(tmp_path / "c") == [entry.name]
 
     def test_missing_file_is_usage_error(self, capsys, tmp_path):
         code, _ = self.run(capsys, "graver", str(tmp_path / "absent.mat"))
