@@ -242,13 +242,21 @@ def cmd_lambda(args) -> Output:
 def cmd_genlaw(args) -> Output:
     try:
         raw = json.loads(Path(args.spec).read_text())
-        spec = GenLawrenceSpec(
-            T=tuple(raw["T"]),
-            c_vectors=tuple(tuple(c) for c in raw["c"]),
-            lambda_vectors=tuple(tuple(l) for l in raw["lambda"]) if raw.get("lambda") else None,
-        )
+        T = tuple(raw["T"])
+        c_vectors = tuple(tuple(c) for c in raw["c"])
+        lambdas = tuple(tuple(l) for l in raw["lambda"]) if raw.get("lambda") else None
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read spec from {args.spec}: {exc}") from exc
+    # the spec converts with int(), which truncates floats and reads booleans as 0 or 1
+    entries = [(f"T[{j}]", x) for j, x in enumerate(T)]
+    for key, rows in (("c", c_vectors), ("lambda", lambdas or ())):
+        entries += [(f"{key}[{i}][{j}]", x)
+                    for i, row in enumerate(rows) for j, x in enumerate(row)]
+    for name, x in entries:
+        if type(x) is not int:
+            raise UsageError(f"cannot read spec from {args.spec}: {name} is {json.dumps(x)}, "
+                             "not an integer")
+    spec = GenLawrenceSpec(T=T, c_vectors=c_vectors, lambda_vectors=lambdas)
     built = build_gen_lawrence(spec, check_hypothesis=not args.skip_hypothesis,
                                budget=_budget(args))
     payload = {"matrix": [list(r) for r in built.matrix.rows],

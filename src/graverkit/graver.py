@@ -5,20 +5,18 @@ kernel lattice: seed with a lattice basis and its negations, repeatedly form
 pairwise sums with cancellation, conformally reduce each sum to a normal form
 against the current set, and insert nonzero normal forms. At the fixpoint the
 conformally minimal elements are exactly the Graver basis. Pair generation
-pairs each new element with every stored vector in one numpy pass over the
-index's stack and drops the sums queued before while they are still rows of
-that pass, so only new sums become tuples. Reduction makes one ascending pass
-over the stored vectors below the popped sum and subtracts each while it
-still divides the shrinking remainder; the chains are those of one reducer
-per step.
+pairs each new element with the stored vectors that cancel it, read off the
+index's bitsets, and drops the sums queued before by a packed integer key
+that is one add per sum, so only new sums become tuples. Reduction makes one
+ascending pass over the stored vectors below the popped sum and subtracts
+each while it still divides the shrinking remainder; the chains are those of
+one reducer per step.
 
-All arithmetic is exact. Every conformal-dominance test outside the oracles
-goes through `ConformalIndex`, which has one code path for each operation.
-Queries for the rows below a bound, and dominator counts, are answered from
-per-column threshold bitsets on Python ints. Pair generation alone runs on a
-numpy stack, int64 while every entry is provably far below the int64 range and
-exact Python ints (dtype object) from then on; numpy is imported by the first
-pair sum, so a process that computes no Graver basis never loads it.
+All arithmetic is exact, on Python ints alone. Every conformal-dominance
+test outside the oracles goes through `ConformalIndex`, which has one code
+path for each operation: queries for the rows below a bound, dominator
+counts and the rows that cancel a vector are all answered from per-column
+threshold bitsets.
 """
 
 from __future__ import annotations
@@ -30,7 +28,7 @@ import logging
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import gt, sub
+from operator import gt, lshift, neg, sub
 from typing import Iterable, Iterator, Sequence
 
 from .errors import BudgetExceededError, PreconditionError
@@ -41,15 +39,11 @@ from .linalg import (
     negative_part,
     positive_part,
     sign_canonical,
+    vec_add,
     vec_neg,
 )
 
 log = logging.getLogger(__name__)
-
-# Above this magnitude the index leaves int64 for exact Python ints; sums of
-# two in-range vectors must stay representable.
-_NP_SAFE_BOUND = 1 << 60
-
 
 @dataclass(frozen=True)
 class Budget:
@@ -125,11 +119,10 @@ class ConformalIndex:
     query are folded in by the next one, a column at a time, in time linear
     in the column's distinct entries and the new rows.
 
-    `pair_sums` alone uses numpy, on a stack of the rows that it builds at its
-    first call and extends at later ones. The stack is int64 while every entry
-    stays far below the int64 range (`_np_ok`, kept by `add`), and is converted
-    once to Python ints (dtype object) by the first `pair_sums` after an `add`
-    crosses it.
+    `pair_sums` reads the rows that cancel a vector off the lowest threshold
+    of each column, and drops repeated sums by packed integer keys, which it
+    alone builds: one per row, and a set of the keys of the sums it has
+    returned.
     """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
@@ -138,11 +131,10 @@ class ConformalIndex:
         self.members: set[IntVec] = set()
         self.parts: list[tuple[int, ...]] = []  # concatenated (pos, neg)
         self._top = 0
-        self._np_ok = True
-        self._stack = None  # numpy rows 0.._stacked-1 of parts, spare rows after
-        self._stacked = 0
-        self._sums: set = set()  # keys of the pair sums returned so far
-        self._byte_keys = True
+        self._width = 0  # W of the packed keys; 0 until the first pair_sums
+        self._keys: list[int] = []  # packed keys of rows 0..len-1
+        self._sums: list[IntVec] = []  # every pair sum returned so far
+        self._seen: set[int] = set()  # 0 and the keys of both signs of each
         self._folded = 0  # rows 0.._folded-1 are in the bitsets
         self._values: list[list[int]] = [[] for _ in range(2 * n)]
         self._masks: list[list[int]] = [[] for _ in range(2 * n)]
@@ -158,8 +150,6 @@ class ConformalIndex:
         self.members.add(v)
         self.parts.append(row)
         self._top = max([self._top, *row])
-        if self._np_ok and self._top >= _NP_SAFE_BOUND // 2:
-            self._np_ok = False
 
     def _fold(self) -> None:
         """Fold the rows stored since the last query into the bitsets.
@@ -225,48 +215,53 @@ class ConformalIndex:
 
     def pair_sums(self, v: IntVec) -> list[tuple[int, IntVec]]:
         """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
-        cancelling v somewhere, that no earlier call returned.
+        cancelling v somewhere, that no earlier call returned, in row order.
 
-        The sums come in stack order. Cancellation is read off signs, so no
-        product can overflow. While every sum has been int64, the sums returned
-        are remembered by their row bytes, so repeats are dropped before any
-        tuple is built; the first sum computed on exact ints turns those keys
-        into tuples, once, as the stack is converted once.
+        The rows that cancel v are read off the bitsets: those with g+ > 0 in
+        a column where v < 0, or g- > 0 where v > 0. Repeats are dropped by
+        the packed key key(u) = sum of u_c * 2^(W*c), which is linear, so a
+        sum's key is one add of two stored keys. It is injective on vectors
+        whose entries all have |u_c| < 2^(W-1): the difference d of two such
+        vectors has |d_c| < 2^W, so if c is the first column with d_c != 0,
+        key(d) is d_c * 2^(W*c) modulo 2^(W*(c+1)), which is not 0. W is
+        at least bit_length(m) + 2 for m the largest |entry| of v and of the
+        rows, so every sum v + g, and every sum returned before, meets that
+        bound. When W must grow it at least doubles, and the row keys and
+        the seen set are rebuilt. The seen set holds 0 and both signs of
+        every sum returned so far, so only new sums become tuples.
         """
-        import numpy as np  # here only: no other operation of the package needs numpy
+        k = len(self.parts)
+        if not k:
+            return []
+        if self._folded < k:
+            self._fold()
+        need = max(self._top, *map(abs, v)).bit_length() + 2
+        if need > self._width:
+            self._width = max(need, 2 * self._width)
+            self._keys = list(map(self._key, self.vectors))
+            keys = list(map(self._key, self._sums))
+            self._seen = {0, *keys, *map(neg, keys)}
+        elif len(self._keys) < k:
+            self._keys += map(self._key, self.vectors[len(self._keys):])
+        every, rows = (1 << k) - 1, 0
+        for c, x in enumerate(v):
+            if x:
+                col = c if x < 0 else c + self.n  # the half where g has the other sign
+                rows |= every ^ self._masks[col][0] if self._values[col][0] == 0 else every
+        kv, seen, new = self._key(v), self._seen, []
+        cancelling = map("1".__eq__, bin(rows)[:1:-1])  # the bits of rows, lowest first
+        for kg, g in itertools.compress(zip(self._keys, self.vectors), cancelling):
+            key = kv + kg
+            if key not in seen:
+                seen.add(key)
+                seen.add(-key)
+                s = sign_canonical(vec_add(v, g))
+                self._sums.append(s)
+                new.append((sum(map(abs, s)), s))
+        return new
 
-        k, stack = len(self.parts), self._stack
-        if stack is None:
-            stack = np.zeros((max(k, 256), 2 * self.n), dtype=np.int64 if self._np_ok else object)
-        elif not self._np_ok and stack.dtype != object:
-            stack = stack.astype(object)
-        if k > len(stack):
-            grown = np.zeros((max(k, 2 * len(stack)), 2 * self.n), dtype=stack.dtype)
-            grown[: self._stacked] = stack[: self._stacked]
-            stack = grown
-        if k > self._stacked:
-            stack[self._stacked : k] = self.parts[self._stacked : k]
-        self._stack, self._stacked = stack, k
-        stack = stack[:k]
-
-        safe = self._np_ok and max(map(abs, v), default=0) < _NP_SAFE_BOUND // 2
-        # on an int64 stack entries are < _NP_SAFE_BOUND // 2, so the pair sums fit in int64
-        u = np.array(v, dtype=np.int64 if safe else object)
-        R = stack[(stack != 0) @ np.concatenate([u < 0, u > 0])]  # rows of the g that cancel v
-        S = R[:, : self.n] - R[:, self.n :] + u
-        S = S[S.any(axis=1)]
-        S *= np.sign(S[np.arange(len(S)), (S != 0).argmax(axis=1)])[:, None]
-        if self._byte_keys and not safe:
-            self._byte_keys = False
-            rows = np.frombuffer(b"".join(self._sums), dtype=np.int64).reshape(-1, self.n)
-            self._sums = set(map(tuple, rows.tolist()))
-        if self._byte_keys:
-            keys = S.view(np.dtype((np.void, S.itemsize * self.n))).ravel().tolist()
-        else:
-            keys = list(map(tuple, S.tolist()))
-        seen = self._sums
-        new = [j for j, key in enumerate(keys) if key not in seen and not seen.add(key)]
-        return [(sum(map(abs, s)), s) for s in map(tuple, S[new].tolist())]
+    def _key(self, u: IntVec) -> int:
+        return sum(map(lshift, u, range(0, self._width * self.n, self._width)))
 
 
 # ---------------------------------------------------------------------------

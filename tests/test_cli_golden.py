@@ -37,6 +37,8 @@ INPUTS = {
     # a curve no other test computes, so the in-process memo cannot serve it
     "wide.mat": "1 4\n101 103 107 109\n",
     "zero.mat": "0 3\n",
+    # a float in T and in c, which a spec must not truncate
+    "float.json": '{"T": [4.9, 5, 6], "c": [[1, -1], [1, 2.5], [1, -3]]}\n',
 }
 COPIED = ("exampleE.mat", "genlaw456.json")
 
@@ -63,6 +65,7 @@ BOTH_FORMATS = [
     ("check-robust", "exampleE.mat"),
     ("reconstruct", "exampleE.mat"),
     ("complex", "4", "5", "6"),
+    ("complex", "4", "5", "6", "--verify"),
     ("complex", "24", "40", "41", "60", "80", "--verify"),
     ("classify3", "6", "10", "15"),
     ("classify3", "4", "5", "6"),
@@ -87,6 +90,7 @@ JSON_ERRORS = [
     ("lambda", "4", "5", "6", "--omega", "7"),  # exit 3: omega out of range
     ("lambda", "4", "5", "6", "--omega", "x"),  # exit 2: omega not a list of indices
     ("complex", "0", "0", "0"),  # exit 3: entries not positive
+    ("genlaw", "float.json"),  # exit 2: a spec entry that is not an integer
     ("graver", "wide.mat", "--budget-elems", "1"),  # exit 4: budget
 ]
 
@@ -159,6 +163,8 @@ GOLDEN = {
     'reconstruct exampleE.mat --format json': [0, 'cc261a14d49eba637d2901e02362c2c5523ce5cd5a4fd8b5dfbf1eb05ac7204f'],
     'complex 4 5 6 --format text': [0, 'bdf27017f29d4f758bd249fb1ef8dcd70ceab10f131c7f8c7d65a575b7305967'],
     'complex 4 5 6 --format json': [0, '633b111afb7841107dcb3fc1898a292abeeaa405448045b454a67b63102142b4'],
+    'complex 4 5 6 --verify --format text': [0, 'bdf27017f29d4f758bd249fb1ef8dcd70ceab10f131c7f8c7d65a575b7305967'],
+    'complex 4 5 6 --verify --format json': [0, 'f84e0c30ff1bcd0b91034f71b19c96e34c0133ec4d5bdbb56334e18419a3c6e1'],
     'complex 24 40 41 60 80 --verify --format text': [0, '48f365a7a58af746eeb353744b53de2b67c6a5b9ab173d82470d5f23a4a56fbf'],
     'complex 24 40 41 60 80 --verify --format json': [0, 'eb329a45462b5d742ac24655e1bed8ee433599517ec3c435d82d9baa6f0fe7f0'],
     'classify3 6 10 15 --format text': [0, 'a84acb7941c73184b800e11fb5619e78eecef45e6ba77975d66c0f8d56c75ff1'],
@@ -194,6 +200,7 @@ GOLDEN = {
     'lambda 4 5 6 --omega 7 --format json': [3, '3a7dfa322478e917179ab137b915ff201a2a05d2ce5261475f7906794d93e066'],
     'lambda 4 5 6 --omega x --format json': [2, '6d2cfc6d89d191c04dae6d0737c68def23af36bdabc23e33550fbe3debcbeb2f'],
     'complex 0 0 0 --format json': [3, '5e2b36f4424fb6b9f19ae907947c7f7a6a6c552bfd5ee9f0e95a9b6822f6706f'],
+    'genlaw float.json --format json': [2, 'e0769ead5e08841a51d5eadf409c5f5b0c3b2508fb83bbc1c79fc23ee71aaa8b'],
     'graver wide.mat --budget-elems 1 --format json': [4, '74c6a4f6178a6135ed4ed303ba15bbcbaa8e25d744bd108df50a635ac96cf4c5'],
     '--help': [0, '193cba7485a08cfdc24da747a581d7a7195d6911f83fa96de576d16de4161592'],
     'graver --help': [0, '9fbb1caf6871d9c4aceaf8a8d2868c3be592f1c19c71f5589010cc4eae66a8d6'],

@@ -1,17 +1,18 @@
-"""ConformalIndex, the one conformal-dominance test, on both of its stacks.
+"""ConformalIndex, the one conformal-dominance test, on Python ints alone.
 
 Every operation has one code path. `below`, `find` and `dominators` read
-threshold bitsets on Python ints. The numpy stack, which only `pair_sums`
-builds and reads, is int64 while entries stay far below the int64 range and
-holds exact Python ints (dtype object) otherwise. Lowering `_NP_SAFE_BOUND`
-to 1 puts every index on the object stack, and every result must stay
-identical.
+threshold bitsets. `pair_sums` reads the rows that cancel a vector off the
+same bitsets and drops repeated sums by packed integer keys, whose width
+grows with the entries. Its results are held to `_pair_sums_by_loop`, the
+plain tuple loop it replaced, on natural inputs whose entries pass 2^60:
+scalings by 2^61, Lambda(2^61+1, 2^61+3)_0, queries at 2^64 and runs whose
+entries grow past 2^8, 2^63 and 2^64.
 """
 
 from unittest import mock
 
-import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import graverkit.graver as graver_module
@@ -32,8 +33,25 @@ from graverkit.linalg import negative_part, one_norm, positive_part, sign_canoni
 from _paper import T_BIG, example_e, fresh_graver_basis
 
 
-def _pure_integer(monkeypatch):
-    monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", 1)
+def _pair_sums_by_loop(index, v, seen):
+    """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced.
+
+    Keeps the sums not yet in `seen`, a plain tuple set it adds them to, with
+    their one-norms.
+    """
+    sums = (vec_add(v, g) for g in index.vectors if any(a * b < 0 for a, b in zip(v, g)))
+    new = []
+    for s in map(sign_canonical, sums):
+        if any(s) and s not in seen:
+            seen.add(s)
+            new.append((one_norm(s), s))
+    return new
+
+
+def _by_loop(monkeypatch):
+    """Form every pair sum by `_pair_sums_by_loop`, one seen set per index."""
+    monkeypatch.setattr(ConformalIndex, "pair_sums", lambda index, v: _pair_sums_by_loop(
+        index, v, vars(index).setdefault("_loop_seen", set())))
     monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
 
 
@@ -43,46 +61,48 @@ def _robustness_results(A):
 
 
 class TestPureIntegerFallback:
-    """The exact object stack, forced by a lowered bound or reached by large inputs."""
+    """Results with pair sums formed by the plain tuple loop, and on large inputs."""
 
     def test_graver_bases_and_complex(self, monkeypatch):
         curve = IntMat.row_vector(T_BIG)
         fast = (graver_basis(example_e()), graver_basis(curve), robust_complex(T_BIG).faces)
-        _pure_integer(monkeypatch)
-        slow_complex = robust_complex(T_BIG).faces  # computes Gr(T_BIG) on this path
+        _by_loop(monkeypatch)
+        slow_complex = robust_complex(T_BIG).faces  # computes Gr(T_BIG) by the loop
         slow = (graver_basis(example_e()), graver_basis(curve), slow_complex)
-        assert not slow[0].signed_index._np_ok
         assert slow == fast
 
     def test_indispensable_set_and_certificate(self, monkeypatch):
         matrices = (example_e(), lambda_matrix([4, 5, 6], [1]).matrix)
         fast = [_robustness_results(A) for A in matrices]
         assert fast[0][1].strongly_robust and not fast[1][1].strongly_robust
-        _pure_integer(monkeypatch)
+        _by_loop(monkeypatch)
         assert [_robustness_results(A) for A in matrices] == fast
 
-    def test_guard_switches_off_partway_through_a_run(self, monkeypatch):
-        # Gr(24 40 41 60 80) has entries up to 80, its kernel basis only up to 20
-        curve = IntMat.row_vector((24, 40, 41, 60, 80))
-        fast = fresh_graver_basis(curve)
-        monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", 42)
-        flags = []
-        add = ConformalIndex.add
+    def test_key_width_grows_partway_through_a_run(self, monkeypatch):
+        # Gr(24 40 41 60 80) has entries up to 80, its kernel basis only up to 20,
+        # so the keys start 7 bits wide and widen once, to 14
+        fast = graver_basis(IntMat.row_vector(T_BIG))
+        seen, widths = set(), []
+        pair_sums = ConformalIndex.pair_sums
 
-        def recording(index, v):
-            add(index, v)
-            flags.append(index._np_ok)
+        def checked(index, v):
+            expected = _pair_sums_by_loop(index, v, seen)
+            assert pair_sums(index, v) == expected
+            widths.append(index._width)
+            return expected
 
-        monkeypatch.setattr(ConformalIndex, "add", recording)
-        assert fresh_graver_basis(curve) == fast
-        assert flags.index(False) == 396 and not any(flags[396:])
+        monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
+        assert fresh_graver_basis(IntMat.row_vector(T_BIG)) == fast
+        assert len(fast) == 266
+        grown = widths.index(14)
+        assert widths[:grown] == [7] * grown and widths[grown:] == [14] * (len(widths) - grown)
+        assert 0 < grown < len(widths)
 
     def test_natural_input_above_2_60(self):
         a, b = 2**61 + 1, 2**61 + 3
         lam = lambda_matrix([a, b], [])
         G = graver_basis(lam.matrix)
         assert G.elements == ((b, -a, -b, a),)
-        assert not G.signed_index._np_ok
         cert = is_strongly_robust(lam.matrix)
         assert cert.strongly_robust and cert.witness is None
 
@@ -101,8 +121,10 @@ def small_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_completion_identical_on_both_paths(A):
+    # packed keys against the plain tuple loop
     fast = fresh_graver_basis(A)
-    with mock.patch.object(graver_module, "_NP_SAFE_BOUND", 1):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        _by_loop(monkeypatch)
         assert fresh_graver_basis(A) == fast
 
 
@@ -117,12 +139,6 @@ def _satisfies(v, pos, neg):
     return (pos is None or _leq(positive_part(v), pos)) and (
         neg is None or _leq(negative_part(v), neg)
     )
-
-
-def _on_both_paths(check):
-    check()
-    with mock.patch.object(graver_module, "_NP_SAFE_BOUND", 1):
-        check()
 
 
 @st.composite
@@ -149,12 +165,9 @@ def test_queries_match_nested_loops(case):
         for v in vectors
     ]
 
-    def check():
-        index = ConformalIndex(n, vectors)
-        assert index.find(pos, neg, start) == first
-        assert [index.dominators(i) for i in range(len(vectors))] == dominators
-
-    _on_both_paths(check)
+    index = ConformalIndex(n, vectors)
+    assert index.find(pos, neg, start) == first
+    assert [index.dominators(i) for i in range(len(vectors))] == dominators
 
 
 @settings(max_examples=150, deadline=None)
@@ -169,51 +182,58 @@ def test_primitive_sets_match_nested_loops(case):
         )
 
     expected = frozenset(u for u in pool if primitive(u))
-
-    def check():
-        assert graver_of_set(vectors) == expected
-        for u in pool:
-            assert is_primitive_in(u, vectors) == (u in expected)
-
-    _on_both_paths(check)
-
-
-def _pair_sums_by_loop(index, v, seen):
-    """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced.
-
-    Keeps the sums not yet in `seen`, a plain tuple set it adds them to, with
-    their one-norms.
-    """
-    sums = (vec_add(v, g) for g in index.vectors if any(a * b < 0 for a, b in zip(v, g)))
-    new = []
-    for s in map(sign_canonical, sums):
-        if any(s) and s not in seen:
-            seen.add(s)
-            new.append((one_norm(s), s))
-    return new
+    assert graver_of_set(vectors) == expected
+    for u in pool:
+        assert is_primitive_in(u, vectors) == (u in expected)
 
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([1, 2**61]))
 def test_pair_sums_match_nested_loops(case, scale):
-    # scaled by 2**61 the entries leave int64 range, and the stack goes object unpatched
+    # scaled by 2**61 the entries, and the packed keys' digits, pass 2**60
     n, vectors, _, _, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
-
-    def check():
-        index = ConformalIndex(n, vectors)
-        seen = set()
-        for v in vectors:
-            assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
-            assert index._stack.dtype == (np.int64 if index._np_ok else object)
-
-    _on_both_paths(check)
+    index = ConformalIndex(n, vectors)
+    seen = set()
+    for v in vectors:
+        assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
 
 
-def test_queries_above_the_bound_against_an_int64_stack():
+@st.composite
+def growing_runs(draw):
+    """Vectors over n columns whose entries step through 0 and +-1, then
+    +-m and +-(m+1) for m = 2^8, 2^63 and 2^64; each is stored or only paired."""
+    n = draw(st.integers(1, 3))
+    steps = []
+    for m in (1, 2**8, 2**63, 2**64):
+        entry = st.sampled_from([0, 1, -1, m, -m, m + 1, -m - 1])
+        step = st.tuples(st.tuples(*[entry] * n), st.booleans())
+        steps += draw(st.lists(step, min_size=1, max_size=3))
+    return n, steps
+
+
+@settings(max_examples=100, deadline=None)
+@given(growing_runs())
+# the keys widen after sums that a re-formed sum must still meet
+@example((2, [((1, -1), True), ((-1, -1), True), ((256, 0), True)]))
+# sums with an entry of 2^9 = 512, from rows with entries 2^8
+@example((2, [((256, 1), True), ((256, -1), True), ((-256, 2), True), ((-256, -1), True)]))
+def test_pair_sums_while_the_key_width_grows(run):
+    # each stored vector is paired again after every add, so sums formed
+    # before the keys widen are formed again after it
+    n, steps = run
+    index, seen = ConformalIndex(n), set()
+    for v, stored in steps:
+        if stored:
+            index.add(v)
+        for u in index.vectors if stored else [v]:
+            assert index.pair_sums(u) == _pair_sums_by_loop(index, u, seen)
+
+
+def test_queries_and_pair_sums_at_2_64():
     vectors = [(1, -2), (3, 0), (-5, 4), (0, -7)]
     index = ConformalIndex(2, vectors)
-    huge = 2**64  # above _NP_SAFE_BOUND and above the int64 range
+    huge = 2**64  # far above every stored entry
     queries = [((huge, 0), (0, huge)), ((0, huge), (huge, 0)), ((huge, huge), None),
                (None, (huge, 1)), ((2, 2), (huge, 0))]
     for pos, neg in queries:
@@ -225,13 +245,12 @@ def test_queries_above_the_bound_against_an_int64_stack():
     seen = set()
     for v in [(huge, -huge), (-huge, 1), (1, 1), (4, -2)]:
         assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
-    assert index._np_ok and index._stack.dtype == np.int64
 
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([(1, 1), (1, 2**61), (2**61, 2**61)]), st.data())
 def test_below_matches_nested_loop(case, scales, data):
-    # scaled by 2**61 the query, or the stack and the query, leave int64 range.
+    # scaled by 2**61 the query, or the rows and the query, pass 2**60.
     # Queries and dominator counts interleave with the adds, so rows are folded
     # in one or several at a time. The three leading vectors put 2, then 0
     # (below the smallest), then 1 (between) into every g+ column, and 0, then
@@ -249,21 +268,18 @@ def test_below_matches_nested_loop(case, scales, data):
             if i >= start and _leq(positive_part(v) + negative_part(v), query)
         ]
 
-    def check():
-        index = ConformalIndex(n)
-        for k, (v, (ask, query)) in enumerate(zip(vectors, steps), start=1):
-            index.add(v)
-            if ask or k == len(vectors):
-                assert list(index.below(query, start)) == expected(k, query)
-                assert [index.dominators(i) for i in range(k)] == [
-                    len(expected(k, index.parts[i], 0)) for i in range(k)]
-
-    _on_both_paths(check)
+    index = ConformalIndex(n)
+    for k, (v, (ask, query)) in enumerate(zip(vectors, steps), start=1):
+        index.add(v)
+        if ask or k == len(vectors):
+            assert list(index.below(query, start)) == expected(k, query)
+            assert [index.dominators(i) for i in range(k)] == [
+                len(expected(k, index.parts[i], 0)) for i in range(k)]
 
 
-def test_indexes_that_only_count_dominators_build_no_numpy_stack():
+def test_indexes_that_only_count_dominators_build_no_keys():
     # face tests and primitive sets count dominators on the bitsets; only
-    # pair generation needs the numpy stack
+    # pair generation needs the packed keys
     G = graver_basis(IntMat.row_vector(T_BIG))  # computed outside the spy
     made = []
     init = ConformalIndex.__init__
@@ -277,26 +293,8 @@ def test_indexes_that_only_count_dominators_build_no_numpy_stack():
         graver_of_set(G.full_set())
         is_primitive_in(G.elements[0], G.full_set())
     assert [len(index) for index in made] == [2 * len(G)] * 3
-    assert [index._stack for index in made] == [None] * 3
+    assert [index._keys for index in made] == [[]] * 3
     for index in made:
         rows = index.parts
         assert [index.dominators(i) for i in range(len(rows))] == [
             sum(1 for r in rows if _leq(r, q)) for q in rows]
-
-
-def test_pair_sums_dedup_across_the_switch_to_exact_ints(monkeypatch):
-    # at bound 42 the stack of Gr(24 40 41 60 80) turns object partway through the run
-    monkeypatch.setattr(graver_module, "_NP_SAFE_BOUND", 42)
-    seen, stacks = set(), []
-    pair_sums = ConformalIndex.pair_sums
-
-    def checked(index, v):
-        expected = _pair_sums_by_loop(index, v, seen)
-        assert pair_sums(index, v) == expected
-        stacks.append(index._np_ok)
-        return expected
-
-    monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
-    G = fresh_graver_basis(IntMat.row_vector(T_BIG))
-    assert len(G) == 266
-    assert stacks[0] and not stacks[-1]

@@ -22,6 +22,7 @@ from graverkit.store import (
 )
 
 from _paper import EXAMPLE_E_ROWS, GEN_C_VECTORS, GEN_LAMBDAS, GEN_T
+from test_cli_golden import GOLDEN, write_inputs
 
 
 MALFORMED_ELEMENTS = [
@@ -155,31 +156,32 @@ class TestCli:
         assert child.wait(timeout=120) == 1
         assert err == b""
 
-    def numpy_loaded_after(self, *commands):
-        """Run the commands through `main` in one fresh interpreter; True iff
-        numpy was imported by the end."""
+    def test_no_command_needs_numpy(self, tmp_path):
+        # in a child where importing numpy fails, a cold completion, a complex
+        # with its lifting check, a witness search and a scan print their
+        # golden bytes
+        commands = [("graver", "exampleE.mat"), ("complex", "4", "5", "6", "--verify"),
+                    ("check-robust", "exampleE.mat"), ("search", "--s", "3", "--bound", "8")]
+        commands = [" ".join(argv + ("--format", "text")) for argv in commands]
         script = (
-            "import contextlib, io, sys\n"
+            "import contextlib, hashlib, io, json, sys\n"
+            "sys.modules['numpy'] = None  # every import of numpy raises ImportError\n"
             "from graverkit.cli import main\n"
-            f"for argv in {[list(c) for c in commands]!r}:\n"
-            "    with contextlib.redirect_stdout(io.StringIO()):\n"
-            "        assert main(argv) == 0, argv\n"
-            "print('numpy' in sys.modules)\n"
+            "digests = {}\n"
+            f"for command in {commands!r}:\n"
+            "    out = io.StringIO()\n"
+            "    with contextlib.redirect_stdout(out):\n"
+            "        code = main(command.split())\n"
+            "    digests[command] = [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]\n"
+            "print(json.dumps(digests))\n"
         )
+        write_inputs(tmp_path)
         env = {**os.environ, "PYTHONPATH": str(Path(graverkit.__file__).parents[1])}
-        child = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                               text=True, env=env, timeout=300)
+        env.pop("GRAVERKIT_CACHE_DIR", None)
+        child = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                               env=env, cwd=tmp_path, timeout=300)
         assert child.returncode == 0, child.stderr
-        return {"True\n": True, "False\n": False}[child.stdout]
-
-    def test_only_pair_generation_imports_numpy(self, tmp_path):
-        # numpy takes most of the CLI's start-up; only a completion needs it
-        matrix = str(Path(__file__).parents[1] / "data" / "exampleE.mat")
-        cache = ["--cache-dir", str(tmp_path / "c")]
-        assert self.numpy_loaded_after(["graver", matrix, *cache])
-        assert not self.numpy_loaded_after(
-            ["bouquets", matrix], ["circuits", matrix], ["reconstruct", matrix],
-            ["check-robust", matrix, *cache])
+        assert json.loads(child.stdout) == {command: GOLDEN[command] for command in commands}
 
     def test_complex_command(self, capsys):
         code, out = self.run(capsys, "complex", "4", "5", "6")
