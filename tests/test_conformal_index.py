@@ -78,25 +78,26 @@ class TestPureIntegerFallback:
         _by_loop(monkeypatch)
         assert [_robustness_results(A) for A in matrices] == fast
 
-    def test_key_width_grows_partway_through_a_run(self, monkeypatch):
-        # Gr(24 40 41 60 80) has entries up to 80, its kernel basis only up to 20,
-        # so the keys start 7 bits wide and widen once, to 14
-        fast = graver_basis(IntMat.row_vector(T_BIG))
-        seen, widths = set(), []
+    def test_guard_switches_off_partway_through_a_run(self, monkeypatch):
+        # the packed keys of width W are injective only while every entry is
+        # below 2^(W-1). Gr(24 40 41 60 80) has entries up to 80, its kernel
+        # basis only up to 20, so the 7-bit keys' guard fails partway through
+        # the run and the keys are rebuilt 14 bits wide
+        curve = IntMat.row_vector(T_BIG)
+        fast = fresh_graver_basis(curve)
+        widths = []
         pair_sums = ConformalIndex.pair_sums
 
-        def checked(index, v):
-            expected = _pair_sums_by_loop(index, v, seen)
-            assert pair_sums(index, v) == expected
+        def recording(index, v):
+            sums = pair_sums(index, v)
             widths.append(index._width)
-            return expected
+            return sums
 
-        monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
-        assert fresh_graver_basis(IntMat.row_vector(T_BIG)) == fast
-        assert len(fast) == 266
+        monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
+        assert fresh_graver_basis(curve) == fast
         grown = widths.index(14)
-        assert widths[:grown] == [7] * grown and widths[grown:] == [14] * (len(widths) - grown)
         assert 0 < grown < len(widths)
+        assert widths[:grown] == [7] * grown and widths[grown:] == [14] * (len(widths) - grown)
 
     def test_natural_input_above_2_60(self):
         a, b = 2**61 + 1, 2**61 + 3
@@ -197,6 +198,25 @@ def test_pair_sums_match_nested_loops(case, scale):
     seen = set()
     for v in vectors:
         assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
+
+
+def test_pair_sums_dedup_across_the_switch_to_exact_ints(monkeypatch):
+    # the keys are exact Python ints at every width; the switch this run
+    # crosses is the one from 7-bit to 14-bit keys, and every call on either
+    # side of it must drop the same repeats as the tuple loop
+    seen, widths = set(), []
+    pair_sums = ConformalIndex.pair_sums
+
+    def checked(index, v):
+        expected = _pair_sums_by_loop(index, v, seen)
+        assert pair_sums(index, v) == expected
+        widths.append(index._width)
+        return expected
+
+    monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
+    G = fresh_graver_basis(IntMat.row_vector(T_BIG))
+    assert len(G) == 266
+    assert widths[0] == 7 and widths[-1] == 14
 
 
 @st.composite
