@@ -244,10 +244,15 @@ def cmd_genlaw(args) -> Output:
         raw = json.loads(Path(args.spec).read_text())
         T = tuple(raw["T"])
         c_vectors = tuple(tuple(c) for c in raw["c"])
-        lambdas = tuple(tuple(l) for l in raw["lambda"]) if raw.get("lambda") else None
+        lambdas = raw.get("lambda")  # absent or null: the default lambdas
+        if lambdas is not None:
+            if not isinstance(lambdas, list):
+                raise ValueError(f"lambda is {json.dumps(lambdas)}, not a list")
+            lambdas = tuple(tuple(l) for l in lambdas)
     except (OSError, ValueError, KeyError, TypeError) as exc:
         raise UsageError(f"cannot read spec from {args.spec}: {exc}") from exc
-    # the spec converts with int(), which truncates floats and reads booleans as 0 or 1
+    # the spec converts with operator.index, which reads booleans as 0 or 1
+    # and rejects a float without naming the entry
     entries = [(f"T[{j}]", x) for j, x in enumerate(T)]
     for key, rows in (("c", c_vectors), ("lambda", lambdas or ())):
         entries += [(f"{key}[{i}][{j}]", x)

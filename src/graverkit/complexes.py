@@ -25,8 +25,8 @@ from typing import Iterable, Sequence
 
 from .bouquet import bouquet_decomposition, d_map
 from .errors import GraverKitError, PreconditionError
-from .graver import Budget, ConformalIndex, graver_basis
-from .linalg import IntMat, IntVec, project_out, vec_neg
+from .graver import Budget, graver_basis
+from .linalg import IntMat, IntVec
 from .robustness import dispensability_witness, is_strongly_robust
 
 
@@ -225,26 +225,17 @@ def face_test_lifting(T, omega: Iterable[int], budget: Budget | None = None) -> 
 def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
     """{i} is a face iff every deleted-coordinate projection of Gr(T) is primitive.
 
-    The projected set carries both signs of every projection, matching the
-    up-to-sign semantics of the underlying Graver sets. Primitivity of x means
-    no other member v has v+ <= x+ and v- <= x-, exactly `is_primitive_in`.
+    Primitivity is among the projections of both signs of every element, as
+    Graver sets are up to sign. Distinct vectors of +/-Gr(T) project to
+    distinct vectors, as a collision would put a kernel vector supported on {i}
+    into the lattice, and T_i > 0. So u's projection is primitive iff u is the
+    only row of `signed_index` at or under u with coordinate i left free.
     """
     T = _curve_row(T)
     if not 1 <= i <= T.ncols:
         raise PreconditionError(f"index {i} out of range 1..{T.ncols}")
-    G = graver_basis(T, budget=budget)
-    index = ConformalIndex(T.ncols - 1)
-    for u in G.elements:
-        p = project_out(u, i)
-        index.add(p)
-        index.add(vec_neg(p))
-    # distinct Graver elements project to distinct vectors (a collision would
-    # put a kernel vector supported on {i} in the lattice), so the dominator
-    # count is 1 exactly for primitive projections
-    for k in range(0, len(index.vectors), 2):
-        if index.dominators(k) != 1:
-            return False
-    return True
+    index = graver_basis(T, budget=budget).signed_index
+    return all(index.dominators(k, free=i - 1) == 1 for k in range(len(index)))
 
 
 @dataclass(frozen=True)

@@ -115,7 +115,8 @@ class ConformalIndex:
     2n columns, the sorted distinct entries and, per entry, a Python int whose
     bit i is set iff row i's entry in that column is <= it. A query is one
     bisection and one `&` per column, exact at any size; `dominators` is the
-    popcount of the query by the row itself. The rows added since the last
+    popcount of the query by the row itself, optionally with one coordinate
+    left free (both its columns bounded by the largest entry). The rows added since the last
     query are folded in by the next one, a column at a time, in time linear
     in the column's distinct entries and the new rows.
 
@@ -145,6 +146,8 @@ class ConformalIndex:
         return len(self.vectors)
 
     def add(self, v: IntVec) -> None:
+        if len(v) != self.n:
+            raise ValueError(f"{v} has {len(v)} entries, not {self.n}")
         row = tuple([x if x > 0 else 0 for x in v] + [-x if x < 0 else 0 for x in v])
         self.vectors.append(v)
         self.members.add(v)
@@ -209,9 +212,13 @@ class ConformalIndex:
             pos, neg = (free if pos is None else pos), (free if neg is None else neg)
         return next(self.below(pos + neg, start), -1)
 
-    def dominators(self, idx: int) -> int:
-        """How many stored vectors are conformally <= vector idx (including itself)."""
-        return self._hits(self.parts[idx]).bit_count()
+    def dominators(self, idx: int, free: int | None = None) -> int:
+        """How many stored vectors are conformally <= vector idx (including
+        itself), leaving coordinate `free` (0-based) unbounded if given."""
+        query = list(self.parts[idx])
+        if free is not None:
+            query[free] = query[free + self.n] = self._top
+        return self._hits(query).bit_count()
 
     def pair_sums(self, v: IntVec) -> list[tuple[int, IntVec]]:
         """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
@@ -350,7 +357,8 @@ def _complete_lattice(
     return kept
 
 
-_GRAVER_MEMO: dict[tuple, GraverBasis] = {}
+_GRAVER_MEMO_SIZE = 64
+_GRAVER_MEMO: dict[tuple, GraverBasis] = {}  # at most _GRAVER_MEMO_SIZE, oldest out first
 
 
 def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
@@ -358,8 +366,8 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
 
     Raises BudgetExceededError when the completion outgrows its caps; that is
     a resource condition, reported distinctly from any mathematical failure.
-    A budget caps computation, not lookups: a basis this process has already
-    computed is returned from memory whatever the budget.
+    A budget caps computation, not lookups: a basis still in the memo (the
+    last `_GRAVER_MEMO_SIZE` computed) is returned whatever the budget.
     """
     key = (A.rows, A.ncols)
     if key in _GRAVER_MEMO:
@@ -368,6 +376,8 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     lattice = kernel_lattice(A)
     elements = _complete_lattice(lattice.vectors, A.ncols, budget)
     result = GraverBasis(n=A.ncols, elements=tuple(elements), matrix_hash=A.content_hash())
+    if len(_GRAVER_MEMO) >= _GRAVER_MEMO_SIZE:
+        del _GRAVER_MEMO[next(iter(_GRAVER_MEMO))]
     _GRAVER_MEMO[key] = result
     return result
 

@@ -12,6 +12,7 @@ decomposition alone and computes no Graver basis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -82,15 +83,16 @@ class GenLawrenceSpec:
     lambda_vectors: tuple[IntVec, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "T", tuple(int(x) for x in self.T))
+        # operator.index rejects floats rather than truncating them
+        object.__setattr__(self, "T", tuple(map(operator.index, self.T)))
         object.__setattr__(
-            self, "c_vectors", tuple(tuple(int(x) for x in c) for c in self.c_vectors)
+            self, "c_vectors", tuple(tuple(map(operator.index, c)) for c in self.c_vectors)
         )
         if self.lambda_vectors is not None:
             object.__setattr__(
                 self,
                 "lambda_vectors",
-                tuple(tuple(int(x) for x in l) for l in self.lambda_vectors),
+                tuple(tuple(map(operator.index, l)) for l in self.lambda_vectors),
             )
 
     def validate(self) -> None:

@@ -10,6 +10,7 @@ yields a basis of the *saturated* integer kernel, i.e. the full lattice
 from __future__ import annotations
 
 import hashlib
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -103,15 +104,16 @@ def project_out(u: Sequence[int], i: int) -> IntVec:
 class IntMat:
     """Immutable integer matrix with exact arithmetic.
 
-    `ncols` defaults to the length of the first row; a matrix with no rows
-    keeps the column count it is given.
+    Entries are taken through `operator.index`, so a float is rejected, not
+    truncated. `ncols` defaults to the length of the first row; a matrix with
+    no rows keeps the column count it is given.
     """
 
     rows: tuple[IntVec, ...]
     ncols: int | None = None
 
     def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
+        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
         ncols = self.ncols
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
@@ -124,7 +126,7 @@ class IntMat:
 
     @classmethod
     def from_rows(cls, rows: Iterable[Iterable[int]]) -> "IntMat":
-        return cls(tuple(tuple(int(e) for e in row) for row in rows))
+        return cls(tuple(map(tuple, rows)))
 
     @classmethod
     def row_vector(cls, entries: Iterable[int]) -> "IntMat":

@@ -20,12 +20,29 @@ from graverkit import (
     semigroup_min_multiple,
 )
 from graverkit.complexes import _curve_row, _lifting_decomposition
+from graverkit.graver import ConformalIndex
+from graverkit.linalg import project_out, vec_neg
 
 from _paper import CLASSIFICATION_TABLE
 
 
 def T(*entries):
     return IntMat.row_vector(entries)
+
+
+def reference_face_test(T, i):
+    """{i} is a face iff every projection of +/-Gr(T), coordinate i deleted, is
+    the only vector at or under itself in a second index of the projections.
+
+    This is the earlier projected-copy route, kept as the reference
+    `face_test_projection` is held to.
+    """
+    index = ConformalIndex(T.ncols - 1)
+    for u in graver_basis(T).elements:
+        p = project_out(u, i)
+        index.add(p)
+        index.add(vec_neg(p))
+    return all(index.dominators(k) == 1 for k in range(0, len(index), 2))
 
 
 class TestLambdaMatrix:
@@ -143,6 +160,34 @@ class TestFaceTests:
                 assert face_test_projection(Tm, i) == face_test_lifting(Tm, {i}), (entries, i)
 
 
+class TestFaceTestAgainstReference:
+    @staticmethod
+    def _faces(curves):
+        """How many of the curves' singletons are faces; asserts both tests agree."""
+        faces = 0
+        for entries in curves:
+            Tm = T(*entries)
+            for i in range(1, len(entries) + 1):
+                fast = face_test_projection(Tm, i)
+                assert fast == reference_face_test(Tm, i), (entries, i)
+                faces += fast
+        return faces
+
+    def test_every_small_s3_curve(self):
+        curves = [e for e in itertools.product(range(1, 13), repeat=3) if math.gcd(*e) == 1]
+        assert 0 < self._faces(curves) < len(curves)
+
+    @pytest.mark.parametrize("s, top, count", [(4, 24, 100), (5, 20, 40)])
+    def test_sampled_curves(self, s, top, count):
+        rng = random.Random(1000 + s)
+        curves = []
+        for _ in range(count):
+            entries = [rng.randint(1, top) for _ in range(s)]
+            g = math.gcd(*entries)
+            curves.append(tuple(x // g for x in entries))
+        assert 0 < self._faces(curves) < count
+
+
 class TestSOmega:
     def test_empty_face_keeps_whole_graver(self):
         G = graver_basis(T(4, 5, 6)).as_set()
@@ -220,6 +265,11 @@ class TestRobustComplex:
     def test_s2_rejected(self):
         with pytest.raises(PreconditionError):
             robust_complex([2, 3])
+
+    def test_float_entries_rejected_not_truncated(self):
+        # a truncating conversion would answer for (4, 5, 6)
+        with pytest.raises(TypeError):
+            robust_complex([4.9, 5, 6])
 
     def test_zero_row_rejected(self):
         # the gcd of an all-zero row is 0; the check must come before the division

@@ -297,10 +297,24 @@ def test_below_matches_nested_loop(case, scales, data):
                 len(expected(k, index.parts[i], 0)) for i in range(k)]
 
 
+@settings(max_examples=150, deadline=None)
+@given(vector_sets())
+def test_dominators_with_a_free_coordinate_match_nested_loop(case):
+    # leaving coordinate c free drops the columns c (g+) and c + n (g-)
+    n, vectors, _, _, _ = case
+    index = ConformalIndex(n, vectors)
+    for c in range(n):
+        rows = [[x for j, x in enumerate(r) if j % n != c] for r in index.parts]
+        assert [index.dominators(i, free=c) for i in range(len(rows))] == [
+            sum(1 for r in rows if _leq(r, q)) for q in rows]
+
+
 def test_indexes_that_only_count_dominators_build_no_keys():
-    # face tests and primitive sets count dominators on the bitsets; only
-    # pair generation needs the packed keys
+    # face tests read the basis's own signed index and primitive sets build
+    # one each; all count dominators on the bitsets, and only pair generation
+    # needs the packed keys
     G = graver_basis(IntMat.row_vector(T_BIG))  # computed outside the spy
+    signed = G.signed_index
     made = []
     init = ConformalIndex.__init__
 
@@ -309,12 +323,14 @@ def test_indexes_that_only_count_dominators_build_no_keys():
         made.append(index)
 
     with mock.patch.object(ConformalIndex, "__init__", spying):
-        face_test_projection(T_BIG, 1)
+        for i in range(1, len(T_BIG) + 1):
+            face_test_projection(T_BIG, i)
+        assert made == []
         graver_of_set(G.full_set())
         is_primitive_in(G.elements[0], G.full_set())
-    assert [len(index) for index in made] == [2 * len(G)] * 3
-    assert [index._keys for index in made] == [[]] * 3
-    for index in made:
+    assert [len(index) for index in made] == [2 * len(G)] * 2
+    assert [index._keys for index in (signed, *made)] == [[]] * 3
+    for index in (signed, *made):
         rows = index.parts
         assert [index.dominators(i) for i in range(len(rows))] == [
             sum(1 for r in rows if _leq(r, q)) for q in rows]

@@ -253,6 +253,24 @@ class TestGraverBasis:
         assert len(G) == 9
         assert graver_basis(A, budget=Budget(max_candidates=1)) is G
 
+    def test_memo_keeps_the_latest_bases(self, monkeypatch):
+        # first in, first out: a hit neither copies nor reorders, and an
+        # evicted basis is computed again, equal to the one it replaces
+        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        memo, cap = graver_module._GRAVER_MEMO, graver_module._GRAVER_MEMO_SIZE
+        curves = [T(2, 3, k) for k in range(4, 4 + cap + 3)]
+        first = graver_basis(curves[0])
+        for A in curves[1:]:
+            graver_basis(A)
+            assert len(memo) <= cap
+        keys = [(A.rows, A.ncols) for A in curves[-cap:]]
+        assert list(memo) == keys
+        assert graver_basis(curves[-cap]) is memo[keys[0]]
+        assert list(memo) == keys
+        again = graver_basis(curves[0])
+        assert again == first and again is not first
+        assert list(memo) == keys[1:] + [(curves[0].rows, curves[0].ncols)]
+
     def test_time_budget_raises_in_minimality_filter(self, monkeypatch):
         # the clock stands still until the minimality filter counts its first dominators
         counted = []
@@ -280,6 +298,15 @@ class TestPrimitiveSets:
     def test_membership_required(self):
         with pytest.raises(PreconditionError):
             is_primitive_in((3, 0), {(1, 0)})
+
+    def test_mixed_lengths_rejected(self):
+        # zip would truncate the longer vectors to the shorter ones' columns
+        with pytest.raises(ValueError):
+            graver_of_set([(1, 2), (1, 2, 3), (0, 1, 0)])
+        with pytest.raises(ValueError):
+            is_primitive_in((1, 2, 3), [(1, 2), (1, 2, 3)])
+        with pytest.raises(ValueError):
+            is_primitive_in((1, 2), [(1, 2), (1, 2, 3)])
 
     def test_graver_of_set_basics(self):
         assert graver_of_set([]) == frozenset()

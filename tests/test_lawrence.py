@@ -166,6 +166,14 @@ class TestBuild:
                 T=(4, 5), c_vectors=((1, -1), (1,)), lambda_vectors=((1, 1), (1,))
             ).validate()
 
+    def test_float_entries_rejected_not_truncated(self):
+        for fields in ({"T": (4.9, 5, 6), "c_vectors": ((1, -1),) * 3},
+                       {"T": (4, 5, 6), "c_vectors": ((1, -1), (1, 2.5), (1, -3))},
+                       {"T": (4, 5, 6), "c_vectors": ((1, -1),) * 3,
+                        "lambda_vectors": ((1, 0.0),) * 3}):
+            with pytest.raises(TypeError):
+                GenLawrenceSpec(**fields)
+
     def test_lambda_identity_enforced(self):
         spec = GenLawrenceSpec(
             T=GEN_T, c_vectors=GEN_C_VECTORS,

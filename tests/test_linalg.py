@@ -105,6 +105,13 @@ class TestIntMat:
         with pytest.raises(ValueError):
             IntMat.from_rows([[1, 2], [3]])
 
+    def test_floats_rejected_not_truncated(self):
+        for make in (lambda: IntMat.from_rows([[4.9, 5, 6]]), lambda: IntMat([[1, 2.0]]),
+                     lambda: IntMat.row_vector([4.9, 5, 6])):
+            with pytest.raises(TypeError):
+                make()
+        assert IntMat.from_rows([[True, 2]]) == IntMat.from_rows([[1, 2]])
+
     def test_zero_rows_keep_the_column_count(self):
         A = IntMat.parse("0 3\n")
         assert (A.nrows, A.ncols) == (0, 3)

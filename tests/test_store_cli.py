@@ -382,6 +382,31 @@ class TestCli:
         assert code == 0
         assert json.loads(out)["strongly_robust"] is True
 
+    @pytest.mark.parametrize("lam", [None, False, 0, "", {}, "x", {"a": [1]}, [], "absent"],
+                             ids=["null", "false", "zero", "empty-string", "empty-object",
+                                  "string", "object", "empty-list", "absent"])
+    def test_genlaw_lambda_must_be_a_list_or_absent(self, capsys, tmp_path, lam):
+        # absent or null keeps the default lambdas; any other value that is
+        # not a list is a usage error naming lambda; [] is a list, which the
+        # spec rejects for having no lambda vector per c vector
+        spec = {"T": [4, 5, 6], "c": [[1, -1], [1, -1], [1, -1]]}
+        if lam != "absent":
+            spec["lambda"] = lam
+        spec_path = tmp_path / "spec.json"
+        spec_path.write_text(json.dumps(spec))
+        code, out = self.run(capsys, "genlaw", str(spec_path), "--skip-hypothesis",
+                             "--format", "json")
+        payload = json.loads(out)
+        if lam in (None, "absent"):
+            assert code == 0 and payload["q"] == 6
+        elif lam == []:
+            assert code == 3
+            assert payload["error"]["message"] == "one lambda vector per c vector is required"
+        else:
+            assert code == 2
+            assert payload["error"]["type"] == "UsageError"
+            assert "lambda is " in payload["error"]["message"]
+
     def test_search_sampled(self, capsys):
         code, out = self.run(capsys, "search", "--s", "4", "--bound", "12",
                              "--samples", "5", "--seed", "3", "--format", "json")
