@@ -11,6 +11,7 @@ bouquet-ideal matrix with the kernel of the original matrix.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import PreconditionError
@@ -99,24 +100,37 @@ def gale_rows(A: IntMat) -> tuple[IntVec, ...]:
     )
 
 
-def bouquet_decomposition(A: IntMat, _gale: tuple[IntVec, ...] | None = None) -> BouquetDecomposition:
-    # _gale injects alternative kernel-basis coordinates; the result must not
-    # depend on that choice (basis invariance, exercised by the tests)
-    n = A.ncols
-    rows = gale_rows(A) if _gale is None else _gale
-    # nonzero rows are parallel iff their primitive sign-canonical forms agree;
-    # columns are visited in order, so every group is ascending from its anchor
+def group_gale_rows(rows: tuple[IntVec, ...]) -> tuple[list[int], list[list[int]]]:
+    """The free columns (zero Gale rows) and the bouquets of the others, 0-based.
+
+    Nonzero rows are parallel iff their primitive sign-canonical forms agree;
+    columns are visited in order, so every group is ascending from its anchor.
+    """
     free: list[int] = []
     groups: dict[IntVec, list[int]] = {}
-    for j in range(n):
-        if not any(rows[j]):
+    for j, row in enumerate(rows):
+        if not any(row):
             free.append(j)
             continue
-        g = math.gcd(*rows[j])
-        groups.setdefault(sign_canonical([x // g for x in rows[j]]), []).append(j)
+        g = math.gcd(*row)
+        groups.setdefault(sign_canonical([x // g for x in row]), []).append(j)
+    return free, list(groups.values())
+
+
+def simple_gale(rows: tuple[IntVec, ...]) -> bool:
+    """True iff Gale rows `rows` are nonzero and pairwise non-parallel (A is simple)."""
+    free, groups = group_gale_rows(rows)
+    return not free and len(groups) == len(rows)
+
+
+def bouquet_decomposition(A: IntMat, _gale: tuple[IntVec, ...] | None = None) -> BouquetDecomposition:
+    # _gale supplies the Gale rows of any kernel basis; the result must not
+    # depend on that choice (basis invariance, exercised by the tests)
+    rows = gale_rows(A) if _gale is None else _gale
+    free, groups = group_gale_rows(rows)
 
     with_columns = []
-    for members in groups.values():
+    for members in groups:
         # a coordinate nonzero on every member row exists because the rows
         # are pairwise parallel and all nonzero
         width = len(rows[members[0]])
@@ -165,7 +179,7 @@ def d_map(dec: BouquetDecomposition, u) -> IntVec:
 
     u must live in Ker_Z(A_B); the image lies in Ker_Z(A).
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(map(operator.index, u))
     if len(u) != dec.num_bouquets:
         raise PreconditionError(
             f"expected a vector of length {dec.num_bouquets} (one per non-free bouquet)"

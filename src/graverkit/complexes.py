@@ -4,8 +4,9 @@ A subset w of {1..s} is a face exactly when the lifted matrix Lambda(T)_w has
 a strongly robust toric ideal. For monomial curves the complex is {0} or
 {0,{i}} for a single i, and the singleton faces admit a fast test: {i} is a
 face iff every projection of a Graver element (delete coordinate i) stays
-primitive among all such projections. The expensive lifting route is kept as
-an independent cross-check.
+primitive among all such projections. The lifting route, a semiconformal
+witness search on Gr(Lambda(T)_w) = D(Gr(T)), is kept as a cross-check of
+that decision; both read the one completion of T.
 
 Delta_T is defined only for a simple toric ideal I_T. A row T with positive
 entries is simple exactly when s >= 3 (see `_curve_row`), so the entry points
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -55,7 +57,7 @@ def lambda_matrix(T, omega: Iterable[int]) -> LambdaMatrix:
     s = T.ncols
     if s < 2:
         raise PreconditionError("lifting needs at least two columns")
-    omega = frozenset(int(i) for i in omega)
+    omega = frozenset(map(operator.index, omega))
     if not omega <= set(range(1, s + 1)):
         raise PreconditionError(f"omega {sorted(omega)} is not a subset of 1..{s}")
     keep = [j for j in range(1, s + 1) if j not in omega]
@@ -94,7 +96,7 @@ class CurveClassification:
 def degree_t(T, u: Sequence[int]) -> int:
     """T-degree of the monomial x^u: the dot product T . u for u >= 0."""
     T = _as_row(T)
-    u = tuple(int(x) for x in u)
+    u = tuple(map(operator.index, u))
     if len(u) != T.ncols:
         raise ValueError(f"vector length {len(u)} != {T.ncols}")
     if any(x < 0 for x in u):
@@ -192,31 +194,35 @@ def _lifting_decomposition(T: IntMat, omega: frozenset[int]):
 
 def lift_curve_vector(dec, u: Sequence[int]) -> IntVec:
     """D image of a kernel vector of T inside a lifting's ambient space."""
-    reordered = tuple(int(u[b.anchor - 1]) for b in dec.bouquets)
+    reordered = tuple(operator.index(u[b.anchor - 1]) for b in dec.bouquets)
     return d_map(dec, reordered)
 
 
 def s_omega(T, omega: Iterable[int], budget: Budget | None = None) -> frozenset[IntVec]:
-    """The elements u of Gr(T) whose image D(u) is indispensable in Lambda(T)_omega."""
+    """The elements u of Gr(T) whose image D(u) is indispensable in Lambda(T)_omega.
+
+    `graver_basis` computes Gr(Lambda(T)_omega) as D(Gr(T)) through the
+    bouquet route, so every image D(u) is a member of it and no membership
+    check is made here; the route itself is held to the engine by the tests.
+    """
     T = _curve_row(T)
-    omega = frozenset(int(i) for i in omega)
+    omega = frozenset(map(operator.index, omega))
     lam, dec = _lifting_decomposition(T, omega)
-    G_T = graver_basis(T, budget=budget)
     G_lam = graver_basis(lam.matrix, budget=budget)
-    kept = []
-    for u in G_T.elements:
-        image = lift_curve_vector(dec, u)
-        if not G_lam.contains_up_to_sign(image):
-            raise GraverKitError(
-                "D image of a Graver element is missing from the lifted Graver basis"
-            )
-        if dispensability_witness(image, G_lam) is None:
-            kept.append(u)
-    return frozenset(kept)
+    return frozenset(
+        u for u in graver_basis(T, budget=budget).elements
+        if dispensability_witness(lift_curve_vector(dec, u), G_lam) is None
+    )
 
 
 def face_test_lifting(T, omega: Iterable[int], budget: Budget | None = None) -> bool:
-    """omega is a face iff the lifted toric ideal is strongly robust."""
+    """omega is a face iff the lifted toric ideal is strongly robust.
+
+    Gr(Lambda(T)_omega) is D(Gr(T)), read off the memoized Gr(T) by the
+    bouquet route of `graver_basis`, so this test shares T's completion with
+    `face_test_projection`; what it adds is the semiconformal witness search
+    of `is_strongly_robust` on the lifted basis.
+    """
     T = _curve_row(T)
     lam = lambda_matrix(T, omega)
     return is_strongly_robust(lam.matrix, budget=budget).strongly_robust

@@ -1,9 +1,16 @@
 """Graver bases, circuits, and generalized primitive sets.
 
-The Graver basis is computed by a Pottier-style completion over the saturated
-kernel lattice: seed with a lattice basis and its negations, repeatedly form
-pairwise sums with cancellation, conformally reduce each sum to a normal form
-against the current set, and insert nonzero normal forms. At the fixpoint the
+Only simple matrices are completed. Any other matrix with a nonzero kernel is
+answered from its bouquet ideal, Gr(A) = D(Gr(A_B)) and likewise for circuits,
+where D is the kernel isomorphism of the bouquet decomposition (proof in
+`graver_basis`); Gr(A_B) is memoized under a canonical matrix, so the
+liftings of one monomial curve share that curve's completion.
+
+The Graver basis of a simple matrix is computed by a Pottier-style
+completion over the saturated kernel lattice: seed with a lattice basis and
+its negations, repeatedly form pairwise sums with cancellation, conformally
+reduce each sum to a normal form against the current set, and insert nonzero
+normal forms. At the fixpoint the
 conformally minimal elements are exactly the Graver basis. Pair generation
 pairs each new element with the stored vectors that cancel it, read off the
 index's bitsets, and drops the sums queued before by a packed integer key
@@ -25,16 +32,19 @@ import functools
 import heapq
 import itertools
 import logging
+import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from operator import gt, lshift, neg, sub
 from typing import Iterable, Iterator, Sequence
 
+from .bouquet import BouquetDecomposition, bouquet_decomposition, d_map, simple_gale
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import (
     IntMat,
     IntVec,
+    _row_hermite,
     kernel_lattice,
     negative_part,
     positive_part,
@@ -364,6 +374,28 @@ _GRAVER_MEMO: dict[tuple, GraverBasis] = {}  # at most _GRAVER_MEMO_SIZE, oldest
 def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     """Exact Graver basis of Ker_Z(A), canonical order, one element per +/- pair.
 
+    A simple A (no free column, no two parallel Gale rows) is completed by the
+    engine. Any other A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)),
+    with Gr(A_B) taken from `graver_basis` of a canonical matrix with the
+    kernel of A_B (see `_bouquet_route`), so every lifting of one curve
+    shares that curve's completion. This is exact:
+
+    - D is a lattice bijection Ker(A_B) -> Ker(A). On a bouquet B with
+      coefficients c_B (gcd 1), every Gale row is c_j * q_B for one row q_B,
+      which is integral because q_B = sum_j l_j * (c_j * q_B) for integers
+      l_j with sum_j l_j * c_j = 1. Every v in Ker(A) is the Gale matrix
+      times an integer vector x, as its columns are a lattice basis; so
+      v_j = c_j * w_B with w_B = <q_B, x> an integer, v_j = 0 on free
+      columns, and A v = A_B w; conversely A_B w = 0 gives A D(w) = 0,
+      and w_B = D(w)_anchor / c_anchor makes D injective.
+    - |D(w)_j| = |c_j| * |w_B|, with the sign of c_j * w_B. Every bouquet has
+      a member, so D(u) is conformally below D(w) iff u is below w; D thus
+      carries the conformally minimal nonzero vectors of Ker(A_B) onto those
+      of Ker(A).
+    - A_B is simple: its Gale rows are the q_B, nonzero and pairwise
+      non-parallel as the bouquets are distinct. The canonical matrix has
+      the same kernel, so the recursion is one level deep.
+
     Raises BudgetExceededError when the completion outgrows its caps; that is
     a resource condition, reported distinctly from any mathematical failure.
     A budget caps computation, not lookups: a basis still in the memo (the
@@ -372,14 +404,55 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     key = (A.rows, A.ncols)
     if key in _GRAVER_MEMO:
         return _GRAVER_MEMO[key]
-    budget = budget or DEFAULT_BUDGET
+    return _graver_basis_on_miss(A, key, budget)
+
+
+def _graver_basis_on_miss(A: IntMat, key: tuple, budget: Budget | None) -> GraverBasis:
+    # kept apart from graver_basis so that a memo hit runs in a small frame
     lattice = kernel_lattice(A)
-    elements = _complete_lattice(lattice.vectors, A.ncols, budget)
+    route = _bouquet_route(A, lattice.vectors)
+    if route is None:
+        elements = _complete_lattice(lattice.vectors, A.ncols, budget or DEFAULT_BUDGET)
+    else:
+        dec, canonical = route
+        hit = (canonical.rows, canonical.ncols) in _GRAVER_MEMO
+        G_B = graver_basis(canonical, budget)
+        log.debug("bouquet route: %d -> %d columns, Gr(A_B) %s", A.ncols, canonical.ncols,
+                  "from the memo" if hit else "computed")
+        elements = sorted(sign_canonical(d_map(dec, u)) for u in G_B.elements)
     result = GraverBasis(n=A.ncols, elements=tuple(elements), matrix_hash=A.content_hash())
     if len(_GRAVER_MEMO) >= _GRAVER_MEMO_SIZE:
         del _GRAVER_MEMO[next(iter(_GRAVER_MEMO))]
     _GRAVER_MEMO[key] = result
     return result
+
+
+def _bouquet_route(
+    A: IntMat, kernel: Sequence[IntVec]
+) -> tuple[BouquetDecomposition, IntMat] | None:
+    """A's bouquet decomposition and a canonical matrix with kernel Ker(A_B),
+    or None when A is simple or Ker(A) = 0, which the engines take directly.
+
+    `kernel` is a basis of Ker(A); its coordinates are A's Gale rows, so
+    simplicity is decided before any decomposition is built. The canonical
+    matrix holds the nonzero rows of A_B's row Hermite form, each divided by
+    its content: row operations and division keep the kernel, and every A_B
+    whose rows are multiples of one curve T (the liftings of T, generalized
+    Lawrence matrices over T) reduces to T divided by its content, its
+    entries in bouquet order.
+    """
+    rows = tuple(zip(*kernel))
+    if not rows or simple_gale(rows):
+        return None
+    dec = bouquet_decomposition(A, _gale=rows)
+    k = dec.num_bouquets
+    hermite, _ = _row_hermite([list(r) for r in dec.a_matrix.rows], k)
+    primitive = []
+    for r in hermite:
+        if any(r):
+            g = math.gcd(*r)
+            primitive.append([x // g for x in r])
+    return dec, IntMat(primitive, ncols=k)
 
 
 # ---------------------------------------------------------------------------
@@ -409,10 +482,21 @@ def graver_of_set(S: Iterable[IntVec]) -> frozenset[IntVec]:
 def circuits(A: IntMat) -> CircuitSet:
     """All circuits of A up to sign: minimal-support primitive kernel vectors.
 
-    A column subset J supports a circuit iff rank(A_J) = |J| - 1 and the
-    kernel vector of A_J has full support; the vector itself comes out of the
-    saturated rank-one kernel, hence with coprime entries.
+    A simple A is enumerated: a column subset J supports a circuit iff
+    rank(A_J) = |J| - 1 and the kernel vector of A_J has full support; the
+    vector itself comes out of the saturated rank-one kernel, hence with
+    coprime entries. Any other A with Ker(A) != 0 is answered as
+    D(circuits(A_B)), through the canonical matrix of `_bouquet_route`. With
+    D the lattice bijection of `graver_basis`, the support of D(w) is the
+    union of the bouquets B with w_B != 0, so D preserves support inclusion
+    both ways and maps the support-minimal vectors onto each other; and
+    gcd(D(w)) = gcd(w), as each c_B has gcd 1, so D(w) is primitive iff w is.
     """
+    route = _bouquet_route(A, kernel_lattice(A).vectors)
+    if route is not None:
+        dec, canonical = route
+        lifted = (sign_canonical(d_map(dec, u)) for u in circuits(canonical).elements)
+        return CircuitSet(n=A.ncols, elements=tuple(sorted(lifted)))
     n = A.ncols
     found: set[IntVec] = set()
 

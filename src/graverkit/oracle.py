@@ -22,7 +22,7 @@ in the order a separate enumeration at its own box would give.
 
 from __future__ import annotations
 
-from operator import le
+from operator import index, le
 from typing import Sequence
 
 from .errors import PreconditionError
@@ -155,7 +155,7 @@ def dispensability_witness_by_enumeration(
     v = u - w is unrestricted (it is a kernel vector automatically). Returns
     a proper witness (v, w) or None.
     """
-    u = tuple(int(x) for x in u)
+    u = tuple(map(index, u))
     if not A.in_kernel(u):
         raise PreconditionError(f"{u} is not in the kernel")
     return _witness(u, kernel_points_in_box(A, box))

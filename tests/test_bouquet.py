@@ -220,6 +220,17 @@ class TestDMap:
         with pytest.raises(PreconditionError):
             d_map(dec, (0, 0, 0))
 
+    def test_floats_rejected_not_truncated(self):
+        # (5, -4, 0) is in Ker(4 5 6); int() would accept its float copy
+        _, dec = _lifting_decomposition(IntMat.row_vector([4, 5, 6]), frozenset({2}))
+        with pytest.raises(TypeError):
+            d_map(dec, (5.0, -4.0, 0.0))
+
+    def test_lift_rejects_floats_not_truncated(self):
+        _, dec = _lifting_decomposition(IntMat.row_vector([4, 5, 6]), frozenset({2}))
+        with pytest.raises(TypeError):
+            lift_curve_vector(dec, (5.0, -4.0, 0.0))
+
     def test_graver_basis_is_d_image_of_bouquet_ideal_graver(self):
         A = example_e()
         dec = bouquet_decomposition(A)

@@ -75,6 +75,11 @@ class TestLambdaMatrix:
         with pytest.raises(PreconditionError):
             lambda_matrix([4, 5, 6], [0])
 
+    def test_float_index_rejected_not_truncated(self):
+        # int() would read 2.7 as 2
+        with pytest.raises(TypeError):
+            lambda_matrix([4, 5, 6], [2.7])
+
 
 class TestDegree:
     def test_examples(self):
@@ -85,6 +90,11 @@ class TestDegree:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             degree_t([7, 15, 20], (1, -1, 0))
+
+    def test_float_rejected_not_truncated(self):
+        # int() would read 1.9 as 1 and give 4
+        with pytest.raises(TypeError):
+            degree_t([4, 5, 6], (1.9, 0, 0))
 
 
 class TestSemigroupMinimum:
@@ -206,6 +216,10 @@ class TestSOmega:
         # {2,3}-circuit of (4,5,6) drops out at omega={1} because (4,5,6)
         # is not a complete intersection on 4
         assert (0, 6, -5) not in s_omega([4, 5, 6], [1])
+
+    def test_float_index_rejected_not_truncated(self):
+        with pytest.raises(TypeError):
+            s_omega([4, 5, 6], [1.0])
 
 
 def entry_point_calls(entries):

@@ -8,6 +8,7 @@ from unittest import mock
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import graverkit.graver as graver_module
 from graverkit import (
@@ -16,13 +17,17 @@ from graverkit import (
     IntMat,
     PreconditionError,
     assert_pointed,
+    build_gen_lawrence,
     circuits,
     graver_basis,
     graver_of_set,
     is_primitive_in,
+    is_simple,
     lambda_matrix,
+    robust_complex,
 )
-from graverkit.graver import ConformalIndex
+from graverkit.complexes import _lifting_decomposition, lift_curve_vector
+from graverkit.graver import DEFAULT_BUDGET, ConformalIndex, _complete_lattice
 from graverkit.linalg import (
     kernel_lattice,
     one_norm,
@@ -36,6 +41,7 @@ from graverkit.oracle import graver_by_enumeration
 
 from _paper import T_BIG, example_e, fresh_graver_basis, reduce_by_set
 from test_conformal_index import small_matrices
+from test_lawrence import gen_lawrence_specs
 
 
 def T(*entries):
@@ -92,7 +98,8 @@ def reference_completion(A):
 
 
 def completion_run(A):
-    """The completion index's stored vectors and the counters the run logs."""
+    """The completion index's stored vectors and the counters the run logs,
+    from the engine run on A's own kernel lattice."""
     made = []
     init = ConformalIndex.__init__
 
@@ -102,7 +109,7 @@ def completion_run(A):
 
     with mock.patch.object(ConformalIndex, "__init__", spying), \
             mock.patch.object(graver_module.log, "debug") as debug:
-        fresh_graver_basis(A)
+        _complete_lattice(kernel_lattice(A).vectors, A.ncols, DEFAULT_BUDGET)
     return made[0].vectors, debug.call_args.args[1]
 
 
@@ -329,6 +336,105 @@ class TestPrimitiveSets:
             assert (prim == frozenset(S)) is expect_all
 
 
+def reference_circuits(A):
+    """The subset enumeration `circuits` ran on every matrix before the bouquet
+    route, kept as an independent reference: J supports a circuit iff A_J has
+    a rank-one kernel whose generator has full support."""
+    n = A.ncols
+    found = {tuple(int(i == j) for i in range(n))
+             for j in range(n) if all(row[j] == 0 for row in A.rows)}
+    for k in range(2, min(A.rank() + 1, n) + 1):
+        for J in itertools.combinations(range(n), k):
+            lat = kernel_lattice(IntMat.from_rows([[row[j] for j in J] for row in A.rows]))
+            if lat.rank == 1 and all(lat.vectors[0]):
+                full = [0] * n
+                for j, x in zip(J, lat.vectors[0]):
+                    full[j] = x
+                found.add(sign_canonical(full))
+    return tuple(sorted(found))
+
+
+@st.composite
+def non_simple_candidates(draw):
+    """A small matrix with one more column: a scaled copy of one of its columns,
+    or zero, at a drawn position. About half of these are not simple."""
+    d, n = draw(st.sampled_from([(1, 2), (1, 3), (2, 3), (2, 4)]))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(d)]
+    j = draw(st.integers(0, n - 1))
+    scale = draw(st.sampled_from([0, -2, -1, 1, 2, 3]))
+    at = draw(st.integers(0, n))
+    return IntMat.from_rows([row[:at] + [scale * row[j]] + row[at:] for row in rows])
+
+
+route_inputs = (
+    gen_lawrence_specs().map(lambda spec: build_gen_lawrence(spec, check_hypothesis=False).matrix)
+    | non_simple_candidates()
+)
+
+
+class TestBouquetRoute:
+    """Gr(A) and the circuits of a non-simple A come from A_B through D."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(route_inputs)
+    def test_graver_basis_equals_the_engine_on_its_own_lattice(self, A):
+        engine = _complete_lattice(kernel_lattice(A).vectors, A.ncols, DEFAULT_BUDGET)
+        assert fresh_graver_basis(A).elements == tuple(engine)
+
+    @settings(max_examples=60, deadline=None)
+    @given(route_inputs)
+    def test_circuits_equal_the_subset_enumeration(self, A):
+        assert circuits(A).elements == reference_circuits(A)
+
+    def test_one_completion_per_verified_complex(self, monkeypatch):
+        # the five liftings Lambda(T)_{i} are read off Gr(T)
+        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        runs = []
+        engine = graver_module._complete_lattice
+
+        def counting(basis, n, budget):
+            runs.append(n)
+            return engine(basis, n, budget)
+
+        monkeypatch.setattr(graver_module, "_complete_lattice", counting)
+        assert robust_complex(T_BIG, verify=True).cross_checked
+        assert runs == [len(T_BIG)]
+
+    def test_lifting_reuses_the_curve_memo_entry(self, monkeypatch, caplog):
+        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        G_T = graver_basis(T(4, 5, 6))
+        monkeypatch.setattr(graver_module, "_complete_lattice", None)  # no second completion
+        lam = lambda_matrix([4, 5, 6], [2])
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = graver_basis(lam.matrix)
+        dec = _lifting_decomposition(T(4, 5, 6), frozenset({2}))[1]
+        assert G.elements == tuple(sorted(sign_canonical(lift_curve_vector(dec, u)) for u in G_T))
+        assert [r.getMessage() for r in caplog.records] == [
+            "bouquet route: 5 -> 3 columns, Gr(A_B) from the memo"]
+
+    def test_route_logs_a_computed_bouquet_basis(self, monkeypatch, caplog):
+        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = graver_basis(example_e())
+        messages = [r.getMessage() for r in caplog.records]
+        assert messages[0].startswith("completion: ")  # Gr(T_BIG), the one completion
+        assert messages[1:] == ["bouquet route: 11 -> 5 columns, Gr(A_B) computed"]
+        assert len(G) == 266
+        assert graver_basis(T(*T_BIG)) is graver_module._GRAVER_MEMO[((T_BIG,), 5)]
+
+    @pytest.mark.parametrize("name", ["T_BIG", "1 6 8 12 19"])
+    def test_simple_matrices_take_no_route(self, name, monkeypatch, caplog):
+        # graver_basis logs the engine's pinned counters and nothing else
+        A = CHAIN_INPUTS[name]()
+        assert is_simple(A)
+        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            graver_basis(A)
+        [record] = caplog.records
+        assert record.msg.startswith("completion:")
+        assert record.args == TestReductionChain.PINNED_COUNTERS[name]
+
+
 class TestCircuits:
     def test_4_5_6(self):
         assert circuits(T(4, 5, 6)).as_set() == {(5, -4, 0), (3, 0, -2), (0, 6, -5)}
@@ -356,8 +462,6 @@ class TestCircuits:
             assert circuits(A).as_set() <= graver_basis(A).as_set()
 
     def test_lifting_circuits_correspond_to_curve_circuits(self):
-        from graverkit.complexes import _lifting_decomposition, lift_curve_vector
-
         Tm = T(4, 5, 6)
         lam, dec = _lifting_decomposition(Tm, frozenset({2}))
         lifted = {sign_canonical(lift_curve_vector(dec, c)) for c in circuits(Tm)}
