@@ -76,13 +76,6 @@ class BouquetDecomposition:
             i + 1 for i, b in enumerate(self.bouquets) if b.kind == NON_MIXED
         )
 
-    def position_of_anchor(self, anchor: int) -> int:
-        """1-based position of the non-free bouquet anchored at a column."""
-        for i, b in enumerate(self.bouquets):
-            if b.anchor == anchor:
-                return i + 1
-        raise KeyError(f"no bouquet anchored at column {anchor}")
-
     def free_columns(self) -> tuple[int, ...]:
         return self.free_bouquet.members if self.free_bouquet else ()
 

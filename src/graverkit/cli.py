@@ -135,9 +135,10 @@ def _vector_set(payload: dict) -> Output:
 
 
 def cmd_graver(args) -> Output:
-    G = _graver_for(args, _load(args))
+    A = _load(args)
+    G = _graver_for(args, A)
     return _vector_set({"n": G.n, "count": len(G), "elements": vectors_to_json(G.elements),
-                        "matrix_hash": G.matrix_hash})
+                        "matrix_hash": A.content_hash()})
 
 
 def cmd_circuits(args) -> Output:
@@ -150,7 +151,7 @@ def cmd_indispensable(args) -> Output:
     G = _graver_for(args, A)
     S = indispensable_set(A, budget=_budget(args), G=G)
     return _vector_set({"n": S.n, "count": len(S), "elements": vectors_to_json(S.elements),
-                        "graver_size": len(G), "matrix_hash": S.matrix_hash})
+                        "graver_size": len(G), "matrix_hash": A.content_hash()})
 
 
 def cmd_bouquets(args) -> Output:
@@ -183,7 +184,7 @@ def cmd_check_robust(args) -> Output:
     A = _load(args)
     cert = is_strongly_robust(A, budget=_budget(args), G=_graver_for(args, A))
     payload = {
-        "matrix_hash": cert.matrix_hash,
+        "matrix_hash": A.content_hash(),
         "strongly_robust": cert.strongly_robust,
         "graver_size": cert.graver_size,
         "indispensable_size": cert.indispensable_size,

@@ -3,8 +3,9 @@
 Only simple matrices are completed. Any other matrix with a nonzero kernel is
 answered from its bouquet ideal, Gr(A) = D(Gr(A_B)) and likewise for circuits,
 where D is the kernel isomorphism of the bouquet decomposition (proof in
-`graver_basis`); Gr(A_B) is memoized under a canonical matrix, so the
-liftings of one monomial curve share that curve's completion.
+`graver_basis`). Completions are memoized under the canonical basis of the
+kernel lattice they complete, so every matrix with one lattice, and every
+lifting of one monomial curve, shares one completion.
 
 The Graver basis of a simple matrix is computed by a Pottier-style
 completion over the saturated kernel lattice: seed with a lattice basis and
@@ -32,7 +33,6 @@ import functools
 import heapq
 import itertools
 import logging
-import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -44,7 +44,6 @@ from .errors import BudgetExceededError, PreconditionError
 from .linalg import (
     IntMat,
     IntVec,
-    _row_hermite,
     kernel_lattice,
     negative_part,
     positive_part,
@@ -72,7 +71,6 @@ class GraverBasis:
 
     n: int
     elements: tuple[IntVec, ...]
-    matrix_hash: str
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -86,9 +84,6 @@ class GraverBasis:
     def full_set(self) -> frozenset[IntVec]:
         """Both signs of every element."""
         return frozenset(self.elements) | frozenset(vec_neg(u) for u in self.elements)
-
-    def contains_up_to_sign(self, u: Sequence[int]) -> bool:
-        return tuple(u) in self.signed_index.members
 
     @functools.cached_property
     def signed_index(self) -> ConformalIndex:
@@ -368,17 +363,24 @@ def _complete_lattice(
 
 
 _GRAVER_MEMO_SIZE = 64
-_GRAVER_MEMO: dict[tuple, GraverBasis] = {}  # at most _GRAVER_MEMO_SIZE, oldest out first
+_GRAVER_MEMO: dict[tuple, GraverBasis] = {}  # by (A.rows, A.ncols)
+_LATTICE_MEMO: dict[tuple, GraverBasis] = {}  # by (canonical kernel basis, n)
+# each holds at most _GRAVER_MEMO_SIZE entries, oldest out first
 
 
 def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     """Exact Graver basis of Ker_Z(A), canonical order, one element per +/- pair.
 
-    A simple A (no free column, no two parallel Gale rows) is completed by the
-    engine. Any other A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)),
-    with Gr(A_B) taken from `graver_basis` of a canonical matrix with the
-    kernel of A_B (see `_bouquet_route`), so every lifting of one curve
-    shares that curve's completion. This is exact:
+    Gr(A) depends only on the lattice Ker(A). A simple A (no free column, no
+    two parallel Gale rows) is completed by the engine. Any other A with
+    Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B simple. Each
+    completion is memoized under the canonical basis of the lattice it
+    completes and its width n: `kernel_lattice(X).vectors`, the rows of the
+    Hermite form of the saturated kernel, which the lattice alone
+    determines, X being A when A is simple and A_B when it is not. So every
+    matrix with that lattice, simple or not, shares one completion and one
+    `GraverBasis`: the liftings of a curve, Example E, its A_B and every
+    multiple of its curve. This is exact:
 
     - D is a lattice bijection Ker(A_B) -> Ker(A). On a bouquet B with
       coefficients c_B (gcd 1), every Gale row is c_j * q_B for one row q_B,
@@ -393,13 +395,22 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
       carries the conformally minimal nonzero vectors of Ker(A_B) onto those
       of Ker(A).
     - A_B is simple: its Gale rows are the q_B, nonzero and pairwise
-      non-parallel as the bouquets are distinct. The canonical matrix has
-      the same kernel, so the recursion is one level deep.
+      non-parallel as the bouquets are distinct. So the completed lattice
+      is always that of a simple matrix.
+    - The Graver basis is the set of conformally minimal nonzero vectors of
+      the lattice, so two matrices with one kernel lattice in Z^n have one
+      Graver basis. The key carries n because Ker = 0 has the empty basis
+      at every width.
+
+    A hit in `_GRAVER_MEMO`, keyed by A itself, is one dict lookup; a miss
+    there computes Ker(A) and probes `_LATTICE_MEMO`. Each keeps its own
+    last `_GRAVER_MEMO_SIZE` entries: one shared bound would spend two of
+    them on every simple matrix and so hold half as many matrices.
 
     Raises BudgetExceededError when the completion outgrows its caps; that is
     a resource condition, reported distinctly from any mathematical failure.
-    A budget caps computation, not lookups: a basis still in the memo (the
-    last `_GRAVER_MEMO_SIZE` computed) is returned whatever the budget.
+    A budget caps computation, not lookups: a basis still in either memo is
+    returned whatever the budget.
     """
     key = (A.rows, A.ncols)
     if key in _GRAVER_MEMO:
@@ -407,52 +418,45 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     return _graver_basis_on_miss(A, key, budget)
 
 
+def _remember(memo: dict[tuple, GraverBasis], key: tuple, basis: GraverBasis) -> None:
+    if len(memo) >= _GRAVER_MEMO_SIZE:
+        del memo[next(iter(memo))]
+    memo[key] = basis
+
+
 def _graver_basis_on_miss(A: IntMat, key: tuple, budget: Budget | None) -> GraverBasis:
     # kept apart from graver_basis so that a memo hit runs in a small frame
     lattice = kernel_lattice(A)
-    route = _bouquet_route(A, lattice.vectors)
-    if route is None:
-        elements = _complete_lattice(lattice.vectors, A.ncols, budget or DEFAULT_BUDGET)
-    else:
-        dec, canonical = route
-        hit = (canonical.rows, canonical.ncols) in _GRAVER_MEMO
-        G_B = graver_basis(canonical, budget)
-        log.debug("bouquet route: %d -> %d columns, Gr(A_B) %s", A.ncols, canonical.ncols,
+    dec = _bouquet_route(A, lattice.vectors)
+    if dec is not None:
+        lattice = kernel_lattice(dec.a_matrix)
+    lattice_key = (lattice.vectors, lattice.n)
+    result = _LATTICE_MEMO.get(lattice_key)
+    hit = result is not None
+    if not hit:
+        elements = _complete_lattice(lattice.vectors, lattice.n, budget or DEFAULT_BUDGET)
+        result = GraverBasis(n=lattice.n, elements=tuple(elements))
+        _remember(_LATTICE_MEMO, lattice_key, result)
+    if dec is not None:
+        log.debug("bouquet route: %d -> %d columns, Gr(A_B) %s", A.ncols, lattice.n,
                   "from the memo" if hit else "computed")
-        elements = sorted(sign_canonical(d_map(dec, u)) for u in G_B.elements)
-    result = GraverBasis(n=A.ncols, elements=tuple(elements), matrix_hash=A.content_hash())
-    if len(_GRAVER_MEMO) >= _GRAVER_MEMO_SIZE:
-        del _GRAVER_MEMO[next(iter(_GRAVER_MEMO))]
-    _GRAVER_MEMO[key] = result
+        lifted = sorted(sign_canonical(d_map(dec, u)) for u in result.elements)
+        result = GraverBasis(n=A.ncols, elements=tuple(lifted))
+    _remember(_GRAVER_MEMO, key, result)
     return result
 
 
-def _bouquet_route(
-    A: IntMat, kernel: Sequence[IntVec]
-) -> tuple[BouquetDecomposition, IntMat] | None:
-    """A's bouquet decomposition and a canonical matrix with kernel Ker(A_B),
-    or None when A is simple or Ker(A) = 0, which the engines take directly.
+def _bouquet_route(A: IntMat, kernel: Sequence[IntVec]) -> BouquetDecomposition | None:
+    """A's bouquet decomposition, or None when A is simple or Ker(A) = 0,
+    which the engines take directly.
 
     `kernel` is a basis of Ker(A); its coordinates are A's Gale rows, so
-    simplicity is decided before any decomposition is built. The canonical
-    matrix holds the nonzero rows of A_B's row Hermite form, each divided by
-    its content: row operations and division keep the kernel, and every A_B
-    whose rows are multiples of one curve T (the liftings of T, generalized
-    Lawrence matrices over T) reduces to T divided by its content, its
-    entries in bouquet order.
+    simplicity is decided before any decomposition is built.
     """
     rows = tuple(zip(*kernel))
     if not rows or simple_gale(rows):
         return None
-    dec = bouquet_decomposition(A, _gale=rows)
-    k = dec.num_bouquets
-    hermite, _ = _row_hermite([list(r) for r in dec.a_matrix.rows], k)
-    primitive = []
-    for r in hermite:
-        if any(r):
-            g = math.gcd(*r)
-            primitive.append([x // g for x in r])
-    return dec, IntMat(primitive, ncols=k)
+    return bouquet_decomposition(A, _gale=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -483,37 +487,23 @@ def circuits(A: IntMat) -> CircuitSet:
     """All circuits of A up to sign: minimal-support primitive kernel vectors.
 
     A simple A is enumerated: a column subset J supports a circuit iff
-    rank(A_J) = |J| - 1 and the kernel vector of A_J has full support; the
-    vector itself comes out of the saturated rank-one kernel, hence with
-    coprime entries. Any other A with Ker(A) != 0 is answered as
-    D(circuits(A_B)), through the canonical matrix of `_bouquet_route`. With
-    D the lattice bijection of `graver_basis`, the support of D(w) is the
-    union of the bouquets B with w_B != 0, so D preserves support inclusion
-    both ways and maps the support-minimal vectors onto each other; and
-    gcd(D(w)) = gcd(w), as each c_B has gcd 1, so D(w) is primitive iff w is.
+    rank(A_J) = |J| - 1 and the kernel vector of A_J has full support (a
+    zero column is a circuit on its own, |J| = 1); the vector itself comes
+    out of the saturated rank-one kernel, hence with coprime entries. Any
+    other A with Ker(A) != 0 is answered as D(circuits(A_B)), A_B being
+    simple and enumerated the same way. With D the lattice bijection of
+    `graver_basis`, the support of D(w) is the union of the bouquets B with
+    w_B != 0, so D preserves support inclusion both ways and maps the
+    support-minimal vectors onto each other; and gcd(D(w)) = gcd(w), as
+    each c_B has gcd 1, so D(w) is primitive iff w is.
     """
-    route = _bouquet_route(A, kernel_lattice(A).vectors)
-    if route is not None:
-        dec, canonical = route
-        lifted = (sign_canonical(d_map(dec, u)) for u in circuits(canonical).elements)
-        return CircuitSet(n=A.ncols, elements=tuple(sorted(lifted)))
-    n = A.ncols
+    dec = _bouquet_route(A, kernel_lattice(A).vectors)
+    X = A if dec is None else dec.a_matrix
+    n = X.ncols
     found: set[IntVec] = set()
-
-    # zero columns are circuits on their own
-    for j in range(n):
-        if all(A.rows[k][j] == 0 for k in range(A.nrows)):
-            u = [0] * n
-            u[j] = 1
-            found.add(tuple(u))
-
-    r = A.rank()
-    for k in range(2, min(r + 1, n) + 1):
+    for k in range(1, min(X.rank() + 1, n) + 1):
         for J in itertools.combinations(range(n), k):
-            sub = IntMat.from_rows(
-                [[A.rows[t][j] for j in J] for t in range(A.nrows)]
-            )
-            lat = kernel_lattice(sub)
+            lat = kernel_lattice(IntMat([[row[j] for j in J] for row in X.rows], ncols=k))
             if lat.rank != 1:
                 continue
             u = lat.vectors[0]
@@ -523,7 +513,9 @@ def circuits(A: IntMat) -> CircuitSet:
             for pos, j in enumerate(J):
                 full[j] = u[pos]
             found.add(sign_canonical(full))
-    return CircuitSet(n=n, elements=tuple(sorted(found)))
+    if dec is not None:
+        found = {sign_canonical(d_map(dec, u)) for u in found}
+    return CircuitSet(n=A.ncols, elements=tuple(sorted(found)))
 
 
 # ---------------------------------------------------------------------------

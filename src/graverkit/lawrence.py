@@ -46,7 +46,7 @@ def extended_gcd_multi(c: Sequence[int]) -> IntVec:
     Left fold of two-term extended gcds, minimal-|x| convention at each step,
     and trailing zeros once the running gcd hits 1.
     """
-    c = tuple(int(x) for x in c)
+    c = tuple(map(operator.index, c))
     if not c:
         raise PreconditionError("empty coefficient vector")
     if math.gcd(*c) != 1:

@@ -258,7 +258,7 @@ class LatticeBasis:
     def spans_same_lattice_as(self, other_vectors: Sequence[Sequence[int]]) -> bool:
         """Exact lattice equality with another generating set (same ambient n)."""
         mine = [list(v) for v in self.vectors]
-        theirs = [list(map(int, v)) for v in other_vectors]
+        theirs = [list(map(operator.index, v)) for v in other_vectors]
         a, _ = _row_hermite([row[:] for row in mine], self.n)
         b, _ = _row_hermite([row[:] for row in theirs], self.n)
         strip = lambda rows: [tuple(r) for r in rows if any(r)]

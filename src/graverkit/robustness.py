@@ -40,7 +40,6 @@ class IndispensableSet:
 
     n: int
     elements: tuple[IntVec, ...]
-    matrix_hash: str
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -54,7 +53,6 @@ class IndispensableSet:
 
 @dataclass(frozen=True)
 class RobustnessCertificate:
-    matrix_hash: str
     strongly_robust: bool
     graver_size: int
     indispensable_size: int
@@ -106,7 +104,7 @@ def indispensable_set(
     if not assert_pointed(A, G):
         raise PreconditionError("matrix is not pointed: Ker(A) meets N^n \\ {0}")
     kept = tuple(u for u in G.elements if dispensability_witness(u, G) is None)
-    return IndispensableSet(n=G.n, elements=kept, matrix_hash=G.matrix_hash)
+    return IndispensableSet(n=G.n, elements=kept)
 
 
 def is_strongly_robust(
@@ -118,7 +116,6 @@ def is_strongly_robust(
     S = indispensable_set(A, G=G).as_set()
     u = next((u for u in G.elements if u not in S), None)
     return RobustnessCertificate(
-        matrix_hash=G.matrix_hash,
         strongly_robust=u is None,
         graver_size=len(G),
         indispensable_size=len(S),

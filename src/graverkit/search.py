@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass, field
@@ -96,7 +97,7 @@ def sullivant_search(
     criterion, and two structural facts asserted: at most one vertex, and for
     s = 3 exact agreement between the vertex and the classification verdict.
     """
-    s_values = tuple(int(s) for s in s_values)
+    s_values = tuple(map(operator.index, s_values))
     for s in s_values:
         if not 3 <= s <= 6:
             raise ValueError(f"s must be within 3..6, got {s}")

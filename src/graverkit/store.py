@@ -34,8 +34,8 @@ def vectors_to_json(vectors: Iterable[IntVec]) -> list[list[int]]:
     return [list(v) for v in vectors]
 
 
-def cache_key(op: str, A: IntMat, extra: str = "") -> str:
-    payload = f"{TOOL_VERSION}|{op}|{extra}|{A.to_text()}"
+def cache_key(op: str, A: IntMat) -> str:
+    payload = f"{TOOL_VERSION}|{op}||{A.to_text()}"  # the empty field keeps existing keys
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -119,7 +119,7 @@ def cached_graver_basis(A: IntMat, cache: Cache | None, budget: Budget | None = 
     key = cache_key("graver", A)
     elements = _cached_elements(A, cache.get(key))
     if elements is not None:
-        return GraverBasis(n=A.ncols, elements=elements, matrix_hash=A.content_hash())
+        return GraverBasis(n=A.ncols, elements=elements)
     basis = graver_basis(A, budget=budget)
     listed = vectors_to_json(basis.elements)
     cache.put(key, {"n": basis.n, "elements": listed, "sha256": _digest(listed)})

@@ -1,6 +1,6 @@
 """Shared fixed data for the test suite: matrices, expected values and helpers."""
 
-from unittest import mock
+import pytest
 
 import graverkit.graver as graver_module
 from graverkit import IntMat, graver_basis
@@ -91,9 +91,16 @@ def example_e() -> IntMat:
     return IntMat.from_rows(EXAMPLE_E_ROWS)
 
 
+def empty_graver_memos(monkeypatch):
+    """Give `graver_basis` both memos empty, for as long as `monkeypatch` holds."""
+    monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+    monkeypatch.setattr(graver_module, "_LATTICE_MEMO", {})
+
+
 def fresh_graver_basis(A, budget=None):
-    """Gr(A) from a new completion; the shared memo is neither read nor written."""
-    with mock.patch.object(graver_module, "_GRAVER_MEMO", {}):
+    """Gr(A) from a new completion; the shared memos are neither read nor written."""
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        empty_graver_memos(monkeypatch)
         return graver_basis(A, budget)
 
 

@@ -238,10 +238,3 @@ class TestDMap:
         G_B = graver_basis(dec.a_matrix)
         images = {sign_canonical(d_map(dec, u)) for u in G_B.elements}
         assert images == G_A
-
-    def test_position_of_anchor(self):
-        dec = bouquet_decomposition(example_e())
-        assert dec.position_of_anchor(6) == 3
-        assert dec.position_of_anchor(4) == 4
-        with pytest.raises(KeyError):
-            dec.position_of_anchor(3)

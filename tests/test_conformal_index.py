@@ -15,7 +15,6 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-import graverkit.graver as graver_module
 from graverkit import (
     IntMat,
     face_test_projection,
@@ -30,7 +29,7 @@ from graverkit import (
 from graverkit.graver import ConformalIndex
 from graverkit.linalg import negative_part, one_norm, positive_part, sign_canonical, vec_add
 
-from _paper import T_BIG, example_e, fresh_graver_basis
+from _paper import T_BIG, empty_graver_memos, example_e, fresh_graver_basis
 
 
 def _pair_sums_by_loop(index, v, seen):
@@ -52,7 +51,7 @@ def _by_loop(monkeypatch):
     """Form every pair sum by `_pair_sums_by_loop`, one seen set per index."""
     monkeypatch.setattr(ConformalIndex, "pair_sums", lambda index, v: _pair_sums_by_loop(
         index, v, vars(index).setdefault("_loop_seen", set())))
-    monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+    empty_graver_memos(monkeypatch)
 
 
 def _robustness_results(A):

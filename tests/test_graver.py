@@ -17,6 +17,7 @@ from graverkit import (
     IntMat,
     PreconditionError,
     assert_pointed,
+    bouquet_decomposition,
     build_gen_lawrence,
     circuits,
     graver_basis,
@@ -39,7 +40,7 @@ from graverkit.linalg import (
 )
 from graverkit.oracle import graver_by_enumeration
 
-from _paper import T_BIG, example_e, fresh_graver_basis, reduce_by_set
+from _paper import T_BIG, empty_graver_memos, example_e, fresh_graver_basis, reduce_by_set
 from test_conformal_index import small_matrices
 from test_lawrence import gen_lawrence_specs
 
@@ -252,7 +253,7 @@ class TestGraverBasis:
         assert len(seeded) == 2 * kernel_lattice(A).rank
 
     def test_budget_caps_computation_not_memo_lookups(self, monkeypatch):
-        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        empty_graver_memos(monkeypatch)
         A = T(7, 15, 20)
         with pytest.raises(BudgetExceededError):
             graver_basis(A, budget=Budget(max_candidates=1))
@@ -263,7 +264,7 @@ class TestGraverBasis:
     def test_memo_keeps_the_latest_bases(self, monkeypatch):
         # first in, first out: a hit neither copies nor reorders, and an
         # evicted basis is computed again, equal to the one it replaces
-        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        empty_graver_memos(monkeypatch)
         memo, cap = graver_module._GRAVER_MEMO, graver_module._GRAVER_MEMO_SIZE
         curves = [T(2, 3, k) for k in range(4, 4 + cap + 3)]
         first = graver_basis(curves[0])
@@ -272,6 +273,7 @@ class TestGraverBasis:
             assert len(memo) <= cap
         keys = [(A.rows, A.ncols) for A in curves[-cap:]]
         assert list(memo) == keys
+        assert len(graver_module._LATTICE_MEMO) == cap
         assert graver_basis(curves[-cap]) is memo[keys[0]]
         assert list(memo) == keys
         again = graver_basis(curves[0])
@@ -386,9 +388,11 @@ class TestBouquetRoute:
     def test_circuits_equal_the_subset_enumeration(self, A):
         assert circuits(A).elements == reference_circuits(A)
 
-    def test_one_completion_per_verified_complex(self, monkeypatch):
-        # the five liftings Lambda(T)_{i} are read off Gr(T)
-        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+    @staticmethod
+    def completions(monkeypatch):
+        """Empty both memos; return the list that records the width of every
+        completion run from here on."""
+        empty_graver_memos(monkeypatch)
         runs = []
         engine = graver_module._complete_lattice
 
@@ -397,11 +401,44 @@ class TestBouquetRoute:
             return engine(basis, n, budget)
 
         monkeypatch.setattr(graver_module, "_complete_lattice", counting)
+        return runs
+
+    def test_one_completion_per_verified_complex(self, monkeypatch):
+        # the five liftings Lambda(T)_{i} are read off Gr(T)
+        runs = self.completions(monkeypatch)
         assert robust_complex(T_BIG, verify=True).cross_checked
         assert runs == [len(T_BIG)]
 
+    def test_one_completion_per_kernel_lattice(self, monkeypatch):
+        # Example E, its A_B (simple, 8x5), T_BIG and 2*T_BIG all complete Ker(T_BIG)
+        runs = self.completions(monkeypatch)
+        G_E = graver_basis(example_e())
+        shared = [graver_basis(A) for A in (bouquet_decomposition(example_e()).a_matrix,
+                                            T(*T_BIG), T(*(2 * t for t in T_BIG)))]
+        assert runs == [len(T_BIG)]
+        assert all(G is shared[0] for G in shared)  # one object, one signed_index
+        assert len(G_E) == 266 and G_E.n == 11
+
+    def test_bouquet_matrices_share_their_lattice(self, monkeypatch):
+        # one rational row space, two different content-divided Hermite forms
+        runs = self.completions(monkeypatch)
+        first = graver_basis(IntMat.from_rows([[1, 1, 2, 3, 0], [0, 2, 2, 4, 0], [0, 0, 0, 0, 1]]))
+        second = graver_basis(IntMat.from_rows([[1, 2, 3, 5, 0], [0, 1, 1, 2, 0], [0, 0, 0, 0, 1]]))
+        assert runs == [4]
+        assert first == second and first.n == 5
+
+    def test_zero_kernels_keep_their_width(self, monkeypatch):
+        runs = self.completions(monkeypatch)
+        two = graver_basis(IntMat.from_rows([[1, 0], [0, 1]]))
+        three = graver_basis(IntMat.from_rows([[1, 0, 0], [0, 1, 0], [0, 0, 1]]))
+        again = graver_basis(IntMat.from_rows([[2, 0], [0, 3]]))
+        assert runs == [2, 3]
+        assert (two.n, three.n, again.n) == (2, 3, 2)
+        assert two.elements == three.elements == ()
+        assert again is two
+
     def test_lifting_reuses_the_curve_memo_entry(self, monkeypatch, caplog):
-        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        empty_graver_memos(monkeypatch)
         G_T = graver_basis(T(4, 5, 6))
         monkeypatch.setattr(graver_module, "_complete_lattice", None)  # no second completion
         lam = lambda_matrix([4, 5, 6], [2])
@@ -413,7 +450,7 @@ class TestBouquetRoute:
             "bouquet route: 5 -> 3 columns, Gr(A_B) from the memo"]
 
     def test_route_logs_a_computed_bouquet_basis(self, monkeypatch, caplog):
-        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        empty_graver_memos(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = graver_basis(example_e())
         messages = [r.getMessage() for r in caplog.records]
@@ -427,7 +464,7 @@ class TestBouquetRoute:
         # graver_basis logs the engine's pinned counters and nothing else
         A = CHAIN_INPUTS[name]()
         assert is_simple(A)
-        monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
+        empty_graver_memos(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             graver_basis(A)
         [record] = caplog.records
@@ -451,6 +488,12 @@ class TestCircuits:
         # exercise the generic subset route via a matrix with a negative entry
         A_generic = IntMat.from_rows([[4, 5, 6], [0, 0, 0]])
         assert circuits(A_generic).as_set() == circuits(T(4, 5, 6)).as_set()
+
+    def test_zero_columns_are_circuits(self):
+        # the rank-0 loop reaches them; a 0-row A keeps its width in every sub-matrix
+        assert circuits(IntMat([], ncols=3)).elements == ((0, 0, 1), (0, 1, 0), (1, 0, 0))
+        assert circuits(IntMat.from_rows([[4, 5, 6, 0]])).elements == (
+            (0, 0, 0, 1), (0, 6, -5, 0), (3, 0, -2, 0), (5, -4, 0, 0))
 
     def test_count_for_positive_curve(self):
         for s, entries in ((3, (3, 5, 7)), (4, (4, 6, 9, 10))):

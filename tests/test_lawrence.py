@@ -120,6 +120,11 @@ class TestExtendedGcd:
         with pytest.raises(PreconditionError):
             extended_gcd_multi(())
 
+    def test_floats_rejected_not_truncated(self):
+        # truncated, (2.5, 3) would be answered as (2, 3): (-1, 1)
+        with pytest.raises(TypeError):
+            extended_gcd_multi([2.5, 3])
+
 
 class TestBuild:
     def test_printed_generator_example(self):

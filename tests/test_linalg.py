@@ -158,6 +158,13 @@ class TestKernelLattice:
         assert lat.rank == 4
         assert lat.spans_same_lattice_as(EXAMPLE_E_GALE_COLUMNS)
 
+    def test_span_rejects_float_generators(self):
+        # truncated, (1.9, -1, 0) would read as the kernel vector (1, -1, 0)
+        lat = kernel_lattice(IntMat.row_vector([1, 1, 1]))
+        assert lat.spans_same_lattice_as(list(lat.vectors) + [(1, -1, 0)])
+        with pytest.raises(TypeError):
+            lat.spans_same_lattice_as(list(lat.vectors) + [(1.9, -1, 0)])
+
     def test_full_rank_square_has_empty_kernel(self):
         lat = kernel_lattice(IntMat.from_rows([[1, 0], [0, 1]]))
         assert lat.vectors == ()

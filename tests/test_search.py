@@ -33,3 +33,11 @@ def test_every_s_is_checked_before_any_curve_is_scanned(monkeypatch):
     with pytest.raises(ValueError, match=r"^s must be within 3\.\.6, got 7$"):
         sullivant_search([3, 7], 14)
     assert scanned == []
+
+
+def test_a_float_s_is_rejected_not_truncated(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(search_module, "robust_complex", lambda T, **kwargs: scanned.append(T))
+    with pytest.raises(TypeError):
+        sullivant_search([3.7], 6)
+    assert scanned == []

@@ -69,6 +69,13 @@ class TestCache:
         assert cache_key("graver", A) != cache_key("circuits", A)
         assert cache_key("graver", A) != cache_key("graver", B)
 
+    def test_key_hashes_the_established_payload(self):
+        # existing cache directories keep hitting: the payload still has its
+        # empty third field
+        A = IntMat.row_vector([4, 5, 6])
+        payload = f"{TOOL_VERSION}|graver||1 3\n4 5 6\n"
+        assert cache_key("graver", A) == hashlib.sha256(payload.encode()).hexdigest()
+
     def test_key_version_is_the_package_version(self):
         assert TOOL_VERSION == graverkit.__version__ == "0.1.0"
 
