@@ -8,6 +8,14 @@ primitive among all such projections. The lifting route, a semiconformal
 witness search on Gr(Lambda(T)_w) = D(Gr(T)), is kept as a cross-check of
 that decision; both read the one completion of T.
 
+For s >= 4 most singletons are rejected before Gr(T) is completed: the
+zero-padded Graver bases of the 1x3 sub-curves lie in Gr(T), and two of
+their vectors in the projection test's relation already reject {i} (proof in
+`_subcurve_rejects`). A curve whose every singleton is rejected that way
+never completes Gr(T), so it never reaches Gr(T)'s budget. Each unverified
+complex is memoized per gcd-normalised T, and a memoized verdict is
+returned whatever the budget.
+
 Delta_T is defined only for a simple toric ideal I_T. A row T with positive
 entries is simple exactly when s >= 3 (see `_curve_row`), so the entry points
 check that by arithmetic instead of decomposing T into bouquets.
@@ -20,6 +28,8 @@ the least multiple of n_i lying in the numerical semigroup of the other two.
 from __future__ import annotations
 
 import enum
+import itertools
+import logging
 import math
 import operator
 from dataclasses import dataclass
@@ -27,9 +37,11 @@ from typing import Iterable, Sequence
 
 from .bouquet import bouquet_decomposition, d_map
 from .errors import GraverKitError, PreconditionError
-from .graver import Budget, graver_basis
+from .graver import Budget, ConformalIndex, _remember, graver_basis
 from .linalg import IntMat, IntVec
 from .robustness import dispensability_witness, is_strongly_robust
+
+log = logging.getLogger(__name__)
 
 
 def _as_row(T) -> IntMat:
@@ -267,18 +279,74 @@ class RobustComplex:
         return sorted([sorted(f) for f in self.faces], key=lambda f: (len(f), f))
 
 
+def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[int]:
+    """The i in 1..s whose singleton the Graver bases of T's 1x3 sub-curves reject.
+
+    The pool is +/-Gr(T_J) for every 3-subset J of the columns, each padded
+    with zeros to length s; Gr(T_J) is read through `graver_basis` on the
+    gcd-normalised T_J, which has the same kernel. i is rejected when two
+    distinct pool rows w, u have w conformally below u with coordinate i
+    left free. Every rejected {i} is rejected by `face_test_projection`:
+
+    1. The padding u' of u in Gr(T_J) lies in +/-Gr(T). u' is in Ker(T). If
+       v in Ker(T) is nonzero and conformally below u', then supp(v) lies in
+       supp(u'), inside J, so v is the padding of a nonzero vector of
+       Ker(T_J) conformally below u, which is u itself as u is minimal; so
+       v = u' and u' is conformally minimal in Ker(T).
+    2. So w and u are two distinct rows of `graver_basis(T).signed_index`,
+       which holds both signs of Gr(T), and w lies under u with coordinate i
+       free: u has at least two dominators there, which is exactly the
+       failure `face_test_projection` looks for.
+
+    The pool can only reject; a surviving i still takes the full test.
+    """
+    s = len(t)
+    pool: dict[tuple[int, ...], None] = {}
+    for J in itertools.combinations(range(s), 3):
+        g = math.gcd(*(t[j] for j in J))
+        sub = graver_basis(IntMat.row_vector(tuple(t[j] // g for j in J)), budget=budget)
+        for u in sub.elements:
+            padded = [0] * s
+            for j, x in zip(J, u):
+                padded[j] = x
+            pool[tuple(padded)] = None
+            pool[tuple(-x for x in padded)] = None
+    # rows 2k and 2k+1 are a +/- pair, and -w lies under -u exactly when w
+    # lies under u, so one sign of each pair decides
+    index = ConformalIndex(s, pool)
+    pairs = range(0, len(index), 2)
+    return {i for i in range(1, s + 1)
+            if any(index.dominators(k, free=i - 1) > 1 for k in pairs)}
+
+
+# unverified complexes by gcd-normalised T, the oldest out first
+_COMPLEX_MEMO: dict[tuple[int, ...], RobustComplex] = {}
+
+
 def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> RobustComplex:
     """Delta_T for a monomial curve: the empty face plus the passing singletons.
 
-    T is gcd-normalized first. With verify=True every singleton verdict is
+    T is gcd-normalized first. For s >= 4 the singletons that the 1x3
+    sub-curves reject (`_subcurve_rejects`) skip the projection test, and
+    when none survive Gr(T) is never completed, so such a curve never
+    reaches Gr(T)'s budget; at s = 3 the only sub-curve is T itself. The
+    result is memoized per normalised T in `_COMPLEX_MEMO`, which keeps its
+    last `_GRAVER_MEMO_SIZE` entries; a memoized complex is returned
+    whatever the budget. With verify=True neither the sub-curves nor the
+    memo are used: every singleton takes the projection test and is
     cross-checked against the Lambda(T)_{i} lifting test; a mismatch raises.
     """
     T = _curve_row(T)
-    s = T.ncols
     g = math.gcd(*T.rows[0])
-    T = IntMat.row_vector(tuple(x // g for x in T.rows[0]))
+    t = tuple(x // g for x in T.rows[0])
+    if not verify and t in _COMPLEX_MEMO:
+        return _COMPLEX_MEMO[t]
+    s = len(t)
+    T = IntMat.row_vector(t)
+    rejected = _subcurve_rejects(t, budget) if s >= 4 and not verify else set()
+    tested = [i for i in range(1, s + 1) if i not in rejected]
     faces = {frozenset()}
-    for i in range(1, s + 1):
+    for i in tested:
         fast = face_test_projection(T, i, budget=budget)
         if verify:
             slow = face_test_lifting(T, {i}, budget=budget)
@@ -288,6 +356,8 @@ def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> Rob
                 )
         if fast:
             faces.add(frozenset({i}))
-    return RobustComplex(
-        T=T.rows[0], faces=frozenset(faces), cross_checked=verify
-    )
+    log.debug("complex %s: sub-curves reject %s, face tests on %s", t, sorted(rejected), tested)
+    result = RobustComplex(T=t, faces=frozenset(faces), cross_checked=verify)
+    if not verify:
+        _remember(_COMPLEX_MEMO, t, result)
+    return result

@@ -418,10 +418,11 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     return _graver_basis_on_miss(A, key, budget)
 
 
-def _remember(memo: dict[tuple, GraverBasis], key: tuple, basis: GraverBasis) -> None:
+def _remember(memo: dict, key: tuple, value) -> None:
+    """Store value under key, first dropping the oldest entry of a full memo."""
     if len(memo) >= _GRAVER_MEMO_SIZE:
         del memo[next(iter(memo))]
-    memo[key] = basis
+    memo[key] = value
 
 
 def _graver_basis_on_miss(A: IntMat, key: tuple, budget: Budget | None) -> GraverBasis:

@@ -93,14 +93,23 @@ def sullivant_search(
 ) -> SearchReport:
     """Scan curves with s entries up to the bound; exhaustive unless sampled.
 
-    Every instance is gcd-normalized, its complex computed by the projection
-    criterion, and two structural facts asserted: at most one vertex, and for
+    Every argument is checked before any curve is scanned: each s within
+    3..6, bound >= 1 and sample_budget None or >= 1. Every instance is
+    gcd-normalized, its complex computed by the projection criterion, and
+    two structural facts asserted: at most one vertex, and for
     s = 3 exact agreement between the vertex and the classification verdict.
     """
     s_values = tuple(map(operator.index, s_values))
     for s in s_values:
         if not 3 <= s <= 6:
             raise ValueError(f"s must be within 3..6, got {s}")
+    bound = operator.index(bound)
+    if bound < 1:
+        raise ValueError(f"bound must be at least 1, got {bound}")
+    if sample_budget is not None:
+        sample_budget = operator.index(sample_budget)
+        if sample_budget < 1:
+            raise ValueError(f"sample_budget must be None or at least 1, got {sample_budget}")
     report = SearchReport(s_values=s_values, bound=bound, sample_budget=sample_budget)
     rng = random.Random(seed)
     start = time.monotonic()

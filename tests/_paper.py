@@ -2,6 +2,7 @@
 
 import pytest
 
+import graverkit.complexes as complexes_module
 import graverkit.graver as graver_module
 from graverkit import IntMat, graver_basis
 
@@ -92,9 +93,11 @@ def example_e() -> IntMat:
 
 
 def empty_graver_memos(monkeypatch):
-    """Give `graver_basis` both memos empty, for as long as `monkeypatch` holds."""
+    """Give `graver_basis` both memos, and `robust_complex` its memo, empty,
+    for as long as `monkeypatch` holds."""
     monkeypatch.setattr(graver_module, "_GRAVER_MEMO", {})
     monkeypatch.setattr(graver_module, "_LATTICE_MEMO", {})
+    monkeypatch.setattr(complexes_module, "_COMPLEX_MEMO", {})
 
 
 def fresh_graver_basis(A, budget=None):

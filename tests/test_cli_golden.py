@@ -67,6 +67,7 @@ BOTH_FORMATS = [
     ("complex", "4", "5", "6"),
     ("complex", "4", "5", "6", "--verify"),
     ("complex", "24", "40", "41", "60", "80", "--verify"),
+    ("complex", "15", "15", "29", "29", "29"),  # every singleton rejected by its sub-curves
     ("classify3", "6", "10", "15"),
     ("classify3", "4", "5", "6"),
     ("lambda", "4", "5", "6", "--omega", "2"),
@@ -85,6 +86,8 @@ BOTH_FORMATS = [
 JSON_ERRORS = [
     ("graver", "absent.mat"),  # exit 2: unreadable input
     ("search", "--s", "9", "--bound", "5"),  # exit 2: bad range
+    ("search", "--s", "4", "--bound", "0", "--samples", "3"),  # exit 2: bound below 1
+    ("search", "--s", "3", "--bound", "5", "--samples", "0"),  # exit 2: no samples
     ("check-robust", "unpointed.mat"),  # exit 3: not pointed
     ("reconstruct", "unpointed.mat"),  # exit 3: bouquet ideal not a monomial curve
     ("lambda", "4", "5", "6", "--omega", "7"),  # exit 3: omega out of range
@@ -167,6 +170,8 @@ GOLDEN = {
     'complex 4 5 6 --verify --format json': [0, 'f84e0c30ff1bcd0b91034f71b19c96e34c0133ec4d5bdbb56334e18419a3c6e1'],
     'complex 24 40 41 60 80 --verify --format text': [0, '48f365a7a58af746eeb353744b53de2b67c6a5b9ab173d82470d5f23a4a56fbf'],
     'complex 24 40 41 60 80 --verify --format json': [0, 'eb329a45462b5d742ac24655e1bed8ee433599517ec3c435d82d9baa6f0fe7f0'],
+    'complex 15 15 29 29 29 --format text': [0, '9150bd530e54defe80a020738b4c1a105f9b4ba6f09b83b8193d0e4571c82cbd'],
+    'complex 15 15 29 29 29 --format json': [0, '2f667e14a899f7b345b5337b5b5bf7750761326b429500f6d988bff5593af0cd'],
     'classify3 6 10 15 --format text': [0, 'a84acb7941c73184b800e11fb5619e78eecef45e6ba77975d66c0f8d56c75ff1'],
     'classify3 6 10 15 --format json': [0, 'c90cff2039cb1166acc7b64c946341cb82579a3e0955e7e76ea30677d0040320'],
     'classify3 4 5 6 --format text': [0, '64e2316ee5c02c90838d84ad0d938d53d46d4eef622a0fe26710dd76010ae101'],
@@ -195,6 +200,8 @@ GOLDEN = {
     'graver curve.mat --out result.out --format json': [0, '912cd1cb5dfc64e12f6fcd2c018aa81b6b4e76d487d13323db9630520cae0c6a'],
     'graver absent.mat --format json': [2, '835b7bd77a60ced2716a1f73c321ed40edb3439b19c29a41e3341209e33d1bf3'],
     'search --s 9 --bound 5 --format json': [2, '087a3225893836577dda724f3f1448a9a20d98009441ae0d86d8bb8584994be4'],
+    'search --s 4 --bound 0 --samples 3 --format json': [2, '6f979239bcd238ebcbdc360f7be04f163dc9d3e730432373ecf247252ca60ebf'],
+    'search --s 3 --bound 5 --samples 0 --format json': [2, '1afdafb70e365da493a604602d074286c45748cb2a5edde949efac2dec09f5f9'],
     'check-robust unpointed.mat --format json': [3, '3b27d6dad2a9a545ee19bb719784ea31987c926c3714363cc3522311209a3a54'],
     'reconstruct unpointed.mat --format json': [3, 'a11bd9853fd6b4abb836eea5a9620d5706fd7c9a9446c3f4ac631cc2805be487'],
     'lambda 4 5 6 --omega 7 --format json': [3, '3a7dfa322478e917179ab137b915ff201a2a05d2ce5261475f7906794d93e066'],

@@ -1,10 +1,15 @@
 import itertools
+import logging
 import math
 import random
 
 import pytest
 
+import graverkit.complexes as complexes_module
+import graverkit.graver as graver_module
 from graverkit import (
+    Budget,
+    BudgetExceededError,
     CurveKind,
     IntMat,
     PreconditionError,
@@ -19,11 +24,11 @@ from graverkit import (
     s_omega,
     semigroup_min_multiple,
 )
-from graverkit.complexes import _curve_row, _lifting_decomposition
+from graverkit.complexes import _curve_row, _lifting_decomposition, _subcurve_rejects
 from graverkit.graver import ConformalIndex
 from graverkit.linalg import project_out, vec_neg
 
-from _paper import CLASSIFICATION_TABLE
+from _paper import CLASSIFICATION_TABLE, empty_graver_memos, fresh_graver_basis
 
 
 def T(*entries):
@@ -342,3 +347,126 @@ class TestCircuitIndLemmas:
                         cls = classify_curve3([entries[i - 1], entries[j - 1], entries[k - 1]])
                         expected = cls.kind is CurveKind.CI_ON and cls.on == 1
                         assert indispensable == expected, (entries, i, j, k)
+
+
+def every_face_test(entries):
+    """Delta_T from the projection test on every singleton, no sub-curve step."""
+    Tm = T(*entries)
+    faces = {frozenset()}
+    faces.update(frozenset({i}) for i in range(1, len(entries) + 1)
+                 if face_test_projection(Tm, i))
+    return frozenset(faces)
+
+
+class TestSubcurveRejects:
+    @staticmethod
+    def _outcomes(curves):
+        """(curves with every i rejected, curves with a survivor); asserts that
+        every reject is confirmed and that the complex is the full loop's."""
+        decided = survived = 0
+        for entries in curves:
+            rejected = _subcurve_rejects(entries)
+            for i in rejected:
+                assert not face_test_projection(T(*entries), i), (entries, i)
+            assert robust_complex(entries).faces == every_face_test(entries), entries
+            if len(rejected) == len(entries):
+                decided += 1
+            else:
+                survived += 1
+        return decided, survived
+
+    def test_every_small_s4_curve(self):
+        curves = [e for e in itertools.combinations_with_replacement(range(1, 13), 4)
+                  if math.gcd(*e) == 1]
+        decided, survived = self._outcomes(curves)
+        assert decided > 0 and survived > 0
+
+    # a face is never rejected, so a curve with a vertex always has a survivor;
+    # sampled 1x6 curves rarely have one, so one with vertex 4 is added
+    @pytest.mark.parametrize("s, top, count, extra", [
+        (5, 20, 40, ()),
+        (6, 14, 8, ((2, 6, 6, 11, 16, 16),)),
+    ], ids=["s5", "s6"])
+    def test_sampled_curves(self, s, top, count, extra):
+        rng = random.Random(2000 + s)
+        curves = set(extra)
+        while len(curves) < count + len(extra):
+            entries = sorted(rng.randint(1, top) for _ in range(s))
+            g = math.gcd(*entries)
+            curves.add(tuple(x // g for x in entries))
+        decided, survived = self._outcomes(sorted(curves))
+        assert decided > 0 and survived > 0
+        assert all(robust_complex(e).vertex() == 4 for e in extra)
+
+
+class TestComplexMemo:
+    def test_repeated_complex_computes_no_graver_basis(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        calls = []
+        graver_basis_ = complexes_module.graver_basis
+
+        def counting(A, budget=None):
+            calls.append(A.rows)
+            return graver_basis_(A, budget=budget)
+
+        monkeypatch.setattr(complexes_module, "graver_basis", counting)
+        first = robust_complex([4, 6, 9, 11])
+        assert calls
+        calls.clear()
+        assert robust_complex([8, 12, 18, 22]) is first  # gcd-normalised key
+        assert calls == []
+
+    def test_memo_keeps_the_latest_complexes(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        memo, cap = complexes_module._COMPLEX_MEMO, graver_module._GRAVER_MEMO_SIZE
+        curves = [(2, 3, k) for k in range(4, 4 + cap + 3)]
+        first = robust_complex(curves[0])
+        for entries in curves[1:]:
+            robust_complex(entries)
+            assert len(memo) <= cap
+        assert list(memo) == curves[-cap:]
+        again = robust_complex(curves[0])
+        assert again == first and again is not first
+        assert list(memo) == curves[-cap + 1:] + [curves[0]]
+
+    def test_verify_after_unverified_is_cross_checked(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        plain = robust_complex([4, 5, 6, 7])
+        verified = robust_complex([4, 5, 6, 7], verify=True)
+        assert not plain.cross_checked and verified.cross_checked
+        assert verified.faces == plain.faces
+        assert robust_complex([4, 5, 6, 7]) is plain
+
+    def test_memoized_complex_ignores_the_budget(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        rc = robust_complex([24, 40, 41, 60, 80])
+        assert robust_complex([24, 40, 41, 60, 80], budget=Budget(max_candidates=1)) is rc
+
+    def test_decided_curve_completes_only_its_subcurves(self, monkeypatch):
+        # Gr(15,15,29,29,29) forms millions of sums; every i is rejected by
+        # the 1x3 sub-curves, whose lattices are the only ones completed
+        empty_graver_memos(monkeypatch)
+        runs = []
+        engine = graver_module._complete_lattice
+
+        def counting(basis, n, budget):
+            runs.append(n)
+            return engine(basis, n, budget)
+
+        monkeypatch.setattr(graver_module, "_complete_lattice", counting)
+        budget = Budget(max_candidates=10_000)
+        assert robust_complex([15, 15, 29, 29, 29], budget=budget).sorted_faces() == [[]]
+        assert runs and set(runs) == {3}
+        with pytest.raises(BudgetExceededError):
+            fresh_graver_basis(T(15, 15, 29, 29, 29), budget=budget)
+
+    def test_debug_line_per_computed_complex(self, monkeypatch, caplog):
+        empty_graver_memos(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="graverkit.complexes"):
+            robust_complex([15, 15, 29, 29, 29])
+            robust_complex([15, 15, 29, 29, 29])
+            robust_complex([4, 5, 6], verify=True)
+        assert [r.getMessage() for r in caplog.records if r.name == "graverkit.complexes"] == [
+            "complex (15, 15, 29, 29, 29): sub-curves reject [1, 2, 3, 4, 5], face tests on []",
+            "complex (4, 5, 6): sub-curves reject [], face tests on [1, 2, 3]",
+        ]

@@ -41,3 +41,25 @@ def test_a_float_s_is_rejected_not_truncated(monkeypatch):
     with pytest.raises(TypeError):
         sullivant_search([3.7], 6)
     assert scanned == []
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    (dict(bound=0), r"^bound must be at least 1, got 0$"),
+    (dict(bound=0, sample_budget=3), r"^bound must be at least 1, got 0$"),
+    (dict(bound=5, sample_budget=0), r"^sample_budget must be None or at least 1, got 0$"),
+    (dict(bound=5, sample_budget=-1), r"^sample_budget must be None or at least 1, got -1$"),
+])
+def test_bound_and_sample_budget_are_checked_before_any_curve_is_scanned(
+        monkeypatch, kwargs, message):
+    scanned = []
+    monkeypatch.setattr(search_module, "robust_complex", lambda T, **kw: scanned.append(T))
+    with pytest.raises(ValueError, match=message):
+        sullivant_search([3, 4], **kwargs)
+    assert scanned == []
+
+
+def test_sampled_1x6_curves_have_at_most_one_vertex():
+    # the paper's at-most-one-vertex claim beyond s = 5
+    report = sullivant_search([6], 20, sample_budget=30, seed=5)
+    assert report.instances == 30
+    assert report.violations == [] and report.skipped == []
