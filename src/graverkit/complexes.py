@@ -4,17 +4,17 @@ A subset w of {1..s} is a face exactly when the lifted matrix Lambda(T)_w has
 a strongly robust toric ideal. For monomial curves the complex is {0} or
 {0,{i}} for a single i, and the singleton faces admit a fast test: {i} is a
 face iff every projection of a Graver element (delete coordinate i) stays
-primitive among all such projections. The lifting route, a semiconformal
-witness search on Gr(Lambda(T)_w) = D(Gr(T)), is kept as a cross-check of
-that decision; both read the one completion of T.
+primitive among all such projections. For s >= 4 most singletons are
+rejected before Gr(T) is completed: the zero-padded Graver bases of the 1x3
+sub-curves lie in Gr(T), and two of their vectors in the projection test's
+relation already reject {i} (proof in `_subcurve_rejects`). A curve whose
+every singleton is rejected that way never reaches Gr(T)'s budget.
 
-For s >= 4 most singletons are rejected before Gr(T) is completed: the
-zero-padded Graver bases of the 1x3 sub-curves lie in Gr(T), and two of
-their vectors in the projection test's relation already reject {i} (proof in
-`_subcurve_rejects`). A curve whose every singleton is rejected that way
-never completes Gr(T), so it never reaches Gr(T)'s budget. Each unverified
-complex is memoized per gcd-normalised T, and a memoized verdict is
-returned whatever the budget.
+`robust_complex` has one compute path, memoized per gcd-normalised T, and a
+memoized verdict is returned whatever the budget. Its verify option checks
+that answer against both face tests on every singleton; the lifting test, a
+semiconformal witness search on Gr(Lambda(T)_w) = D(Gr(T)), reads the same
+completion of T as the projection test.
 
 Delta_T is defined only for a simple toric ideal I_T. A row T with positive
 entries is simple exactly when s >= 3 (see `_curve_row`), so the entry points
@@ -27,6 +27,7 @@ the least multiple of n_i lying in the numerical semigroup of the other two.
 
 from __future__ import annotations
 
+import dataclasses
 import enum
 import itertools
 import logging
@@ -35,7 +36,6 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bouquet import bouquet_decomposition, d_map
 from .errors import GraverKitError, PreconditionError
 from .graver import Budget, ConformalIndex, _remember, graver_basis
 from .linalg import IntMat, IntVec
@@ -187,44 +187,20 @@ def _curve_row(T) -> IntMat:
     return T
 
 
-def _lifting_decomposition(T: IntMat, omega: frozenset[int]):
-    """Bouquet decomposition of Lambda(T)_omega with sanity checks.
-
-    Every non-free bouquet is anchored at one of the original s columns, so a
-    kernel vector of T is carried to bouquet coordinates through the anchors
-    regardless of the decomposition's canonical bouquet order.
-    """
-    lam = lambda_matrix(T, omega)
-    dec = bouquet_decomposition(lam.matrix)
-    s = T.ncols
-    if dec.free_bouquet is not None or dec.num_bouquets != s:
-        raise GraverKitError("unexpected bouquet structure in a Lawrence lifting")
-    if {b.anchor for b in dec.bouquets} != set(range(1, s + 1)):
-        raise GraverKitError("lifting bouquets are not anchored at the original columns")
-    return lam, dec
-
-
-def lift_curve_vector(dec, u: Sequence[int]) -> IntVec:
-    """D image of a kernel vector of T inside a lifting's ambient space."""
-    reordered = tuple(operator.index(u[b.anchor - 1]) for b in dec.bouquets)
-    return d_map(dec, reordered)
-
-
 def s_omega(T, omega: Iterable[int], budget: Budget | None = None) -> frozenset[IntVec]:
-    """The elements u of Gr(T) whose image D(u) is indispensable in Lambda(T)_omega.
+    """S_omega: the u in Gr(T) whose lift D(u) is indispensable in Lambda(T)_omega.
 
-    `graver_basis` computes Gr(Lambda(T)_omega) as D(Gr(T)) through the
-    bouquet route, so every image D(u) is a member of it and no membership
-    check is made here; the route itself is held to the engine by the tests.
+    This is {v[:s] : v in G, v indispensable} for G = Gr(Lambda(T)_omega).
+    The lifting's rows are T and, for each i not in omega, e_i + e_(s+i), so
+    Ker Lambda(T)_omega = {(u, -u_i for i not in omega) : Tu = 0}, the lifts
+    D(u). So v -> v[:s] is a lattice bijection onto Ker T; it keeps the
+    conformal order, as each tail entry negates an entry of u, so it maps G
+    onto Gr(T); and it keeps the sign-canonical form, as v and v[:s] share
+    their first nonzero entry.
     """
     T = _curve_row(T)
-    omega = frozenset(map(operator.index, omega))
-    lam, dec = _lifting_decomposition(T, omega)
-    G_lam = graver_basis(lam.matrix, budget=budget)
-    return frozenset(
-        u for u in graver_basis(T, budget=budget).elements
-        if dispensability_witness(lift_curve_vector(dec, u), G_lam) is None
-    )
+    G = graver_basis(lambda_matrix(T, omega).matrix, budget=budget)
+    return frozenset(v[:T.ncols] for v in G.elements if dispensability_witness(v, G) is None)
 
 
 def face_test_lifting(T, omega: Iterable[int], budget: Budget | None = None) -> bool:
@@ -319,45 +295,50 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
             if any(index.dominators(k, free=i - 1) > 1 for k in pairs)}
 
 
-# unverified complexes by gcd-normalised T, the oldest out first
+# complexes by gcd-normalised T, the oldest out first; never cross-checked
 _COMPLEX_MEMO: dict[tuple[int, ...], RobustComplex] = {}
 
 
 def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> RobustComplex:
     """Delta_T for a monomial curve: the empty face plus the passing singletons.
 
-    T is gcd-normalized first. For s >= 4 the singletons that the 1x3
-    sub-curves reject (`_subcurve_rejects`) skip the projection test, and
-    when none survive Gr(T) is never completed, so such a curve never
-    reaches Gr(T)'s budget; at s = 3 the only sub-curve is T itself. The
-    result is memoized per normalised T in `_COMPLEX_MEMO`, which keeps its
-    last `_GRAVER_MEMO_SIZE` entries; a memoized complex is returned
-    whatever the budget. With verify=True neither the sub-curves nor the
-    memo are used: every singleton takes the projection test and is
-    cross-checked against the Lambda(T)_{i} lifting test; a mismatch raises.
+    T is gcd-normalized first. Every call reads one answer: the complex
+    memoized per normalised T in `_COMPLEX_MEMO` (its last
+    `_GRAVER_MEMO_SIZE` entries), returned whatever the budget, or on a miss
+    the one `_complex_on_miss` computes. With verify=True that answer is then
+    checked: for every i, `{i} in faces`, the projection test and the
+    Lambda(T)_{i} lifting test must agree, or GraverKitError is raised; the
+    copy marked cross_checked is returned and not memoized.
     """
     T = _curve_row(T)
     g = math.gcd(*T.rows[0])
     t = tuple(x // g for x in T.rows[0])
-    if not verify and t in _COMPLEX_MEMO:
-        return _COMPLEX_MEMO[t]
+    result = _COMPLEX_MEMO.get(t) or _complex_on_miss(t, budget)
+    if not verify:
+        return result
+    T = IntMat.row_vector(t)
+    for i in range(1, len(t) + 1):
+        listed = frozenset({i}) in result.faces
+        fast = face_test_projection(T, i, budget=budget)
+        slow = face_test_lifting(T, {i}, budget=budget)
+        if not listed == fast == slow:
+            raise GraverKitError(f"face tests disagree at i={i}: complex={listed}, "
+                                 f"projection={fast}, lifting={slow}")
+    return dataclasses.replace(result, cross_checked=True)
+
+
+def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex:
+    """Delta_T computed and memoized: for s >= 4 the singletons the 1x3
+    sub-curves reject (`_subcurve_rejects`) skip the projection test, and
+    when none survive Gr(T) is never completed, so such a curve never
+    reaches Gr(T)'s budget; at s = 3 the only sub-curve is T itself."""
     s = len(t)
     T = IntMat.row_vector(t)
-    rejected = _subcurve_rejects(t, budget) if s >= 4 and not verify else set()
+    rejected = _subcurve_rejects(t, budget) if s >= 4 else set()
     tested = [i for i in range(1, s + 1) if i not in rejected]
     faces = {frozenset()}
-    for i in tested:
-        fast = face_test_projection(T, i, budget=budget)
-        if verify:
-            slow = face_test_lifting(T, {i}, budget=budget)
-            if fast != slow:
-                raise GraverKitError(
-                    f"face tests disagree at i={i}: projection={fast}, lifting={slow}"
-                )
-        if fast:
-            faces.add(frozenset({i}))
+    faces.update(frozenset({i}) for i in tested if face_test_projection(T, i, budget=budget))
     log.debug("complex %s: sub-curves reject %s, face tests on %s", t, sorted(rejected), tested)
-    result = RobustComplex(T=t, faces=frozenset(faces), cross_checked=verify)
-    if not verify:
-        _remember(_COMPLEX_MEMO, t, result)
+    result = RobustComplex(T=t, faces=frozenset(faces))
+    _remember(_COMPLEX_MEMO, t, result)
     return result

@@ -33,6 +33,7 @@ import functools
 import heapq
 import itertools
 import logging
+import operator
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
@@ -56,18 +57,25 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource caps for one completion run."""
+    """Resource caps for one completion run; ValueError for a negative or NaN cap."""
 
     max_candidates: int = 2_000_000
     max_seconds: float = 600.0
+
+    def __post_init__(self):
+        object.__setattr__(self, "max_candidates", operator.index(self.max_candidates))
+        if self.max_candidates < 0:
+            raise ValueError(f"max_candidates must be >= 0, got {self.max_candidates}")
+        if not self.max_seconds >= 0:  # false for NaN as well
+            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
 
 
 DEFAULT_BUDGET = Budget()
 
 
 @dataclass(frozen=True)
-class GraverBasis:
-    """Canonical Graver basis: one sign-normalized representative per +/- pair."""
+class VectorSet:
+    """n and a tuple of vectors of length n; equal only to the same class."""
 
     n: int
     elements: tuple[IntVec, ...]
@@ -80,6 +88,11 @@ class GraverBasis:
 
     def as_set(self) -> frozenset[IntVec]:
         return frozenset(self.elements)
+
+
+@dataclass(frozen=True)
+class GraverBasis(VectorSet):
+    """Canonical Graver basis: one sign-normalized representative per +/- pair."""
 
     def full_set(self) -> frozenset[IntVec]:
         """Both signs of every element."""
@@ -92,18 +105,8 @@ class GraverBasis:
 
 
 @dataclass(frozen=True)
-class CircuitSet:
-    n: int
-    elements: tuple[IntVec, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def as_set(self) -> frozenset[IntVec]:
-        return frozenset(self.elements)
+class CircuitSet(VectorSet):
+    """Circuits up to sign: the minimal-support primitive kernel vectors."""
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import GraverKitError, PreconditionError
-from .graver import Budget, GraverBasis, assert_pointed, graver_basis
+from .graver import Budget, GraverBasis, VectorSet, assert_pointed, graver_basis
 from .linalg import (
     IntMat,
     IntVec,
@@ -35,20 +35,8 @@ Witness = tuple[IntVec, IntVec]
 
 
 @dataclass(frozen=True)
-class IndispensableSet:
+class IndispensableSet(VectorSet):
     """S(A): Graver elements with no proper semiconformal decomposition."""
-
-    n: int
-    elements: tuple[IntVec, ...]
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def as_set(self) -> frozenset[IntVec]:
-        return frozenset(self.elements)
 
 
 @dataclass(frozen=True)

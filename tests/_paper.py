@@ -4,7 +4,7 @@ import pytest
 
 import graverkit.complexes as complexes_module
 import graverkit.graver as graver_module
-from graverkit import IntMat, graver_basis
+from graverkit import IntMat, bouquet_decomposition, d_map, graver_basis, lambda_matrix
 
 # 8x11 matrix whose toric ideal is strongly robust with bouquet ideal the
 # monomial curve (24, 40, 41, 60, 80)
@@ -105,6 +105,25 @@ def fresh_graver_basis(A, budget=None):
     with pytest.MonkeyPatch.context() as monkeypatch:
         empty_graver_memos(monkeypatch)
         return graver_basis(A, budget)
+
+
+def lifting_decomposition(T, omega):
+    """Lambda(T)_omega and its bouquet decomposition: the D reference of the tests.
+
+    Every bouquet of a lifting is anchored at one of the s columns of T, so a
+    kernel vector of T is carried to bouquet coordinates through the anchors,
+    whatever the decomposition's canonical bouquet order.
+    """
+    lam = lambda_matrix(T, omega)
+    dec = bouquet_decomposition(lam.matrix)
+    assert dec.free_bouquet is None
+    assert sorted(b.anchor for b in dec.bouquets) == list(range(1, lam.T.ncols + 1))
+    return lam, dec
+
+
+def lift_curve_vector(dec, u):
+    """D(u) in a lifting's ambient space, u a kernel vector of T in column order."""
+    return d_map(dec, tuple(u[b.anchor - 1] for b in dec.bouquets))
 
 
 def reduce_by_set(vec, pool):

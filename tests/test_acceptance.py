@@ -26,7 +26,6 @@ from graverkit import (
     robust_complex,
 )
 from graverkit.bouquet import NON_MIXED
-from graverkit.complexes import _lifting_decomposition, lift_curve_vector
 from graverkit.linalg import sign_canonical
 from graverkit.oracle import graver_by_enumeration, indispensable_by_enumeration
 from graverkit.robustness import dispensability_witness
@@ -45,6 +44,8 @@ from _paper import (
     GEN_T,
     T_BIG,
     example_e,
+    lift_curve_vector,
+    lifting_decomposition,
 )
 
 
@@ -155,7 +156,7 @@ def test_criterion_5_structure_theorems(announce):
                 failures.append(("d", entries, omega))
         # (e) circuit indispensability pattern inside the singleton liftings
         for i in (1, 2, 3):
-            lam, dec = _lifting_decomposition(IntMat.row_vector(entries), frozenset({i}))
+            lam, dec = lifting_decomposition(IntMat.row_vector(entries), frozenset({i}))
             G_lam = graver_basis(lam.matrix)
             for j, k in itertools.combinations((1, 2, 3), 2):
                 g = math.gcd(entries[j - 1], entries[k - 1])
@@ -236,7 +237,7 @@ def test_criterion_7_lifting_structure(announce):
     failures = []
     for entries, omega in LIFTING_SAMPLE:
         T = IntMat.row_vector(entries)
-        lam, dec = _lifting_decomposition(T, frozenset(omega))
+        lam, dec = lifting_decomposition(T, frozenset(omega))
         G_T = graver_basis(T)
         G_lam = graver_basis(lam.matrix)
         images = {sign_canonical(lift_curve_vector(dec, u)) for u in G_T.elements}

@@ -95,6 +95,8 @@ JSON_ERRORS = [
     ("complex", "0", "0", "0"),  # exit 3: entries not positive
     ("genlaw", "float.json"),  # exit 2: a spec entry that is not an integer
     ("graver", "wide.mat", "--budget-elems", "1"),  # exit 4: budget
+    ("graver", "curve.mat", "--budget-elems", "-5"),  # exit 2: a negative cap
+    ("graver", "curve.mat", "--budget-secs", "nan"),  # exit 2: NaN, which caps nothing
 ]
 
 
@@ -209,6 +211,8 @@ GOLDEN = {
     'complex 0 0 0 --format json': [3, '5e2b36f4424fb6b9f19ae907947c7f7a6a6c552bfd5ee9f0e95a9b6822f6706f'],
     'genlaw float.json --format json': [2, 'e0769ead5e08841a51d5eadf409c5f5b0c3b2508fb83bbc1c79fc23ee71aaa8b'],
     'graver wide.mat --budget-elems 1 --format json': [4, '74c6a4f6178a6135ed4ed303ba15bbcbaa8e25d744bd108df50a635ac96cf4c5'],
+    'graver curve.mat --budget-elems -5 --format json': [2, '767812eb371aac6138c5da56d7fc052713908f95f66e01f9f4edda5f945cd37d'],
+    'graver curve.mat --budget-secs nan --format json': [2, '04612934061d760199e1ec1b135f1098b9e84b1e5a8146421c02df42deeba09d'],
     '--help': [0, '193cba7485a08cfdc24da747a581d7a7195d6911f83fa96de576d16de4161592'],
     'graver --help': [0, '9fbb1caf6871d9c4aceaf8a8d2868c3be592f1c19c71f5589010cc4eae66a8d6'],
     'circuits --help': [0, '7772c6841740f8c39d356c18b5b12da669bdc011024b469ce37105bd53f3d374'],

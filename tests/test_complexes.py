@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import logging
 import math
@@ -11,8 +12,10 @@ from graverkit import (
     Budget,
     BudgetExceededError,
     CurveKind,
+    GraverKitError,
     IntMat,
     PreconditionError,
+    RobustComplex,
     classify_curve3,
     degree_t,
     face_test_lifting,
@@ -24,11 +27,19 @@ from graverkit import (
     s_omega,
     semigroup_min_multiple,
 )
-from graverkit.complexes import _curve_row, _lifting_decomposition, _subcurve_rejects
+from graverkit.complexes import _curve_row, _subcurve_rejects
 from graverkit.graver import ConformalIndex
 from graverkit.linalg import project_out, vec_neg
+from graverkit.robustness import dispensability_witness
 
-from _paper import CLASSIFICATION_TABLE, empty_graver_memos, fresh_graver_basis
+from _paper import (
+    CLASSIFICATION_TABLE,
+    T_BIG,
+    empty_graver_memos,
+    fresh_graver_basis,
+    lift_curve_vector,
+    lifting_decomposition,
+)
 
 
 def T(*entries):
@@ -203,7 +214,34 @@ class TestFaceTestAgainstReference:
         assert 0 < self._faces(curves) < count
 
 
+def reference_s_omega(entries, omega):
+    """S_omega by its definition: the u in Gr(T) whose image D(u), taken through
+    the lifting's bouquet decomposition, is indispensable in Lambda(T)_omega."""
+    Tm = T(*entries)
+    lam, dec = lifting_decomposition(Tm, omega)
+    G_lam = graver_basis(lam.matrix)
+    return frozenset(u for u in graver_basis(Tm).elements
+                     if dispensability_witness(lift_curve_vector(dec, u), G_lam) is None)
+
+
 class TestSOmega:
+    def test_slice_equals_the_d_image_definition(self):
+        # unsorted curves put the lifting's bouquets out of column order
+        rng = random.Random(18)
+        cases = reordered = 0
+        for s, count in ((3, 20), (4, 30)):
+            for _ in range(count):
+                entries = [rng.randint(1, 13) for _ in range(s)]
+                for k in range(s + 1):
+                    for omega in itertools.combinations(range(1, s + 1), k):
+                        assert s_omega(entries, omega) == reference_s_omega(entries, omega), (
+                            entries, omega)
+                        _, dec = lifting_decomposition(T(*entries), omega)
+                        anchors = [b.anchor for b in dec.bouquets]
+                        reordered += anchors != sorted(anchors)
+                        cases += 1
+        assert cases == 20 * 8 + 30 * 16 and reordered > 0
+
     def test_empty_face_keeps_whole_graver(self):
         G = graver_basis(T(4, 5, 6)).as_set()
         assert s_omega([4, 5, 6], []) == G
@@ -328,14 +366,11 @@ class TestCircuitIndLemmas:
         return tuple(u)
 
     def test_lemmas_on_sample(self):
-        from graverkit.complexes import lift_curve_vector
-        from graverkit.robustness import dispensability_witness
-
         for entries in [(4, 5, 6), (3, 5, 7), (6, 10, 15), (7, 15, 20)]:
             Tm = T(*entries)
             s = len(entries)
             for i in range(1, s + 1):
-                lam, dec = _lifting_decomposition(Tm, frozenset({i}))
+                lam, dec = lifting_decomposition(Tm, frozenset({i}))
                 G_lam = graver_basis(lam.matrix)
                 for j, k in itertools.combinations(range(1, s + 1), 2):
                     image = lift_curve_vector(dec, self._circuit_of_pair(entries, j, k))
@@ -397,6 +432,34 @@ class TestSubcurveRejects:
         decided, survived = self._outcomes(sorted(curves))
         assert decided > 0 and survived > 0
         assert all(robust_complex(e).vertex() == 4 for e in extra)
+
+
+class TestVerify:
+    def test_verify_checks_the_pre_rejected_answer(self, monkeypatch):
+        # a pre-reject that also drops the true vertex 3 of T_BIG
+        empty_graver_memos(monkeypatch)
+        rejects = complexes_module._subcurve_rejects
+        monkeypatch.setattr(complexes_module, "_subcurve_rejects",
+                            lambda t, budget=None: rejects(t, budget) | {3})
+        with pytest.raises(GraverKitError,
+                           match=r"i=3: complex=False, projection=True, lifting=True"):
+            robust_complex(T_BIG, verify=True)
+
+    def test_verify_checks_a_memoized_answer(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        wrong = RobustComplex(T=(4, 5, 6), faces=frozenset({frozenset()}))
+        complexes_module._COMPLEX_MEMO[(4, 5, 6)] = wrong
+        with pytest.raises(GraverKitError, match="i=2"):
+            robust_complex([8, 10, 12], verify=True)
+        assert robust_complex([4, 5, 6]) is wrong
+
+    def test_verify_on_a_miss_memoizes_the_unverified_answer(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        verified = robust_complex([4, 5, 6, 7], verify=True)
+        stored = complexes_module._COMPLEX_MEMO[(4, 5, 6, 7)]
+        assert not stored.cross_checked
+        assert verified == dataclasses.replace(stored, cross_checked=True)
+        assert robust_complex([4, 5, 6, 7]) is stored
 
 
 class TestComplexMemo:

@@ -27,8 +27,13 @@ from graverkit import (
     lambda_matrix,
     robust_complex,
 )
-from graverkit.complexes import _lifting_decomposition, lift_curve_vector
-from graverkit.graver import DEFAULT_BUDGET, ConformalIndex, _complete_lattice
+from graverkit.graver import (
+    DEFAULT_BUDGET,
+    CircuitSet,
+    ConformalIndex,
+    GraverBasis,
+    _complete_lattice,
+)
 from graverkit.linalg import (
     kernel_lattice,
     one_norm,
@@ -39,8 +44,17 @@ from graverkit.linalg import (
     vec_sub,
 )
 from graverkit.oracle import graver_by_enumeration
+from graverkit.robustness import IndispensableSet
 
-from _paper import T_BIG, empty_graver_memos, example_e, fresh_graver_basis, reduce_by_set
+from _paper import (
+    T_BIG,
+    empty_graver_memos,
+    example_e,
+    fresh_graver_basis,
+    lift_curve_vector,
+    lifting_decomposition,
+    reduce_by_set,
+)
 from test_conformal_index import small_matrices
 from test_lawrence import gen_lawrence_specs
 
@@ -168,6 +182,20 @@ class TestReductionChain:
         assert counts["inserts"] <= counts["scans"] <= counts["subtractions"] + counts["pops"]
 
 
+class TestVectorSets:
+    def test_equality_is_per_class(self):
+        sets = [kind(3, ((5, -4, 0),)) for kind in (GraverBasis, CircuitSet, IndispensableSet)]
+        assert all(a != b for a, b in itertools.combinations(sets, 2))
+        assert sets == [type(v)(3, ((5, -4, 0),)) for v in sets]
+        assert all((len(v), list(v), v.as_set()) == (1, [(5, -4, 0)], {(5, -4, 0)}) for v in sets)
+
+    def test_signed_forms_only_on_graver_bases(self):
+        G = GraverBasis(3, ((5, -4, 0),))
+        assert G.full_set() == {(5, -4, 0), (-5, 4, 0)} and len(G.signed_index) == 2
+        for other in (CircuitSet(3, G.elements), IndispensableSet(3, G.elements)):
+            assert not hasattr(other, "full_set") and not hasattr(other, "signed_index")
+
+
 class TestGraverBasis:
     def test_principal_kernel(self):
         assert graver_basis(T(2, 3)).elements == ((3, -2),)
@@ -228,6 +256,22 @@ class TestGraverBasis:
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(7, 15, 20), budget=Budget(max_candidates=1))
         assert info.value.kind == "elements"
+
+    def test_negative_or_nan_caps_rejected(self):
+        # a NaN cap would cap nothing: every elapsed > nan is false
+        for field, value in (("max_candidates", -5), ("max_seconds", -1.0),
+                             ("max_seconds", float("nan"))):
+            with pytest.raises(ValueError, match=field):
+                Budget(**{field: value})
+
+    def test_float_candidate_cap_rejected_not_truncated(self):
+        with pytest.raises(TypeError):
+            Budget(max_candidates=2.5)
+
+    def test_zero_and_least_caps_accepted(self):
+        assert Budget(max_seconds=0.0).max_seconds == 0.0
+        assert Budget(max_candidates=1).max_candidates == 1
+        assert Budget(max_candidates=0).max_candidates == 0
 
     def test_time_budget_raises(self):
         with pytest.raises(BudgetExceededError) as info:
@@ -404,10 +448,12 @@ class TestBouquetRoute:
         return runs
 
     def test_one_completion_per_verified_complex(self, monkeypatch):
-        # the five liftings Lambda(T)_{i} are read off Gr(T)
+        # the five liftings Lambda(T)_{i} are read off Gr(T); the other runs
+        # complete the 1x3 sub-curves of the pre-reject that verify checks
         runs = self.completions(monkeypatch)
         assert robust_complex(T_BIG, verify=True).cross_checked
-        assert runs == [len(T_BIG)]
+        assert runs.count(len(T_BIG)) == 1
+        assert set(runs) == {3, len(T_BIG)}
 
     def test_one_completion_per_kernel_lattice(self, monkeypatch):
         # Example E, its A_B (simple, 8x5), T_BIG and 2*T_BIG all complete Ker(T_BIG)
@@ -444,7 +490,7 @@ class TestBouquetRoute:
         lam = lambda_matrix([4, 5, 6], [2])
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = graver_basis(lam.matrix)
-        dec = _lifting_decomposition(T(4, 5, 6), frozenset({2}))[1]
+        dec = lifting_decomposition(T(4, 5, 6), frozenset({2}))[1]
         assert G.elements == tuple(sorted(sign_canonical(lift_curve_vector(dec, u)) for u in G_T))
         assert [r.getMessage() for r in caplog.records] == [
             "bouquet route: 5 -> 3 columns, Gr(A_B) from the memo"]
@@ -506,7 +552,7 @@ class TestCircuits:
 
     def test_lifting_circuits_correspond_to_curve_circuits(self):
         Tm = T(4, 5, 6)
-        lam, dec = _lifting_decomposition(Tm, frozenset({2}))
+        lam, dec = lifting_decomposition(Tm, frozenset({2}))
         lifted = {sign_canonical(lift_curve_vector(dec, c)) for c in circuits(Tm)}
         assert circuits(lam.matrix).as_set() == lifted
 
