@@ -7,8 +7,9 @@ or --out; `_emit_error` reads it for an error.
 
 Exit codes: 0 success, 2 usage or input error, 3 mathematical precondition
 failure (e.g. a non-pointed matrix), 4 budget exhaustion, 1 any other toolkit
-error or a stdout closed before the output was written (e.g. piped into
-`head`). With --format json errors are emitted as machine-readable JSON on stdout.
+error, a `search` that found a violation (its report is still written), or a
+stdout closed before the output was written (e.g. piped into `head`). With
+--format json errors are emitted as machine-readable JSON on stdout.
 """
 
 from __future__ import annotations
@@ -355,7 +356,7 @@ def _run(args) -> int:
     except (GraverKitError, ValueError) as exc:
         _emit_error(args, exc)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
-    return 0
+    return 0 if payload.get("ok", True) else 1  # a search that found a violation fails
 
 
 def main(argv=None) -> int:

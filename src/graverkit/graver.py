@@ -1,14 +1,18 @@
 """Graver bases, circuits, and generalized primitive sets.
 
-Only simple matrices are completed. Any other matrix with a nonzero kernel is
-answered from its bouquet ideal, Gr(A) = D(Gr(A_B)) and likewise for circuits,
-where D is the kernel isomorphism of the bouquet decomposition (proof in
-`graver_basis`). Completions are memoized under the canonical basis of the
-kernel lattice they complete, so every matrix with one lattice, and every
-lifting of one monomial curve, shares one completion.
+Only the kernel lattices of simple matrices are computed. Any other matrix
+with a nonzero kernel is answered from its bouquet ideal, Gr(A) = D(Gr(A_B))
+and likewise for circuits, where D is the kernel isomorphism of the bouquet
+decomposition (proof in `graver_basis`). Graver bases are memoized under the
+canonical basis of the kernel lattice, so every matrix with one lattice, and
+every lifting of one monomial curve, shares one computation.
 
-The Graver basis of a simple matrix is computed by a Pottier-style
-completion over the saturated kernel lattice: seed with a lattice basis and
+A lattice of rank 2, such as that of every 1x3 monomial curve, is answered
+in closed form by `_rank2_graver`: its Graver basis is the union of the
+Hilbert bases of its sign sectors, the plane cones between the lines where
+one coordinate vanishes, and each is a Hirzebruch-Jung continued-fraction
+walk (proof in its docstring). Every other lattice is computed by a
+Pottier-style completion over it: seed with a lattice basis and
 its negations, repeatedly form pairwise sums with cancellation, conformally
 reduce each sum to a normal form against the current set, and insert nonzero
 normal forms. At the fixpoint the
@@ -33,6 +37,7 @@ import functools
 import heapq
 import itertools
 import logging
+import math
 import operator
 import time
 from bisect import bisect_left, bisect_right
@@ -57,7 +62,12 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource caps for one completion run; ValueError for a negative or NaN cap."""
+    """Resource caps for one Graver basis computation.
+
+    `max_candidates` caps the candidates: the pair sums the completion
+    generates, or the vectors the rank-2 walk emits. `max_seconds` caps the
+    wall time. ValueError for a negative or NaN cap.
+    """
 
     max_candidates: int = 2_000_000
     max_seconds: float = 600.0
@@ -365,6 +375,100 @@ def _complete_lattice(
     return kept
 
 
+def _rank2_graver(basis: Sequence[IntVec], budget: Budget) -> list[IntVec]:
+    """Gr(L) of the rank-2 lattice L = Z b1 + Z b2 in Z^n, by Hirzebruch-Jung
+    walks over its sign sectors; canonical sorted representatives.
+
+    This is exact:
+
+    - Orthants. For a closed orthant O, L n O is a pointed monoid, and a
+      nonzero u in it is conformally minimal in L iff it is irreducible in
+      L n O: v conformally below u, v != 0, u, is a splitting u = v + (u - v)
+      inside L n O, and conversely. So Gr(L) is the union over O of the
+      Hilbert bases of L n O (Sturmfels, Groebner Bases and Convex Polytopes,
+      ch. 7).
+    - Sectors. x -> x1*b1 + x2*b2 is a lattice isomorphism Z^2 -> L, and
+      coordinate c of the image is x.w_c, w_c = (b1_c, b2_c) being the Gale
+      row. The distinct lines x.w_c = 0 (a zero row cuts nothing, parallel
+      rows cut one line) number m >= 2, as the w_c span R^2, and cut Z^2
+      into 2m closed sectors of angle < pi. The preimage of an orthant O is
+      a cone on which each x.w_c keeps one sign, so it is a sector, a ray
+      or 0: a ray's primitive vector is in the Hilbert basis of either
+      sector it bounds. Every sector is the preimage of the orthant of the
+      signs inside it. So Gr(L) is the union of the sectors' Hilbert
+      bases; those of -S are the negatives of those of S, so up to sign the
+      m sectors of the half-turn from r_0 to -r_0 suffice, r_0, ..., r_{m-1}
+      being the primitive directions of the lines at angles in (0, pi], in
+      angular order.
+    - The walk in a sector cone(r1, r2), det(r1, r2) > 0 (Oda, Convex
+      Bodies and Algebraic Geometry, 1.6). Take p with det(r1, p) = 1, set
+      h_{-1} = -p, h_0 = r1 and h_{i+1} = a_i*h_i - h_{i-1} with
+      a_i = ceil(d_{i-1} / d_i), d_i = det(h_i, r2). Then
+      det(h_i, h_{i+1}) = det(h_{i-1}, h_i) = 1 and d_{i+1} = a_i*d_i - d_{i-1}
+      lies in [0, d_i), so the d_i fall to d_k = 0, where h_k is primitive,
+      on the side of r2, hence r2. Each step turns counterclockwise
+      (det(h_i, h_{i+1}) = 1) without passing r2 (d_{i+1} >= 0), so the
+      h_i lie in the cone in angular order, the unimodular cones
+      cone(h_i, h_{i+1}) tile it, and the h_i generate its lattice points. For 0 < i < k, d_i < d_{i-1}
+      gives a_i >= 2; the integral form l with l(h_{i-1}) = l(h_i) = 1 then
+      has l(h_{j+1}) - l(h_j) = (a_j - 2)*l(h_j) + l(h_j) - l(h_{j-1}) >= 0
+      for j >= i, and the mirror bound for j < i, so l >= 1 on every h_j and
+      on every nonzero lattice point of the cone: h_i = u + v with u, v
+      nonzero would give 1 >= 2. r1 and r2 are primitive extreme rays. So
+      the Hilbert basis is exactly h_0, ..., h_k.
+
+    Each sector emits h_0, ..., h_{k-1}: h_k starts the next sector, and
+    -r_0, ending the last one, is r_0 up to sign. So every element is emitted
+    once, and each emitted vector counts as a candidate against
+    `max_candidates`; `max_seconds` is checked per emitted vector.
+    """
+    start = time.monotonic()
+    b1, b2 = basis
+    lines = set()  # the primitive direction of each line at an angle in (0, pi]
+    for w1, w2 in zip(b1, b2):
+        if w1 or w2:
+            g = math.gcd(w1, w2)
+            x, y = -w2 // g, w1 // g
+            lines.add((x, y) if y > 0 else (-x, -y))
+    # at angles in (0, pi], u comes before v iff det(u, v) > 0
+    rays = sorted(lines, key=functools.cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
+    ends = rays[1:] + [(-rays[0][0], -rays[0][1])]
+    found = []
+    for r1, r2 in zip(rays, ends):
+        s, t = _bezout(*r1)  # p = (-t, s) has det(r1, p) = 1
+        prev, h = (t, -s), r1
+        d_prev, d = t * r2[1] + s * r2[0], r1[0] * r2[1] - r1[1] * r2[0]
+        while d:
+            found.append(sign_canonical([h[0] * x + h[1] * y for x, y in zip(b1, b2)]))
+            if len(found) > budget.max_candidates:
+                raise BudgetExceededError("elements", budget.max_candidates, len(found))
+            if time.monotonic() - start > budget.max_seconds:
+                raise BudgetExceededError("time", budget.max_seconds, len(found))
+            a = -(-d_prev // d)
+            prev, h = h, (a * h[0] - prev[0], a * h[1] - prev[1])
+            d_prev, d = d, a * d - d_prev
+    kept = sorted(found)
+    log.debug("rank-2 walk: %s", dict(sectors=len(rays), candidates=len(found), kept=len(kept)))
+    return kept
+
+
+def _bezout(a: int, b: int) -> tuple[int, int]:
+    """(s, t) with a*s + b*t = gcd(a, b) >= 0."""
+    s0, s1, t0, t1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
+    return (s0, t0) if a >= 0 else (-s0, -t0)
+
+
+def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:
+    """Canonical sorted Gr of the lattice with this basis: the walk for rank 2,
+    the completion for every other rank."""
+    if len(basis) == 2:
+        return _rank2_graver(basis, budget)
+    return _complete_lattice(basis, n, budget)
+
+
 _GRAVER_MEMO_SIZE = 64
 _GRAVER_MEMO: dict[tuple, GraverBasis] = {}  # by (A.rows, A.ncols)
 _LATTICE_MEMO: dict[tuple, GraverBasis] = {}  # by (canonical kernel basis, n)
@@ -374,14 +478,15 @@ _LATTICE_MEMO: dict[tuple, GraverBasis] = {}  # by (canonical kernel basis, n)
 def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     """Exact Graver basis of Ker_Z(A), canonical order, one element per +/- pair.
 
-    Gr(A) depends only on the lattice Ker(A). A simple A (no free column, no
-    two parallel Gale rows) is completed by the engine. Any other A with
-    Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B simple. Each
-    completion is memoized under the canonical basis of the lattice it
-    completes and its width n: `kernel_lattice(X).vectors`, the rows of the
+    Gr(A) depends only on the lattice Ker(A). The lattice of a simple A (no
+    free column, no two parallel Gale rows) is computed by `_lattice_graver`:
+    the sector walk when it has rank 2, the completion otherwise. Any other
+    A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B simple.
+    Each result is memoized under the canonical basis of the lattice it
+    answers and its width n: `kernel_lattice(X).vectors`, the rows of the
     Hermite form of the saturated kernel, which the lattice alone
     determines, X being A when A is simple and A_B when it is not. So every
-    matrix with that lattice, simple or not, shares one completion and one
+    matrix with that lattice, simple or not, shares one computation and one
     `GraverBasis`: the liftings of a curve, Example E, its A_B and every
     multiple of its curve. This is exact:
 
@@ -398,7 +503,7 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
       carries the conformally minimal nonzero vectors of Ker(A_B) onto those
       of Ker(A).
     - A_B is simple: its Gale rows are the q_B, nonzero and pairwise
-      non-parallel as the bouquets are distinct. So the completed lattice
+      non-parallel as the bouquets are distinct. So the computed lattice
       is always that of a simple matrix.
     - The Graver basis is the set of conformally minimal nonzero vectors of
       the lattice, so two matrices with one kernel lattice in Z^n have one
@@ -410,7 +515,7 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     last `_GRAVER_MEMO_SIZE` entries: one shared bound would spend two of
     them on every simple matrix and so hold half as many matrices.
 
-    Raises BudgetExceededError when the completion outgrows its caps; that is
+    Raises BudgetExceededError when the computation outgrows its caps; that is
     a resource condition, reported distinctly from any mathematical failure.
     A budget caps computation, not lookups: a basis still in either memo is
     returned whatever the budget.
@@ -438,7 +543,7 @@ def _graver_basis_on_miss(A: IntMat, key: tuple, budget: Budget | None) -> Grave
     result = _LATTICE_MEMO.get(lattice_key)
     hit = result is not None
     if not hit:
-        elements = _complete_lattice(lattice.vectors, lattice.n, budget or DEFAULT_BUDGET)
+        elements = _lattice_graver(lattice.vectors, lattice.n, budget or DEFAULT_BUDGET)
         result = GraverBasis(n=lattice.n, elements=tuple(elements))
         _remember(_LATTICE_MEMO, lattice_key, result)
     if dec is not None:

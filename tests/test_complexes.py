@@ -507,16 +507,16 @@ class TestComplexMemo:
 
     def test_decided_curve_completes_only_its_subcurves(self, monkeypatch):
         # Gr(15,15,29,29,29) forms millions of sums; every i is rejected by
-        # the 1x3 sub-curves, whose lattices are the only ones completed
+        # the 1x3 sub-curves, whose lattices are the only ones computed
         empty_graver_memos(monkeypatch)
         runs = []
-        engine = graver_module._complete_lattice
+        engine = graver_module._lattice_graver
 
         def counting(basis, n, budget):
             runs.append(n)
             return engine(basis, n, budget)
 
-        monkeypatch.setattr(graver_module, "_complete_lattice", counting)
+        monkeypatch.setattr(graver_module, "_lattice_graver", counting)
         budget = Budget(max_candidates=10_000)
         assert robust_complex([15, 15, 29, 29, 29], budget=budget).sorted_faces() == [[]]
         assert runs and set(runs) == {3}

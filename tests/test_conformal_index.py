@@ -26,8 +26,15 @@ from graverkit import (
     lambda_matrix,
     robust_complex,
 )
-from graverkit.graver import ConformalIndex
-from graverkit.linalg import negative_part, one_norm, positive_part, sign_canonical, vec_add
+from graverkit.graver import DEFAULT_BUDGET, ConformalIndex, _complete_lattice
+from graverkit.linalg import (
+    kernel_lattice,
+    negative_part,
+    one_norm,
+    positive_part,
+    sign_canonical,
+    vec_add,
+)
 
 from _paper import T_BIG, empty_graver_memos, example_e, fresh_graver_basis
 
@@ -121,11 +128,13 @@ def small_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_completion_identical_on_both_paths(A):
-    # packed keys against the plain tuple loop
-    fast = fresh_graver_basis(A)
+    # packed keys against the plain tuple loop, in the engine run on A's own
+    # lattice: graver_basis answers rank-2 lattices without pair sums
+    basis = kernel_lattice(A).vectors
+    fast = _complete_lattice(basis, A.ncols, DEFAULT_BUDGET)
     with pytest.MonkeyPatch.context() as monkeypatch:
         _by_loop(monkeypatch)
-        assert fresh_graver_basis(A) == fast
+        assert _complete_lattice(basis, A.ncols, DEFAULT_BUDGET) == fast
 
 
 # ---------------------------------------------------------------------------

@@ -2,12 +2,13 @@ import functools
 import heapq
 import itertools
 import logging
+import math
 import random
 from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import graverkit.graver as graver_module
@@ -33,6 +34,7 @@ from graverkit.graver import (
     ConformalIndex,
     GraverBasis,
     _complete_lattice,
+    _rank2_graver,
 )
 from graverkit.linalg import (
     kernel_lattice,
@@ -180,6 +182,79 @@ class TestReductionChain:
         assert counts["pops"] == counts["generated"]  # the heap is drained
         # each reducer scan that hits is followed by a subtraction; at most one per pop misses
         assert counts["inserts"] <= counts["scans"] <= counts["subtractions"] + counts["pops"]
+
+
+@st.composite
+def simple_rank2_matrices(draw):
+    """An (n-2) x n matrix, n in 2..6, entries of both signs, whose kernel is a
+    rank-2 lattice with nonzero, pairwise non-parallel Gale rows."""
+    n = draw(st.integers(2, 6))
+    entry = st.integers(-6, 6)
+    A = IntMat(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n - 2)), ncols=n)
+    assume(kernel_lattice(A).rank == 2 and is_simple(A))
+    return A
+
+
+class TestRank2Walk:
+    """Rank-2 lattices take the sector walk; the completion is its reference."""
+
+    @staticmethod
+    def both_engines(basis, n):
+        return (_rank2_graver(basis, DEFAULT_BUDGET),
+                _complete_lattice(basis, n, DEFAULT_BUDGET))
+
+    def test_curves_match_the_engine(self):
+        # every gcd-normalised 1x3 curve with entries <= 20, sorted and permuted
+        rng = random.Random(19)
+        curves = [t for t in itertools.combinations_with_replacement(range(1, 21), 3)
+                  if math.gcd(*t) == 1]
+        assert len(curves) == 1252
+        for t in curves:
+            for entries in (t, tuple(rng.sample(t, 3))):
+                walk, engine = self.both_engines(kernel_lattice(T(*entries)).vectors, 3)
+                assert walk == engine, entries
+
+    @settings(max_examples=150, deadline=None)
+    @given(simple_rank2_matrices(), st.integers(-4, 4), st.integers(-4, 4), st.booleans())
+    def test_simple_lattices_match_the_engine(self, A, p, q, swap):
+        # the walk also runs on a basis of the lattice other than its Hermite form
+        b1, b2 = basis = kernel_lattice(A).vectors
+        walk, engine = self.both_engines(basis, A.ncols)
+        assert walk == engine
+        c1 = tuple(x + p * y for x, y in zip(b1, b2))  # (c1, c2) = (b1, b2) U, det U = -1
+        c2 = tuple(q * x - y for x, y in zip(c1, b2))
+        assert _rank2_graver((c2, c1) if swap else (c1, c2), DEFAULT_BUDGET) == engine
+
+    def test_zero_and_parallel_gale_rows_match_the_engine(self):
+        # a zero coordinate cuts no sector, and a parallel one cuts an existing line
+        b1, b2 = kernel_lattice(T(4, 5, 6)).vectors
+        basis = [(*b, 0, -2 * b[0], b[2]) for b in (b1, b2)]
+        walk, engine = self.both_engines(basis, 6)
+        assert walk == engine and len(walk) == len(fresh_graver_basis(T(4, 5, 6)))
+
+    def test_graver_basis_logs_one_walk(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(T(7, 15, 20))
+        [record] = caplog.records
+        assert record.msg == "rank-2 walk: %s"
+        assert record.args == dict(sectors=3, candidates=9, kept=9)
+        assert len(G) == 9
+
+    def test_element_cap_holds_inside_the_walk(self, monkeypatch):
+        monkeypatch.setattr(graver_module, "_complete_lattice", None)  # the walk alone runs
+        with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(T(7, 15, 20), budget=Budget(max_candidates=1))
+        assert (info.value.kind, info.value.generated) == ("elements", 2)
+
+    def test_time_cap_holds_inside_the_walk(self, monkeypatch):
+        # the clock reads 0 as the walk starts, then jumps past the cap
+        ticks = iter([0.0])
+        clock = SimpleNamespace(monotonic=lambda: next(ticks, 1e9))
+        monkeypatch.setattr(graver_module, "time", clock)
+        monkeypatch.setattr(graver_module, "_complete_lattice", None)
+        with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(T(7, 15, 20), budget=Budget(max_seconds=1.0))
+        assert (info.value.kind, info.value.generated) == ("time", 1)
 
 
 class TestVectorSets:
@@ -435,21 +510,21 @@ class TestBouquetRoute:
     @staticmethod
     def completions(monkeypatch):
         """Empty both memos; return the list that records the width of every
-        completion run from here on."""
+        lattice whose Graver basis is computed from here on, by either engine."""
         empty_graver_memos(monkeypatch)
         runs = []
-        engine = graver_module._complete_lattice
+        engine = graver_module._lattice_graver
 
         def counting(basis, n, budget):
             runs.append(n)
             return engine(basis, n, budget)
 
-        monkeypatch.setattr(graver_module, "_complete_lattice", counting)
+        monkeypatch.setattr(graver_module, "_lattice_graver", counting)
         return runs
 
     def test_one_completion_per_verified_complex(self, monkeypatch):
         # the five liftings Lambda(T)_{i} are read off Gr(T); the other runs
-        # complete the 1x3 sub-curves of the pre-reject that verify checks
+        # compute the 1x3 sub-curves of the pre-reject that verify checks
         runs = self.completions(monkeypatch)
         assert robust_complex(T_BIG, verify=True).cross_checked
         assert runs.count(len(T_BIG)) == 1
@@ -486,7 +561,7 @@ class TestBouquetRoute:
     def test_lifting_reuses_the_curve_memo_entry(self, monkeypatch, caplog):
         empty_graver_memos(monkeypatch)
         G_T = graver_basis(T(4, 5, 6))
-        monkeypatch.setattr(graver_module, "_complete_lattice", None)  # no second completion
+        monkeypatch.setattr(graver_module, "_lattice_graver", None)  # no second computation
         lam = lambda_matrix([4, 5, 6], [2])
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = graver_basis(lam.matrix)

@@ -1,9 +1,12 @@
 """The bounded search checks its arguments first, records a failing instance and goes on."""
 
+import json
+
 import pytest
 
 import graverkit.search as search_module
 from graverkit import PreconditionError
+from graverkit.cli import main
 from graverkit.search import sullivant_search
 
 
@@ -63,3 +66,23 @@ def test_sampled_1x6_curves_have_at_most_one_vertex():
     report = sullivant_search([6], 20, sample_budget=30, seed=5)
     assert report.instances == 30
     assert report.violations == [] and report.skipped == []
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_exits_1_on_a_failed_scan_and_still_writes_the_report(monkeypatch, capsys, fmt):
+    robust_complex = search_module.robust_complex
+
+    def failing(T, **kwargs):
+        if T.rows[0] == (3, 4, 5):
+            raise PreconditionError("not pointed")
+        return robust_complex(T, **kwargs)
+
+    monkeypatch.setattr(search_module, "robust_complex", failing)
+    assert main(["search", "--s", "3", "--bound", "5", "--format", fmt]) == 1
+    out = capsys.readouterr().out
+    violation = "T=(3, 4, 5): PreconditionError: not pointed"
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["ok"] is False and payload["violations"] == [violation]
+    else:
+        assert "ok: false\n" in out and f"VIOLATION: {violation}\n" in out
