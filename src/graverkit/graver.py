@@ -11,18 +11,23 @@ A lattice of rank 2, such as that of every 1x3 monomial curve, is answered
 in closed form by `_rank2_graver`: its Graver basis is the union of the
 Hilbert bases of its sign sectors, the plane cones between the lines where
 one coordinate vanishes, and each is a Hirzebruch-Jung continued-fraction
-walk (proof in its docstring). Every other lattice is computed by a
-Pottier-style completion over it: seed with a lattice basis and
-its negations, repeatedly form pairwise sums with cancellation, conformally
-reduce each sum to a normal form against the current set, and insert nonzero
-normal forms. At the fixpoint the
-conformally minimal elements are exactly the Graver basis. Pair generation
-pairs each new element with the stored vectors that cancel it, read off the
-index's bitsets, and drops the sums queued before by a packed integer key
-that is one add per sum, so only new sums become tuples. Reduction makes one
-ascending pass over the stored vectors below the popped sum and subtracts
-each while it still divides the shrinking remainder; the chains are those of
-one reducer per step.
+walk (proof in its docstring). A lattice of rank d >= 3, such as that of
+every 1xs curve with s >= 4, is computed by project-and-lift
+(`_project_and_lift`): complete its projection onto d columns, a full-rank
+lattice of Z^d, then lift the other columns one at a time, each by a
+completion that forms only the pairs its lifting lemma needs. Lower ranks
+take one completion over the whole lattice.
+
+A completion is Pottier-style: seed with a lattice basis and its negations,
+repeatedly form pairwise sums with cancellation, conformally reduce each sum
+to a normal form against the current set, and insert nonzero normal forms.
+At the fixpoint the conformally minimal elements are exactly the Graver
+basis. Pair generation pairs each new element with the stored vectors that
+cancel it, read off the index's bitsets, and drops the sums queued before by
+a packed integer key that is one add per sum, so only new sums become
+tuples. Reduction makes one ascending pass over the stored vectors below the
+popped sum and subtracts each while it still divides the shrinking
+remainder; the chains are those of one reducer per step.
 
 All arithmetic is exact, on Python ints alone. Every conformal-dominance
 test outside the oracles goes through `ConformalIndex`, which has one code
@@ -64,9 +69,10 @@ log = logging.getLogger(__name__)
 class Budget:
     """Resource caps for one Graver basis computation.
 
-    `max_candidates` caps the candidates: the pair sums the completion
-    generates, or the vectors the rank-2 walk emits. `max_seconds` caps the
-    wall time. ValueError for a negative or NaN cap.
+    `max_candidates` caps the candidates: the pair sums formed in every
+    stage of the completion or of project-and-lift together, or the vectors
+    the rank-2 walk emits. `max_seconds` caps the wall time, from the first
+    seed to the last minimality filter. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -139,9 +145,10 @@ class ConformalIndex:
     in the column's distinct entries and the new rows.
 
     `pair_sums` reads the rows that cancel a vector off the lowest threshold
-    of each column, and drops repeated sums by packed integer keys, which it
-    alone builds: one per row, and a set of the keys of the sums it has
-    returned.
+    of each column, or, by the lift rule of project-and-lift, those that
+    cancel it in one column and share its signs in the others, and drops
+    repeated sums by packed integer keys, which it alone builds: one per
+    row, and a set of the keys of the sums it has returned.
     """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
@@ -238,14 +245,18 @@ class ConformalIndex:
             query[free] = query[free + self.n] = self._top
         return self._hits(query).bit_count()
 
-    def pair_sums(self, v: IntVec) -> list[tuple[int, IntVec]]:
+    def pair_sums(self, v: IntVec, lift: int | None = None) -> list[tuple[int, IntVec]]:
         """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
         cancelling v somewhere, that no earlier call returned, in row order.
+        With `lift` a column c, only the g of the lift rule of
+        `_project_and_lift`: g cancels v at c and g_i * v_i >= 0 in every
+        other column i; none when v_c = 0.
 
         The rows that cancel v are read off the bitsets: those with g+ > 0 in
-        a column where v < 0, or g- > 0 where v > 0. Repeats are dropped by
-        the packed key key(u) = sum of u_c * 2^(W*c), which is linear, so a
-        sum's key is one add of two stored keys. It is injective on vectors
+        a column where v < 0, or g- > 0 where v > 0; the others have
+        g_c * v_c >= 0 there. Repeats are dropped by the packed key
+        key(u) = sum of u_c * 2^(W*c), which is linear, so a sum's key is
+        one add of two stored keys. It is injective on vectors
         whose entries all have |u_c| < 2^(W-1): the difference d of two such
         vectors has |d_c| < 2^W, so if c is the first column with d_c != 0,
         key(d) is d_c * 2^(W*c) modulo 2^(W*(c+1)), which is not 0. W is
@@ -256,7 +267,7 @@ class ConformalIndex:
         every sum returned so far, so only new sums become tuples.
         """
         k = len(self.parts)
-        if not k:
+        if not k or lift is not None and not v[lift]:
             return []
         if self._folded < k:
             self._fold()
@@ -268,21 +279,28 @@ class ConformalIndex:
             self._seen = {0, *keys, *map(neg, keys)}
         elif len(self._keys) < k:
             self._keys += map(self._key, self.vectors[len(self._keys):])
-        every, rows = (1 << k) - 1, 0
+        every, rows = (1 << k) - 1, 0 if lift is None else (1 << k) - 1
         for c, x in enumerate(v):
             if x:
                 col = c if x < 0 else c + self.n  # the half where g has the other sign
-                rows |= every ^ self._masks[col][0] if self._values[col][0] == 0 else every
-        kv, seen, new = self._key(v), self._seen, []
-        cancelling = map("1".__eq__, bin(rows)[:1:-1])  # the bits of rows, lowest first
-        for kg, g in itertools.compress(zip(self._keys, self.vectors), cancelling):
-            key = kv + kg
+                same = self._masks[col][0] if self._values[col][0] == 0 else 0
+                if lift is None:
+                    rows |= every ^ same
+                else:
+                    rows &= every ^ same if c == lift else same
+        kv, keys, seen, new = self._key(v), self._keys, self._seen, []
+        # the set bits of rows, lowest first: one find per row, however sparse
+        bits = bin(rows)[:1:-1]
+        i = bits.find("1")
+        while i >= 0:
+            key = kv + keys[i]
             if key not in seen:
                 seen.add(key)
                 seen.add(-key)
-                s = sign_canonical(vec_add(v, g))
+                s = sign_canonical(vec_add(v, self.vectors[i]))
                 self._sums.append(s)
                 new.append((sum(map(abs, s)), s))
+            i = bits.find("1", i + 1)
         return new
 
     def _key(self, u: IntVec) -> int:
@@ -292,12 +310,47 @@ class ConformalIndex:
 # ---------------------------------------------------------------------------
 # completion engine
 
+class _Spent:
+    """The candidates and seconds one computation has spent over its stages:
+    the clock runs from the first seed, and the candidates are the pair sums
+    of every finished stage."""
+
+    def __init__(self, budget: Budget):
+        self.budget = budget
+        self.start = time.monotonic()
+        self.generated = 0
+
+    def check(self, generated: int, candidates: bool = True) -> None:
+        """Raise BudgetExceededError when the running stage's `generated`
+        sums, with the earlier stages', or the seconds pass their caps."""
+        total = self.generated + generated
+        if candidates and total > self.budget.max_candidates:
+            raise BudgetExceededError("elements", self.budget.max_candidates, total)
+        if time.monotonic() - self.start > self.budget.max_seconds:
+            raise BudgetExceededError("time", self.budget.max_seconds, total)
+
+
 def _complete_lattice(
     basis: Sequence[IntVec], n: int, budget: Budget
 ) -> list[IntVec]:
     """Run the completion; return canonical sorted Graver representatives."""
     if not basis:
         return []
+    kept, counts = _completion_stage(basis, n, _Spent(budget))
+    log.debug("completion: %s", counts)
+    return kept
+
+
+def _completion_stage(
+    seeds: Sequence[IntVec], n: int, spent: _Spent, lift: int | None = None
+) -> tuple[list[IntVec], dict]:
+    """Complete `seeds` to the conformally minimal vectors of the lattice they
+    generate; their canonical sorted representatives and the stage's counters.
+
+    With `lift` a column c, the pairs formed are those of `pair_sums`'s lift
+    rule, which `_project_and_lift` proves enough when the seeds, with column
+    c dropped, already hold that projection's Graver basis.
+    """
     index = ConformalIndex(n)
     members = index.members
 
@@ -307,7 +360,7 @@ def _complete_lattice(
         index.add(v)
         index.add(vec_neg(v))
 
-    for b in basis:
+    for b in seeds:
         insert(b)
 
     heap: list[tuple[int, IntVec]] = []
@@ -315,21 +368,17 @@ def _complete_lattice(
 
     def enqueue_pairs(v: IntVec) -> None:
         nonlocal generated
-        sums = index.pair_sums(v)
+        sums = index.pair_sums(v, lift)
         generated += len(sums)
         for entry in sums:
             heapq.heappush(heap, entry)
 
-    start = time.monotonic()
     for v in index.vectors:
         enqueue_pairs(v)
 
     pops = scans = subtractions = inserts = 0
     while heap:
-        if generated > budget.max_candidates:
-            raise BudgetExceededError("elements", budget.max_candidates, generated)
-        if time.monotonic() - start > budget.max_seconds:
-            raise BudgetExceededError("time", budget.max_seconds, generated)
+        spent.check(generated)
         _, s = heapq.heappop(heap)
         pops += 1
         if s in members:
@@ -365,14 +414,109 @@ def _complete_lattice(
     # u is conformally minimal iff -u is, so one sign of each pair decides
     minimal = []
     for i in range(0, len(index), 2):
-        if time.monotonic() - start > budget.max_seconds:
-            raise BudgetExceededError("time", budget.max_seconds, generated)
+        spent.check(generated, candidates=False)
         if index.dominators(i) == 1:
             minimal.append(sign_canonical(index.vectors[i]))
+    spent.generated += generated
     kept = sorted(minimal)
-    log.debug("completion: %s", dict(pops=pops, scans=scans, subtractions=subtractions,
-              inserts=inserts, generated=generated, index=len(index), kept=len(kept)))
-    return kept
+    return kept, dict(pops=pops, scans=scans, subtractions=subtractions, inserts=inserts,
+                      generated=generated, index=len(index), kept=len(kept))
+
+
+def _project_and_lift(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:
+    """Gr(L) of the rank-d lattice L with this basis, d >= 3, by project-and-lift
+    (Hemmecke, "On the computation of Hilbert bases of cones", ICMS 2002; De
+    Loera, Hemmecke and Koeppe, Algebraic and Geometric Ideas in the Theory of
+    Discrete Optimization, 2013, ch. 3); canonical sorted representatives.
+
+    - Project. P, the basis's columns S = `_projected_columns(basis)`, has
+      det(P) != 0, so projecting onto any set of columns J that holds S is
+      injective on L: a vector of L is known by its projection pi_J. pi_S(L)
+      is the full-rank lattice of Z^d spanned by the rows of P, and its
+      Graver basis is the completion's. The vector of L over u in pi_S(L)
+      is u P^-1 B, B being the basis, so its column j is u.y / det(P) with
+      y = adj(P) b_j, b_j the basis's column j; by Cramer's rule y_i is the
+      determinant of P with its column i replaced by b_j. That is exact.
+    - Lift. The other columns j are lifted one at a time, in ascending
+      order. Let J be the columns done so far, S among them, and G the
+      stage's seeds, with pi_J(G) = Gr(pi_J(L)). The stage completes
+      pi_{J+j}(G) in pi_{J+j}(L), reducing conformally on all of J + j, but
+      forms the sum of two stored vectors only when they have the same sign
+      (g_c h_c >= 0) on every column c of J and opposite signs at j; a v
+      with v_j = 0 forms none. Its minimal vectors are Gr(pi_{J+j}(L)).
+      Take z in that Graver basis. z is a sum of stored vectors conformal
+      to z on J, as pi_J(z) is a conformal sum of elements of Gr(pi_J(L))
+      and the projection is injective. Among these representations choose
+      z = sum_i g_i with the least sum_i |g_ij|. If it is not conformal to
+      z at j, a term against z's sign at j (or nonzero where z_j = 0) is
+      offset by one of the other sign, as the g_ij add up to z_j: two terms
+      g, h have g_j h_j < 0, and, both conformal to z on J, the same sign
+      on J, so their sum is a pair the stage formed. Every formed sum is,
+      at the fixpoint, a sum of stored vectors conformal to it on J + j
+      (the reduction subtracts conformally, and what is left is stored),
+      and these parts are conformal to z on J, with
+      sum_k |h_kj| = |g_j + h_j| < |g_j| + |h_j|. Putting them in place of
+      g and h gives a representation with a smaller sum at j, which
+      contradicts the choice. So the representation is conformal on J + j,
+      and z, conformally minimal, is one of its terms: a stored vector.
+
+    `max_candidates` caps the sums formed in all stages together, and
+    `max_seconds` runs from the first seed to the last minimality filter.
+    Each stage logs one debug line: the completion's for the projection,
+    `lift: {column, seeds, generated, pops, inserts, kept}` for each lift.
+    """
+    spent = _Spent(budget)
+    cols = _projected_columns(basis)
+    P = [[b[c] for c in cols] for b in basis]
+    det = _det(P)
+    G, counts = _completion_stage([tuple(row) for row in P], len(P), spent)
+    log.debug("completion: %s", counts)
+    rest = [j for j in range(n) if j not in cols]
+    for j in rest:
+        b_j = [b[j] for b in basis]
+        y = [_det([[*row[:i], x, *row[i + 1:]] for row, x in zip(P, b_j)])
+             for i in range(len(P))]
+        # the first d entries of a stage's vectors are their columns S
+        seeds = [(*u, sum(map(operator.mul, u, y)) // det) for u in G]
+        G, counts = _completion_stage(seeds, len(seeds[0]), spent, lift=len(seeds[0]) - 1)
+        log.debug("lift: %s", dict(column=j, seeds=len(seeds), generated=counts["generated"],
+                  pops=counts["pops"], inserts=counts["inserts"], kept=counts["kept"]))
+    # a stage's vectors hold the columns cols + rest; at[c] is where column c is
+    at = sorted(range(n), key=[*cols, *rest].__getitem__)
+    return sorted(sign_canonical([u[i] for i in at]) for u in G)
+
+
+def _projected_columns(basis: Sequence[IntVec]) -> tuple[int, ...]:
+    """The d columns, d = len(basis), on which the basis has the least
+    nonzero |det|, the first such in lexicographic order. For a 1xs curve
+    (a_1, ..., a_s) with gcd 1 the minor off column k is +-a_k, so they are
+    all the columns but that of its smallest entry."""
+    least, cols = 0, ()
+    for J in itertools.combinations(range(len(basis[0])), len(basis)):
+        det = abs(_det([[b[c] for c in J] for b in basis]))
+        if det and (not least or det < least):
+            least, cols = det, J
+            if det == 1:
+                break
+    return cols
+
+
+def _det(rows: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss's fraction-free
+    elimination, whose every division is exact."""
+    m = [list(row) for row in rows]
+    k, sign, prev = len(m), 1, 1
+    for i in range(k):
+        p = next((r for r in range(i, k) if m[r][i]), None)
+        if p is None:
+            return 0
+        if p != i:
+            m[i], m[p], sign = m[p], m[i], -sign
+        for r in range(i + 1, k):
+            for c in range(i + 1, k):
+                m[r][c] = (m[r][c] * m[i][i] - m[r][i] * m[i][c]) // prev
+        prev = m[i][i]
+    return sign * prev
 
 
 def _rank2_graver(basis: Sequence[IntVec], budget: Budget) -> list[IntVec]:
@@ -463,9 +607,11 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:
     """Canonical sorted Gr of the lattice with this basis: the walk for rank 2,
-    the completion for every other rank."""
+    project-and-lift for rank 3 and up, one completion below rank 2."""
     if len(basis) == 2:
         return _rank2_graver(basis, budget)
+    if len(basis) >= 3:
+        return _project_and_lift(basis, n, budget)
     return _complete_lattice(basis, n, budget)
 
 
@@ -480,7 +626,8 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
 
     Gr(A) depends only on the lattice Ker(A). The lattice of a simple A (no
     free column, no two parallel Gale rows) is computed by `_lattice_graver`:
-    the sector walk when it has rank 2, the completion otherwise. Any other
+    the sector walk when it has rank 2, project-and-lift when it has rank 3
+    or more, and the completion otherwise. Any other
     A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B simple.
     Each result is memoized under the canonical basis of the lattice it
     answers and its width n: `kernel_lattice(X).vectors`, the rows of the

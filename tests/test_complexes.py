@@ -506,8 +506,8 @@ class TestComplexMemo:
         assert robust_complex([24, 40, 41, 60, 80], budget=Budget(max_candidates=1)) is rc
 
     def test_decided_curve_completes_only_its_subcurves(self, monkeypatch):
-        # Gr(15,15,29,29,29) forms millions of sums; every i is rejected by
-        # the 1x3 sub-curves, whose lattices are the only ones computed
+        # Gr(15,15,29,29,29) forms 7,082 sums; every i is rejected by the
+        # 1x3 sub-curves, whose lattices are the only ones computed
         empty_graver_memos(monkeypatch)
         runs = []
         engine = graver_module._lattice_graver
@@ -517,7 +517,7 @@ class TestComplexMemo:
             return engine(basis, n, budget)
 
         monkeypatch.setattr(graver_module, "_lattice_graver", counting)
-        budget = Budget(max_candidates=10_000)
+        budget = Budget(max_candidates=2_000)
         assert robust_complex([15, 15, 29, 29, 29], budget=budget).sorted_faces() == [[]]
         assert runs and set(runs) == {3}
         with pytest.raises(BudgetExceededError):

@@ -3,8 +3,9 @@
 Every operation has one code path. `below`, `find` and `dominators` read
 threshold bitsets. `pair_sums` reads the rows that cancel a vector off the
 same bitsets and drops repeated sums by packed integer keys, whose width
-grows with the entries. Its results are held to `_pair_sums_by_loop`, the
-plain tuple loop it replaced, on natural inputs whose entries pass 2^60:
+grows with the entries; so does its lift rule, for project-and-lift. Its
+results are held to `_pair_sums_by_loop`, the plain tuple loop it replaced,
+on natural inputs whose entries pass 2^60:
 scalings by 2^61, Lambda(2^61+1, 2^61+3)_0, queries at 2^64 and runs whose
 entries grow past 2^8, 2^63 and 2^64.
 """
@@ -39,13 +40,19 @@ from graverkit.linalg import (
 from _paper import T_BIG, empty_graver_memos, example_e, fresh_graver_basis
 
 
-def _pair_sums_by_loop(index, v, seen):
+def _pair_sums_by_loop(index, v, seen, lift=None):
     """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced.
 
     Keeps the sums not yet in `seen`, a plain tuple set it adds them to, with
-    their one-norms.
+    their one-norms. With `lift` a column, pairs v only with the g that have
+    the other sign there and v's sign (or a zero) in every other column.
     """
-    sums = (vec_add(v, g) for g in index.vectors if any(a * b < 0 for a, b in zip(v, g)))
+    if lift is None:
+        pairs = (g for g in index.vectors if any(a * b < 0 for a, b in zip(v, g)))
+    else:
+        pairs = (g for g in index.vectors if v[lift] * g[lift] < 0
+                 and all(a * b >= 0 for c, (a, b) in enumerate(zip(v, g)) if c != lift))
+    sums = (vec_add(v, g) for g in pairs)
     new = []
     for s in map(sign_canonical, sums):
         if any(s) and s not in seen:
@@ -56,8 +63,8 @@ def _pair_sums_by_loop(index, v, seen):
 
 def _by_loop(monkeypatch):
     """Form every pair sum by `_pair_sums_by_loop`, one seen set per index."""
-    monkeypatch.setattr(ConformalIndex, "pair_sums", lambda index, v: _pair_sums_by_loop(
-        index, v, vars(index).setdefault("_loop_seen", set())))
+    monkeypatch.setattr(ConformalIndex, "pair_sums", lambda index, v, lift=None: (
+        _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), lift)))
     empty_graver_memos(monkeypatch)
 
 
@@ -87,20 +94,21 @@ class TestPureIntegerFallback:
     def test_guard_switches_off_partway_through_a_run(self, monkeypatch):
         # the packed keys of width W are injective only while every entry is
         # below 2^(W-1). Gr(24 40 41 60 80) has entries up to 80, its kernel
-        # basis only up to 20, so the 7-bit keys' guard fails partway through
-        # the run and the keys are rebuilt 14 bits wide
-        curve = IntMat.row_vector(T_BIG)
-        fast = fresh_graver_basis(curve)
+        # basis only up to 20, so in the one-stage completion the 7-bit keys'
+        # guard fails partway through the run and the keys are rebuilt 14
+        # bits wide
+        basis = kernel_lattice(IntMat.row_vector(T_BIG)).vectors
+        fast = _complete_lattice(basis, len(T_BIG), DEFAULT_BUDGET)
         widths = []
         pair_sums = ConformalIndex.pair_sums
 
-        def recording(index, v):
-            sums = pair_sums(index, v)
+        def recording(index, v, lift=None):
+            sums = pair_sums(index, v, lift)
             widths.append(index._width)
             return sums
 
         monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
-        assert fresh_graver_basis(curve) == fast
+        assert _complete_lattice(basis, len(T_BIG), DEFAULT_BUDGET) == fast
         grown = widths.index(14)
         assert 0 < grown < len(widths)
         assert widths[:grown] == [7] * grown and widths[grown:] == [14] * (len(widths) - grown)
@@ -209,22 +217,25 @@ def test_pair_sums_match_nested_loops(case, scale):
 
 
 def test_pair_sums_dedup_across_the_switch_to_exact_ints(monkeypatch):
-    # the keys are exact Python ints at every width; the switch this run
-    # crosses is the one from 7-bit to 14-bit keys, and every call on either
-    # side of it must drop the same repeats as the tuple loop
-    seen, widths = set(), []
+    # the keys are exact Python ints at every width; the switch the one-stage
+    # completion crosses is the one from 7-bit to 14-bit keys, and every call
+    # on either side of it must drop the same repeats as the tuple loop; so
+    # must every call of project-and-lift, whose stages each have an index
+    widths = []
     pair_sums = ConformalIndex.pair_sums
 
-    def checked(index, v):
-        expected = _pair_sums_by_loop(index, v, seen)
-        assert pair_sums(index, v) == expected
+    def checked(index, v, lift=None):
+        expected = _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), lift)
+        assert pair_sums(index, v, lift) == expected
         widths.append(index._width)
         return expected
 
     monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
-    G = fresh_graver_basis(IntMat.row_vector(T_BIG))
+    curve = IntMat.row_vector(T_BIG)
+    G = _complete_lattice(kernel_lattice(curve).vectors, len(T_BIG), DEFAULT_BUDGET)
     assert len(G) == 266
     assert widths[0] == 7 and widths[-1] == 14
+    assert fresh_graver_basis(curve).elements == tuple(G)
 
 
 @st.composite
@@ -256,6 +267,19 @@ def test_pair_sums_while_the_key_width_grows(run):
             index.add(v)
         for u in index.vectors if stored else [v]:
             assert index.pair_sums(u) == _pair_sums_by_loop(index, u, seen)
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sets(), st.sampled_from([1, 2**61]), st.data())
+def test_lift_rule_matches_nested_loops(case, scale, data):
+    # the lift rule against the tuple loop, at every column of the drawn set
+    n, vectors, _, _, _ = case
+    vectors = [tuple(scale * x for x in v) for v in vectors]
+    lift = data.draw(st.integers(0, n - 1))
+    index = ConformalIndex(n, vectors)
+    seen = set()
+    for v in vectors:
+        assert index.pair_sums(v, lift) == _pair_sums_by_loop(index, v, seen, lift)
 
 
 def test_queries_and_pair_sums_at_2_64():

@@ -34,6 +34,9 @@ from graverkit.graver import (
     ConformalIndex,
     GraverBasis,
     _complete_lattice,
+    _det,
+    _project_and_lift,
+    _projected_columns,
     _rank2_graver,
 )
 from graverkit.linalg import (
@@ -55,6 +58,7 @@ from _paper import (
     fresh_graver_basis,
     lift_curve_vector,
     lifting_decomposition,
+    random_unimodular,
     reduce_by_set,
 )
 from test_conformal_index import small_matrices
@@ -172,16 +176,20 @@ class TestReductionChain:
         assert completion_run(CHAIN_INPUTS[name]())[1] == self.PINNED_COUNTERS[name]
 
     def test_logged_counters_agree_with_the_result(self, caplog):
+        # graver_basis logs the projection's completion, then one line per lift
         A = T(1, 6, 8, 12, 19)
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = fresh_graver_basis(A)
-        [record] = [r for r in caplog.records if r.msg.startswith("completion:")]
+        [record, lift] = caplog.records
+        assert (record.msg, lift.msg) == ("completion: %s", "lift: %s")
         counts = record.args
-        assert counts["kept"] == len(G)
         assert counts["index"] == 2 * kernel_lattice(A).rank + 2 * counts["inserts"]
         assert counts["pops"] == counts["generated"]  # the heap is drained
         # each reducer scan that hits is followed by a subtraction; at most one per pop misses
         assert counts["inserts"] <= counts["scans"] <= counts["subtractions"] + counts["pops"]
+        assert lift.args["seeds"] == counts["kept"]
+        assert lift.args["pops"] == lift.args["generated"]
+        assert lift.args["kept"] == len(G)
 
 
 @st.composite
@@ -255,6 +263,153 @@ class TestRank2Walk:
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(7, 15, 20), budget=Budget(max_seconds=1.0))
         assert (info.value.kind, info.value.generated) == ("time", 1)
+
+
+@st.composite
+def simple_lattices(draw):
+    """The kernel basis of an (n-r) x n matrix, r in {3, 4}, n <= 7, entries
+    -3..4, whose kernel has rank r and no zero or parallel Gale rows, with
+    its Graver basis from the completion. About half of these lattices need
+    more than 2,000 pair sums there, some of them millions; they are left
+    out, to keep the property within about a second."""
+    r = draw(st.integers(3, 4))
+    n = draw(st.integers(r + 1, 7))
+    entry = st.integers(-3, 4)
+    A = IntMat(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(n - r)), ncols=n)
+    basis = kernel_lattice(A).vectors
+    assume(len(basis) == r and is_simple(A))
+    try:
+        return basis, _complete_lattice(basis, n, Budget(max_candidates=2_000))
+    except BudgetExceededError:
+        assume(False)
+
+
+class TestProjectAndLift:
+    """Lattices of rank >= 3 take project-and-lift; the completion on the
+    whole lattice is its reference."""
+
+    # the whole debug output of graver_basis on two simple curves
+    PINNED_LINES = {
+        "T_BIG": [
+            ("completion: %s", dict(pops=519, scans=694, subtractions=768, inserts=44,
+                                    generated=519, index=96, kept=26)),
+            ("lift: %s", dict(column=0, seeds=26, generated=2227, pops=2227, inserts=240,
+                              kept=266)),
+        ],
+        "1 6 8 12 19": [
+            ("completion: %s", dict(pops=160, scans=230, subtractions=256, inserts=20,
+                                    generated=160, index=48, kept=4)),
+            ("lift: %s", dict(column=0, seeds=4, generated=995, pops=995, inserts=138,
+                              kept=142)),
+        ],
+    }
+
+    @staticmethod
+    def both_engines(basis, n):
+        return (_project_and_lift(basis, n, DEFAULT_BUDGET),
+                _complete_lattice(basis, n, DEFAULT_BUDGET))
+
+    def test_curves_match_the_engine(self):
+        # every gcd-normalised 1x4 curve with entries <= 8, then two 1x5 curves
+        curves = [t for t in itertools.combinations_with_replacement(range(1, 9), 4)
+                  if math.gcd(*t) == 1]
+        assert len(curves) == 289
+        for t in [*curves, T_BIG, (1, 6, 8, 12, 19)]:
+            lifted, engine = self.both_engines(kernel_lattice(T(*t)).vectors, len(t))
+            assert lifted == engine, t
+
+    @settings(max_examples=15, deadline=None)
+    @given(simple_lattices(), st.randoms(use_true_random=False), st.data())
+    def test_simple_lattices_match_the_engine(self, case, rng, data):
+        # also on another basis of the lattice, and with its columns permuted
+        basis, engine = case
+        n = len(basis[0])
+        assert _project_and_lift(basis, n, DEFAULT_BUDGET) == engine
+        U = random_unimodular(rng, len(basis))
+        changed = [tuple(sum(u * b[c] for u, b in zip(row, basis)) for c in range(n))
+                   for row in U]
+        assert _project_and_lift(changed, n, DEFAULT_BUDGET) == engine
+        perm = data.draw(st.permutations(range(n)))
+        permuted = [tuple(b[p] for p in perm) for b in changed]
+        assert _project_and_lift(permuted, n, DEFAULT_BUDGET) == sorted(
+            sign_canonical([u[p] for p in perm]) for u in engine)
+
+    def test_determinants(self):
+        rng = random.Random(20)
+        for k in range(1, 6):
+            U = random_unimodular(rng, k)
+            assert _det(U) in (1, -1)
+            assert _det([[3 * x for x in U[0]], *U[1:]]) == 3 * _det(U)
+        assert _det([]) == 1
+        assert _det([[1, 2, 3], [4, 5, 6], [7, 8, 10]]) == -3
+        assert _det([[0, 1, 0], [1, 0, 0], [0, 0, 0]]) == 0
+
+    def test_a_curve_drops_the_column_of_its_smallest_entry(self):
+        # the minor off column k is +-a_k; on a tie the first set of columns wins
+        for t in [T_BIG, (7, 3, 9, 11), (5, 9, 2, 14, 6), (8, 13, 21, 34, 55, 89)]:
+            k = t.index(min(t))
+            cols = _projected_columns(kernel_lattice(T(*t)).vectors)
+            assert cols == tuple(c for c in range(len(t)) if c != k), t
+        assert _projected_columns(kernel_lattice(T(15, 15, 29, 29, 29)).vectors) == (0, 2, 3, 4)
+
+    def test_a_unit_entry_projects_onto_the_unit_vectors(self, monkeypatch):
+        stages = []
+        stage = graver_module._completion_stage
+
+        def recording(seeds, n, spent, lift=None):
+            kept, counts = stage(seeds, n, spent, lift)
+            stages.append(kept)
+            return kept, counts
+
+        monkeypatch.setattr(graver_module, "_completion_stage", recording)
+        fresh_graver_basis(T(6, 1, 8, 12, 19))
+        assert stages[0] == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+        assert len(stages) == 2 and len(stages[1]) == 142
+
+    def test_element_cap_counts_every_stage(self, caplog):
+        # the projection forms 519 sums, under the cap; the lift's seeding passes it
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"), \
+                pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(T(*T_BIG), budget=Budget(max_candidates=600))
+        assert [r.msg for r in caplog.records] == ["completion: %s"]
+        assert info.value.kind == "elements" and info.value.generated > 600
+
+    def test_time_cap_holds_inside_a_lift(self, monkeypatch, caplog):
+        # the clock jumps once the lift forms its first pairs; its first pop sees it
+        lifted = []
+        pair_sums = ConformalIndex.pair_sums
+
+        def recording(index, v, lift=None):
+            if lift is not None:
+                lifted.append(v)
+            return pair_sums(index, v, lift)
+
+        clock = SimpleNamespace(monotonic=lambda: 1e9 if lifted else 0.0)
+        monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
+        monkeypatch.setattr(graver_module, "time", clock)
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"), \
+                pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
+        assert [r.msg for r in caplog.records] == ["completion: %s"]
+        assert info.value.kind == "time" and info.value.generated > 519
+        assert len(lifted) == 2 * 26  # the lift's seeds, both signs
+
+    def test_time_cap_holds_in_a_lift_minimality_filter(self, monkeypatch):
+        # the clock jumps when the lift's index counts its first dominators
+        counted = []
+        dominators = ConformalIndex.dominators
+
+        def counting(index, i):
+            counted.append((index.n, i))
+            return dominators(index, i)
+
+        clock = SimpleNamespace(monotonic=lambda: 1e9 if (5, 0) in counted else 0.0)
+        monkeypatch.setattr(ConformalIndex, "dominators", counting)
+        monkeypatch.setattr(graver_module, "time", clock)
+        with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
+        assert (info.value.kind, info.value.generated) == ("time", 519 + 2227)
+        assert counted == [(4, i) for i in range(0, 96, 2)] + [(5, 0)]
 
 
 class TestVectorSets:
@@ -358,9 +513,9 @@ class TestGraverBasis:
         seeded = []
         pair_sums = graver_module.ConformalIndex.pair_sums
 
-        def counting(index, v):
+        def counting(index, v, lift=None):
             seeded.append(v)
-            return pair_sums(index, v)
+            return pair_sums(index, v, lift)
 
         clock = SimpleNamespace(monotonic=lambda: 1e9 if seeded else 0.0)
         monkeypatch.setattr(graver_module.ConformalIndex, "pair_sums", counting)
@@ -575,22 +730,22 @@ class TestBouquetRoute:
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = graver_basis(example_e())
         messages = [r.getMessage() for r in caplog.records]
-        assert messages[0].startswith("completion: ")  # Gr(T_BIG), the one completion
-        assert messages[1:] == ["bouquet route: 11 -> 5 columns, Gr(A_B) computed"]
+        # Gr(T_BIG), the one computation: its projection's completion and one lift
+        assert messages[0].startswith("completion: ")
+        assert messages[1].startswith("lift: ")
+        assert messages[2:] == ["bouquet route: 11 -> 5 columns, Gr(A_B) computed"]
         assert len(G) == 266
         assert graver_basis(T(*T_BIG)) is graver_module._GRAVER_MEMO[((T_BIG,), 5)]
 
-    @pytest.mark.parametrize("name", ["T_BIG", "1 6 8 12 19"])
+    @pytest.mark.parametrize("name", TestProjectAndLift.PINNED_LINES)
     def test_simple_matrices_take_no_route(self, name, monkeypatch, caplog):
-        # graver_basis logs the engine's pinned counters and nothing else
+        # graver_basis logs project-and-lift's pinned lines and nothing else
         A = CHAIN_INPUTS[name]()
         assert is_simple(A)
         empty_graver_memos(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             graver_basis(A)
-        [record] = caplog.records
-        assert record.msg.startswith("completion:")
-        assert record.args == TestReductionChain.PINNED_COUNTERS[name]
+        assert [(r.msg, r.args) for r in caplog.records] == TestProjectAndLift.PINNED_LINES[name]
 
 
 class TestCircuits:
