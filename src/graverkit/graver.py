@@ -15,8 +15,9 @@ walk (proof in its docstring). A lattice of rank d >= 3, such as that of
 every 1xs curve with s >= 4, is computed by project-and-lift
 (`_project_and_lift`): complete its projection onto d columns, a full-rank
 lattice of Z^d, then lift the other columns one at a time, each by a
-completion that forms only the pairs its lifting lemma needs. Lower ranks
-take one completion over the whole lattice.
+completion that forms only the pairs its lifting lemma needs. A lattice of
+rank 0 or 1 is its own Graver basis up to sign: nothing, or the primitive
+generator of its saturated basis.
 
 A completion is Pottier-style: seed with a lattice basis and its negations,
 repeatedly form pairwise sums with cancellation, conformally reduce each sum
@@ -70,9 +71,10 @@ class Budget:
     """Resource caps for one Graver basis computation.
 
     `max_candidates` caps the candidates: the pair sums formed in every
-    stage of the completion or of project-and-lift together, or the vectors
-    the rank-2 walk emits. `max_seconds` caps the wall time, from the first
-    seed to the last minimality filter. ValueError for a negative or NaN cap.
+    stage of project-and-lift together, or the vectors the rank-2 walk
+    emits. `max_seconds` caps the wall time, from the first seed to the last
+    minimality filter. A lattice of rank 0 or 1, answered in closed form,
+    spends neither. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -313,32 +315,21 @@ class ConformalIndex:
 class _Spent:
     """The candidates and seconds one computation has spent over its stages:
     the clock runs from the first seed, and the candidates are the pair sums
-    of every finished stage."""
+    of every finished stage, or the vectors the rank-2 walk has emitted."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
         self.start = time.monotonic()
         self.generated = 0
 
-    def check(self, generated: int, candidates: bool = True) -> None:
+    def check(self, generated: int) -> None:
         """Raise BudgetExceededError when the running stage's `generated`
-        sums, with the earlier stages', or the seconds pass their caps."""
+        candidates, with the earlier stages', or the seconds pass their caps."""
         total = self.generated + generated
-        if candidates and total > self.budget.max_candidates:
+        if total > self.budget.max_candidates:
             raise BudgetExceededError("elements", self.budget.max_candidates, total)
         if time.monotonic() - self.start > self.budget.max_seconds:
             raise BudgetExceededError("time", self.budget.max_seconds, total)
-
-
-def _complete_lattice(
-    basis: Sequence[IntVec], n: int, budget: Budget
-) -> list[IntVec]:
-    """Run the completion; return canonical sorted Graver representatives."""
-    if not basis:
-        return []
-    kept, counts = _completion_stage(basis, n, _Spent(budget))
-    log.debug("completion: %s", counts)
-    return kept
 
 
 def _completion_stage(
@@ -411,10 +402,13 @@ def _completion_stage(
             inserts += 1
             enqueue_pairs(s)
 
-    # u is conformally minimal iff -u is, so one sign of each pair decides
+    # u is conformally minimal iff -u is, so one sign of each pair decides.
+    # Only the clock can raise here: every sum is pushed and the drained heap
+    # popped each one after a check, so the last check saw this `generated`
+    # (or none ran and it is 0), and earlier stages' totals passed the same way
     minimal = []
     for i in range(0, len(index), 2):
-        spent.check(generated, candidates=False)
+        spent.check(generated)
         if index.dominators(i) == 1:
             minimal.append(sign_canonical(index.vectors[i]))
     spent.generated += generated
@@ -423,7 +417,7 @@ def _completion_stage(
                       generated=generated, index=len(index), kept=len(kept))
 
 
-def _project_and_lift(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:
+def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[IntVec]:
     """Gr(L) of the rank-d lattice L with this basis, d >= 3, by project-and-lift
     (Hemmecke, "On the computation of Hilbert bases of cones", ICMS 2002; De
     Loera, Hemmecke and Koeppe, Algebraic and Geometric Ideas in the Theory of
@@ -460,12 +454,11 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, budget: Budget) -> list[I
       contradicts the choice. So the representation is conformal on J + j,
       and z, conformally minimal, is one of its terms: a stored vector.
 
-    `max_candidates` caps the sums formed in all stages together, and
-    `max_seconds` runs from the first seed to the last minimality filter.
-    Each stage logs one debug line: the completion's for the projection,
+    `spent` caps the sums formed in all stages together, and the seconds
+    from the first seed to the last minimality filter. Each stage logs one
+    debug line: `completion:` and the stage's counters for the projection,
     `lift: {column, seeds, generated, pops, inserts, kept}` for each lift.
     """
-    spent = _Spent(budget)
     cols = _projected_columns(basis)
     P = [[b[c] for c in cols] for b in basis]
     det = _det(P)
@@ -519,7 +512,7 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def _rank2_graver(basis: Sequence[IntVec], budget: Budget) -> list[IntVec]:
+def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
     """Gr(L) of the rank-2 lattice L = Z b1 + Z b2 in Z^n, by Hirzebruch-Jung
     walks over its sign sectors; canonical sorted representatives.
 
@@ -563,10 +556,9 @@ def _rank2_graver(basis: Sequence[IntVec], budget: Budget) -> list[IntVec]:
 
     Each sector emits h_0, ..., h_{k-1}: h_k starts the next sector, and
     -r_0, ending the last one, is r_0 up to sign. So every element is emitted
-    once, and each emitted vector counts as a candidate against
-    `max_candidates`; `max_seconds` is checked per emitted vector.
+    once, and `spent` checks both caps per emitted vector, each counting as
+    a candidate.
     """
-    start = time.monotonic()
     b1, b2 = basis
     lines = set()  # the primitive direction of each line at an angle in (0, pi]
     for w1, w2 in zip(b1, b2):
@@ -584,10 +576,7 @@ def _rank2_graver(basis: Sequence[IntVec], budget: Budget) -> list[IntVec]:
         d_prev, d = t * r2[1] + s * r2[0], r1[0] * r2[1] - r1[1] * r2[0]
         while d:
             found.append(sign_canonical([h[0] * x + h[1] * y for x, y in zip(b1, b2)]))
-            if len(found) > budget.max_candidates:
-                raise BudgetExceededError("elements", budget.max_candidates, len(found))
-            if time.monotonic() - start > budget.max_seconds:
-                raise BudgetExceededError("time", budget.max_seconds, len(found))
+            spent.check(len(found))
             a = -(-d_prev // d)
             prev, h = h, (a * h[0] - prev[0], a * h[1] - prev[1])
             d_prev, d = d, a * d - d_prev
@@ -607,12 +596,18 @@ def _bezout(a: int, b: int) -> tuple[int, int]:
 
 def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:
     """Canonical sorted Gr of the lattice with this basis: the walk for rank 2,
-    project-and-lift for rank 3 and up, one completion below rank 2."""
+    project-and-lift for rank 3 and up, both under one budget ledger.
+
+    Below rank 2 it is the basis up to sign, spending no budget: Gr(Z b) is
+    +-b for b primitive (Sturmfels, Groebner Bases and Convex Polytopes,
+    ch. 7), as the saturated basis of `kernel_lattice` is.
+    """
+    if len(basis) < 2:
+        return [sign_canonical(b) for b in basis]
+    spent = _Spent(budget)
     if len(basis) == 2:
-        return _rank2_graver(basis, budget)
-    if len(basis) >= 3:
-        return _project_and_lift(basis, n, budget)
-    return _complete_lattice(basis, n, budget)
+        return _rank2_graver(basis, spent)
+    return _project_and_lift(basis, n, spent)
 
 
 _GRAVER_MEMO_SIZE = 64
@@ -627,7 +622,7 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     Gr(A) depends only on the lattice Ker(A). The lattice of a simple A (no
     free column, no two parallel Gale rows) is computed by `_lattice_graver`:
     the sector walk when it has rank 2, project-and-lift when it has rank 3
-    or more, and the completion otherwise. Any other
+    or more, and the basis itself up to sign below that. Any other
     A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B simple.
     Each result is memoized under the canonical basis of the lattice it
     answers and its width n: `kernel_lattice(X).vectors`, the rows of the

@@ -100,6 +100,18 @@ def empty_graver_memos(monkeypatch):
     monkeypatch.setattr(complexes_module, "_COMPLEX_MEMO", {})
 
 
+def _complete_lattice(basis, n, budget):
+    """Canonical sorted Gr of the lattice with this basis by one Pottier
+    completion of the whole lattice, the reference the engines of
+    `graver_basis` are held to: one `_completion_stage` under a fresh
+    `_Spent`, logged as `completion:` and its counters."""
+    if not basis:
+        return []
+    kept, counts = graver_module._completion_stage(basis, n, graver_module._Spent(budget))
+    graver_module.log.debug("completion: %s", counts)
+    return kept
+
+
 def fresh_graver_basis(A, budget=None):
     """Gr(A) from a new completion; the shared memos are neither read nor written."""
     with pytest.MonkeyPatch.context() as monkeypatch:

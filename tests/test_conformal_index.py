@@ -27,7 +27,7 @@ from graverkit import (
     lambda_matrix,
     robust_complex,
 )
-from graverkit.graver import DEFAULT_BUDGET, ConformalIndex, _complete_lattice
+from graverkit.graver import DEFAULT_BUDGET, ConformalIndex
 from graverkit.linalg import (
     kernel_lattice,
     negative_part,
@@ -37,7 +37,7 @@ from graverkit.linalg import (
     vec_add,
 )
 
-from _paper import T_BIG, empty_graver_memos, example_e, fresh_graver_basis
+from _paper import T_BIG, _complete_lattice, empty_graver_memos, example_e, fresh_graver_basis
 
 
 def _pair_sums_by_loop(index, v, seen, lift=None):

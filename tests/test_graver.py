@@ -8,7 +8,7 @@ from types import SimpleNamespace
 from unittest import mock
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import graverkit.graver as graver_module
@@ -33,11 +33,9 @@ from graverkit.graver import (
     CircuitSet,
     ConformalIndex,
     GraverBasis,
-    _complete_lattice,
     _det,
-    _project_and_lift,
+    _lattice_graver,
     _projected_columns,
-    _rank2_graver,
 )
 from graverkit.linalg import (
     kernel_lattice,
@@ -53,6 +51,7 @@ from graverkit.robustness import IndispensableSet
 
 from _paper import (
     T_BIG,
+    _complete_lattice,
     empty_graver_memos,
     example_e,
     fresh_graver_basis,
@@ -208,7 +207,7 @@ class TestRank2Walk:
 
     @staticmethod
     def both_engines(basis, n):
-        return (_rank2_graver(basis, DEFAULT_BUDGET),
+        return (_lattice_graver(basis, n, DEFAULT_BUDGET),
                 _complete_lattice(basis, n, DEFAULT_BUDGET))
 
     def test_curves_match_the_engine(self):
@@ -231,7 +230,7 @@ class TestRank2Walk:
         assert walk == engine
         c1 = tuple(x + p * y for x, y in zip(b1, b2))  # (c1, c2) = (b1, b2) U, det U = -1
         c2 = tuple(q * x - y for x, y in zip(c1, b2))
-        assert _rank2_graver((c2, c1) if swap else (c1, c2), DEFAULT_BUDGET) == engine
+        assert _lattice_graver((c2, c1) if swap else (c1, c2), A.ncols, DEFAULT_BUDGET) == engine
 
     def test_zero_and_parallel_gale_rows_match_the_engine(self):
         # a zero coordinate cuts no sector, and a parallel one cuts an existing line
@@ -248,8 +247,7 @@ class TestRank2Walk:
         assert record.args == dict(sectors=3, candidates=9, kept=9)
         assert len(G) == 9
 
-    def test_element_cap_holds_inside_the_walk(self, monkeypatch):
-        monkeypatch.setattr(graver_module, "_complete_lattice", None)  # the walk alone runs
+    def test_element_cap_holds_inside_the_walk(self):
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(7, 15, 20), budget=Budget(max_candidates=1))
         assert (info.value.kind, info.value.generated) == ("elements", 2)
@@ -259,7 +257,6 @@ class TestRank2Walk:
         ticks = iter([0.0])
         clock = SimpleNamespace(monotonic=lambda: next(ticks, 1e9))
         monkeypatch.setattr(graver_module, "time", clock)
-        monkeypatch.setattr(graver_module, "_complete_lattice", None)
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(7, 15, 20), budget=Budget(max_seconds=1.0))
         assert (info.value.kind, info.value.generated) == ("time", 1)
@@ -306,7 +303,7 @@ class TestProjectAndLift:
 
     @staticmethod
     def both_engines(basis, n):
-        return (_project_and_lift(basis, n, DEFAULT_BUDGET),
+        return (_lattice_graver(basis, n, DEFAULT_BUDGET),
                 _complete_lattice(basis, n, DEFAULT_BUDGET))
 
     def test_curves_match_the_engine(self):
@@ -324,14 +321,14 @@ class TestProjectAndLift:
         # also on another basis of the lattice, and with its columns permuted
         basis, engine = case
         n = len(basis[0])
-        assert _project_and_lift(basis, n, DEFAULT_BUDGET) == engine
+        assert _lattice_graver(basis, n, DEFAULT_BUDGET) == engine
         U = random_unimodular(rng, len(basis))
         changed = [tuple(sum(u * b[c] for u, b in zip(row, basis)) for c in range(n))
                    for row in U]
-        assert _project_and_lift(changed, n, DEFAULT_BUDGET) == engine
+        assert _lattice_graver(changed, n, DEFAULT_BUDGET) == engine
         perm = data.draw(st.permutations(range(n)))
         permuted = [tuple(b[p] for p in perm) for b in changed]
-        assert _project_and_lift(permuted, n, DEFAULT_BUDGET) == sorted(
+        assert _lattice_graver(permuted, n, DEFAULT_BUDGET) == sorted(
             sign_canonical([u[p] for p in perm]) for u in engine)
 
     def test_determinants(self):
@@ -428,7 +425,10 @@ class TestVectorSets:
 
 class TestGraverBasis:
     def test_principal_kernel(self):
-        assert graver_basis(T(2, 3)).elements == ((3, -2),)
+        # every 1x2 curve with entries <= 30: Gr is its primitive kernel generator
+        for a, b in itertools.product(range(1, 31), repeat=2):
+            g = math.gcd(a, b)
+            assert graver_basis(T(a, b)).elements == ((b // g, -a // g),), (a, b)
 
     def test_3_5_7_equals_enumeration(self):
         G = graver_basis(T(3, 5, 7))
@@ -507,6 +507,19 @@ class TestGraverBasis:
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(24, 40, 41, 60, 80), budget=Budget(max_seconds=0.0))
         assert info.value.kind == "time"
+
+    def test_closed_forms_spend_no_budget(self, monkeypatch, caplog):
+        # ranks 0 and 1 read no clock and count no candidate, whatever the caps;
+        # Gr(3 5) logs its bouquet route alone, with no completion line
+        empty_graver_memos(monkeypatch)
+        clock = SimpleNamespace(monotonic=itertools.count().__next__)  # a second per read
+        monkeypatch.setattr(graver_module, "time", clock)
+        zero = Budget(max_candidates=0, max_seconds=0.0)
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            assert graver_basis(T(3, 5), zero).elements == ((5, -3),)
+        assert [r.getMessage() for r in caplog.records] == [
+            "bouquet route: 2 -> 1 columns, Gr(A_B) computed"]
+        assert graver_basis(IntMat.from_rows([[1, 0], [0, 1]]), zero).elements == ()
 
     def test_time_budget_counts_seeding(self, monkeypatch):
         # the clock jumps while the seed pairs are formed; the first pop sees it
@@ -642,9 +655,21 @@ def non_simple_candidates(draw):
     return IntMat.from_rows([row[:at] + [scale * row[j]] + row[at:] for row in rows])
 
 
+@st.composite
+def low_rank_kernels(draw):
+    """An n x n or (n-1) x n matrix, n <= 4, whose kernel has rank 0 or 1: the
+    lattices `_lattice_graver` answers in closed form, routed or not."""
+    n = draw(st.integers(1, 4))
+    d = draw(st.sampled_from([n - 1, n]))
+    A = IntMat(tuple(tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(d)), ncols=n)
+    assume(kernel_lattice(A).rank <= 1)
+    return A
+
+
 route_inputs = (
     gen_lawrence_specs().map(lambda spec: build_gen_lawrence(spec, check_hypothesis=False).matrix)
     | non_simple_candidates()
+    | low_rank_kernels()
 )
 
 
@@ -653,6 +678,8 @@ class TestBouquetRoute:
 
     @settings(max_examples=120, deadline=None)
     @given(route_inputs)
+    @example(IntMat.from_rows([[1, 0], [0, 1]]))  # rank 0
+    @example(T(3, 5))  # rank 1, routed to one column
     def test_graver_basis_equals_the_engine_on_its_own_lattice(self, A):
         engine = _complete_lattice(kernel_lattice(A).vectors, A.ncols, DEFAULT_BUDGET)
         assert fresh_graver_basis(A).elements == tuple(engine)

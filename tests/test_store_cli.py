@@ -21,7 +21,7 @@ from graverkit.store import (
     read_matrix,
 )
 
-from _paper import EXAMPLE_E_ROWS, GEN_C_VECTORS, GEN_LAMBDAS, GEN_T
+from _paper import EXAMPLE_E_ROWS, GEN_C_VECTORS, GEN_LAMBDAS, GEN_T, empty_graver_memos
 from test_cli_golden import GOLDEN, write_inputs
 
 
@@ -353,6 +353,14 @@ class TestCli:
         assert code == 4
         payload = json.loads(out)
         assert payload["error"]["type"] == "BudgetExceededError"
+
+    def test_principal_kernel_needs_no_budget(self, capsys, tmp_path, monkeypatch):
+        # a rank-1 kernel is answered in closed form, so no cap can stop it
+        empty_graver_memos(monkeypatch)
+        path = tmp_path / "curve.mat"
+        path.write_text("1 2\n3 5\n")
+        code, out = self.run(capsys, "graver", str(path), "--budget-secs", "0")
+        assert (code, out) == (0, "1 2\n5 -3\n")
 
     def test_budget_help_states_the_default_budget(self):
         # the defaults are spelled out by hand in the help strings, whose bytes are pinned
