@@ -25,8 +25,8 @@ to a normal form against the current set, and insert nonzero normal forms.
 At the fixpoint the conformally minimal elements are exactly the Graver
 basis. Pair generation pairs each new element with the stored vectors that
 cancel it, read off the index's bitsets, and drops the sums queued before by
-a packed integer key that is one add per sum, so only new sums become
-tuples. Reduction makes one ascending pass over the stored vectors below the
+value: a set holds the sign-canonical form of every sum queued so far.
+Reduction makes one ascending pass over the stored vectors below the
 popped sum and subtracts each while it still divides the shrinking
 remainder; the chains are those of one reducer per step.
 
@@ -48,7 +48,7 @@ import operator
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import gt, lshift, neg, sub
+from operator import add, gt, sub
 from typing import Iterable, Iterator, Sequence
 
 from .bouquet import BouquetDecomposition, bouquet_decomposition, d_map, simple_gale
@@ -60,7 +60,6 @@ from .linalg import (
     negative_part,
     positive_part,
     sign_canonical,
-    vec_add,
     vec_neg,
 )
 
@@ -149,8 +148,8 @@ class ConformalIndex:
     `pair_sums` reads the rows that cancel a vector off the lowest threshold
     of each column, or, by the lift rule of project-and-lift, those that
     cancel it in one column and share its signs in the others, and drops
-    repeated sums by packed integer keys, which it alone builds: one per
-    row, and a set of the keys of the sums it has returned.
+    repeated sums by value, through the one set of the sign-canonical sums
+    it has returned, seeded with the zero vector.
     """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
@@ -159,10 +158,7 @@ class ConformalIndex:
         self.members: set[IntVec] = set()
         self.parts: list[tuple[int, ...]] = []  # concatenated (pos, neg)
         self._top = 0
-        self._width = 0  # W of the packed keys; 0 until the first pair_sums
-        self._keys: list[int] = []  # packed keys of rows 0..len-1
-        self._sums: list[IntVec] = []  # every pair sum returned so far
-        self._seen: set[int] = set()  # 0 and the keys of both signs of each
+        self._seen: set[IntVec] = {(0,) * n}  # 0 and every pair sum returned so far
         self._folded = 0  # rows 0.._folded-1 are in the bitsets
         self._values: list[list[int]] = [[] for _ in range(2 * n)]
         self._masks: list[list[int]] = [[] for _ in range(2 * n)]
@@ -256,31 +252,15 @@ class ConformalIndex:
 
         The rows that cancel v are read off the bitsets: those with g+ > 0 in
         a column where v < 0, or g- > 0 where v > 0; the others have
-        g_c * v_c >= 0 there. Repeats are dropped by the packed key
-        key(u) = sum of u_c * 2^(W*c), which is linear, so a sum's key is
-        one add of two stored keys. It is injective on vectors
-        whose entries all have |u_c| < 2^(W-1): the difference d of two such
-        vectors has |d_c| < 2^W, so if c is the first column with d_c != 0,
-        key(d) is d_c * 2^(W*c) modulo 2^(W*(c+1)), which is not 0. W is
-        at least bit_length(m) + 2 for m the largest |entry| of v and of the
-        rows, so every sum v + g, and every sum returned before, meets that
-        bound. When W must grow it at least doubles, and the row keys and
-        the seen set are rebuilt. The seen set holds 0 and both signs of
-        every sum returned so far, so only new sums become tuples.
+        g_c * v_c >= 0 there. Repeats are dropped by value: the seen set
+        holds the zero vector and every sign-canonical sum returned so far,
+        so a sum is new iff its sign-canonical form is not in it.
         """
         k = len(self.parts)
         if not k or lift is not None and not v[lift]:
             return []
         if self._folded < k:
             self._fold()
-        need = max(self._top, *map(abs, v)).bit_length() + 2
-        if need > self._width:
-            self._width = max(need, 2 * self._width)
-            self._keys = list(map(self._key, self.vectors))
-            keys = list(map(self._key, self._sums))
-            self._seen = {0, *keys, *map(neg, keys)}
-        elif len(self._keys) < k:
-            self._keys += map(self._key, self.vectors[len(self._keys):])
         every, rows = (1 << k) - 1, 0 if lift is None else (1 << k) - 1
         for c, x in enumerate(v):
             if x:
@@ -290,23 +270,17 @@ class ConformalIndex:
                     rows |= every ^ same
                 else:
                     rows &= every ^ same if c == lift else same
-        kv, keys, seen, new = self._key(v), self._keys, self._seen, []
+        vectors, seen, new = self.vectors, self._seen, []
         # the set bits of rows, lowest first: one find per row, however sparse
         bits = bin(rows)[:1:-1]
         i = bits.find("1")
         while i >= 0:
-            key = kv + keys[i]
-            if key not in seen:
-                seen.add(key)
-                seen.add(-key)
-                s = sign_canonical(vec_add(v, self.vectors[i]))
-                self._sums.append(s)
+            s = sign_canonical(tuple(map(add, v, vectors[i])))
+            if s not in seen:
+                seen.add(s)
                 new.append((sum(map(abs, s)), s))
             i = bits.find("1", i + 1)
         return new
-
-    def _key(self, u: IntVec) -> int:
-        return sum(map(lshift, u, range(0, self._width * self.n, self._width)))
 
 
 # ---------------------------------------------------------------------------

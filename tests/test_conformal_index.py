@@ -2,10 +2,10 @@
 
 Every operation has one code path. `below`, `find` and `dominators` read
 threshold bitsets. `pair_sums` reads the rows that cancel a vector off the
-same bitsets and drops repeated sums by packed integer keys, whose width
-grows with the entries; so does its lift rule, for project-and-lift. Its
-results are held to `_pair_sums_by_loop`, the plain tuple loop it replaced,
-on natural inputs whose entries pass 2^60:
+same bitsets and drops repeated sums by value, through one set of the
+sign-canonical sums it has returned; so does its lift rule, for
+project-and-lift. Its results are held to `_pair_sums_by_loop`, the plain
+tuple loop it replaced, on natural inputs whose entries pass 2^60:
 scalings by 2^61, Lambda(2^61+1, 2^61+3)_0, queries at 2^64 and runs whose
 entries grow past 2^8, 2^63 and 2^64.
 """
@@ -91,28 +91,6 @@ class TestPureIntegerFallback:
         _by_loop(monkeypatch)
         assert [_robustness_results(A) for A in matrices] == fast
 
-    def test_guard_switches_off_partway_through_a_run(self, monkeypatch):
-        # the packed keys of width W are injective only while every entry is
-        # below 2^(W-1). Gr(24 40 41 60 80) has entries up to 80, its kernel
-        # basis only up to 20, so in the one-stage completion the 7-bit keys'
-        # guard fails partway through the run and the keys are rebuilt 14
-        # bits wide
-        basis = kernel_lattice(IntMat.row_vector(T_BIG)).vectors
-        fast = _complete_lattice(basis, len(T_BIG), DEFAULT_BUDGET)
-        widths = []
-        pair_sums = ConformalIndex.pair_sums
-
-        def recording(index, v, lift=None):
-            sums = pair_sums(index, v, lift)
-            widths.append(index._width)
-            return sums
-
-        monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
-        assert _complete_lattice(basis, len(T_BIG), DEFAULT_BUDGET) == fast
-        grown = widths.index(14)
-        assert 0 < grown < len(widths)
-        assert widths[:grown] == [7] * grown and widths[grown:] == [14] * (len(widths) - grown)
-
     def test_natural_input_above_2_60(self):
         a, b = 2**61 + 1, 2**61 + 3
         lam = lambda_matrix([a, b], [])
@@ -136,7 +114,7 @@ def small_matrices(draw):
 @settings(max_examples=60, deadline=None)
 @given(small_matrices())
 def test_completion_identical_on_both_paths(A):
-    # packed keys against the plain tuple loop, in the engine run on A's own
+    # pair_sums against the plain tuple loop, in the engine run on A's own
     # lattice: graver_basis answers rank-2 lattices without pair sums
     basis = kernel_lattice(A).vectors
     fast = _complete_lattice(basis, A.ncols, DEFAULT_BUDGET)
@@ -206,8 +184,12 @@ def test_primitive_sets_match_nested_loops(case):
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([1, 2**61]))
+# (2,-1) + (-3,-1) is the negation of the sum (2,-1) + (-1,3) before it
+@example((2, [(2, -1), (-1, 3), (-3, -1)], None, None, 0), 1)
+# (1,-2) + (-1,2) is zero, as -v is stored
+@example((2, [(1, -2), (3, 0), (-1, 2)], None, None, 0), 2**61)
 def test_pair_sums_match_nested_loops(case, scale):
-    # scaled by 2**61 the entries, and the packed keys' digits, pass 2**60
+    # scaled by 2**61 the entries, and so the sums, pass 2**60
     n, vectors, _, _, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
     index = ConformalIndex(n, vectors)
@@ -216,25 +198,22 @@ def test_pair_sums_match_nested_loops(case, scale):
         assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
 
 
-def test_pair_sums_dedup_across_the_switch_to_exact_ints(monkeypatch):
-    # the keys are exact Python ints at every width; the switch the one-stage
-    # completion crosses is the one from 7-bit to 14-bit keys, and every call
-    # on either side of it must drop the same repeats as the tuple loop; so
-    # must every call of project-and-lift, whose stages each have an index
-    widths = []
+def test_pair_sums_dedup_in_every_completion_call(monkeypatch):
+    # every call of the one-stage completion, whose entries grow from 20 in
+    # the kernel basis to 80 in Gr(24 40 41 60 80), must drop the same repeats
+    # as the tuple loop; so must every call of project-and-lift, whose stages
+    # each have an index
     pair_sums = ConformalIndex.pair_sums
 
     def checked(index, v, lift=None):
         expected = _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), lift)
         assert pair_sums(index, v, lift) == expected
-        widths.append(index._width)
         return expected
 
     monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
     curve = IntMat.row_vector(T_BIG)
     G = _complete_lattice(kernel_lattice(curve).vectors, len(T_BIG), DEFAULT_BUDGET)
     assert len(G) == 266
-    assert widths[0] == 7 and widths[-1] == 14
     assert fresh_graver_basis(curve).elements == tuple(G)
 
 
@@ -253,13 +232,13 @@ def growing_runs(draw):
 
 @settings(max_examples=100, deadline=None)
 @given(growing_runs())
-# the keys widen after sums that a re-formed sum must still meet
+# the entries grow past 2^8 after sums that a re-formed sum must still meet
 @example((2, [((1, -1), True), ((-1, -1), True), ((256, 0), True)]))
 # sums with an entry of 2^9 = 512, from rows with entries 2^8
 @example((2, [((256, 1), True), ((256, -1), True), ((-256, 2), True), ((-256, -1), True)]))
-def test_pair_sums_while_the_key_width_grows(run):
+def test_pair_sums_while_the_entries_grow(run):
     # each stored vector is paired again after every add, so sums formed
-    # before the keys widen are formed again after it
+    # before larger entries arrive are formed again after them
     n, steps = run
     index, seen = ConformalIndex(n), set()
     for v, stored in steps:
@@ -270,16 +249,20 @@ def test_pair_sums_while_the_key_width_grows(run):
 
 
 @settings(max_examples=150, deadline=None)
-@given(vector_sets(), st.sampled_from([1, 2**61]), st.data())
-def test_lift_rule_matches_nested_loops(case, scale, data):
+@given(vector_sets(), st.sampled_from([1, 2**61]))
+# at column 0, (2,0) + (-3,-1) is the negation of the sum (2,0) + (-1,1) before it
+@example((2, [(2, 0), (-1, 1), (-3, -1)], None, None, 0), 1)
+# at column 0, (1,0) + (-1,0) is zero, as -v is stored
+@example((2, [(1, 0), (-1, 0), (-2, 1)], None, None, 0), 2**61)
+def test_lift_rule_matches_nested_loops(case, scale):
     # the lift rule against the tuple loop, at every column of the drawn set
     n, vectors, _, _, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
-    lift = data.draw(st.integers(0, n - 1))
-    index = ConformalIndex(n, vectors)
-    seen = set()
-    for v in vectors:
-        assert index.pair_sums(v, lift) == _pair_sums_by_loop(index, v, seen, lift)
+    for lift in range(n):
+        index = ConformalIndex(n, vectors)
+        seen = set()
+        for v in vectors:
+            assert index.pair_sums(v, lift) == _pair_sums_by_loop(index, v, seen, lift)
 
 
 def test_queries_and_pair_sums_at_2_64():
@@ -341,10 +324,10 @@ def test_dominators_with_a_free_coordinate_match_nested_loop(case):
             sum(1 for r in rows if _leq(r, q)) for q in rows]
 
 
-def test_indexes_that_only_count_dominators_build_no_keys():
+def test_indexes_that_only_count_dominators_return_no_pair_sums():
     # face tests read the basis's own signed index and primitive sets build
-    # one each; all count dominators on the bitsets, and only pair generation
-    # needs the packed keys
+    # one each; all count dominators on the bitsets, and none forms a pair
+    # sum, so each seen set holds only the zero vector
     G = graver_basis(IntMat.row_vector(T_BIG))  # computed outside the spy
     signed = G.signed_index
     made = []
@@ -361,7 +344,7 @@ def test_indexes_that_only_count_dominators_build_no_keys():
         graver_of_set(G.full_set())
         is_primitive_in(G.elements[0], G.full_set())
     assert [len(index) for index in made] == [2 * len(G)] * 2
-    assert [index._keys for index in (signed, *made)] == [[]] * 3
+    assert [index._seen for index in (signed, *made)] == [{(0,) * len(T_BIG)}] * 3
     for index in (signed, *made):
         rows = index.parts
         assert [index.dominators(i) for i in range(len(rows))] == [
