@@ -4,11 +4,11 @@ A subset w of {1..s} is a face exactly when the lifted matrix Lambda(T)_w has
 a strongly robust toric ideal. For monomial curves the complex is {0} or
 {0,{i}} for a single i, and the singleton faces admit a fast test: {i} is a
 face iff every projection of a Graver element (delete coordinate i) stays
-primitive among all such projections. For s >= 4 most singletons are
-rejected before Gr(T) is completed: the zero-padded Graver bases of the 1x3
-sub-curves lie in Gr(T), and two of their vectors in the projection test's
-relation already reject {i} (proof in `_subcurve_rejects`). A curve whose
-every singleton is rejected that way never reaches Gr(T)'s budget.
+primitive among all such projections; at s = 3 it is decided by counting
+Graver elements (`_complex_on_miss`). For s >= 4, {i} is rejected without
+Gr(T) when i's column is not the vertex of Delta_{T_J} for some 1x3
+sub-curve T_J (`_subcurve_rejects`), so a curve all of whose singletons
+are rejected that way never reaches Gr(T)'s budget.
 
 `robust_complex` has one compute path, memoized per gcd-normalised T, and a
 memoized verdict is returned whatever the budget. Its verify option checks
@@ -37,8 +37,8 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GraverKitError, PreconditionError
-from .graver import Budget, ConformalIndex, _remember, graver_basis
-from .linalg import IntMat, IntVec
+from .graver import DEFAULT_BUDGET, Budget, _rank2_graver, _remember, _Spent, graver_basis
+from .linalg import IntMat, IntVec, kernel_lattice, project_out
 from .robustness import dispensability_witness, is_strongly_robust
 
 log = logging.getLogger(__name__)
@@ -223,13 +223,16 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
     Graver sets are up to sign. Distinct vectors of +/-Gr(T) project to
     distinct vectors, as a collision would put a kernel vector supported on {i}
     into the lattice, and T_i > 0. So u's projection is primitive iff u is the
-    only row of `signed_index` at or under u with coordinate i left free.
+    only row of `signed_index` at or under u with coordinate i left free, and
+    -u has the negated rows under it, so the basis's own elements decide.
     """
     T = _curve_row(T)
     if not 1 <= i <= T.ncols:
         raise PreconditionError(f"index {i} out of range 1..{T.ncols}")
-    index = graver_basis(T, budget=budget).signed_index
-    return all(index.dominators(k, free=i - 1) == 1 for k in range(len(index)))
+    G = graver_basis(T, budget=budget)
+    index, elements = G.signed_index, G.as_set()
+    return all(index.dominators(k, free=i - 1) == 1
+               for k, u in enumerate(index.vectors) if u in elements)
 
 
 @dataclass(frozen=True)
@@ -245,57 +248,39 @@ class RobustComplex:
     def vertex(self) -> int | None:
         """The unique singleton face, when present."""
         singles = sorted(min(f) for f in self.faces if len(f) == 1)
-        if not singles:
-            return None
         if len(singles) > 1:
             raise GraverKitError(f"multiple vertices {singles}: uniqueness violated")
-        return singles[0]
+        return singles[0] if singles else None
 
     def sorted_faces(self) -> list[list[int]]:
         return sorted([sorted(f) for f in self.faces], key=lambda f: (len(f), f))
 
 
 def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[int]:
-    """The i in 1..s whose singleton the Graver bases of T's 1x3 sub-curves reject.
+    """The i in 1..s that a 1x3 sub-curve rejects: i's position j in a
+    3-subset J of the columns is not the vertex of Delta_{T_J}, read on the
+    gcd-normalised T_J (same kernel) from `_COMPLEX_MEMO` or computed into
+    it. `face_test_projection(T, i)` rejects every such i:
 
-    The pool is +/-Gr(T_J) for every 3-subset J of the columns, each padded
-    with zeros to length s; Gr(T_J) is read through `graver_basis` on the
-    gcd-normalised T_J, which has the same kernel. i is rejected when two
-    distinct pool rows w, u have w conformally below u with coordinate i
-    left free. Every rejected {i} is rejected by `face_test_projection`:
-
-    1. The padding u' of u in Gr(T_J) lies in +/-Gr(T). u' is in Ker(T). If
-       v in Ker(T) is nonzero and conformally below u', then supp(v) lies in
-       supp(u'), inside J, so v is the padding of a nonzero vector of
-       Ker(T_J) conformally below u, which is u itself as u is minimal; so
-       v = u' and u' is conformally minimal in Ker(T).
-    2. So w and u are two distinct rows of `graver_basis(T).signed_index`,
-       which holds both signs of Gr(T), and w lies under u with coordinate i
-       free: u has at least two dominators there, which is exactly the
-       failure `face_test_projection` looks for.
-
-    The pool can only reject; a surviving i still takes the full test.
+    1. The padding u' (zero off J) of u in Gr(T_J) is in +/-Gr(T): a nonzero
+       v in Ker(T) conformally below u' is supported inside J, so it pads a
+       vector of Ker(T_J) conformally below u, which is u as u is minimal.
+    2. As {j} is not in Delta_{T_J}, the projection test fails on T_J: some
+       w != u in +/-Gr(T_J) lies under u with coordinate j free. Padded, they
+       are distinct rows of `graver_basis(T).signed_index`, both zero off J,
+       so w' lies under u' with i free: u' has two dominators there.
     """
-    s = len(t)
-    pool: dict[tuple[int, ...], None] = {}
-    for J in itertools.combinations(range(s), 3):
+    rejected = set()
+    for J in itertools.combinations(range(len(t)), 3):
         g = math.gcd(*(t[j] for j in J))
-        sub = graver_basis(IntMat.row_vector(tuple(t[j] // g for j in J)), budget=budget)
-        for u in sub.elements:
-            padded = [0] * s
-            for j, x in zip(J, u):
-                padded[j] = x
-            pool[tuple(padded)] = None
-            pool[tuple(-x for x in padded)] = None
-    # rows 2k and 2k+1 are a +/- pair, and -w lies under -u exactly when w
-    # lies under u, so one sign of each pair decides
-    index = ConformalIndex(s, pool)
-    pairs = range(0, len(index), 2)
-    return {i for i in range(1, s + 1)
-            if any(index.dominators(k, free=i - 1) > 1 for k in pairs)}
+        t_J = tuple(t[j] // g for j in J)
+        vertex = (_COMPLEX_MEMO.get(t_J) or _complex_on_miss(t_J, budget)).vertex()
+        rejected.update(c + 1 for j, c in enumerate(J, 1) if j != vertex)
+    return rejected
 
 
 # complexes by gcd-normalised T, the oldest out first; never cross-checked
+_COMPLEX_MEMO_SIZE = 4096
 _COMPLEX_MEMO: dict[tuple[int, ...], RobustComplex] = {}
 
 
@@ -304,7 +289,7 @@ def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> Rob
 
     T is gcd-normalized first. Every call reads one answer: the complex
     memoized per normalised T in `_COMPLEX_MEMO` (its last
-    `_GRAVER_MEMO_SIZE` entries), returned whatever the budget, or on a miss
+    `_COMPLEX_MEMO_SIZE` entries), returned whatever the budget, or on a miss
     the one `_complex_on_miss` computes. With verify=True that answer is then
     checked: for every i, `{i} in faces`, the projection test and the
     Lambda(T)_{i} lifting test must agree, or GraverKitError is raised; the
@@ -328,17 +313,38 @@ def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> Rob
 
 
 def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex:
-    """Delta_T computed and memoized: for s >= 4 the singletons the 1x3
-    sub-curves reject (`_subcurve_rejects`) skip the projection test, and
-    when none survive Gr(T) is never completed, so such a curve never
-    reaches Gr(T)'s budget; at s = 3 the only sub-curve is T itself."""
+    """Delta_T computed and memoized. For s >= 4 the singletons the 1x3
+    sub-curves reject (`_subcurve_rejects`) skip the projection test; when
+    none survive, Gr(T) is never completed, so the curve never reaches its
+    budget. At s = 3, with L = Ker T and pi_i deleting coordinate i, {i} is a
+    face iff |Gr(pi_i L)| = |Gr(L)|, the verdict of `face_test_projection`:
+
+    - pi_i is injective on L, as T_i > 0.
+    - Gr(pi_i L) lies in pi_i(+/-Gr L): x in L over z in Gr(pi_i L) is a
+      conformal sum of elements of +/-Gr(L), whose projections are nonzero,
+      conformal to z and add up to z, so as z is minimal there is one term.
+    - pi_i(+/-Gr L), as large as +/-Gr(L), is an antichain iff it is
+      +/-Gr(pi_i L), which the counts decide. A Graver basis is an
+      antichain. Conversely each projection p is a conformal sum of elements
+      of Gr(pi_i L), all in pi_i(+/-Gr L) and below p, so in an antichain p
+      is one of them.
+
+    pi_i L is the rank-2 lattice of Z^2 spanned by the projected kernel
+    basis, so Gr(pi_i L) is a sector walk; the three walks share one budget
+    ledger, and no `signed_index` is built.
+    """
     s = len(t)
     T = IntMat.row_vector(t)
     rejected = _subcurve_rejects(t, budget) if s >= 4 else set()
     tested = [i for i in range(1, s + 1) if i not in rejected]
-    faces = {frozenset()}
-    faces.update(frozenset({i}) for i in tested if face_test_projection(T, i, budget=budget))
+    if s == 3:
+        size = len(graver_basis(T, budget=budget))
+        basis, spent = kernel_lattice(T).vectors, _Spent(budget or DEFAULT_BUDGET)
+        passed = [i for i in tested
+                  if len(_rank2_graver([project_out(b, i) for b in basis], spent)) == size]
+    else:
+        passed = [i for i in tested if face_test_projection(T, i, budget=budget)]
     log.debug("complex %s: sub-curves reject %s, face tests on %s", t, sorted(rejected), tested)
-    result = RobustComplex(T=t, faces=frozenset(faces))
-    _remember(_COMPLEX_MEMO, t, result)
+    result = RobustComplex(T=t, faces=frozenset({frozenset(), *(frozenset({i}) for i in passed)}))
+    _remember(_COMPLEX_MEMO, t, result, _COMPLEX_MEMO_SIZE)
     return result

@@ -70,8 +70,8 @@ class Budget:
     """Resource caps for one Graver basis computation.
 
     `max_candidates` caps the candidates: the pair sums formed in every
-    stage of project-and-lift together, or the vectors the rank-2 walk
-    emits. `max_seconds` caps the wall time, from the first seed to the last
+    stage of project-and-lift together, or the vectors the rank-2 walks
+    emit. `max_seconds` caps the wall time, from the first seed to the last
     minimality filter. A lattice of rank 0 or 1, answered in closed form,
     spends neither. ValueError for a negative or NaN cap.
     """
@@ -289,7 +289,7 @@ class ConformalIndex:
 class _Spent:
     """The candidates and seconds one computation has spent over its stages:
     the clock runs from the first seed, and the candidates are the pair sums
-    of every finished stage, or the vectors the rank-2 walk has emitted."""
+    of every finished stage, or the vectors the rank-2 walks have emitted."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -531,7 +531,7 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
     Each sector emits h_0, ..., h_{k-1}: h_k starts the next sector, and
     -r_0, ending the last one, is r_0 up to sign. So every element is emitted
     once, and `spent` checks both caps per emitted vector, each counting as
-    a candidate.
+    a candidate that stays on `spent`, so walks sharing it count together.
     """
     b1, b2 = basis
     lines = set()  # the primitive direction of each line at an angle in (0, pi]
@@ -554,6 +554,7 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
             a = -(-d_prev // d)
             prev, h = h, (a * h[0] - prev[0], a * h[1] - prev[1])
             d_prev, d = d, a * d - d_prev
+    spent.generated += len(found)
     kept = sorted(found)
     log.debug("rank-2 walk: %s", dict(sectors=len(rays), candidates=len(found), kept=len(kept)))
     return kept
@@ -642,9 +643,9 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     return _graver_basis_on_miss(A, key, budget)
 
 
-def _remember(memo: dict, key: tuple, value) -> None:
-    """Store value under key, first dropping the oldest entry of a full memo."""
-    if len(memo) >= _GRAVER_MEMO_SIZE:
+def _remember(memo: dict, key: tuple, value, size: int) -> None:
+    """Store value under key, first dropping the oldest entry if `size` are held."""
+    if len(memo) >= size:
         del memo[next(iter(memo))]
     memo[key] = value
 
@@ -661,13 +662,13 @@ def _graver_basis_on_miss(A: IntMat, key: tuple, budget: Budget | None) -> Grave
     if not hit:
         elements = _lattice_graver(lattice.vectors, lattice.n, budget or DEFAULT_BUDGET)
         result = GraverBasis(n=lattice.n, elements=tuple(elements))
-        _remember(_LATTICE_MEMO, lattice_key, result)
+        _remember(_LATTICE_MEMO, lattice_key, result, _GRAVER_MEMO_SIZE)
     if dec is not None:
         log.debug("bouquet route: %d -> %d columns, Gr(A_B) %s", A.ncols, lattice.n,
                   "from the memo" if hit else "computed")
         lifted = sorted(sign_canonical(d_map(dec, u)) for u in result.elements)
         result = GraverBasis(n=A.ncols, elements=tuple(lifted))
-    _remember(_GRAVER_MEMO, key, result)
+    _remember(_GRAVER_MEMO, key, result, _GRAVER_MEMO_SIZE)
     return result
 
 

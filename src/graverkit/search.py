@@ -57,30 +57,23 @@ class SearchReport:
         }
 
 
-def _normalized(entries: tuple[int, ...]) -> tuple[int, ...]:
-    g = math.gcd(*entries)
-    return tuple(sorted(x // g for x in entries))
-
-
 def _candidates(s: int, bound: int, sample_budget: int | None, rng: random.Random):
+    """Sorted gcd-1 entry tuples: all of them up to the bound, in lexicographic
+    order, or up to sample_budget distinct gcd-normalised random draws."""
     if sample_budget is None:
-        seen = set()
-        for combo in itertools.combinations_with_replacement(range(1, bound + 1), s):
-            t = _normalized(combo)
-            if t not in seen:
-                seen.add(t)
-                yield t
-    else:
-        seen = set()
-        emitted = 0
-        attempts = 0
-        while emitted < sample_budget and attempts < 100 * sample_budget:
-            attempts += 1
-            t = _normalized(tuple(rng.randint(1, bound) for _ in range(s)))
-            if t in seen:
-                continue
+        # c with gcd g > 1 normalises to c // g, a gcd-1 tuple that came earlier
+        combos = itertools.combinations_with_replacement(range(1, bound + 1), s)
+        yield from (c for c in combos if math.gcd(*c) == 1)
+        return
+    seen = set()
+    attempts = 0
+    while len(seen) < sample_budget and attempts < 100 * sample_budget:
+        attempts += 1
+        draw = sorted(rng.randint(1, bound) for _ in range(s))
+        g = math.gcd(*draw)
+        t = tuple(x // g for x in draw)
+        if t not in seen:
             seen.add(t)
-            emitted += 1
             yield t
 
 

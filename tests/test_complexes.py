@@ -186,6 +186,22 @@ class TestFaceTests:
                 assert face_test_projection(Tm, i) == face_test_lifting(Tm, {i}), (entries, i)
 
 
+class TestCountRoute:
+    def test_equals_the_projection_test_on_every_small_s3_curve(self):
+        # _complex_on_miss decides a 1x3 complex by |Gr(pi_i L)| = |Gr(L)|
+        for entries in itertools.combinations_with_replacement(range(1, 21), 3):
+            if math.gcd(*entries) == 1:
+                counted = complexes_module._complex_on_miss(entries, None)
+                assert counted.faces == every_face_test(entries), entries
+
+    def test_walks_share_the_budget(self, monkeypatch):
+        # Gr(4 5 6) is memoized; the three projection walks emit 4 + 7 + 5 vectors
+        empty_graver_memos(monkeypatch)
+        graver_basis(T(4, 5, 6))
+        with pytest.raises(BudgetExceededError):
+            robust_complex([4, 5, 6], budget=Budget(max_candidates=10))
+
+
 class TestFaceTestAgainstReference:
     @staticmethod
     def _faces(curves):
@@ -481,7 +497,8 @@ class TestComplexMemo:
 
     def test_memo_keeps_the_latest_complexes(self, monkeypatch):
         empty_graver_memos(monkeypatch)
-        memo, cap = complexes_module._COMPLEX_MEMO, graver_module._GRAVER_MEMO_SIZE
+        monkeypatch.setattr(complexes_module, "_COMPLEX_MEMO_SIZE", 8)
+        memo, cap = complexes_module._COMPLEX_MEMO, complexes_module._COMPLEX_MEMO_SIZE
         curves = [(2, 3, k) for k in range(4, 4 + cap + 3)]
         first = robust_complex(curves[0])
         for entries in curves[1:]:
@@ -523,13 +540,22 @@ class TestComplexMemo:
         with pytest.raises(BudgetExceededError):
             fresh_graver_basis(T(15, 15, 29, 29, 29), budget=budget)
 
+    def test_fresh_s3_complex_builds_no_signed_index(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        assert robust_complex([4, 5, 6]).vertex() == 2
+        assert "signed_index" not in graver_basis(T(4, 5, 6)).__dict__
+
     def test_debug_line_per_computed_complex(self, monkeypatch, caplog):
         empty_graver_memos(monkeypatch)
         with caplog.at_level(logging.DEBUG, logger="graverkit.complexes"):
             robust_complex([15, 15, 29, 29, 29])
             robust_complex([15, 15, 29, 29, 29])
             robust_complex([4, 5, 6], verify=True)
+        # each sub-curve complex computed on the way logs its own line first
         assert [r.getMessage() for r in caplog.records if r.name == "graverkit.complexes"] == [
+            "complex (15, 15, 29): sub-curves reject [], face tests on [1, 2, 3]",
+            "complex (15, 29, 29): sub-curves reject [], face tests on [1, 2, 3]",
+            "complex (1, 1, 1): sub-curves reject [], face tests on [1, 2, 3]",
             "complex (15, 15, 29, 29, 29): sub-curves reject [1, 2, 3, 4, 5], face tests on []",
             "complex (4, 5, 6): sub-curves reject [], face tests on [1, 2, 3]",
         ]

@@ -1,6 +1,9 @@
 """The bounded search checks its arguments first, records a failing instance and goes on."""
 
+import itertools
 import json
+import math
+import random
 
 import pytest
 
@@ -86,3 +89,15 @@ def test_cli_exits_1_on_a_failed_scan_and_still_writes_the_report(monkeypatch, c
         assert payload["ok"] is False and payload["violations"] == [violation]
     else:
         assert "ok: false\n" in out and f"VIOLATION: {violation}\n" in out
+
+
+@pytest.mark.parametrize("s, bound", [(3, 12), (4, 9), (5, 6), (6, 5)])
+def test_exhaustive_candidates_are_the_normalised_curves_in_first_seen_order(s, bound):
+    expected, seen = [], set()
+    for combo in itertools.combinations_with_replacement(range(1, bound + 1), s):
+        g = math.gcd(*combo)
+        t = tuple(sorted(x // g for x in combo))
+        if t not in seen:
+            seen.add(t)
+            expected.append(t)
+    assert list(search_module._candidates(s, bound, None, random.Random(0))) == expected
