@@ -37,8 +37,16 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import GraverKitError, PreconditionError
-from .graver import DEFAULT_BUDGET, Budget, _rank2_graver, _remember, _Spent, graver_basis
-from .linalg import IntMat, IntVec, kernel_lattice, project_out
+from .graver import (
+    DEFAULT_BUDGET,
+    Budget,
+    _bezout,
+    _rank2_graver,
+    _remember,
+    _Spent,
+    graver_basis,
+)
+from .linalg import IntMat, IntVec, project_out
 from .robustness import dispensability_witness, is_strongly_robust
 
 log = logging.getLogger(__name__)
@@ -260,7 +268,8 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
     """The i in 1..s that a 1x3 sub-curve rejects: i's position j in a
     3-subset J of the columns is not the vertex of Delta_{T_J}, read on the
     gcd-normalised T_J (same kernel) from `_COMPLEX_MEMO` or computed into
-    it. `face_test_projection(T, i)` rejects every such i:
+    it, and moved to the newest end of the memo either way.
+    `face_test_projection(T, i)` rejects every such i:
 
     1. The padding u' (zero off J) of u in Gr(T_J) is in +/-Gr(T): a nonzero
        v in Ker(T) conformally below u' is supported inside J, so it pads a
@@ -274,12 +283,17 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
     for J in itertools.combinations(range(len(t)), 3):
         g = math.gcd(*(t[j] for j in J))
         t_J = tuple(t[j] // g for j in J)
-        vertex = (_COMPLEX_MEMO.get(t_J) or _complex_on_miss(t_J, budget)).vertex()
+        # a read moves t_J to the newest end, so the scan's curves push out
+        # the triples it no longer reads first
+        delta_J = _COMPLEX_MEMO.pop(t_J, None) or _complex_on_miss(t_J, budget)
+        _COMPLEX_MEMO[t_J] = delta_J
+        vertex = delta_J.vertex()
         rejected.update(c + 1 for j, c in enumerate(J, 1) if j != vertex)
     return rejected
 
 
-# complexes by gcd-normalised T, the oldest out first; never cross-checked
+# complexes by gcd-normalised T, the oldest out first, a sub-curve read
+# counting as an insert; never cross-checked
 _COMPLEX_MEMO_SIZE = 4096
 _COMPLEX_MEMO: dict[tuple[int, ...], RobustComplex] = {}
 
@@ -331,7 +345,11 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
 
     pi_i L is the rank-2 lattice of Z^2 spanned by the projected kernel
     basis, so Gr(pi_i L) is a sector walk; the three walks share one budget
-    ledger, and no `signed_index` is built.
+    ledger, and no `signed_index` is built. The kernel basis is written
+    down, not computed again: for T = (a, b, c), g = gcd(a, b) and
+    a*x + b*y = g, the rows (b/g, -a/g, 0) and (c*x, c*y, -g) lie in L, and
+    their 2x2 minors are +-(c, b, a), of gcd 1, so they span a saturated
+    rank-2 sublattice of L, which is L.
     """
     s = len(t)
     T = IntMat.row_vector(t)
@@ -339,9 +357,12 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
     tested = [i for i in range(1, s + 1) if i not in rejected]
     if s == 3:
         size = len(graver_basis(T, budget=budget))
-        basis, spent = kernel_lattice(T).vectors, _Spent(budget or DEFAULT_BUDGET)
+        a, b, c = t
+        g, (x, y) = math.gcd(a, b), _bezout(a, b)
+        basis = [(b // g, -a // g, 0), (c * x, c * y, -g)]
+        spent = _Spent(budget or DEFAULT_BUDGET)
         passed = [i for i in tested
-                  if len(_rank2_graver([project_out(b, i) for b in basis], spent)) == size]
+                  if len(_rank2_graver([project_out(v, i) for v in basis], spent)) == size]
     else:
         passed = [i for i in tested if face_test_projection(T, i, budget=budget)]
     log.debug("complex %s: sub-curves reject %s, face tests on %s", t, sorted(rejected), tested)

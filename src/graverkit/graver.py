@@ -20,15 +20,18 @@ rank 0 or 1 is its own Graver basis up to sign: nothing, or the primitive
 generator of its saturated basis.
 
 A completion is Pottier-style: seed with a lattice basis and its negations,
-repeatedly form pairwise sums with cancellation, conformally reduce each sum
-to a normal form against the current set, and insert nonzero normal forms.
-At the fixpoint the conformally minimal elements are exactly the Graver
-basis. Pair generation pairs each new element with the stored vectors that
-cancel it, read off the index's bitsets, and drops the sums queued before by
-value: a set holds the sign-canonical form of every sum queued so far.
-Reduction makes one ascending pass over the stored vectors below the
-popped sum and subtracts each while it still divides the shrinking
-remainder; the chains are those of one reducer per step.
+repeatedly form pairwise sums with cancellation, and insert what the stored
+vectors do not reduce away. At the fixpoint the conformally minimal
+elements are exactly the Graver basis. Pair generation pairs each new
+element with the stored vectors that cancel it, read off the index's
+bitsets, and drops the sums queued before by value: a set holds the
+sign-canonical form of every sum queued so far. Only the projection stage
+reduces each popped sum to a normal form and inserts it when nonzero: one
+ascending pass over the stored vectors below the popped sum subtracts each
+while it still divides the shrinking remainder; the chains are those of one
+reducer per step. A lift stage inserts a popped sum as it is when no stored
+vector lies below it and drops it otherwise, unreduced, after one index
+query (proof in `_project_and_lift`).
 
 All arithmetic is exact, on Python ints alone. Every conformal-dominance
 test outside the oracles goes through `ConformalIndex`, which has one code
@@ -312,9 +315,13 @@ def _completion_stage(
     """Complete `seeds` to the conformally minimal vectors of the lattice they
     generate; their canonical sorted representatives and the stage's counters.
 
-    With `lift` a column c, the pairs formed are those of `pair_sums`'s lift
-    rule, which `_project_and_lift` proves enough when the seeds, with column
-    c dropped, already hold that projection's Graver basis.
+    Without `lift`, each popped sum is reduced to its normal form against
+    the stored vectors, and a nonzero normal form is stored. With `lift` a
+    column c, the pairs formed are those of `pair_sums`'s lift rule, and a
+    popped sum is stored unreduced when no stored vector lies below it and
+    dropped otherwise, after one index query; `_project_and_lift` proves
+    both enough when the seeds, with column c dropped, already hold that
+    projection's Graver basis. A lift counts no scans or subtractions.
     """
     index = ConformalIndex(n)
     members = index.members
@@ -347,6 +354,14 @@ def _completion_stage(
         _, s = heapq.heappop(heap)
         pops += 1
         if s in members:
+            continue
+        if lift is not None:
+            # a lift stores s as it is when no stored vector lies below it,
+            # and drops it otherwise, unreduced (proof in `_project_and_lift`)
+            if index.find(positive_part(s), negative_part(s)) < 0:
+                insert(s)
+                inserts += 1
+                enqueue_pairs(s)
             continue
         # Normal form of s. Each step subtracts a g conformal to s, so q = (s+, s-)
         # only shrinks and a row that fails q fails it for good: one ascending
@@ -408,25 +423,34 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
     - Lift. The other columns j are lifted one at a time, in ascending
       order. Let J be the columns done so far, S among them, and G the
       stage's seeds, with pi_J(G) = Gr(pi_J(L)). The stage completes
-      pi_{J+j}(G) in pi_{J+j}(L), reducing conformally on all of J + j, but
-      forms the sum of two stored vectors only when they have the same sign
-      (g_c h_c >= 0) on every column c of J and opposite signs at j; a v
-      with v_j = 0 forms none. Its minimal vectors are Gr(pi_{J+j}(L)).
-      Take z in that Graver basis. z is a sum of stored vectors conformal
-      to z on J, as pi_J(z) is a conformal sum of elements of Gr(pi_J(L))
-      and the projection is injective. Among these representations choose
-      z = sum_i g_i with the least sum_i |g_ij|. If it is not conformal to
-      z at j, a term against z's sign at j (or nonzero where z_j = 0) is
-      offset by one of the other sign, as the g_ij add up to z_j: two terms
-      g, h have g_j h_j < 0, and, both conformal to z on J, the same sign
-      on J, so their sum is a pair the stage formed. Every formed sum is,
-      at the fixpoint, a sum of stored vectors conformal to it on J + j
-      (the reduction subtracts conformally, and what is left is stored),
-      and these parts are conformal to z on J, with
-      sum_k |h_kj| = |g_j + h_j| < |g_j| + |h_j|. Putting them in place of
-      g and h gives a representation with a smaller sum at j, which
-      contradicts the choice. So the representation is conformal on J + j,
-      and z, conformally minimal, is one of its terms: a stored vector.
+      pi_{J+j}(G) in pi_{J+j}(L), but forms the sum of two stored vectors
+      only when they have the same sign (g_c h_c >= 0) on every column c
+      of J and opposite signs at j; a v with v_j = 0 forms none. It never
+      reduces: a popped sum is stored as it is when no stored vector lies
+      conformally below it on J + j, and dropped otherwise. Its minimal
+      vectors are Gr(pi_{J+j}(L)): every z in that Graver basis is stored
+      at the fixpoint, by strong induction on |z_J|_1. z is a sum of
+      stored vectors conformal to z on J, as pi_J(z) is a conformal sum of
+      elements of Gr(pi_J(L)) and the projection is injective. Among these
+      representations choose z = sum_i g_i with the least sum_i |g_ij|. If
+      it is not conformal to z at j, a term against z's sign at j (or
+      nonzero where z_j = 0) is offset by one of the other sign, as the
+      g_ij add up to z_j: two terms g, h have g_j h_j < 0, and, both
+      conformal to z on J, the same sign on J, so their sum s = g + h is a
+      pair the stage formed and popped. s was stored, or dropped for a
+      stored r conformally below it: then s = r + w with w conformal to s,
+      and |w_J|_1 < |s_J|_1 <= |z_J|_1, as r_J != 0 (pi_J is injective on
+      pi_{J+j}(L)). So w is a conformal sum of elements of
+      Gr(pi_{J+j}(L)), each of J-norm below |z_J|_1 and so stored by the
+      induction. Either way s is a sum of stored vectors conformal to s,
+      hence to z on J, whose entries at j sum in absolute value to
+      |g_j + h_j| < |g_j| + |h_j|. Putting them in place of g and h gives a
+      representation with a smaller sum at j, which contradicts the
+      choice. So the representation is conformal on J + j, and z,
+      conformally minimal, is one of its terms: a stored vector. The
+      argument never uses the order of the pops. The projection stage
+      has no such induction, as it starts from a bare lattice basis, and
+      reduces every popped sum to a normal form.
 
     `spent` caps the sums formed in all stages together, and the seconds
     from the first seed to the last minimality filter. Each stage logs one

@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import random
+import sys
 
 import pytest
 
@@ -29,8 +30,9 @@ from graverkit import (
 )
 from graverkit.complexes import _curve_row, _subcurve_rejects
 from graverkit.graver import ConformalIndex
-from graverkit.linalg import project_out, vec_neg
+from graverkit.linalg import kernel_lattice, project_out, vec_neg
 from graverkit.robustness import dispensability_witness
+from graverkit.search import sullivant_search
 
 from _paper import (
     CLASSIFICATION_TABLE,
@@ -193,6 +195,22 @@ class TestCountRoute:
             if math.gcd(*entries) == 1:
                 counted = complexes_module._complex_on_miss(entries, None)
                 assert counted.faces == every_face_test(entries), entries
+
+    def test_a_fresh_complex_computes_one_kernel(self, monkeypatch):
+        # the walks' kernel basis is written down, not computed after Gr(T)'s
+        empty_graver_memos(monkeypatch)
+        calls = []
+
+        def counting(A):
+            calls.append(A.rows)
+            return kernel_lattice(A)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("graverkit") and hasattr(module, "kernel_lattice"):
+                monkeypatch.setattr(module, "kernel_lattice", counting)
+        counted = robust_complex([6, 10, 15])
+        assert calls == [((6, 10, 15),)]
+        assert counted.faces == every_face_test((6, 10, 15))
 
     def test_walks_share_the_budget(self, monkeypatch):
         # Gr(4 5 6) is memoized; the three projection walks emit 4 + 7 + 5 vectors
@@ -508,6 +526,24 @@ class TestComplexMemo:
         again = robust_complex(curves[0])
         assert again == first and again is not first
         assert list(memo) == curves[-cap + 1:] + [curves[0]]
+
+    def test_a_scan_computes_each_subcurve_once(self, monkeypatch):
+        # the 1x4 scan to 10 reads 172 triples and computes 626 curves; a
+        # memo between the two sizes keeps the triples it still reads
+        empty_graver_memos(monkeypatch)
+        monkeypatch.setattr(complexes_module, "_COMPLEX_MEMO_SIZE", 400)
+        computed = []
+        on_miss = complexes_module._complex_on_miss
+
+        def counting(t, budget):
+            computed.append(t)
+            return on_miss(t, budget)
+
+        monkeypatch.setattr(complexes_module, "_complex_on_miss", counting)
+        sullivant_search([4], 10)
+        triples = [t for t in computed if len(t) == 3]
+        assert (len(triples), len(computed) - len(triples)) == (172, 626)
+        assert len(set(triples)) == len(triples)
 
     def test_verify_after_unverified_is_cross_checked(self, monkeypatch):
         empty_graver_memos(monkeypatch)

@@ -307,11 +307,12 @@ class TestProjectAndLift:
                 _complete_lattice(basis, n, DEFAULT_BUDGET))
 
     def test_curves_match_the_engine(self):
-        # every gcd-normalised 1x4 curve with entries <= 8, then two 1x5 curves
+        # every gcd-normalised 1x4 curve with entries <= 8, then three 1x5
+        # curves; the lift of (7,12,19,25,31) drops 10,399 of its 11,353 pops
         curves = [t for t in itertools.combinations_with_replacement(range(1, 9), 4)
                   if math.gcd(*t) == 1]
         assert len(curves) == 289
-        for t in [*curves, T_BIG, (1, 6, 8, 12, 19)]:
+        for t in [*curves, T_BIG, (1, 6, 8, 12, 19), (7, 12, 19, 25, 31)]:
             lifted, engine = self.both_engines(kernel_lattice(T(*t)).vectors, len(t))
             assert lifted == engine, t
 
@@ -362,6 +363,25 @@ class TestProjectAndLift:
         fresh_graver_basis(T(6, 1, 8, 12, 19))
         assert stages[0] == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
         assert len(stages) == 2 and len(stages[1]) == 142
+
+    def test_a_lift_never_reduces(self, monkeypatch):
+        # the projection reduces to normal forms; the lift stores 954 of its
+        # 11,353 pops and drops the rest after one index query each
+        stages = []
+        stage = graver_module._completion_stage
+
+        def recording(seeds, n, spent, lift=None):
+            kept, counts = stage(seeds, n, spent, lift)
+            stages.append((lift, counts))
+            return kept, counts
+
+        monkeypatch.setattr(graver_module, "_completion_stage", recording)
+        fresh_graver_basis(T(7, 12, 19, 25, 31))
+        [(no_lift, projection), (lift, lifted)] = stages
+        assert (no_lift, lift) == (None, 4)
+        assert projection["subtractions"] == 1404
+        assert lifted == dict(pops=11353, scans=0, subtractions=0, inserts=954,
+                              generated=11353, index=2 * (66 + 954), kept=1020)
 
     def test_element_cap_counts_every_stage(self, caplog):
         # the projection forms 519 sums, under the cap; the lift's seeding passes it
