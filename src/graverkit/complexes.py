@@ -40,13 +40,12 @@ from .errors import GraverKitError, PreconditionError
 from .graver import (
     DEFAULT_BUDGET,
     Budget,
-    _bezout,
     _rank2_graver,
     _remember,
     _Spent,
     graver_basis,
 )
-from .linalg import IntMat, IntVec, project_out
+from .linalg import IntMat, IntVec, _xgcd_min, project_out
 from .robustness import dispensability_witness, is_strongly_robust
 
 log = logging.getLogger(__name__)
@@ -358,7 +357,7 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
     if s == 3:
         size = len(graver_basis(T, budget=budget))
         a, b, c = t
-        g, (x, y) = math.gcd(a, b), _bezout(a, b)
+        g, x, y = _xgcd_min(a, b)
         basis = [(b // g, -a // g, 0), (c * x, c * y, -g)]
         spent = _Spent(budget or DEFAULT_BUDGET)
         passed = [i for i in tested

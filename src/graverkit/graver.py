@@ -25,19 +25,18 @@ vectors do not reduce away. At the fixpoint the conformally minimal
 elements are exactly the Graver basis. Pair generation pairs each new
 element with the stored vectors that cancel it, read off the index's
 bitsets, and drops the sums queued before by value: a set holds the
-sign-canonical form of every sum queued so far. Only the projection stage
-reduces each popped sum to a normal form and inserts it when nonzero: one
-ascending pass over the stored vectors below the popped sum subtracts each
-while it still divides the shrinking remainder; the chains are those of one
-reducer per step. A lift stage inserts a popped sum as it is when no stored
-vector lies below it and drops it otherwise, unreduced, after one index
-query (proof in `_project_and_lift`).
+sign-canonical form of every sum queued so far. Both stages decide a
+popped sum by one loop of index queries for the first stored vector below
+it: none, and the sum is inserted. Otherwise the projection stage subtracts
+that vector and queries again, so it inserts the sum's normal form when
+that is not stored already, and the chains are those of one reducer per
+step; a lift stage drops the sum unreduced (proof in `_project_and_lift`).
 
 All arithmetic is exact, on Python ints alone. Every conformal-dominance
 test outside the oracles goes through `ConformalIndex`, which has one code
-path for each operation: queries for the rows below a bound, dominator
-counts and the rows that cancel a vector are all answered from per-column
-threshold bitsets.
+path for each operation: the first row below a bound, dominator counts and
+the rows that cancel a vector are all answered from per-column threshold
+bitsets.
 """
 
 from __future__ import annotations
@@ -51,14 +50,15 @@ import operator
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from operator import add, gt, sub
-from typing import Iterable, Iterator, Sequence
+from operator import add, sub
+from typing import Iterable, Sequence
 
 from .bouquet import BouquetDecomposition, bouquet_decomposition, d_map, simple_gale
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import (
     IntMat,
     IntVec,
+    _xgcd_min,
     kernel_lattice,
     negative_part,
     positive_part,
@@ -136,17 +136,18 @@ class ConformalIndex:
     """A set of vectors under conformal-dominance queries (g+ <= p and g- <= m).
 
     Row i, `parts[i]`, holds (g+, g-) of stored vector i. A query bounds g+,
-    g- or both; a half left as None is bounded by the largest stored entry,
-    which every row meets.
+    g- or both; a half left as None is bounded, column by column, by the
+    largest entry stored there, which every row meets.
 
-    `below`, `find` and `dominators` read threshold bitsets: for each of the
-    2n columns, the sorted distinct entries and, per entry, a Python int whose
+    `find` and `dominators` read threshold bitsets: for each of the 2n
+    columns, the sorted distinct entries and, per entry, a Python int whose
     bit i is set iff row i's entry in that column is <= it. A query is one
-    bisection and one `&` per column, exact at any size; `dominators` is the
-    popcount of the query by the row itself, optionally with one coordinate
-    left free (both its columns bounded by the largest entry). The rows added since the last
-    query are folded in by the next one, a column at a time, in time linear
-    in the column's distinct entries and the new rows.
+    bisection and one `&` per column, exact at any size: `find` reads the
+    lowest set bit, `dominators` the popcount of the query by the row
+    itself, optionally with one coordinate left free (both its columns
+    bounded by their largest entries). The rows added since the last query
+    are folded in by the next one, a column at a time, in time linear in the
+    column's distinct entries and the new rows.
 
     `pair_sums` reads the rows that cancel a vector off the lowest threshold
     of each column, or, by the lift rule of project-and-lift, those that
@@ -160,7 +161,6 @@ class ConformalIndex:
         self.vectors: list[IntVec] = []
         self.members: set[IntVec] = set()
         self.parts: list[tuple[int, ...]] = []  # concatenated (pos, neg)
-        self._top = 0
         self._seen: set[IntVec] = {(0,) * n}  # 0 and every pair sum returned so far
         self._folded = 0  # rows 0.._folded-1 are in the bitsets
         self._values: list[list[int]] = [[] for _ in range(2 * n)]
@@ -178,7 +178,6 @@ class ConformalIndex:
         self.vectors.append(v)
         self.members.add(v)
         self.parts.append(row)
-        self._top = max([self._top, *row])
 
     def _fold(self) -> None:
         """Fold the rows stored since the last query into the bitsets.
@@ -223,27 +222,28 @@ class ConformalIndex:
             hits &= masks[j - 1]
         return hits
 
-    def below(self, query: tuple[int, ...], start: int = 0) -> Iterator[int]:
-        """Every index i >= start whose row (g+, g-) is <= query, in ascending order."""
-        hits = self._hits(query, start)
-        while hits:
-            low = hits & -hits
-            yield low.bit_length() - 1
-            hits ^= low
+    def _tops(self) -> tuple[int, ...]:
+        """The largest entry of each column, every row's bound; folds first."""
+        if self._folded < len(self.parts):
+            self._fold()
+        return tuple([values[-1] if values else 0 for values in self._values])
 
     def find(self, pos: IntVec | None, neg: IntVec | None, start: int = 0) -> int:
         """First index >= start of a stored g with g+ <= pos and g- <= neg, or -1."""
         if pos is None or neg is None:
-            free = (self._top,) * self.n
-            pos, neg = (free if pos is None else pos), (free if neg is None else neg)
-        return next(self.below(pos + neg, start), -1)
+            tops = self._tops()
+            pos = tops[:self.n] if pos is None else pos
+            neg = tops[self.n:] if neg is None else neg
+        hits = self._hits(pos + neg, start)
+        return (hits & -hits).bit_length() - 1
 
     def dominators(self, idx: int, free: int | None = None) -> int:
         """How many stored vectors are conformally <= vector idx (including
         itself), leaving coordinate `free` (0-based) unbounded if given."""
         query = list(self.parts[idx])
         if free is not None:
-            query[free] = query[free + self.n] = self._top
+            tops = self._tops()
+            query[free], query[free + self.n] = tops[free], tops[free + self.n]
         return self._hits(query).bit_count()
 
     def pair_sums(self, v: IntVec, lift: int | None = None) -> list[tuple[int, IntVec]]:
@@ -315,13 +315,19 @@ def _completion_stage(
     """Complete `seeds` to the conformally minimal vectors of the lattice they
     generate; their canonical sorted representatives and the stage's counters.
 
-    Without `lift`, each popped sum is reduced to its normal form against
-    the stored vectors, and a nonzero normal form is stored. With `lift` a
-    column c, the pairs formed are those of `pair_sums`'s lift rule, and a
-    popped sum is stored unreduced when no stored vector lies below it and
-    dropped otherwise, after one index query; `_project_and_lift` proves
-    both enough when the seeds, with column c dropped, already hold that
-    projection's Graver basis. A lift counts no scans or subtractions.
+    Each popped sum s that is not a member runs one loop of `find` queries,
+    which `scans` counts: with no stored vector below s, s is stored; with a
+    first one g, a lift stage, `lift` a column c, drops s unreduced, and the
+    projection stage subtracts g and queries again. The lift forms only the
+    pairs of `pair_sums`'s lift rule; `_project_and_lift` proves both enough
+    when the seeds, with column c dropped, hold that projection's Graver basis.
+
+    The projection's reducers are those of one ascending pass, each
+    subtracted while it divides. A step subtracts a g conformal to s, so the
+    bound (s+, s-) only shrinks: the rows before g, not below s, are not
+    below s - g, so the next `find` returns g while it still divides, and
+    otherwise the next reducer in ascending order. No row is inserted during
+    one pop, and s - g != 0, as s is never a member before a subtraction.
     """
     index = ConformalIndex(n)
     members = index.members
@@ -353,43 +359,18 @@ def _completion_stage(
         spent.check(generated)
         _, s = heapq.heappop(heap)
         pops += 1
-        if s in members:
-            continue
-        if lift is not None:
-            # a lift stores s as it is when no stored vector lies below it,
-            # and drops it otherwise, unreduced (proof in `_project_and_lift`)
-            if index.find(positive_part(s), negative_part(s)) < 0:
+        while s not in members:
+            i = index.find(positive_part(s), negative_part(s))
+            scans += 1
+            if i < 0:
                 insert(s)
                 inserts += 1
                 enqueue_pairs(s)
-            continue
-        # Normal form of s. Each step subtracts a g conformal to s, so q = (s+, s-)
-        # only shrinks and a row that fails q fails it for good: one ascending
-        # pass over the rows <= the first q, skipping those the shrunk q has
-        # dropped, meets the reducers in order; each is subtracted while it
-        # divides. s is never a member before a subtraction, so s - g != 0.
-        q = positive_part(s) + negative_part(s)
-        for i in index.below(q):
-            p = index.parts[i]
-            if any(map(gt, p, q)):
-                continue
-            scans += 1
-            g = index.vectors[i]
-            s = tuple(map(sub, s, g))
+                break
+            if lift is not None:
+                break  # a lift drops a reducible sum unreduced (proof in `_project_and_lift`)
+            s = tuple(map(sub, s, index.vectors[i]))
             subtractions += 1
-            while s not in members:
-                q = tuple(map(sub, q, p))
-                if any(map(gt, p, q)):
-                    break
-                s = tuple(map(sub, s, g))
-                subtractions += 1
-            else:
-                break  # s reduced to a stored vector
-        else:
-            scans += 1  # the scan that finds no reducer
-            insert(s)
-            inserts += 1
-            enqueue_pairs(s)
 
     # u is conformally minimal iff -u is, so one sign of each pair decides.
     # Only the clock can raise here: every sum is pushed and the drained heap
@@ -538,7 +519,9 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
     - The walk in a sector cone(r1, r2), det(r1, r2) > 0 (Oda, Convex
       Bodies and Algebraic Geometry, 1.6). Take p with det(r1, p) = 1, set
       h_{-1} = -p, h_0 = r1 and h_{i+1} = a_i*h_i - h_{i-1} with
-      a_i = ceil(d_{i-1} / d_i), d_i = det(h_i, r2). Then
+      a_i = ceil(d_{i-1} / d_i), d_i = det(h_i, r2). p -> p + k*r1 turns
+      a_0 into a_0 - k and leaves h_1 = a_0*r1 + p unchanged, so the walk
+      does not depend on the Bezout pair that gives p. Then
       det(h_i, h_{i+1}) = det(h_{i-1}, h_i) = 1 and d_{i+1} = a_i*d_i - d_{i-1}
       lies in [0, d_i), so the d_i fall to d_k = 0, where h_k is primitive,
       on the side of r2, hence r2. Each step turns counterclockwise
@@ -569,7 +552,7 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
     ends = rays[1:] + [(-rays[0][0], -rays[0][1])]
     found = []
     for r1, r2 in zip(rays, ends):
-        s, t = _bezout(*r1)  # p = (-t, s) has det(r1, p) = 1
+        _, s, t = _xgcd_min(*r1)  # p = (-t, s) has det(r1, p) = 1
         prev, h = (t, -s), r1
         d_prev, d = t * r2[1] + s * r2[0], r1[0] * r2[1] - r1[1] * r2[0]
         while d:
@@ -582,15 +565,6 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
     kept = sorted(found)
     log.debug("rank-2 walk: %s", dict(sectors=len(rays), candidates=len(found), kept=len(kept)))
     return kept
-
-
-def _bezout(a: int, b: int) -> tuple[int, int]:
-    """(s, t) with a*s + b*t = gcd(a, b) >= 0."""
-    s0, s1, t0, t1 = 1, 0, 0, 1
-    while b:
-        q, r = divmod(a, b)
-        a, b, s0, s1, t0, t1 = b, r, s1, s0 - q * s1, t1, t0 - q * t1
-    return (s0, t0) if a >= 0 else (-s0, -t0)
 
 
 def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:

@@ -20,24 +20,7 @@ from .bouquet import BouquetDecomposition, bouquet_decomposition
 from .complexes import robust_complex
 from .errors import GraverKitError, PreconditionError
 from .graver import Budget
-from .linalg import IntMat, IntVec, kernel_lattice
-
-
-def _xgcd_min(a: int, b: int) -> tuple[int, int, int]:
-    """(g, x, y) with a*x + b*y = g = gcd(a,b) >= 0 and |x| minimal (ties: x > 0)."""
-    if a == 0 and b == 0:
-        return (0, 0, 0)
-    if b == 0:
-        return (abs(a), 1 if a > 0 else -1, 0)
-    if a == 0:
-        return (abs(b), 0, 1 if b > 0 else -1)
-    g = math.gcd(a, b)
-    period = abs(b) // g
-    x = pow(a // g, -1, period)  # a*x = g (mod b); every solution is x + k*period
-    if 2 * x > period:  # ties (2x == period) stay at the positive representative
-        x -= period
-    y = (g - a * x) // b
-    return (g, x, y)
+from .linalg import IntMat, IntVec, _xgcd_min, kernel_lattice
 
 
 def extended_gcd_multi(c: Sequence[int]) -> IntVec:

@@ -10,6 +10,7 @@ yields a basis of the *saturated* integer kernel, i.e. the full lattice
 from __future__ import annotations
 
 import hashlib
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -53,6 +54,23 @@ def vec_neg(u: Sequence[int]) -> IntVec:
 
 def one_norm(u: Sequence[int]) -> int:
     return sum(abs(a) for a in u)
+
+
+def _xgcd_min(a: int, b: int) -> tuple[int, int, int]:
+    """(g, x, y) with a*x + b*y = g = gcd(a,b) >= 0 and |x| minimal (ties: x > 0)."""
+    if a == 0 and b == 0:
+        return (0, 0, 0)
+    if b == 0:
+        return (abs(a), 1 if a > 0 else -1, 0)
+    if a == 0:
+        return (abs(b), 0, 1 if b > 0 else -1)
+    g = math.gcd(a, b)
+    period = abs(b) // g
+    x = pow(a // g, -1, period)  # a*x = g (mod b); every solution is x + k*period
+    if 2 * x > period:  # ties (2x == period) stay at the positive representative
+        x -= period
+    y = (g - a * x) // b
+    return (g, x, y)
 
 
 def _check_same_length(u: Sequence[int], v: Sequence[int], w: Sequence[int]) -> None:

@@ -1,8 +1,8 @@
 """ConformalIndex, the one conformal-dominance test, on Python ints alone.
 
-Every operation has one code path. `below`, `find` and `dominators` read
-threshold bitsets. `pair_sums` reads the rows that cancel a vector off the
-same bitsets and drops repeated sums by value, through one set of the
+Every operation has one code path. `find` and `dominators` read threshold
+bitsets. `pair_sums` reads the rows that cancel a vector off the same
+bitsets and drops repeated sums by value, through one set of the
 sign-canonical sums it has returned; so does its lift rule, for
 project-and-lift. Its results are held to `_pair_sums_by_loop`, the plain
 tuple loop it replaced, on natural inputs whose entries pass 2^60:
@@ -284,32 +284,41 @@ def test_queries_and_pair_sums_at_2_64():
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([(1, 1), (1, 2**61), (2**61, 2**61)]), st.data())
-def test_below_matches_nested_loop(case, scales, data):
+def test_find_matches_nested_loop(case, scales, data):
     # scaled by 2**61 the query, or the rows and the query, pass 2**60.
     # Queries and dominator counts interleave with the adds, so rows are folded
-    # in one or several at a time. The three leading vectors put 2, then 0
-    # (below the smallest), then 1 (between) into every g+ column, and 0, then
-    # 2 (above the largest), then 0 (an existing entry) into every g- column.
+    # in one or several at a time, and a half left as None, or a coordinate
+    # left free, is bounded on rows added since the last fold by the query
+    # that folds them. The three leading vectors put 2, then 0 (below the
+    # smallest), then 1 (between) into every g+ column, and 0, then 2 (above
+    # the largest), then 0 (an existing entry) into every g- column.
     n, vectors, _, _, start = case
     vscale, qscale = scales
     vectors = [tuple(vscale * x for x in v) for v in [(2,) * n, (-2,) * n, (1,) * n, *vectors]]
-    bound = st.tuples(*[st.integers(0, 5)] * (2 * n))
-    steps = [(data.draw(st.booleans()), tuple(qscale * x for x in data.draw(bound)))
+    half = st.none() | st.tuples(*[st.integers(0, 5)] * n).map(
+        lambda h: tuple(qscale * x for x in h))
+    steps = [(data.draw(st.booleans()), data.draw(half), data.draw(half),
+              data.draw(st.integers(0, n - 1)), data.draw(st.booleans()))
              for _ in vectors]
 
-    def expected(k, query, start=start):
-        return [
-            i for i, v in enumerate(vectors[:k])
-            if i >= start and _leq(positive_part(v) + negative_part(v), query)
-        ]
+    def first(k, pos, neg):
+        return next((i for i, v in enumerate(vectors[:k])
+                     if i >= start and _satisfies(v, pos, neg)), -1)
+
+    def dominators(k, free):
+        rows = [[x for j, x in enumerate(positive_part(v) + negative_part(v))
+                 if free is None or j % n != free] for v in vectors[:k]]
+        return [sum(1 for r in rows if _leq(r, q)) for q in rows]
 
     index = ConformalIndex(n)
-    for k, (v, (ask, query)) in enumerate(zip(vectors, steps), start=1):
+    for k, (v, (ask, pos, neg, c, free_first)) in enumerate(zip(vectors, steps), start=1):
         index.add(v)
         if ask or k == len(vectors):
-            assert list(index.below(query, start)) == expected(k, query)
-            assert [index.dominators(i) for i in range(k)] == [
-                len(expected(k, index.parts[i], 0)) for i in range(k)]
+            if free_first:
+                assert [index.dominators(i, free=c) for i in range(k)] == dominators(k, c)
+            assert index.find(pos, neg, start) == first(k, pos, neg)
+            assert [index.dominators(i, free=c) for i in range(k)] == dominators(k, c)
+            assert [index.dominators(i) for i in range(k)] == dominators(k, None)
 
 
 @settings(max_examples=150, deadline=None)

@@ -162,11 +162,11 @@ class TestReductionChain:
 
     # the whole debug line of three runs: a faster completion must log the same work
     PINNED_COUNTERS = {
-        "T_BIG": dict(pops=10217, scans=18489, subtractions=31019, inserts=262,
+        "T_BIG": dict(pops=10217, scans=31281, subtractions=31019, inserts=262,
                       generated=10217, index=532, kept=266),
-        "1 6 8 12 19": dict(pops=3288, scans=5309, subtractions=7528, inserts=138,
+        "1 6 8 12 19": dict(pops=3288, scans=7666, subtractions=7528, inserts=138,
                             generated=3288, index=284, kept=142),
-        "exampleE": dict(pops=10237, scans=18652, subtractions=31602, inserts=263,
+        "exampleE": dict(pops=10237, scans=31865, subtractions=31602, inserts=263,
                          generated=10237, index=534, kept=266),
     }
 
@@ -184,8 +184,8 @@ class TestReductionChain:
         counts = record.args
         assert counts["index"] == 2 * kernel_lattice(A).rank + 2 * counts["inserts"]
         assert counts["pops"] == counts["generated"]  # the heap is drained
-        # each reducer scan that hits is followed by a subtraction; at most one per pop misses
-        assert counts["inserts"] <= counts["scans"] <= counts["subtractions"] + counts["pops"]
+        # each index query that hits is followed by a subtraction, and each miss by an insert
+        assert counts["scans"] == counts["subtractions"] + counts["inserts"]
         assert lift.args["seeds"] == counts["kept"]
         assert lift.args["pops"] == lift.args["generated"]
         assert lift.args["kept"] == len(G)
@@ -288,13 +288,13 @@ class TestProjectAndLift:
     # the whole debug output of graver_basis on two simple curves
     PINNED_LINES = {
         "T_BIG": [
-            ("completion: %s", dict(pops=519, scans=694, subtractions=768, inserts=44,
+            ("completion: %s", dict(pops=519, scans=812, subtractions=768, inserts=44,
                                     generated=519, index=96, kept=26)),
             ("lift: %s", dict(column=0, seeds=26, generated=2227, pops=2227, inserts=240,
                               kept=266)),
         ],
         "1 6 8 12 19": [
-            ("completion: %s", dict(pops=160, scans=230, subtractions=256, inserts=20,
+            ("completion: %s", dict(pops=160, scans=276, subtractions=256, inserts=20,
                                     generated=160, index=48, kept=4)),
             ("lift: %s", dict(column=0, seeds=4, generated=995, pops=995, inserts=138,
                               kept=142)),
@@ -365,8 +365,8 @@ class TestProjectAndLift:
         assert len(stages) == 2 and len(stages[1]) == 142
 
     def test_a_lift_never_reduces(self, monkeypatch):
-        # the projection reduces to normal forms; the lift stores 954 of its
-        # 11,353 pops and drops the rest after one index query each
+        # the projection reduces to normal forms; the lift makes one index
+        # query per pop, stores 954 of its 11,353 pops and drops the rest
         stages = []
         stage = graver_module._completion_stage
 
@@ -380,7 +380,7 @@ class TestProjectAndLift:
         [(no_lift, projection), (lift, lifted)] = stages
         assert (no_lift, lift) == (None, 4)
         assert projection["subtractions"] == 1404
-        assert lifted == dict(pops=11353, scans=0, subtractions=0, inserts=954,
+        assert lifted == dict(pops=11353, scans=11353, subtractions=0, inserts=954,
                               generated=11353, index=2 * (66 + 954), kept=1020)
 
     def test_element_cap_counts_every_stage(self, caplog):
