@@ -277,6 +277,9 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
        w != u in +/-Gr(T_J) lies under u with coordinate j free. Padded, they
        are distinct rows of `graver_basis(T).signed_index`, both zero off J,
        so w' lies under u' with i free: u' has two dominators there.
+
+    At most one i survives: any i != j lie in some 3-subset J, and
+    Delta_{T_J} has at most one vertex, so J rejects i or j.
     """
     rejected = set()
     for J in itertools.combinations(range(len(t)), 3):

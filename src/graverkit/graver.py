@@ -22,15 +22,19 @@ generator of its saturated basis.
 A completion is Pottier-style: seed with a lattice basis and its negations,
 repeatedly form pairwise sums with cancellation, and insert what the stored
 vectors do not reduce away. At the fixpoint the conformally minimal
-elements are exactly the Graver basis. Pair generation pairs each new
-element with the stored vectors that cancel it, read off the index's
+elements of the projection stage are exactly its Graver basis, and a lift
+stage stores its Graver basis and nothing else. Pair generation pairs each
+new element with the stored vectors that cancel it, read off the index's
 bitsets, and drops the sums queued before by value: a set holds the
-sign-canonical form of every sum queued so far. Both stages decide a
-popped sum by one loop of index queries for the first stored vector below
-it: none, and the sum is inserted. Otherwise the projection stage subtracts
+sign-canonical form of every sum queued so far. Both stages decide a popped
+sum by one loop of index queries for the first stored vector below it:
+none, and the sum is inserted. Otherwise the projection stage subtracts
 that vector and queries again, so it inserts the sum's normal form when
 that is not stored already, and the chains are those of one reducer per
-step; a lift stage drops the sum unreduced (proof in `_project_and_lift`).
+step; a lift stage drops the sum unreduced. A lift pops its sums level by
+level, by their one-norm off the lifted column, decides a level's pops
+against the index as the level began and stores the level's irreducible
+sums together, in one fold of the index (proofs in `_project_and_lift`).
 
 All arithmetic is exact, on Python ints alone. Every conformal-dominance
 test outside the oracles goes through `ConformalIndex`, which has one code
@@ -75,8 +79,9 @@ class Budget:
     `max_candidates` caps the candidates: the pair sums formed in every
     stage of project-and-lift together, or the vectors the rank-2 walks
     emit. `max_seconds` caps the wall time, from the first seed to the last
-    minimality filter. A lattice of rank 0 or 1, answered in closed form,
-    spends neither. ValueError for a negative or NaN cap.
+    pop or minimality filter; only the projection stage has a filter, a lift
+    stores nothing to filter out. A lattice of rank 0 or 1, answered in
+    closed form, spends neither. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -291,8 +296,10 @@ class ConformalIndex:
 
 class _Spent:
     """The candidates and seconds one computation has spent over its stages:
-    the clock runs from the first seed, and the candidates are the pair sums
-    of every finished stage, or the vectors the rank-2 walks have emitted."""
+    the clock runs from the first seed and is read before every pop, every
+    row of the projection's minimality filter and every vector a walk
+    emits, and the candidates are the pair sums of every finished stage, or
+    the vectors the rank-2 walks have emitted."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -316,10 +323,15 @@ def _completion_stage(
     generate; their canonical sorted representatives and the stage's counters.
 
     Each popped sum s that is not a member runs one loop of `find` queries,
-    which `scans` counts: with no stored vector below s, s is stored; with a
-    first one g, a lift stage, `lift` a column c, drops s unreduced, and the
-    projection stage subtracts g and queries again. The lift forms only the
-    pairs of `pair_sums`'s lift rule; `_project_and_lift` proves both enough
+    which `scans` counts: with no stored vector below s, s is irreducible;
+    with a first one g, a lift stage, `lift` a column c, drops s unreduced,
+    and the projection stage subtracts g and queries again. The projection
+    pops by |s|_1, stores each irreducible sum at once and keeps the stored
+    rows that its minimality filter finds minimal. A lift pops by the
+    J-norm |s_J|_1, J being every column but c, stores a level's irreducible
+    sums together after the level's last pop, so one fold of the index
+    covers the level, and keeps every row it stores. It forms only the pairs
+    of `pair_sums`'s lift rule; `_project_and_lift` proves all this exact
     when the seeds, with column c dropped, hold that projection's Graver basis.
 
     The projection's reducers are those of one ascending pass, each
@@ -348,39 +360,52 @@ def _completion_stage(
         nonlocal generated
         sums = index.pair_sums(v, lift)
         generated += len(sums)
-        for entry in sums:
-            heapq.heappush(heap, entry)
+        for norm, s in sums:
+            # a lift pops by the J-norm, |s_J|_1, J being every column but c
+            heapq.heappush(heap, (norm if lift is None else norm - abs(s[lift]), s))
 
     for v in index.vectors:
         enqueue_pairs(v)
 
     pops = scans = subtractions = inserts = 0
+    found: list[IntVec] = []  # the irreducible sums not yet stored
     while heap:
         spent.check(generated)
-        _, s = heapq.heappop(heap)
+        level, s = heapq.heappop(heap)
         pops += 1
         while s not in members:
             i = index.find(positive_part(s), negative_part(s))
             scans += 1
             if i < 0:
-                insert(s)
-                inserts += 1
-                enqueue_pairs(s)
+                found.append(s)
                 break
             if lift is not None:
                 break  # a lift drops a reducible sum unreduced (proof in `_project_and_lift`)
             s = tuple(map(sub, s, index.vectors[i]))
             subtractions += 1
+        # the projection stores each sum at once, a lift each level after its
+        # last pop; all are stored before any is paired, so one fold covers them
+        if found and (lift is None or not heap or heap[0][0] > level):
+            for v in found:
+                insert(v)
+            for v in found:
+                enqueue_pairs(v)
+            inserts += len(found)
+            found.clear()
 
-    # u is conformally minimal iff -u is, so one sign of each pair decides.
-    # Only the clock can raise here: every sum is pushed and the drained heap
-    # popped each one after a check, so the last check saw this `generated`
-    # (or none ran and it is 0), and earlier stages' totals passed the same way
-    minimal = []
-    for i in range(0, len(index), 2):
-        spent.check(generated)
-        if index.dominators(i) == 1:
-            minimal.append(sign_canonical(index.vectors[i]))
+    if lift is None:
+        # u is conformally minimal iff -u is, so one sign of each pair decides.
+        # Only the clock can raise here: every sum is pushed and the drained
+        # heap popped each one after a check, so the last check saw this
+        # `generated` (or none ran and it is 0), and earlier stages' totals
+        # passed the same way
+        minimal = []
+        for i in range(0, len(index), 2):
+            spent.check(generated)
+            if index.dominators(i) == 1:
+                minimal.append(sign_canonical(index.vectors[i]))
+    else:  # every stored row is in Gr (proof in `_project_and_lift`)
+        minimal = [sign_canonical(v) for v in index.vectors[::2]]
     spent.generated += generated
     kept = sorted(minimal)
     return kept, dict(pops=pops, scans=scans, subtractions=subtractions, inserts=inserts,
@@ -432,11 +457,31 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
       argument never uses the order of the pops. The projection stage
       has no such induction, as it starts from a bare lattice basis, and
       reduces every popped sum to a normal form.
+    - Levels. The stage pops its sums by |s_J|_1, decides each pop of one
+      level against the rows stored before the level began, and stores the
+      level's irreducible sums together after its last pop. Then it stores
+      exactly Gr(pi_{J+j}(L)), with no minimality filter:
+      1. A pair g, h has the same signs on J, so |(g+h)_J|_1 = |g_J|_1 +
+         |h_J|_1, and both terms are nonzero, as pi_J is injective on
+         pi_{J+j}(L). So every sum sits at a higher level than both of its
+         parents, and the levels are popped in ascending order.
+      2. If r != s and r is conformally below s, then |r_J|_1 < |s_J|_1:
+         equality would force r_J = s_J, and so r = s by injectivity. So a
+         level-m sum can be reduced only by rows below level m, which are
+         all stored before level m begins, and no two sums of one level can
+         reduce each other. A pop is thus stored iff no stored row lies
+         below it, as in the lemma above, which holds for any pop order.
+      3. The seeds are minimal in pi_{J+j}(L): pi_J of a seed is in
+         Gr(pi_J(L)), and pi_J is injective. By 2, every stored sum is
+         minimal among the stored rows. By the lemma, the stored rows
+         contain Gr(pi_{J+j}(L)). So a stored row not in it would lie above
+         a stored element of it: the stored rows are exactly that basis.
 
-    `spent` caps the sums formed in all stages together, and the seconds
-    from the first seed to the last minimality filter. Each stage logs one
+    `spent` caps the sums formed in all stages together, and the seconds from
+    the first seed to the last pop or minimality filter. Each stage logs one
     debug line: `completion:` and the stage's counters for the projection,
-    `lift: {column, seeds, generated, pops, inserts, kept}` for each lift.
+    `lift: {column, seeds, generated, pops, inserts, kept}` for each lift,
+    whose `kept` is `seeds + inserts`.
     """
     cols = _projected_columns(basis)
     P = [[b[c] for c in cols] for b in basis]

@@ -431,10 +431,12 @@ class TestSubcurveRejects:
     @staticmethod
     def _outcomes(curves):
         """(curves with every i rejected, curves with a survivor); asserts that
-        every reject is confirmed and that the complex is the full loop's."""
+        every reject is confirmed, that at most one i survives and that the
+        complex is the full loop's."""
         decided = survived = 0
         for entries in curves:
             rejected = _subcurve_rejects(entries)
+            assert len(entries) - len(rejected) <= 1, entries
             for i in rejected:
                 assert not face_test_projection(T(*entries), i), (entries, i)
             assert robust_complex(entries).faces == every_face_test(entries), entries

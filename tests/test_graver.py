@@ -302,9 +302,20 @@ class TestProjectAndLift:
     }
 
     @staticmethod
-    def both_engines(basis, n):
-        return (_lattice_graver(basis, n, DEFAULT_BUDGET),
-                _complete_lattice(basis, n, DEFAULT_BUDGET))
+    def lifted(basis, n):
+        """`_lattice_graver`'s basis and the number of lifts it logs, asserting
+        that each lift keeps exactly its seeds and the sums it inserts."""
+        with mock.patch.object(graver_module.log, "debug") as debug:
+            G = _lattice_graver(basis, n, DEFAULT_BUDGET)
+        lifts = [call.args[1] for call in debug.call_args_list if call.args[0] == "lift: %s"]
+        for counts in lifts:
+            assert counts["seeds"] + counts["inserts"] == counts["kept"], counts
+        return G, len(lifts)
+
+    def both_engines(self, basis, n):
+        G, lifts = self.lifted(basis, n)
+        assert lifts == n - len(basis)
+        return G, _complete_lattice(basis, n, DEFAULT_BUDGET)
 
     def test_curves_match_the_engine(self):
         # every gcd-normalised 1x4 curve with entries <= 8, then three 1x5
@@ -322,7 +333,7 @@ class TestProjectAndLift:
         # also on another basis of the lattice, and with its columns permuted
         basis, engine = case
         n = len(basis[0])
-        assert _lattice_graver(basis, n, DEFAULT_BUDGET) == engine
+        assert self.lifted(basis, n) == (engine, n - len(basis))
         U = random_unimodular(rng, len(basis))
         changed = [tuple(sum(u * b[c] for u, b in zip(row, basis)) for c in range(n))
                    for row in U]
@@ -411,22 +422,96 @@ class TestProjectAndLift:
         assert info.value.kind == "time" and info.value.generated > 519
         assert len(lifted) == 2 * 26  # the lift's seeds, both signs
 
-    def test_time_cap_holds_in_a_lift_minimality_filter(self, monkeypatch):
-        # the clock jumps when the lift's index counts its first dominators
-        counted = []
-        dominators = ConformalIndex.dominators
+    def test_a_lift_stores_only_graver_elements(self, caplog):
+        # a lift stores a level's sums after its last pop, so no sum is stored
+        # before a reducer of a lower level: (1,5,7,11,14) once stored 96 sums
+        # for 95 elements, and (1,10,14,15,20) 109 for 108
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            fresh_graver_basis(T(1, 5, 7, 11, 14))
+            fresh_graver_basis(T(1, 10, 14, 15, 20))
+        assert [(r.msg, r.args) for r in caplog.records] == [
+            ("completion: %s", dict(pops=209, scans=497, subtractions=473, inserts=24,
+                                    generated=209, index=56, kept=4)),
+            ("lift: %s", dict(column=0, seeds=4, generated=644, pops=644, inserts=95, kept=99)),
+            ("completion: %s", dict(pops=136, scans=197, subtractions=176, inserts=21,
+                                    generated=136, index=50, kept=4)),
+            ("lift: %s", dict(column=0, seeds=4, generated=766, pops=766, inserts=108,
+                              kept=112)),
+        ]
+
+    def test_a_lift_folds_once_per_level(self, monkeypatch):
+        # the lift of (7,12,19,25,31) stores 954 sums; every pop of one J-norm
+        # level queries the same index, so only storing a level folds
+        folded = []
+        fold = ConformalIndex._fold
+
+        def counting(index):
+            folded.append(index)
+            fold(index)
+
+        monkeypatch.setattr(ConformalIndex, "_fold", counting)
+        fresh_graver_basis(T(7, 12, 19, 25, 31))
+        [lift] = {id(index): index for index in folded if index.n == 5}.values()
+        # the lifted column is the stage's last, and the first 2 * 66 rows are the seeds
+        levels = {sum(map(abs, v[:-1])) for v in lift.vectors[2 * 66:]}
+        assert len(lift) == 2 * (66 + 954)
+        assert folded.count(lift) <= len(levels) + 1
+
+    def test_a_lift_has_no_minimality_filter(self, monkeypatch):
+        # only the projection's filter counts dominators, and it reads the
+        # clock; a clock that jumps while the lift stores its last level
+        # stops the next pop, after every sum is formed and before its query
+        counted, lifted, queried = [], [], []
+        dominators, pair_sums, find = (ConformalIndex.dominators, ConformalIndex.pair_sums,
+                                       ConformalIndex.find)
 
         def counting(index, i):
             counted.append((index.n, i))
             return dominators(index, i)
 
-        clock = SimpleNamespace(monotonic=lambda: 1e9 if (5, 0) in counted else 0.0)
+        def recording(index, v, lift=None):
+            if lift is not None:
+                lifted.append(v)
+            return pair_sums(index, v, lift)
+
+        def querying(index, pos, neg, start=0):
+            queried.append(index.n)
+            return find(index, pos, neg, start)
+
         monkeypatch.setattr(ConformalIndex, "dominators", counting)
-        monkeypatch.setattr(graver_module, "time", clock)
+        monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
+        monkeypatch.setattr(ConformalIndex, "find", querying)
+        fresh_graver_basis(T(*T_BIG))
+        assert counted == [(4, i) for i in range(0, 96, 2)]
+        # the lift pairs its 26 seeds, both signs, then one sign of each insert
+        assert len(lifted) == 2 * 26 + 240 and queried.count(5) == 2227
+        # the first pairing of the last level's rows, J-norms taken off the lifted last column
+        top = sum(map(abs, lifted[-1][:-1]))
+        last = next(k for k in range(2 * 26, len(lifted)) if sum(map(abs, lifted[k][:-1])) == top)
+
+        counted.clear()
+        monkeypatch.setattr(graver_module, "time", SimpleNamespace(
+            monotonic=lambda: 1e9 if counted else 0.0))
+        with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
+        assert (info.value.kind, info.value.generated) == ("time", 519)
+        assert counted == [(4, 0)]
+
+        lifted.clear()
+        queried.clear()
+        at_jump = []  # the lift's queries when the clock first reads the jump
+
+        def jumping():
+            if len(lifted) > last and not at_jump:
+                at_jump.append(queried.count(5))
+            return 1e9 if at_jump else 0.0
+
+        monkeypatch.setattr(graver_module, "time", SimpleNamespace(monotonic=jumping))
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
         assert (info.value.kind, info.value.generated) == ("time", 519 + 2227)
-        assert counted == [(4, i) for i in range(0, 96, 2)] + [(5, 0)]
+        assert len(lifted) == 2 * 26 + 240
+        assert at_jump == [queried.count(5)] and queried.count(5) < 2227
 
 
 class TestVectorSets:
