@@ -52,7 +52,7 @@ import logging
 import math
 import operator
 import time
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import add, sub
 from typing import Iterable, Sequence
@@ -144,21 +144,22 @@ class ConformalIndex:
     g- or both; a half left as None is bounded, column by column, by the
     largest entry stored there, which every row meets.
 
-    `find` and `dominators` read threshold bitsets: for each of the 2n
-    columns, the sorted distinct entries and, per entry, a Python int whose
-    bit i is set iff row i's entry in that column is <= it. A query is one
-    bisection and one `&` per column, exact at any size: `find` reads the
-    lowest set bit, `dominators` the popcount of the query by the row
-    itself, optionally with one coordinate left free (both its columns
-    bounded by their largest entries). The rows added since the last query
-    are folded in by the next one, a column at a time, in time linear in the
-    column's distinct entries and the new rows.
+    Each of the 2n columns keeps a map from each of its entries to the
+    bitset of the rows that hold it (a Python int, bit i for row i), its
+    sorted distinct entries, and per entry a threshold bitset: the union of
+    the map's bitsets over every entry <= it, so bit i is set iff row i's
+    entry in the column is <= it. `find` and `dominators` are one bisection
+    and one `&` per column, exact at any size: `find` reads the lowest set
+    bit, `dominators` the popcount of the query by the row itself,
+    optionally with one coordinate left free (both its columns bounded by
+    their largest entries). The rows added since the last query are folded
+    in by the next one (see `_fold`).
 
-    `pair_sums` reads the rows that cancel a vector off the lowest threshold
-    of each column, or, by the lift rule of project-and-lift, those that
-    cancel it in one column and share its signs in the others, and drops
-    repeated sums by value, through the one set of the sign-canonical sums
-    it has returned, seeded with the zero vector.
+    `pair_sums` reads the rows that cancel a vector off each column's map at
+    0, or, by the lift rule of project-and-lift, those that cancel it in one
+    column and share its signs in the others, and drops repeated sums by
+    value, through the one set of the sign-canonical sums it has returned,
+    seeded with the zero vector.
     """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
@@ -168,8 +169,9 @@ class ConformalIndex:
         self.parts: list[tuple[int, ...]] = []  # concatenated (pos, neg)
         self._seen: set[IntVec] = {(0,) * n}  # 0 and every pair sum returned so far
         self._folded = 0  # rows 0.._folded-1 are in the bitsets
-        self._values: list[list[int]] = [[] for _ in range(2 * n)]
-        self._masks: list[list[int]] = [[] for _ in range(2 * n)]
+        self._rows: list[dict[int, int]] = [{} for _ in range(2 * n)]  # entry -> its rows
+        self._values: list[list[int]] = [[] for _ in range(2 * n)]  # sorted keys of _rows
+        self._masks: list[list[int]] = [[] for _ in range(2 * n)]  # thresholds of _values
         for v in vectors:
             self.add(v)
 
@@ -187,31 +189,26 @@ class ConformalIndex:
     def _fold(self) -> None:
         """Fold the rows stored since the last query into the bitsets.
 
-        Per column: group the new rows by entry, insert each new entry as a
-        threshold that copies the mask below it, then one ascending walk ORs
-        the running union of the new rows into every threshold from the
-        smallest new entry up.
+        Per column, the invariant is that masks[j] is the union of rows[x]
+        over every entry x <= values[j]. Each new row's bit joins its entry's
+        bitset, a new entry is inserted into the sorted values, and the
+        thresholds from lo = bisect_left(values, min(new entries)) up are
+        recomputed as running unions from masks[lo - 1]. The thresholds
+        below lo cover no new row and no new entry, so they stay exact.
         """
         first, k = self._folded, len(self.parts)
         bits = [1 << i for i in range(first, k)]
-        for values, masks, column in zip(self._values, self._masks, zip(*self.parts[first:])):
-            new: dict[int, int] = {}  # entry -> the new rows holding it
+        for values, masks, rows, column in zip(
+                self._values, self._masks, self._rows, zip(*self.parts[first:])):
             for x, bit in zip(column, bits):
-                new[x] = new.get(x, 0) | bit
-            entries = sorted(new)
-            at = []  # each entry's threshold; inserting in ascending order keeps them valid
-            for x in entries:
-                j = bisect_left(values, x)
-                if j == len(values) or values[j] != x:
-                    values.insert(j, x)
-                    masks.insert(j, masks[j - 1] if j else 0)
-                at.append(j)
-            at.append(len(values))
-            union = 0
-            for x, lo, hi in zip(entries, at, at[1:]):
-                union |= new[x]
-                for t in range(lo, hi):
-                    masks[t] |= union
+                if x in rows:
+                    rows[x] |= bit
+                else:
+                    rows[x] = bit
+                    insort(values, x)
+            lo = bisect_left(values, min(column))
+            union = masks[lo - 1] if lo else 0
+            masks[lo:] = [union := union | rows[x] for x in values[lo:]]
         self._folded = k
 
     def _hits(self, query: tuple[int, ...], start: int = 0) -> int:
@@ -273,7 +270,7 @@ class ConformalIndex:
         for c, x in enumerate(v):
             if x:
                 col = c if x < 0 else c + self.n  # the half where g has the other sign
-                same = self._masks[col][0] if self._values[col][0] == 0 else 0
+                same = self._rows[col].get(0, 0)
                 if lift is None:
                     rows |= every ^ same
                 else:

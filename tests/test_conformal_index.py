@@ -7,7 +7,9 @@ sign-canonical sums it has returned; so does its lift rule, for
 project-and-lift. Its results are held to `_pair_sums_by_loop`, the plain
 tuple loop it replaced, on natural inputs whose entries pass 2^60:
 scalings by 2^61, Lambda(2^61+1, 2^61+3)_0, queries at 2^64 and runs whose
-entries grow past 2^8, 2^63 and 2^64.
+entries grow past 2^8, 2^63 and 2^64. The folded state itself, each
+column's entry map, sorted entries and thresholds, is held to a rebuild
+from the stored rows after every fold.
 """
 
 from unittest import mock
@@ -319,6 +321,46 @@ def test_find_matches_nested_loop(case, scales, data):
             assert index.find(pos, neg, start) == first(k, pos, neg)
             assert [index.dominators(i, free=c) for i in range(k)] == dominators(k, c)
             assert [index.dominators(i) for i in range(k)] == dominators(k, None)
+
+
+def _assert_folded_state(index):
+    """Each column's map, sorted entries and thresholds, against a rebuild
+    from the stored rows: rows[x] marks the rows whose entry is x, and
+    masks[j] the rows whose entry is <= values[j]."""
+    assert index._folded == len(index.parts)
+    for c in range(2 * index.n):
+        column = [row[c] for row in index.parts]
+        values = sorted(set(column))
+        rows = {x: sum(1 << i for i, y in enumerate(column) if y == x) for x in values}
+        masks = [sum(1 << i for i, y in enumerate(column) if y <= x) for x in values]
+        assert index._values[c] == values
+        assert index._rows[c] == rows
+        assert index._masks[c] == masks
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sets(), st.sampled_from([1, 2**61, 2**64 + 3]), st.data())
+def test_fold_state_matches_a_rebuild(case, scale, data):
+    # queries interleave with the adds, so rows fold one or several at a
+    # time. The five leading vectors put 2, then 0 (below the smallest), 1
+    # (between), 3 (above the largest) and 0 (an existing entry) into every
+    # g+ column, and 0, 2, 0, 0, 1 into every g- column
+    n, vectors, _, _, _ = case
+    lead = [(2,) * n, (-2,) * n, (1,) * n, (3,) * n, (-1,) * n]
+    vectors = [tuple(scale * x for x in v) for v in [*lead, *vectors]]
+    queries = st.sampled_from([None, "find", "dominators", "pair_sums"])
+    index = ConformalIndex(n)
+    for k, v in enumerate(vectors, start=1):
+        index.add(v)
+        query = "find" if k == len(vectors) else data.draw(queries)
+        if query == "find":
+            index.find(None, (0,) * n)
+        elif query == "dominators":
+            index.dominators(k - 1)
+        elif query == "pair_sums":
+            index.pair_sums(tuple(-x for x in v))
+        if query is not None:
+            _assert_folded_state(index)
 
 
 @settings(max_examples=150, deadline=None)
