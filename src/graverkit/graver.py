@@ -23,10 +23,12 @@ A completion is Pottier-style: seed with a lattice basis and its negations,
 repeatedly form pairwise sums with cancellation, and insert what the stored
 vectors do not reduce away. At the fixpoint the conformally minimal
 elements of the projection stage are exactly its Graver basis, and a lift
-stage stores its Graver basis and nothing else. Pair generation pairs each
-new element with the stored vectors that cancel it, read off the index's
-bitsets, and drops the sums queued before by value: a set holds the
-sign-canonical form of every sum queued so far. Both stages decide a popped
+stage stores its Graver basis and nothing else. Pair generation pairs one
+sign of each new element with the vectors stored before it that cancel it,
+read off the index's bitsets, and drops the sums queued before by value: a
+set holds the sign-canonical form of every sum queued so far. A lift also
+skips, unformed, every pair whose sum a vector stored below one of its
+parents is sure to reduce (the kappa rule). Both stages decide a popped
 sum by one loop of index queries for the first stored vector below it:
 none, and the sum is inserted. Otherwise the projection stage subtracts
 that vector and queries again, so it inserts the sum's normal form when
@@ -78,9 +80,10 @@ class Budget:
 
     `max_candidates` caps the candidates: the pair sums formed in every
     stage of project-and-lift together, or the vectors the rank-2 walks
-    emit. `max_seconds` caps the wall time, from the first seed to the last
-    pop or minimality filter; only the projection stage has a filter, a lift
-    stores nothing to filter out. A lattice of rank 0 or 1, answered in
+    emit. A pair that a lift skips by its kappa rule forms no sum and is
+    no candidate. `max_seconds` caps the wall time, from the first seed to
+    the last pop or minimality filter; only the projection stage has a
+    filter, a lift stores nothing to filter out. A lattice of rank 0 or 1, answered in
     closed form, spends neither. ValueError for a negative or NaN cap.
     """
 
@@ -141,8 +144,8 @@ class ConformalIndex:
     """A set of vectors under conformal-dominance queries (g+ <= p and g- <= m).
 
     Row i, `parts[i]`, holds (g+, g-) of stored vector i. A query bounds g+,
-    g- or both; a half left as None is bounded, column by column, by the
-    largest entry stored there, which every row meets.
+    g- or both; a half left as None, or a coordinate left free, is bounded
+    by infinity, which every row meets.
 
     Each of the 2n columns keeps a map from each of its entries to the
     bitset of the rows that hold it (a Python int, bit i for row i), its
@@ -151,15 +154,16 @@ class ConformalIndex:
     entry in the column is <= it. `find` and `dominators` are one bisection
     and one `&` per column, exact at any size: `find` reads the lowest set
     bit, `dominators` the popcount of the query by the row itself,
-    optionally with one coordinate left free (both its columns bounded by
-    their largest entries). The rows added since the last query are folded
-    in by the next one (see `_fold`).
+    optionally with one coordinate left free, and `kappa` the first entry of
+    one column whose rows meet that query's hits. The rows added since the
+    last query are folded in by the next one (see `_fold`).
 
     `pair_sums` reads the rows that cancel a vector off each column's map at
     0, or, by the lift rule of project-and-lift, those that cancel it in one
-    column and share its signs in the others, and drops repeated sums by
-    value, through the one set of the sign-canonical sums it has returned,
-    seeded with the zero vector.
+    column and share its signs in the others, optionally only the rows
+    below a given one and less the pairs the lift's kappa rule skips, and
+    drops repeated sums by value, through the one set of the sign-canonical
+    sums it has returned, seeded with the zero vector.
     """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
@@ -212,7 +216,8 @@ class ConformalIndex:
         self._folded = k
 
     def _hits(self, query: tuple[int, ...], start: int = 0) -> int:
-        """The bitset of the rows i >= start whose row (g+, g-) is <= query."""
+        """The bitset of the rows i >= start whose row (g+, g-) is <= query;
+        an entry of inf bounds nothing."""
         k = len(self.parts)
         if self._folded < k:
             self._fold()
@@ -224,68 +229,103 @@ class ConformalIndex:
             hits &= masks[j - 1]
         return hits
 
-    def _tops(self) -> tuple[int, ...]:
-        """The largest entry of each column, every row's bound; folds first."""
-        if self._folded < len(self.parts):
-            self._fold()
-        return tuple([values[-1] if values else 0 for values in self._values])
-
     def find(self, pos: IntVec | None, neg: IntVec | None, start: int = 0) -> int:
         """First index >= start of a stored g with g+ <= pos and g- <= neg, or -1."""
         if pos is None or neg is None:
-            tops = self._tops()
-            pos = tops[:self.n] if pos is None else pos
-            neg = tops[self.n:] if neg is None else neg
+            free = (math.inf,) * self.n
+            pos, neg = pos or free, neg or free
         hits = self._hits(pos + neg, start)
         return (hits & -hits).bit_length() - 1
+
+    def _below(self, idx: int, free: int | None) -> int:
+        """The bitset of the rows conformally <= row idx, itself included,
+        leaving coordinate `free` (0-based) unbounded if given."""
+        query = list(self.parts[idx])
+        if free is not None:
+            query[free] = query[free + self.n] = math.inf
+        return self._hits(query)
 
     def dominators(self, idx: int, free: int | None = None) -> int:
         """How many stored vectors are conformally <= vector idx (including
         itself), leaving coordinate `free` (0-based) unbounded if given."""
-        query = list(self.parts[idx])
-        if free is not None:
-            tops = self._tops()
-            query[free], query[free + self.n] = tops[free], tops[free + self.n]
-        return self._hits(query).bit_count()
+        return self._below(idx, free).bit_count()
 
-    def pair_sums(self, v: IntVec, lift: int | None = None) -> list[tuple[int, IntVec]]:
+    def kappa(self, idx: int, c: int) -> int | float:
+        """kappa of row idx, v, in a lift on column c, J being every other
+        column: |v_c| + min |r_c| over the stored rows r != v with r_J
+        conformally below v_J and r_c v_c < 0, or inf when there is none
+        (always when v_c = 0). The r are the rows below v with c left free,
+        less v, that are nonzero in the half of column c opposite v_c's
+        sign; the first entry of that half, in ascending order, whose rows
+        meet them is the least |r_c|."""
+        x = self.vectors[idx][c]
+        if not x:
+            return math.inf
+        hits = self._below(idx, c) & ~(1 << idx)  # folds first
+        col = c if x < 0 else c + self.n  # the half where r has the other sign
+        rows = self._rows[col]
+        hits &= ~rows.get(0, 0)
+        if hits:
+            for y in self._values[col]:
+                if rows[y] & hits:
+                    return abs(x) + y
+        return math.inf
+
+    def pair_sums(self, v: IntVec, lift: int | None = None, before: int | None = None,
+                  kappa: Sequence[int | float] | None = None
+                  ) -> tuple[list[tuple[int, IntVec]], int]:
         """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
-        cancelling v somewhere, that no earlier call returned, in row order.
-        With `lift` a column c, only the g of the lift rule of
-        `_project_and_lift`: g cancels v at c and g_i * v_i >= 0 in every
-        other column i; none when v_c = 0.
+        cancelling v somewhere, that no earlier call returned, in row order;
+        and how many pairs the kappa rule skipped. With `before` a row index,
+        only the g of rows below it. With `lift` a column c, only the g of
+        the lift rule of `_project_and_lift`: g cancels v at c and
+        g_i * v_i >= 0 in every other column i; none when v_c = 0. With
+        `kappa` too, the lift's `kappa` of every stored row, v being row
+        `before`, a pair with kappa(g) <= |v_c| or kappa(v) <= |g_c| is
+        skipped: its sum is not formed.
 
         The rows that cancel v are read off the bitsets: those with g+ > 0 in
         a column where v < 0, or g- > 0 where v > 0; the others have
-        g_c * v_c >= 0 there. Repeats are dropped by value: the seen set
-        holds the zero vector and every sign-canonical sum returned so far,
-        so a sum is new iff its sign-canonical form is not in it.
+        g_c * v_c >= 0 there. Those with |g_c| < kappa(v) are a threshold of
+        the half of column c where g has the other sign. Repeats are dropped
+        by value: the seen set holds the zero vector and every sign-canonical
+        sum returned so far, so a sum is new iff its sign-canonical form is
+        not in it.
         """
-        k = len(self.parts)
+        k = len(self.parts) if before is None else before
         if not k or lift is not None and not v[lift]:
-            return []
-        if self._folded < k:
+            return [], 0
+        if self._folded < len(self.parts):
             self._fold()
         every, rows = (1 << k) - 1, 0 if lift is None else (1 << k) - 1
         for c, x in enumerate(v):
             if x:
                 col = c if x < 0 else c + self.n  # the half where g has the other sign
-                same = self._rows[col].get(0, 0)
+                same = self._rows[col].get(0, 0) & every
                 if lift is None:
                     rows |= every ^ same
                 else:
                     rows &= every ^ same if c == lift else same
+        skipped, reach = 0, -1  # a row g with kappa(g) <= reach is skipped
+        if kappa is not None:
+            col = lift if v[lift] < 0 else lift + self.n
+            j = bisect_left(self._values[col], kappa[before])  # entries < kappa(v)
+            near = rows & self._masks[col][j - 1] if j else 0
+            skipped, rows, reach = (rows ^ near).bit_count(), near, abs(v[lift])
         vectors, seen, new = self.vectors, self._seen, []
         # the set bits of rows, lowest first: one find per row, however sparse
         bits = bin(rows)[:1:-1]
         i = bits.find("1")
         while i >= 0:
-            s = sign_canonical(tuple(map(add, v, vectors[i])))
-            if s not in seen:
-                seen.add(s)
-                new.append((sum(map(abs, s)), s))
+            if reach >= 0 and kappa[i] <= reach:
+                skipped += 1
+            else:
+                s = sign_canonical(tuple(map(add, v, vectors[i])))
+                if s not in seen:
+                    seen.add(s)
+                    new.append((sum(map(abs, s)), s))
             i = bits.find("1", i + 1)
-        return new
+        return new, skipped
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +368,13 @@ def _completion_stage(
     J-norm |s_J|_1, J being every column but c, stores a level's irreducible
     sums together after the level's last pop, so one fold of the index
     covers the level, and keeps every row it stores. It forms only the pairs
-    of `pair_sums`'s lift rule; `_project_and_lift` proves all this exact
-    when the seeds, with column c dropped, hold that projection's Graver basis.
+    of `pair_sums`'s lift rule that its kappa rule does not skip, taking the
+    kappa of the seeds once all are stored and of a level's rows once the
+    level is stored; `_project_and_lift` proves all this exact when the
+    seeds, with column c dropped, hold that projection's Graver basis. Each
+    stage pairs one sign of each element with the rows stored before it:
+    v + g and -v - g are one sum, so that forms every pair sum the stage
+    would form against every row, once.
 
     The projection's reducers are those of one ascending pass, each
     subtracted while it divides. A step subtracts a g conformal to s, so the
@@ -340,6 +385,7 @@ def _completion_stage(
     """
     index = ConformalIndex(n)
     members = index.members
+    kappa = None if lift is None else []  # a lift's kappa of every stored row
 
     def insert(v: IntVec) -> None:
         # v is never a member, and members stays closed under negation, so
@@ -347,22 +393,28 @@ def _completion_stage(
         index.add(v)
         index.add(vec_neg(v))
 
+    heap: list[tuple[int, IntVec]] = []
+    generated = skipped = 0
+
+    def pair_from(first: int) -> None:
+        # v + g and -v - g are one sum, so one sign of each element stored
+        # from row `first` on is paired, with the rows stored before it
+        nonlocal generated, skipped
+        rows = range(first, len(index), 2)
+        if kappa is not None:
+            for i in rows:
+                kappa.extend([index.kappa(i, lift)] * 2)  # kappa(-v) = kappa(v)
+        for i in rows:
+            sums, skips = index.pair_sums(index.vectors[i], lift, i, kappa)
+            generated += len(sums)
+            skipped += skips
+            for norm, s in sums:
+                # a lift pops by the J-norm, |s_J|_1, J being every column but c
+                heapq.heappush(heap, (norm if lift is None else norm - abs(s[lift]), s))
+
     for b in seeds:
         insert(b)
-
-    heap: list[tuple[int, IntVec]] = []
-    generated = 0
-
-    def enqueue_pairs(v: IntVec) -> None:
-        nonlocal generated
-        sums = index.pair_sums(v, lift)
-        generated += len(sums)
-        for norm, s in sums:
-            # a lift pops by the J-norm, |s_J|_1, J being every column but c
-            heapq.heappush(heap, (norm if lift is None else norm - abs(s[lift]), s))
-
-    for v in index.vectors:
-        enqueue_pairs(v)
+    pair_from(0)
 
     pops = scans = subtractions = inserts = 0
     found: list[IntVec] = []  # the irreducible sums not yet stored
@@ -383,10 +435,10 @@ def _completion_stage(
         # the projection stores each sum at once, a lift each level after its
         # last pop; all are stored before any is paired, so one fold covers them
         if found and (lift is None or not heap or heap[0][0] > level):
+            first = len(index)
             for v in found:
                 insert(v)
-            for v in found:
-                enqueue_pairs(v)
+            pair_from(first)
             inserts += len(found)
             found.clear()
 
@@ -405,8 +457,11 @@ def _completion_stage(
         minimal = [sign_canonical(v) for v in index.vectors[::2]]
     spent.generated += generated
     kept = sorted(minimal)
-    return kept, dict(pops=pops, scans=scans, subtractions=subtractions, inserts=inserts,
-                      generated=generated, index=len(index), kept=len(kept))
+    counts = dict(pops=pops, scans=scans, subtractions=subtractions, inserts=inserts,
+                  generated=generated, index=len(index), kept=len(kept))
+    if lift is not None:
+        counts["skipped"] = skipped  # the projection skips no pair
+    return kept, counts
 
 
 def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[IntVec]:
@@ -440,16 +495,16 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
       nonzero where z_j = 0) is offset by one of the other sign, as the
       g_ij add up to z_j: two terms g, h have g_j h_j < 0, and, both
       conformal to z on J, the same sign on J, so their sum s = g + h is a
-      pair the stage formed and popped. s was stored, or dropped for a
-      stored r conformally below it: then s = r + w with w conformal to s,
-      and |w_J|_1 < |s_J|_1 <= |z_J|_1, as r_J != 0 (pi_J is injective on
-      pi_{J+j}(L)). So w is a conformal sum of elements of
-      Gr(pi_{J+j}(L)), each of J-norm below |z_J|_1 and so stored by the
-      induction. Either way s is a sum of stored vectors conformal to s,
-      hence to z on J, whose entries at j sum in absolute value to
-      |g_j + h_j| < |g_j| + |h_j|. Putting them in place of g and h gives a
-      representation with a smaller sum at j, which contradicts the
-      choice. So the representation is conformal on J + j, and z,
+      pair the stage formed and popped, or skipped by the kappa rule below.
+      s was stored, or dropped or skipped for a stored r conformally below
+      it: then s = r + w with w conformal to s, and |w_J|_1 < |s_J|_1 <=
+      |z_J|_1, as r_J != 0 (pi_J is injective on pi_{J+j}(L)). So w is a
+      conformal sum of elements of Gr(pi_{J+j}(L)), each of J-norm below
+      |z_J|_1 and so stored by the induction. Either way s is a sum of
+      stored vectors conformal to s, hence to z on J, whose entries at j
+      sum in absolute value to |g_j + h_j| < |g_j| + |h_j|. Putting them in
+      place of g and h gives a representation with a smaller sum at j,
+      which contradicts the choice. So the representation is conformal on J + j, and z,
       conformally minimal, is one of its terms: a stored vector. The
       argument never uses the order of the pops. The projection stage
       has no such induction, as it starts from a bare lattice basis, and
@@ -473,11 +528,36 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
          minimal among the stored rows. By the lemma, the stored rows
          contain Gr(pi_{J+j}(L)). So a stored row not in it would lie above
          a stored element of it: the stored rows are exactly that basis.
+    - The kappa rule. For a stored row x let kappa(x) = |x_j| + min |r_j|
+      over the stored rows r != x with r_J conformally below x_J and
+      r_j x_j < 0, or infinity when there is none; kappa(-x) = kappa(x).
+      The stage takes kappa of the seeds once all are stored, and of a
+      level's rows once the level is stored, before it pairs any of them,
+      and it never forms the sum s = v + w of a pair with kappa(w) <= |v_j|
+      or kappa(v) <= |w_j|. Such an s has a stored r != s conformally below
+      it, stored before the level of s began, so the stage would have
+      dropped it. Take kappa(w) <= |v_j|, reached through r; the other case
+      is the mirror image. v and w have the same signs on J, so r_J is
+      below w_J, which is below s_J. |v_j| >= |w_j| + |r_j| > |w_j| and
+      v_j w_j < 0, so s_j has v_j's sign, and |s_j| = |v_j| - |w_j| >=
+      |r_j|; r_j has the sign opposite to w_j's, v_j's. So r is
+      conformally below s. |r_J|_1 < |w_J|_1 by 2, as r != w, and
+      |w_J|_1 < |s_J|_1 by 1, so r != s. r was stored when kappa(w) was
+      taken, before the pair was formed, hence before the level of s, above
+      both parents' levels, began. So a skipped sum is dropped for a stored
+      r below it, as the lemma needs. Taking kappa once is sound: a kappa
+      taken early is no smaller than one taken later, so it skips fewer
+      pairs, never a wrong one. It also loses little: a row stored after a
+      stored sum x has at least x's J-norm, so it is not below x on J, and
+      only a seed's kappa could still fall. Taking the seeds' kappa again at
+      every level skipped no more pairs on perfbench's 297 gated
+      `completion` curves, so it is not done.
 
     `spent` caps the sums formed in all stages together, and the seconds from
     the first seed to the last pop or minimality filter. Each stage logs one
     debug line: `completion:` and the stage's counters for the projection,
-    `lift: {column, seeds, generated, pops, inserts, kept}` for each lift,
+    `lift: {column, seeds, generated, skipped, pops, inserts, kept}` for
+    each lift, whose `skipped` counts the pairs the kappa rule skipped and
     whose `kept` is `seeds + inserts`.
     """
     cols = _projected_columns(basis)
@@ -494,7 +574,8 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
         seeds = [(*u, sum(map(operator.mul, u, y)) // det) for u in G]
         G, counts = _completion_stage(seeds, len(seeds[0]), spent, lift=len(seeds[0]) - 1)
         log.debug("lift: %s", dict(column=j, seeds=len(seeds), generated=counts["generated"],
-                  pops=counts["pops"], inserts=counts["inserts"], kept=counts["kept"]))
+                  skipped=counts["skipped"], pops=counts["pops"], inserts=counts["inserts"],
+                  kept=counts["kept"]))
     # a stage's vectors hold the columns cols + rest; at[c] is where column c is
     at = sorted(range(n), key=[*cols, *rest].__getitem__)
     return sorted(sign_canonical([u[i] for i in at]) for u in G)

@@ -4,14 +4,16 @@ Every operation has one code path. `find` and `dominators` read threshold
 bitsets. `pair_sums` reads the rows that cancel a vector off the same
 bitsets and drops repeated sums by value, through one set of the
 sign-canonical sums it has returned; so does its lift rule, for
-project-and-lift. Its results are held to `_pair_sums_by_loop`, the plain
-tuple loop it replaced, on natural inputs whose entries pass 2^60:
+project-and-lift, with or without the kappa rule, whose `kappa` is held to
+its definition by a loop. Its results are held to `_pair_sums_by_loop`,
+the plain tuple loop it replaced, on natural inputs whose entries pass 2^60:
 scalings by 2^61, Lambda(2^61+1, 2^61+3)_0, queries at 2^64 and runs whose
 entries grow past 2^8, 2^63 and 2^64. The folded state itself, each
 column's entry map, sorted entries and thresholds, is held to a rebuild
 from the stored rows after every fold.
 """
 
+import math
 from unittest import mock
 
 import pytest
@@ -42,31 +44,39 @@ from graverkit.linalg import (
 from _paper import T_BIG, _complete_lattice, empty_graver_memos, example_e, fresh_graver_basis
 
 
-def _pair_sums_by_loop(index, v, seen, lift=None):
-    """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced.
+def _pair_sums_by_loop(index, v, seen, lift=None, before=None, kappa=None):
+    """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced:
+    the new sums and the number of pairs the kappa rule skipped.
 
     Keeps the sums not yet in `seen`, a plain tuple set it adds them to, with
-    their one-norms. With `lift` a column, pairs v only with the g that have
-    the other sign there and v's sign (or a zero) in every other column.
+    their one-norms. With `before` a row index, pairs v only with the rows
+    below it. With `lift` a column c, pairs v only with the g that have the
+    other sign there and v's sign (or a zero) in every other column. With
+    `kappa` too, the kappa of every row, v being row `before`, it skips the
+    pairs with kappa(g) <= |v_c| or kappa(v) <= |g_c|.
     """
+    rows = list(enumerate(index.vectors))[:before]
     if lift is None:
-        pairs = (g for g in index.vectors if any(a * b < 0 for a, b in zip(v, g)))
+        pairs = [(i, g) for i, g in rows if any(a * b < 0 for a, b in zip(v, g))]
     else:
-        pairs = (g for g in index.vectors if v[lift] * g[lift] < 0
-                 and all(a * b >= 0 for c, (a, b) in enumerate(zip(v, g)) if c != lift))
-    sums = (vec_add(v, g) for g in pairs)
-    new = []
-    for s in map(sign_canonical, sums):
+        pairs = [(i, g) for i, g in rows if v[lift] * g[lift] < 0
+                 and all(a * b >= 0 for c, (a, b) in enumerate(zip(v, g)) if c != lift)]
+    new, skipped = [], 0
+    for i, g in pairs:
+        if kappa is not None and (kappa[i] <= abs(v[lift]) or kappa[before] <= abs(g[lift])):
+            skipped += 1
+            continue
+        s = sign_canonical(vec_add(v, g))
         if any(s) and s not in seen:
             seen.add(s)
             new.append((one_norm(s), s))
-    return new
+    return new, skipped
 
 
 def _by_loop(monkeypatch):
     """Form every pair sum by `_pair_sums_by_loop`, one seen set per index."""
-    monkeypatch.setattr(ConformalIndex, "pair_sums", lambda index, v, lift=None: (
-        _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), lift)))
+    monkeypatch.setattr(ConformalIndex, "pair_sums", lambda index, v, *rule: (
+        _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), *rule)))
     empty_graver_memos(monkeypatch)
 
 
@@ -207,9 +217,9 @@ def test_pair_sums_dedup_in_every_completion_call(monkeypatch):
     # each have an index
     pair_sums = ConformalIndex.pair_sums
 
-    def checked(index, v, lift=None):
-        expected = _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), lift)
-        assert pair_sums(index, v, lift) == expected
+    def checked(index, v, *rule):
+        expected = _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), *rule)
+        assert pair_sums(index, v, *rule) == expected
         return expected
 
     monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
@@ -265,6 +275,37 @@ def test_lift_rule_matches_nested_loops(case, scale):
         seen = set()
         for v in vectors:
             assert index.pair_sums(v, lift) == _pair_sums_by_loop(index, v, seen, lift)
+
+
+def _kappa_by_loop(index, i, c):
+    """kappa of row i, v, on column c: |v_c| + the least |r_c| over the other
+    rows r with r_c v_c < 0 and r_j conformally below v_j off c, or inf."""
+    v = index.vectors[i]
+    below = [abs(r[c]) for k, r in enumerate(index.vectors) if k != i and r[c] * v[c] < 0
+             and all(a * b >= 0 and abs(a) <= abs(b) for j, (a, b) in enumerate(zip(r, v))
+                     if j != c)]
+    return abs(v[c]) + min(below) if below else math.inf
+
+
+@settings(max_examples=150, deadline=None)
+@given(vector_sets(), st.sampled_from([1, 2**61]))
+# column 0: (1,1) has kappa 1 + 2 through (-2,1), not through (-1,2) or (-3,0)
+@example((2, [(1, 1), (-1, 2), (-2, 1), (-3, 0), (2, 1)], None, None, 0), 1)
+# a duplicate row, and a zero at the lifted column, give no kappa
+@example((2, [(2, -1), (2, -1), (0, -1), (-1, 0)], None, None, 0), 2**61)
+def test_kappa_and_its_rule_match_nested_loops(case, scale):
+    # each row paired with the rows before it, against the tuple loop
+    n, vectors, _, _, _ = case
+    vectors = [tuple(scale * x for x in v) for v in vectors]
+    for lift in range(n):
+        index = ConformalIndex(n, vectors)
+        kappa = [index.kappa(i, lift) for i in range(len(vectors))]
+        assert kappa == [_kappa_by_loop(index, i, lift) for i in range(len(vectors))]
+        seen = set()
+        for i, v in enumerate(vectors):
+            assert index.pair_sums(v, lift, i, kappa) == _pair_sums_by_loop(
+                index, v, seen, lift, i, kappa)
+            assert index.pair_sums(v, None, i) == _pair_sums_by_loop(index, v, seen, None, i)
 
 
 def test_queries_and_pair_sums_at_2_64():
@@ -348,7 +389,7 @@ def test_fold_state_matches_a_rebuild(case, scale, data):
     n, vectors, _, _, _ = case
     lead = [(2,) * n, (-2,) * n, (1,) * n, (3,) * n, (-1,) * n]
     vectors = [tuple(scale * x for x in v) for v in [*lead, *vectors]]
-    queries = st.sampled_from([None, "find", "dominators", "pair_sums"])
+    queries = st.sampled_from([None, "find", "dominators", "kappa", "pair_sums"])
     index = ConformalIndex(n)
     for k, v in enumerate(vectors, start=1):
         index.add(v)
@@ -357,6 +398,8 @@ def test_fold_state_matches_a_rebuild(case, scale, data):
             index.find(None, (0,) * n)
         elif query == "dominators":
             index.dominators(k - 1)
+        elif query == "kappa":
+            index.kappa(0, 0)  # the leading row is nonzero at 0, so this queries
         elif query == "pair_sums":
             index.pair_sums(tuple(-x for x in v))
         if query is not None:

@@ -39,7 +39,9 @@ from graverkit.graver import (
 )
 from graverkit.linalg import (
     kernel_lattice,
+    negative_part,
     one_norm,
+    positive_part,
     project_out,
     sign_canonical,
     vec_add,
@@ -290,14 +292,14 @@ class TestProjectAndLift:
         "T_BIG": [
             ("completion: %s", dict(pops=519, scans=812, subtractions=768, inserts=44,
                                     generated=519, index=96, kept=26)),
-            ("lift: %s", dict(column=0, seeds=26, generated=2227, pops=2227, inserts=240,
-                              kept=266)),
+            ("lift: %s", dict(column=0, seeds=26, generated=691, skipped=2605, pops=691,
+                              inserts=240, kept=266)),
         ],
         "1 6 8 12 19": [
             ("completion: %s", dict(pops=160, scans=276, subtractions=256, inserts=20,
                                     generated=160, index=48, kept=4)),
-            ("lift: %s", dict(column=0, seeds=4, generated=995, pops=995, inserts=138,
-                              kept=142)),
+            ("lift: %s", dict(column=0, seeds=4, generated=305, skipped=897, pops=305,
+                              inserts=138, kept=142)),
         ],
     }
 
@@ -319,7 +321,7 @@ class TestProjectAndLift:
 
     def test_curves_match_the_engine(self):
         # every gcd-normalised 1x4 curve with entries <= 8, then three 1x5
-        # curves; the lift of (7,12,19,25,31) drops 10,399 of its 11,353 pops
+        # curves; the lift of (7,12,19,25,31) drops 1,749 of its 2,703 pops
         curves = [t for t in itertools.combinations_with_replacement(range(1, 9), 4)
                   if math.gcd(*t) == 1]
         assert len(curves) == 289
@@ -377,7 +379,7 @@ class TestProjectAndLift:
 
     def test_a_lift_never_reduces(self, monkeypatch):
         # the projection reduces to normal forms; the lift makes one index
-        # query per pop, stores 954 of its 11,353 pops and drops the rest
+        # query per pop, stores 954 of its 2,703 pops and drops the rest
         stages = []
         stage = graver_module._completion_stage
 
@@ -391,8 +393,9 @@ class TestProjectAndLift:
         [(no_lift, projection), (lift, lifted)] = stages
         assert (no_lift, lift) == (None, 4)
         assert projection["subtractions"] == 1404
-        assert lifted == dict(pops=11353, scans=11353, subtractions=0, inserts=954,
-                              generated=11353, index=2 * (66 + 954), kept=1020)
+        assert lifted == dict(pops=2703, scans=2703, subtractions=0, inserts=954,
+                              generated=2703, index=2 * (66 + 954), kept=1020,
+                              skipped=10867)
 
     def test_element_cap_counts_every_stage(self, caplog):
         # the projection forms 519 sums, under the cap; the lift's seeding passes it
@@ -407,10 +410,10 @@ class TestProjectAndLift:
         lifted = []
         pair_sums = ConformalIndex.pair_sums
 
-        def recording(index, v, lift=None):
+        def recording(index, v, lift=None, *rule):
             if lift is not None:
                 lifted.append(v)
-            return pair_sums(index, v, lift)
+            return pair_sums(index, v, lift, *rule)
 
         clock = SimpleNamespace(monotonic=lambda: 1e9 if lifted else 0.0)
         monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
@@ -420,7 +423,7 @@ class TestProjectAndLift:
             fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
         assert [r.msg for r in caplog.records] == ["completion: %s"]
         assert info.value.kind == "time" and info.value.generated > 519
-        assert len(lifted) == 2 * 26  # the lift's seeds, both signs
+        assert len(lifted) == 26  # the lift's seeds, one sign each
 
     def test_a_lift_stores_only_graver_elements(self, caplog):
         # a lift stores a level's sums after its last pop, so no sum is stored
@@ -432,12 +435,64 @@ class TestProjectAndLift:
         assert [(r.msg, r.args) for r in caplog.records] == [
             ("completion: %s", dict(pops=209, scans=497, subtractions=473, inserts=24,
                                     generated=209, index=56, kept=4)),
-            ("lift: %s", dict(column=0, seeds=4, generated=644, pops=644, inserts=95, kept=99)),
+            ("lift: %s", dict(column=0, seeds=4, generated=236, skipped=499, pops=236,
+                              inserts=95, kept=99)),
             ("completion: %s", dict(pops=136, scans=197, subtractions=176, inserts=21,
                                     generated=136, index=50, kept=4)),
-            ("lift: %s", dict(column=0, seeds=4, generated=766, pops=766, inserts=108,
-                              kept=112)),
+            ("lift: %s", dict(column=0, seeds=4, generated=234, skipped=670, pops=234,
+                              inserts=108, kept=112)),
         ]
+
+    def test_the_kappa_rule_skips_only_sums_above_graver_elements(self, monkeypatch):
+        # every gcd-normalised 1x4 curve with entries <= 12 and sampled 1x5
+        # curves with entries <= 20 have one lift each, on the whole lattice
+        # with the columns `_projected_columns` and then the lifted one. Each
+        # sum the lift skips has a lattice vector strictly below it, so it
+        # is no Graver element: an element of the one-stage reference Gr for
+        # the 1x5 curves, whose lifted bases must equal it, and of the lifted
+        # basis itself for the 1x4 curves, as a reference for each would
+        # double the test's time. The skipped pairs are listed by a loop over
+        # the rows, and must be as many as the lift skipped
+        curves4 = [t for t in itertools.combinations_with_replacement(range(1, 13), 4)
+                   if math.gcd(*t) == 1]
+        curves5 = [t for t in itertools.combinations_with_replacement(range(1, 21), 5)
+                   if math.gcd(*t) == 1]
+        assert len(curves4) == 1203
+        cases = [(t, kernel_lattice(T(*t)).vectors, None) for t in curves4]
+        for t in [*random.Random(5).sample(curves5, 12), T_BIG]:
+            basis = kernel_lattice(T(*t)).vectors
+            cases.append((t, basis, _complete_lattice(basis, len(t), DEFAULT_BUDGET)))
+        skipped, pair_sums = [], ConformalIndex.pair_sums
+
+        def listing(index, v, lift=None, before=None, kappa=None):
+            sums, count = pair_sums(index, v, lift, before, kappa)
+            if kappa is not None:
+                x, bound = v[lift], kappa[before]
+                # the lift rule: g cancels v at the lifted column, and only there
+                pairs = [vec_add(v, g) for k, g in zip(kappa, index.vectors[:before])
+                         if g[lift] * x < 0 and (k <= abs(x) or bound <= abs(g[lift]))
+                         and sum(a * b < 0 for a, b in zip(v, g)) == 1]
+                assert len(pairs) == count
+                skipped.extend(pairs)
+            return sums, count
+
+        monkeypatch.setattr(ConformalIndex, "pair_sums", listing)
+        total = 0
+        for t, basis, reference in cases:
+            skipped.clear()
+            lifted = _lattice_graver(basis, len(t), DEFAULT_BUDGET)
+            assert reference is None or reference == lifted, t
+            cols = _projected_columns(basis)
+            order = [*cols, *(c for c in range(len(t)) if c not in cols)]
+            stage = [tuple(g[c] for c in order) for g in lifted]
+            below = ConformalIndex(len(t), stage + [vec_neg(g) for g in stage])
+            for s in skipped:
+                i = below.find(positive_part(s), negative_part(s))
+                g = below.vectors[i]
+                assert i >= 0 and g != s and all(
+                    a * b >= 0 and abs(a) <= abs(b) for a, b in zip(g, s)), (t, s)
+            total += len(skipped)
+        assert total > 50_000
 
     def test_a_lift_folds_once_per_level(self, monkeypatch):
         # the lift of (7,12,19,25,31) stores 954 sums; every pop of one J-norm
@@ -469,10 +524,10 @@ class TestProjectAndLift:
             counted.append((index.n, i))
             return dominators(index, i)
 
-        def recording(index, v, lift=None):
+        def recording(index, v, lift=None, *rule):
             if lift is not None:
                 lifted.append(v)
-            return pair_sums(index, v, lift)
+            return pair_sums(index, v, lift, *rule)
 
         def querying(index, pos, neg, start=0):
             queried.append(index.n)
@@ -483,11 +538,11 @@ class TestProjectAndLift:
         monkeypatch.setattr(ConformalIndex, "find", querying)
         fresh_graver_basis(T(*T_BIG))
         assert counted == [(4, i) for i in range(0, 96, 2)]
-        # the lift pairs its 26 seeds, both signs, then one sign of each insert
-        assert len(lifted) == 2 * 26 + 240 and queried.count(5) == 2227
+        # the lift pairs one sign of each of its 26 seeds and 240 inserts
+        assert len(lifted) == 26 + 240 and queried.count(5) == 691
         # the first pairing of the last level's rows, J-norms taken off the lifted last column
         top = sum(map(abs, lifted[-1][:-1]))
-        last = next(k for k in range(2 * 26, len(lifted)) if sum(map(abs, lifted[k][:-1])) == top)
+        last = next(k for k in range(26, len(lifted)) if sum(map(abs, lifted[k][:-1])) == top)
 
         counted.clear()
         monkeypatch.setattr(graver_module, "time", SimpleNamespace(
@@ -509,9 +564,9 @@ class TestProjectAndLift:
         monkeypatch.setattr(graver_module, "time", SimpleNamespace(monotonic=jumping))
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
-        assert (info.value.kind, info.value.generated) == ("time", 519 + 2227)
-        assert len(lifted) == 2 * 26 + 240
-        assert at_jump == [queried.count(5)] and queried.count(5) < 2227
+        assert (info.value.kind, info.value.generated) == ("time", 519 + 691)
+        assert len(lifted) == 26 + 240
+        assert at_jump == [queried.count(5)] and queried.count(5) < 691
 
 
 class TestVectorSets:
@@ -631,9 +686,9 @@ class TestGraverBasis:
         seeded = []
         pair_sums = graver_module.ConformalIndex.pair_sums
 
-        def counting(index, v, lift=None):
+        def counting(index, v, *rule):
             seeded.append(v)
-            return pair_sums(index, v, lift)
+            return pair_sums(index, v, *rule)
 
         clock = SimpleNamespace(monotonic=lambda: 1e9 if seeded else 0.0)
         monkeypatch.setattr(graver_module.ConformalIndex, "pair_sums", counting)
@@ -642,7 +697,7 @@ class TestGraverBasis:
         with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(A, budget=Budget(max_seconds=1.0))
         assert info.value.kind == "time"
-        assert len(seeded) == 2 * kernel_lattice(A).rank
+        assert len(seeded) == kernel_lattice(A).rank  # one sign of each seed
 
     def test_budget_caps_computation_not_memo_lookups(self, monkeypatch):
         empty_graver_memos(monkeypatch)
