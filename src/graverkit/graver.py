@@ -13,11 +13,16 @@ Hilbert bases of its sign sectors, the plane cones between the lines where
 one coordinate vanishes, and each is a Hirzebruch-Jung continued-fraction
 walk (proof in its docstring). A lattice of rank d >= 3, such as that of
 every 1xs curve with s >= 4, is computed by project-and-lift
-(`_project_and_lift`): complete its projection onto d columns, a full-rank
-lattice of Z^d, then lift the other columns one at a time, each by a
-completion that forms only the pairs its lifting lemma needs. A lattice of
-rank 0 or 1 is its own Graver basis up to sign: nothing, or the primitive
-generator of its saturated basis.
+(`_project_and_lift`): find the Graver basis of its projection onto d
+columns, a full-rank lattice of Z^d, then lift the other columns one at a
+time, each by a completion that forms only the pairs its lifting lemma
+needs. A lattice of rank d in Z^{d+1}, such as a curve's, has one column to
+lift, and its projection is a congruence lattice {u : u.r = 0 mod D}, whose
+Graver basis descends through the reduced curve (r | D), of smaller
+modulus at each level, like Euclid's algorithm (`_descent`). Only a lattice
+of corank 2 or more completes its projection. A lattice of rank 0 or 1 is
+its own Graver basis up to sign: nothing, or the primitive generator of its
+saturated basis.
 
 A completion is Pottier-style: seed with a lattice basis and its negations,
 repeatedly form pairwise sums with cancellation, and insert what the stored
@@ -80,11 +85,15 @@ class Budget:
 
     `max_candidates` caps the candidates: the pair sums formed in every
     stage of project-and-lift together, or the vectors the rank-2 walks
-    emit. A pair that a lift skips by its kappa rule forms no sum and is
-    no candidate. `max_seconds` caps the wall time, from the first seed to
-    the last pop or minimality filter; only the projection stage has a
-    filter, a lift stores nothing to filter out. A lattice of rank 0 or 1, answered in
-    closed form, spends neither. ValueError for a negative or NaN cap.
+    emit. A lattice of corank 1, such as a curve's, gets the Graver basis
+    of its projection by a descent through reduced curves, and their lifts'
+    sums and walks' vectors count too. A pair that
+    a lift skips by its kappa rule forms no sum and is no candidate.
+    `max_seconds` caps the wall time, from the first seed to the last pop
+    or minimality filter; the projection stage of a lattice of corank 2 or
+    more and each level of a descent have a filter, a lift stores nothing
+    to filter out. A lattice of rank 0 or 1, answered in closed form,
+    spends neither. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -334,9 +343,9 @@ class ConformalIndex:
 class _Spent:
     """The candidates and seconds one computation has spent over its stages:
     the clock runs from the first seed and is read before every pop, every
-    row of the projection's minimality filter and every vector a walk
-    emits, and the candidates are the pair sums of every finished stage, or
-    the vectors the rank-2 walks have emitted."""
+    row of a minimality filter (the projection's or a descent level's) and
+    every vector a walk emits, and the candidates are the pair sums of every
+    finished stage, or the vectors the rank-2 walks have emitted."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -443,16 +452,11 @@ def _completion_stage(
             found.clear()
 
     if lift is None:
-        # u is conformally minimal iff -u is, so one sign of each pair decides.
-        # Only the clock can raise here: every sum is pushed and the drained
+        # only the clock can raise here: every sum is pushed and the drained
         # heap popped each one after a check, so the last check saw this
         # `generated` (or none ran and it is 0), and earlier stages' totals
         # passed the same way
-        minimal = []
-        for i in range(0, len(index), 2):
-            spent.check(generated)
-            if index.dominators(i) == 1:
-                minimal.append(sign_canonical(index.vectors[i]))
+        minimal = [sign_canonical(v) for v in _minimal_rows(index, spent, generated)]
     else:  # every stored row is in Gr (proof in `_project_and_lift`)
         minimal = [sign_canonical(v) for v in index.vectors[::2]]
     spent.generated += generated
@@ -464,20 +468,69 @@ def _completion_stage(
     return kept, counts
 
 
+def _minimal_rows(index: ConformalIndex, spent: _Spent, generated: int = 0) -> list[IntVec]:
+    """The conformally minimal vectors of an index whose rows 2k and 2k + 1
+    are a +/- pair, one sign each: u is minimal iff -u is, so the even rows
+    decide. The clock is read before each, with `generated` candidates."""
+    minimal = []
+    for i in range(0, len(index), 2):
+        spent.check(generated)
+        if index.dominators(i) == 1:
+            minimal.append(index.vectors[i])
+    return minimal
+
+
 def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[IntVec]:
-    """Gr(L) of the rank-d lattice L with this basis, d >= 3, by project-and-lift
-    (Hemmecke, "On the computation of Hilbert bases of cones", ICMS 2002; De
-    Loera, Hemmecke and Koeppe, Algebraic and Geometric Ideas in the Theory of
-    Discrete Optimization, 2013, ch. 3); canonical sorted representatives.
+    """Gr(L) of the rank-d lattice L with this saturated basis, d >= 3, by
+    project-and-lift (Hemmecke, "On the computation of Hilbert bases of
+    cones", ICMS 2002; De Loera, Hemmecke and Koeppe, Algebraic and Geometric
+    Ideas in the Theory of Discrete Optimization, 2013, ch. 3); canonical
+    sorted representatives.
 
     - Project. P, the basis's columns S = `_projected_columns(basis)`, has
       det(P) != 0, so projecting onto any set of columns J that holds S is
       injective on L: a vector of L is known by its projection pi_J. pi_S(L)
-      is the full-rank lattice of Z^d spanned by the rows of P, and its
-      Graver basis is the completion's. The vector of L over u in pi_S(L)
-      is u P^-1 B, B being the basis, so its column j is u.y / det(P) with
-      y = adj(P) b_j, b_j the basis's column j; by Cramer's rule y_i is the
-      determinant of P with its column i replaced by b_j. That is exact.
+      is the full-rank lattice of Z^d spanned by the rows of P, of index
+      D = |det(P)| in Z^d. The vector of L over u in pi_S(L) is u P^-1 B, B
+      being the basis, so its column j is u.y / det(P) with y = adj(P) b_j,
+      b_j the basis's column j; by Cramer's rule y_i is the determinant of P
+      with its column i replaced by b_j. That is exact. When L has corank 2
+      or more, Gr(pi_S(L)) is the completion's (`_completion_stage` with no
+      lift); at corank 1 it comes from the descent below.
+    - Descend. Let L have corank 1, rank d in Z^{d+1} (every 1xs curve, and
+      every A_B that is one), so one column j is left, with one y, and let L
+      be saturated, L = (L (x) Q) n Z^{d+1}, as every `kernel_lattice` basis
+      is. For u in Z^d, (u, u.y / det(P)) lies in L (x) Q, so it is in L iff
+      it is integral: pi_S(L) = Lambda = {u in Z^d : u.r = 0 mod D}, with
+      r = y mod D. Lambda has index D, so gcd(r, D) = 1. `_descent` gets
+      Gr(Lambda) from r, exactly:
+      1. Each coordinate i with r_i = 0 splits off: Lambda is the direct sum
+         of Z e_i and the vectors of Lambda that vanish at i, on disjoint
+         supports, and the Graver basis of such a sum is the union of the
+         summands' (a conformal sum splits by support). So e_i is in
+         Gr(Lambda).
+      2. The rest is Lambda' = {u' : u'.r' = 0 mod D} on the coordinates
+         with r_i != 0, r' being those r_i, and Lambda' = pi(K) for the
+         reduced curve K = Ker(r' | D), pi dropping K's last column. pi is
+         injective on K, as D != 0.
+      3. Gr(Lambda') is the set of conformally minimal vectors of
+         pi(Gr(K)). Restricting a conformal sum to some columns keeps it
+         conformal, and pi sends no nonzero vector to 0. So if z is in
+         Gr(Lambda'), the vector of K over it is in Gr(K): a proper
+         conformal sum there would project to one of z. So Gr(Lambda') lies
+         in pi(Gr(K)), and is minimal there as it is in Lambda'. Every other
+         vector of pi(Gr(K)) lies in Lambda', so it is a conformal sum of
+         elements of Gr(Lambda') and lies above one of them.
+      4. K is again saturated, of corank 1, with rank the number of nonzero
+         r_i, so the same engine gives Gr(K) under the same `spent`: closed
+         form below rank 2, the sector walk at rank 2, project-and-lift at
+         rank 3 and up. (r' | D) has gcd 1, so K's minor off each column is
+         +-its entry there, and K's own projection has modulus min r' < D.
+         The modulus falls at every level, as in Euclid's algorithm, down to
+         D = 1, where every r_i is 0 and Gr(Lambda) is the unit vectors.
+      The minimal vectors of step 3 are found by one `dominators` pass over
+      a `ConformalIndex` of +-pi(Gr(K)), which reads the clock before each
+      row, as the projection's minimality filter does.
     - Lift. The other columns j are lifted one at a time, in ascending
       order. Let J be the columns done so far, S among them, and G the
       stage's seeds, with pi_J(G) = Gr(pi_J(L)). The stage completes
@@ -553,23 +606,29 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
       every level skipped no more pairs on perfbench's 297 gated
       `completion` curves, so it is not done.
 
-    `spent` caps the sums formed in all stages together, and the seconds from
-    the first seed to the last pop or minimality filter. Each stage logs one
-    debug line: `completion:` and the stage's counters for the projection,
-    `lift: {column, seeds, generated, skipped, pops, inserts, kept}` for
-    each lift, whose `skipped` counts the pairs the kappa rule skipped and
-    whose `kept` is `seeds + inserts`.
+    `spent` caps the sums formed in all stages together, the descent's
+    included, and the seconds from the first seed to the last pop or
+    minimality filter. Each stage logs one debug line: `completion:` and the
+    stage's counters for the projection of a lattice of corank 2 or more,
+    `descent: {modulus, zeros, projected, kept}` for each level of a
+    descent, after the reduced curve's own lines, `projected` being |Gr(K)|
+    and `kept` |Gr(Lambda)|, and `lift: {column, seeds, generated, skipped,
+    pops, inserts, kept}` for each lift, whose `skipped` counts the pairs
+    the kappa rule skipped and whose `kept` is `seeds + inserts`.
     """
     cols = _projected_columns(basis)
     P = [[b[c] for c in cols] for b in basis]
     det = _det(P)
-    G, counts = _completion_stage([tuple(row) for row in P], len(P), spent)
-    log.debug("completion: %s", counts)
     rest = [j for j in range(n) if j not in cols]
-    for j in rest:
-        b_j = [b[j] for b in basis]
-        y = [_det([[*row[:i], x, *row[i + 1:]] for row, x in zip(P, b_j)])
-             for i in range(len(P))]
+    # by Cramer's rule, y_i is det(P) with its column i replaced by b_j
+    cramer = [[_det([[*row[:i], x, *row[i + 1:]] for row, x in zip(P, b_j)])
+               for i in range(len(P))] for b_j in ([b[j] for b in basis] for j in rest)]
+    if len(rest) == 1:
+        G = _descent(abs(det), [x % abs(det) for x in cramer[0]], spent)
+    else:
+        G, counts = _completion_stage([tuple(row) for row in P], len(P), spent)
+        log.debug("completion: %s", counts)
+    for j, y in zip(rest, cramer):
         # the first d entries of a stage's vectors are their columns S
         seeds = [(*u, sum(map(operator.mul, u, y)) // det) for u in G]
         G, counts = _completion_stage(seeds, len(seeds[0]), spent, lift=len(seeds[0]) - 1)
@@ -579,6 +638,31 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
     # a stage's vectors hold the columns cols + rest; at[c] is where column c is
     at = sorted(range(n), key=[*cols, *rest].__getitem__)
     return sorted(sign_canonical([u[i] for i in at]) for u in G)
+
+
+def _descent(modulus: int, residues: Sequence[int], spent: _Spent) -> list[IntVec]:
+    """Gr of the lattice {u in Z^d : u.residues = 0 mod modulus}, d the number
+    of residues, each in [0, modulus), with gcd(residues, modulus) = 1;
+    canonical sorted representatives. Each zero residue i gives the unit
+    vector e_i; the other elements are the conformally minimal projections
+    of the Graver basis of the reduced curve (the nonzero residues |
+    modulus), which `_graver` computes under the same `spent`, off every
+    memo. The proof is in `_project_and_lift`.
+    """
+    d = len(residues)
+    live = [i for i, x in enumerate(residues) if x]
+    reduced = kernel_lattice(IntMat(([residues[i] for i in live] + [modulus],)))
+    projected = [g[:-1] for g in _graver(reduced.vectors, len(live) + 1, spent)]
+    index = ConformalIndex(len(live), [w for g in projected for w in (g, vec_neg(g))])
+    found = [tuple(int(i == j) for j in range(d)) for i, x in enumerate(residues) if not x]
+    for g in _minimal_rows(index, spent):
+        u = [0] * d
+        for i, x in zip(live, g):
+            u[i] = x
+        found.append(tuple(u))
+    log.debug("descent: %s", dict(modulus=modulus, zeros=d - len(live),
+                                  projected=len(projected), kept=len(found)))
+    return sorted(found)
 
 
 def _projected_columns(basis: Sequence[IntVec]) -> tuple[int, ...]:
@@ -691,8 +775,14 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
 
 
 def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:
-    """Canonical sorted Gr of the lattice with this basis: the walk for rank 2,
-    project-and-lift for rank 3 and up, both under one budget ledger.
+    """Canonical sorted Gr of the lattice with this basis, under one budget
+    ledger for all its stages (see `_graver`)."""
+    return _graver(basis, n, _Spent(budget))
+
+
+def _graver(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[IntVec]:
+    """Canonical sorted Gr of the lattice with this saturated basis: the walk
+    for rank 2, project-and-lift for rank 3 and up, spending `spent`.
 
     Below rank 2 it is the basis up to sign, spending no budget: Gr(Z b) is
     +-b for b primitive (Sturmfels, Groebner Bases and Convex Polytopes,
@@ -700,7 +790,6 @@ def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[Int
     """
     if len(basis) < 2:
         return [sign_canonical(b) for b in basis]
-    spent = _Spent(budget)
     if len(basis) == 2:
         return _rank2_graver(basis, spent)
     return _project_and_lift(basis, n, spent)

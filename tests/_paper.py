@@ -112,6 +112,59 @@ def _complete_lattice(basis, n, budget):
     return kept
 
 
+def fiber(T, b):
+    """The monomials of degree b of the 1x3 curve T: every x in N^3 with T.x = b."""
+    a1, a2, a3 = T
+    found = []
+    for x1 in range(b // a1 + 1):
+        for x2 in range((b - a1 * x1) // a2 + 1):
+            rest = b - a1 * x1 - a2 * x2
+            if rest % a3 == 0:
+                found.append((x1, x2, rest // a3))
+    return found
+
+
+def fiber_components(monomials):
+    """The number of connected components of the graph on these monomials
+    with an edge between two that share a variable."""
+    parent = list(range(len(monomials)))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for v in range(len(monomials[0]) if monomials else 0):
+        holders = [k for k, x in enumerate(monomials) if x[v]]
+        for k in holders[1:]:
+            parent[root(k)] = root(holders[0])
+    return len({root(k) for k in range(len(monomials))})
+
+
+def betti_degrees(T):
+    """{b: the number of minimal generators of I_T of degree b} over the Betti
+    degrees b of the 1x3 curve T (gcd 1), counted from the definition.
+
+    The minimal generators of I_T of degree b number (components of G_b) - 1,
+    G_b being the graph on the monomials of degree b with an edge between two
+    that share a variable (Diaconis and Sturmfels, Ann. Statist. 26, 1998;
+    Charalambous, Katsabekis and Thoma, Proc. AMS 135, 2007); b is a Betti
+    degree when that is positive. Every Betti degree is T.g+ for some g in
+    Gr(T): take u, v of degree b in different components, with u - v
+    conformally minimal among such pairs. Were u - v = g + h a proper
+    conformal sum, w = u - g >= 0 (as g+ <= u) would have degree b and lie
+    outside the component of u or of v, so (u, w) or (w, v) would be a pair
+    with a smaller difference, g or h. So u - v is primitive. Its ends share
+    no variable, so u = (u - v)+, and b = T.(u - v)+. The candidates are
+    therefore the T.g+ over Gr(T), read from `graver_basis`.
+    """
+    G = graver_basis(IntMat.row_vector(T))
+    candidates = {sum(t * x for t, x in zip(T, g) if x > 0) for g in G}
+    counts = {b: fiber_components(fiber(T, b)) - 1 for b in sorted(candidates)}
+    return {b: k for b, k in counts.items() if k}
+
+
 def fresh_graver_basis(A, budget=None):
     """Gr(A) from a new completion; the shared memos are neither read nor written."""
     with pytest.MonkeyPatch.context() as monkeypatch:

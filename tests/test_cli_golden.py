@@ -210,7 +210,7 @@ GOLDEN = {
     'lambda 4 5 6 --omega x --format json': [2, '6d2cfc6d89d191c04dae6d0737c68def23af36bdabc23e33550fbe3debcbeb2f'],
     'complex 0 0 0 --format json': [3, '5e2b36f4424fb6b9f19ae907947c7f7a6a6c552bfd5ee9f0e95a9b6822f6706f'],
     'genlaw float.json --format json': [2, 'e0769ead5e08841a51d5eadf409c5f5b0c3b2508fb83bbc1c79fc23ee71aaa8b'],
-    'graver wide.mat --budget-elems 1 --format json': [4, '74c6a4f6178a6135ed4ed303ba15bbcbaa8e25d744bd108df50a635ac96cf4c5'],
+    'graver wide.mat --budget-elems 1 --format json': [4, '2839bfd2ec638f0cc1c78eadb25f81af209305667b561dd387af8843a29c619e'],
     'graver curve.mat --budget-elems -5 --format json': [2, '767812eb371aac6138c5da56d7fc052713908f95f66e01f9f4edda5f945cd37d'],
     'graver curve.mat --budget-secs nan --format json': [2, '04612934061d760199e1ec1b135f1098b9e84b1e5a8146421c02df42deeba09d'],
     '--help': [0, '193cba7485a08cfdc24da747a581d7a7195d6911f83fa96de576d16de4161592'],

@@ -37,6 +37,7 @@ from graverkit.search import sullivant_search
 from _paper import (
     CLASSIFICATION_TABLE,
     T_BIG,
+    betti_degrees,
     empty_graver_memos,
     fresh_graver_basis,
     lift_curve_vector,
@@ -163,6 +164,28 @@ class TestClassification:
             classify_curve3([4, 5, 6, 7])
         with pytest.raises(PreconditionError):
             classify_curve3([0, 5, 6])
+
+    def test_the_s3_theorem_from_fibers(self):
+        # the paper's s = 3 theorem as stated: Delta_T has a vertex iff I_T is
+        # a complete intersection (2 minimal generators, I_T having height 2)
+        # with exactly two Betti degrees, counted from the fibers and held to
+        # the complex and to Herzog's candidates in classify_curve3, on every
+        # gcd-1 triple to 20
+        curves = [t for t in itertools.combinations_with_replacement(range(1, 21), 3)
+                  if math.gcd(*t) == 1]
+        assert len(curves) == 1252
+        kinds = set()
+        for t in curves:
+            betti = betti_degrees(t)
+            cls = classify_curve3(t)
+            vertex = robust_complex(list(t)).vertex()
+            theorem = sum(betti.values()) == 2 and len(betti) == 2
+            assert theorem == (vertex is not None) == (cls.kind is CurveKind.CI_ON), t
+            assert vertex == cls.on, t
+            assert set(betti) == set(cls.betti_candidates), t
+            assert sum(betti.values()) == (3 if cls.kind is CurveKind.NOT_CI else 2), t
+            kinds.add(cls.kind)
+        assert kinds == set(CurveKind)
 
 
 class TestFaceTests:

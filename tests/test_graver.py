@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import graverkit.complexes as complexes_module
 import graverkit.graver as graver_module
 from graverkit import (
     Budget,
@@ -68,6 +69,12 @@ from test_lawrence import gen_lawrence_specs
 
 def T(*entries):
     return IntMat.row_vector(entries)
+
+
+def twolifts():
+    """A simple 2x6 matrix whose kernel, of rank 4, lifts two columns: a
+    lattice of corank 2, whose projection is completed, not descended."""
+    return IntMat.from_rows([[2, 3, 5, 7, 11, 13], [1, 0, 2, 5, 3, 4]])
 
 
 def reference_completion(A):
@@ -177,12 +184,14 @@ class TestReductionChain:
         assert completion_run(CHAIN_INPUTS[name]())[1] == self.PINNED_COUNTERS[name]
 
     def test_logged_counters_agree_with_the_result(self, caplog):
-        # graver_basis logs the projection's completion, then one line per lift
-        A = T(1, 6, 8, 12, 19)
+        # graver_basis logs the projection's completion, then one line per
+        # lift; a curve's projection descends instead, so this is a rank-4
+        # lattice of Z^6
+        A = twolifts()
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = fresh_graver_basis(A)
-        [record, lift] = caplog.records
-        assert (record.msg, lift.msg) == ("completion: %s", "lift: %s")
+        [record, lift, last] = caplog.records
+        assert (record.msg, lift.msg, last.msg) == ("completion: %s", "lift: %s", "lift: %s")
         counts = record.args
         assert counts["index"] == 2 * kernel_lattice(A).rank + 2 * counts["inserts"]
         assert counts["pops"] == counts["generated"]  # the heap is drained
@@ -190,7 +199,8 @@ class TestReductionChain:
         assert counts["scans"] == counts["subtractions"] + counts["inserts"]
         assert lift.args["seeds"] == counts["kept"]
         assert lift.args["pops"] == lift.args["generated"]
-        assert lift.args["kept"] == len(G)
+        assert last.args["seeds"] == lift.args["kept"]
+        assert last.args["kept"] == len(G)
 
 
 @st.composite
@@ -287,17 +297,23 @@ class TestProjectAndLift:
     """Lattices of rank >= 3 take project-and-lift; the completion on the
     whole lattice is its reference."""
 
-    # the whole debug output of graver_basis on two simple curves
+    # the whole debug output of graver_basis on two simple curves: each
+    # projection descends through reduced curves of falling modulus, each
+    # level lifting its own reduced curve's column, down to modulus 1
     PINNED_LINES = {
         "T_BIG": [
-            ("completion: %s", dict(pops=519, scans=812, subtractions=768, inserts=44,
-                                    generated=519, index=96, kept=26)),
+            ("descent: %s", dict(modulus=1, zeros=4, projected=0, kept=4)),
+            ("lift: %s", dict(column=0, seeds=4, generated=103, skipped=135, pops=103,
+                              inserts=59, kept=63)),
+            ("descent: %s", dict(modulus=7, zeros=0, projected=63, kept=58)),
+            ("lift: %s", dict(column=1, seeds=58, generated=292, skipped=13, pops=292,
+                              inserts=2, kept=60)),
+            ("descent: %s", dict(modulus=24, zeros=0, projected=60, kept=26)),
             ("lift: %s", dict(column=0, seeds=26, generated=691, skipped=2605, pops=691,
                               inserts=240, kept=266)),
         ],
         "1 6 8 12 19": [
-            ("completion: %s", dict(pops=160, scans=276, subtractions=256, inserts=20,
-                                    generated=160, index=48, kept=4)),
+            ("descent: %s", dict(modulus=1, zeros=4, projected=0, kept=4)),
             ("lift: %s", dict(column=0, seeds=4, generated=305, skipped=897, pops=305,
                               inserts=138, kept=142)),
         ],
@@ -305,13 +321,28 @@ class TestProjectAndLift:
 
     @staticmethod
     def lifted(basis, n):
-        """`_lattice_graver`'s basis and the number of lifts it logs, asserting
-        that each lift keeps exactly its seeds and the sums it inserts."""
+        """`_lattice_graver`'s basis and the number of lifts it logs after its
+        own projection, asserting that each lift keeps exactly its seeds and
+        the sums it inserts, that the projection descends at corank 1 and is
+        completed otherwise, and that each descent level seeds the next lift
+        and has a larger modulus than the level it read."""
         with mock.patch.object(graver_module.log, "debug") as debug:
             G = _lattice_graver(basis, n, DEFAULT_BUDGET)
-        lifts = [call.args[1] for call in debug.call_args_list if call.args[0] == "lift: %s"]
-        for counts in lifts:
-            assert counts["seeds"] + counts["inserts"] == counts["kept"], counts
+        lines = [call.args[:2] for call in debug.call_args_list]
+        for msg, counts in lines:
+            if msg == "lift: %s":
+                assert counts["seeds"] + counts["inserts"] == counts["kept"], counts
+        levels = [i for i, (msg, _) in enumerate(lines) if msg == "descent: %s"]
+        for i in levels:
+            assert lines[i + 1][0] == "lift: %s"
+            assert lines[i + 1][1]["seeds"] == lines[i][1]["kept"]
+        moduli = [lines[i][1]["modulus"] for i in levels]
+        assert moduli == sorted(set(moduli))  # logged innermost first
+        projections = [i for i, (msg, _) in enumerate(lines) if msg == "completion: %s"]
+        corank1 = n - len(basis) == 1
+        assert (bool(levels), len(projections)) == (corank1, 0 if corank1 else 1)
+        lifts = lines[max(levels + projections) + 1:]
+        assert all(msg == "lift: %s" for msg, _ in lifts)
         return G, len(lifts)
 
     def both_engines(self, basis, n):
@@ -363,23 +394,30 @@ class TestProjectAndLift:
             assert cols == tuple(c for c in range(len(t)) if c != k), t
         assert _projected_columns(kernel_lattice(T(15, 15, 29, 29, 29)).vectors) == (0, 2, 3, 4)
 
-    def test_a_unit_entry_projects_onto_the_unit_vectors(self, monkeypatch):
+    def test_a_unit_entry_projects_onto_the_unit_vectors(self, monkeypatch, caplog):
+        # modulus 1: every residue is 0, so the descent reads no reduced curve
+        # and the one stage, the lift, is seeded with the unit vectors
         stages = []
         stage = graver_module._completion_stage
 
         def recording(seeds, n, spent, lift=None):
             kept, counts = stage(seeds, n, spent, lift)
-            stages.append(kept)
+            stages.append((seeds, lift, kept))
             return kept, counts
 
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
-        fresh_graver_basis(T(6, 1, 8, 12, 19))
-        assert stages[0] == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
-        assert len(stages) == 2 and len(stages[1]) == 142
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            fresh_graver_basis(T(6, 1, 8, 12, 19))
+        [(seeds, lift, kept)] = stages
+        assert [u[:4] for u in seeds] == [(0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0)]
+        assert lift == 4 and len(kept) == 142
+        assert caplog.records[0].args == dict(modulus=1, zeros=4, projected=0, kept=4)
 
     def test_a_lift_never_reduces(self, monkeypatch):
-        # the projection reduces to normal forms; the lift makes one index
-        # query per pop, stores 954 of its 2,703 pops and drops the rest
+        # the projection reduces to normal forms; a lift makes one index
+        # query per pop. A curve's projection descends, so each of its stages
+        # is a lift: the last one of (7,12,19,25,31) stores 954 of its 2,703
+        # pops and drops the rest. A corank-2 lattice completes its projection
         stages = []
         stage = graver_module._completion_stage
 
@@ -390,20 +428,33 @@ class TestProjectAndLift:
 
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
         fresh_graver_basis(T(7, 12, 19, 25, 31))
-        [(no_lift, projection), (lift, lifted)] = stages
-        assert (no_lift, lift) == (None, 4)
-        assert projection["subtractions"] == 1404
+        [(inner, _), (lift, lifted)] = stages
+        assert (inner, lift) == (4, 4)
+        for _, counts in stages:
+            assert counts["subtractions"] == 0 and counts["scans"] == counts["pops"]
         assert lifted == dict(pops=2703, scans=2703, subtractions=0, inserts=954,
                               generated=2703, index=2 * (66 + 954), kept=1020,
                               skipped=10867)
+        stages.clear()
+        fresh_graver_basis(twolifts())
+        [(no_lift, projection), (first, _), (second, _)] = stages
+        assert (no_lift, first, second) == (None, 4, 5)
+        assert projection["subtractions"] == 428
+        assert all(counts["subtractions"] == 0 for _, counts in stages[1:])
 
     def test_element_cap_counts_every_stage(self, caplog):
-        # the projection forms 519 sums, under the cap; the lift's seeding passes it
-        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"), \
-                pytest.raises(BudgetExceededError) as info:
-            fresh_graver_basis(T(*T_BIG), budget=Budget(max_candidates=600))
-        assert [r.msg for r in caplog.records] == ["completion: %s"]
-        assert info.value.kind == "elements" and info.value.generated > 600
+        # the descent's two lifts form 103 + 292 sums, under the cap, and log
+        # their lines; the last lift passes it, at 621 sums in all. With a cap
+        # of 400, which no stage alone passes, the last lift's 64 seed pairs do
+        lines = ["descent: %s", "lift: %s", "descent: %s", "lift: %s", "descent: %s"]
+        for cap, generated in ((600, 621), (400, 103 + 292 + 64)):
+            caplog.clear()
+            with caplog.at_level(logging.DEBUG, logger="graverkit.graver"), \
+                    pytest.raises(BudgetExceededError) as info:
+                fresh_graver_basis(T(*T_BIG), budget=Budget(max_candidates=cap))
+            assert [r.msg for r in caplog.records] == lines
+            assert info.value.kind == "elements" and info.value.generated > cap
+            assert info.value.generated == generated
 
     def test_time_cap_holds_inside_a_lift(self, monkeypatch, caplog):
         # the clock jumps once the lift forms its first pairs; its first pop sees it
@@ -421,36 +472,37 @@ class TestProjectAndLift:
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"), \
                 pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
-        assert [r.msg for r in caplog.records] == ["completion: %s"]
-        assert info.value.kind == "time" and info.value.generated > 519
-        assert len(lifted) == 26  # the lift's seeds, one sign each
+        # the first lift is the innermost level's, seeded by the modulus-1 descent
+        assert [r.msg for r in caplog.records] == ["descent: %s"]
+        assert info.value.kind == "time" and info.value.generated > 0
+        assert len(lifted) == 4  # the lift's seeds, one sign each
 
     def test_a_lift_stores_only_graver_elements(self, caplog):
         # a lift stores a level's sums after its last pop, so no sum is stored
         # before a reducer of a lower level: (1,5,7,11,14) once stored 96 sums
-        # for 95 elements, and (1,10,14,15,20) 109 for 108
+        # for 95 elements, and (1,10,14,15,20) 109 for 108. A unit entry
+        # makes the modulus 1, so each descent is one level of unit vectors
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             fresh_graver_basis(T(1, 5, 7, 11, 14))
             fresh_graver_basis(T(1, 10, 14, 15, 20))
         assert [(r.msg, r.args) for r in caplog.records] == [
-            ("completion: %s", dict(pops=209, scans=497, subtractions=473, inserts=24,
-                                    generated=209, index=56, kept=4)),
+            ("descent: %s", dict(modulus=1, zeros=4, projected=0, kept=4)),
             ("lift: %s", dict(column=0, seeds=4, generated=236, skipped=499, pops=236,
                               inserts=95, kept=99)),
-            ("completion: %s", dict(pops=136, scans=197, subtractions=176, inserts=21,
-                                    generated=136, index=50, kept=4)),
+            ("descent: %s", dict(modulus=1, zeros=4, projected=0, kept=4)),
             ("lift: %s", dict(column=0, seeds=4, generated=234, skipped=670, pops=234,
                               inserts=108, kept=112)),
         ]
 
     def test_the_kappa_rule_skips_only_sums_above_graver_elements(self, monkeypatch):
         # every gcd-normalised 1x4 curve with entries <= 12 and sampled 1x5
-        # curves with entries <= 20 have one lift each, on the whole lattice
-        # with the columns `_projected_columns` and then the lifted one. Each
-        # sum the lift skips has a lattice vector strictly below it, so it
-        # is no Graver element: an element of the one-stage reference Gr for
-        # the 1x5 curves, whose lifted bases must equal it, and of the lifted
-        # basis itself for the 1x4 curves, as a reference for each would
+        # curves with entries <= 20. Each lift, the last one and those of the
+        # reduced curves of its descent alike, runs on its own lattice with
+        # the columns `_projected_columns` picked and then the lifted one.
+        # Each sum a lift skips has a vector of that stage's lattice strictly
+        # below it, so it is no Graver element: an element of the basis the
+        # stage returns, which for the last lift of a 1x5 curve must equal
+        # the one-stage reference Gr, as a reference for every stage would
         # double the test's time. The skipped pairs are listed by a loop over
         # the rows, and must be as many as the lift skipped
         curves4 = [t for t in itertools.combinations_with_replacement(range(1, 13), 4)
@@ -462,7 +514,8 @@ class TestProjectAndLift:
         for t in [*random.Random(5).sample(curves5, 12), T_BIG]:
             basis = kernel_lattice(T(*t)).vectors
             cases.append((t, basis, _complete_lattice(basis, len(t), DEFAULT_BUDGET)))
-        skipped, pair_sums = [], ConformalIndex.pair_sums
+        stages = []  # per lift stage: the basis it returns and the sums it skipped
+        pair_sums, stage = ConformalIndex.pair_sums, graver_module._completion_stage
 
         def listing(index, v, lift=None, before=None, kappa=None):
             sums, count = pair_sums(index, v, lift, before, kappa)
@@ -473,26 +526,35 @@ class TestProjectAndLift:
                          if g[lift] * x < 0 and (k <= abs(x) or bound <= abs(g[lift]))
                          and sum(a * b < 0 for a, b in zip(v, g)) == 1]
                 assert len(pairs) == count
-                skipped.extend(pairs)
+                stages[-1][1].extend(pairs)
             return sums, count
 
+        def staging(seeds, n, spent, lift=None):
+            stages.append(([], []))
+            kept, counts = stage(seeds, n, spent, lift)
+            stages[-1][0].extend(kept)
+            return kept, counts
+
         monkeypatch.setattr(ConformalIndex, "pair_sums", listing)
-        total = 0
+        monkeypatch.setattr(graver_module, "_completion_stage", staging)
+        total = descended = 0
         for t, basis, reference in cases:
-            skipped.clear()
+            stages.clear()
             lifted = _lattice_graver(basis, len(t), DEFAULT_BUDGET)
             assert reference is None or reference == lifted, t
             cols = _projected_columns(basis)
             order = [*cols, *(c for c in range(len(t)) if c not in cols)]
-            stage = [tuple(g[c] for c in order) for g in lifted]
-            below = ConformalIndex(len(t), stage + [vec_neg(g) for g in stage])
-            for s in skipped:
-                i = below.find(positive_part(s), negative_part(s))
-                g = below.vectors[i]
-                assert i >= 0 and g != s and all(
-                    a * b >= 0 and abs(a) <= abs(b) for a, b in zip(g, s)), (t, s)
-            total += len(skipped)
-        assert total > 50_000
+            assert stages[-1][0] == sorted(sign_canonical([g[c] for c in order]) for g in lifted)
+            for kept, skipped in stages:
+                below = ConformalIndex(len(kept[0]), kept + [vec_neg(g) for g in kept])
+                for s in skipped:
+                    i = below.find(positive_part(s), negative_part(s))
+                    g = below.vectors[i]
+                    assert i >= 0 and g != s and all(
+                        a * b >= 0 and abs(a) <= abs(b) for a, b in zip(g, s)), (t, s)
+                total += len(skipped)
+            descended += sum(len(skipped) for _, skipped in stages[:-1])
+        assert total > 50_000 and descended > 0
 
     def test_a_lift_folds_once_per_level(self, monkeypatch):
         # the lift of (7,12,19,25,31) stores 954 sums; every pop of one J-norm
@@ -506,7 +568,8 @@ class TestProjectAndLift:
 
         monkeypatch.setattr(ConformalIndex, "_fold", counting)
         fresh_graver_basis(T(7, 12, 19, 25, 31))
-        [lift] = {id(index): index for index in folded if index.n == 5}.values()
+        lift = folded[-1]  # the last stage, after the descent's indexes
+        assert lift.n == 5
         # the lifted column is the stage's last, and the first 2 * 66 rows are the seeds
         levels = {sum(map(abs, v[:-1])) for v in lift.vectors[2 * 66:]}
         assert len(lift) == 2 * (66 + 954)
@@ -514,8 +577,11 @@ class TestProjectAndLift:
 
     def test_a_lift_has_no_minimality_filter(self, monkeypatch):
         # only the projection's filter counts dominators, and it reads the
-        # clock; a clock that jumps while the lift stores its last level
-        # stops the next pop, after every sum is formed and before its query
+        # clock; a clock that jumps while the last lift stores its last level
+        # stops the next pop, after every sum is formed and before its query.
+        # A curve's projection descends, so this is the corank-2 lattice of
+        # twolifts: its projection, of rank 4, forms 73 sums and stores 16
+        # rows; its lifts, on 5 and 6 columns, form 311 and 1,742
         counted, lifted, queried = [], [], []
         dominators, pair_sums, find = (ConformalIndex.dominators, ConformalIndex.pair_sums,
                                        ConformalIndex.find)
@@ -533,40 +599,164 @@ class TestProjectAndLift:
             queried.append(index.n)
             return find(index, pos, neg, start)
 
+        def last_lift():
+            return [v for v in lifted if len(v) == 6]
+
         monkeypatch.setattr(ConformalIndex, "dominators", counting)
         monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
         monkeypatch.setattr(ConformalIndex, "find", querying)
-        fresh_graver_basis(T(*T_BIG))
-        assert counted == [(4, i) for i in range(0, 96, 2)]
-        # the lift pairs one sign of each of its 26 seeds and 240 inserts
-        assert len(lifted) == 26 + 240 and queried.count(5) == 691
+        fresh_graver_basis(twolifts())
+        assert counted == [(4, i) for i in range(0, 32, 2)]
+        # each lift pairs one sign of each of its seeds and inserts: 4 + 152, then 156 + 399
+        assert len(lifted) == 4 + 152 + 156 + 399
+        assert (queried.count(5), queried.count(6)) == (311, 1742)
         # the first pairing of the last level's rows, J-norms taken off the lifted last column
-        top = sum(map(abs, lifted[-1][:-1]))
-        last = next(k for k in range(26, len(lifted)) if sum(map(abs, lifted[k][:-1])) == top)
+        top = sum(map(abs, last_lift()[-1][:-1]))
+        last = next(k for k in range(156, len(last_lift()))
+                    if sum(map(abs, last_lift()[k][:-1])) == top)
 
         counted.clear()
         monkeypatch.setattr(graver_module, "time", SimpleNamespace(
             monotonic=lambda: 1e9 if counted else 0.0))
         with pytest.raises(BudgetExceededError) as info:
-            fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
-        assert (info.value.kind, info.value.generated) == ("time", 519)
+            fresh_graver_basis(twolifts(), budget=Budget(max_seconds=1.0))
+        assert (info.value.kind, info.value.generated) == ("time", 73)
         assert counted == [(4, 0)]
 
         lifted.clear()
         queried.clear()
-        at_jump = []  # the lift's queries when the clock first reads the jump
+        at_jump = []  # the last lift's queries when the clock first reads the jump
 
         def jumping():
-            if len(lifted) > last and not at_jump:
-                at_jump.append(queried.count(5))
+            if len(last_lift()) > last and not at_jump:
+                at_jump.append(queried.count(6))
             return 1e9 if at_jump else 0.0
 
         monkeypatch.setattr(graver_module, "time", SimpleNamespace(monotonic=jumping))
         with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(twolifts(), budget=Budget(max_seconds=1.0))
+        assert (info.value.kind, info.value.generated) == ("time", 73 + 311 + 1742)
+        assert len(last_lift()) == 156 + 399
+        assert at_jump == [queried.count(6)] and queried.count(6) < 1742
+
+
+class TestDescent:
+    """A lattice of corank 1 gets the Graver basis of its projection by a
+    descent through reduced curves; the one-stage completion of the
+    projected lattice is its reference."""
+
+    def test_every_residue_vector_matches_the_completion(self, monkeypatch):
+        # every r in [0, D)^d with gcd(r, D) = 1, zeros included: d = 3 with
+        # D <= 12 and d = 4 with D <= 7, in ascending D. Each descent runs its
+        # own level for real and reads the levels below it, of smaller
+        # modulus, from the results already checked here, as the induction
+        # on the modulus does. The reference is the completion of
+        # {u : u.r = 0 mod D}, shared by the r that a unit multiple c.r and a
+        # permutation of the coordinates carry onto one another, as both
+        # leave the lattice the same up to that permutation
+        checked = {}
+        descent = graver_module._descent
+        monkeypatch.setattr(graver_module, "_descent",
+                            lambda modulus, residues, spent: checked[modulus, tuple(residues)])
+        references = {}
+        for d, top in ((3, 12), (4, 7)):
+            for D in range(1, top + 1):
+                units = [c for c in range(1, D + 1) if math.gcd(c, D) == 1]
+                for r in itertools.product(range(D), repeat=d):
+                    if math.gcd(D, *r) != 1:
+                        continue
+                    got = descent(D, list(r), graver_module._Spent(DEFAULT_BUDGET))
+                    # the coordinates of the least sorted unit multiple, and where each is in r
+                    key = min(sorted((c * x % D, i) for i, x in enumerate(r)) for c in units)
+                    rep = (D, *(x for x, _ in key))
+                    if rep not in references:
+                        basis = [g[:-1] for g in kernel_lattice(T(*rep[1:], D)).vectors]
+                        references[rep] = _complete_lattice(basis, d, DEFAULT_BUDGET)
+                    want = []
+                    for g in references[rep]:
+                        u = [0] * d
+                        for x, (_, i) in zip(g, key):
+                            u[i] = x
+                        want.append(sign_canonical(u))
+                    assert got == sorted(want), (D, r)
+                    checked[D, r] = got
+        assert len(checked) == 5542 + 4560
+
+    def test_each_level_logs_one_line(self, caplog):
+        # Gr(17,19,23,29,31,37) descends through two levels: modulus 17, whose
+        # reduced curve has the residues 3 of whose 5 vanish mod 2, and modulus
+        # 2, whose reduced curve has rank 2 and takes the walk
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(T(17, 19, 23, 29, 31, 37))
+        assert [(r.msg, r.args) for r in caplog.records] == [
+            ("rank-2 walk: %s", dict(sectors=3, candidates=4, kept=4)),
+            ("descent: %s", dict(modulus=2, zeros=3, projected=4, kept=7)),
+            ("lift: %s", dict(column=0, seeds=7, generated=1506, skipped=3663, pops=1506,
+                              inserts=459, kept=466)),
+            ("descent: %s", dict(modulus=17, zeros=0, projected=466, kept=440)),
+            ("lift: %s", dict(column=0, seeds=440, generated=23480, skipped=69466,
+                              pops=23480, inserts=887, kept=1327)),
+        ]
+        assert len(G) == 1327
+
+    def test_the_modulus_falls_like_euclids_algorithm(self, caplog):
+        # Gr(101,103,107,109): the modulus falls from 101 by the least residue
+        # at each level, and a lift follows every level
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(T(101, 103, 107, 109))
+        levels = [r.args for r in caplog.records if r.msg == "descent: %s"]
+        assert [level["modulus"] for level in levels] == [2, 5, *range(13, 102, 8)]
+        assert [r.msg for r in caplog.records].count("lift: %s") == len(levels)
+        assert levels[-1]["kept"] == 495 and len(G) == 1516
+
+    def test_a_corank_2_lattice_completes_its_projection(self, caplog):
+        # twolifts is a rank-4 lattice of Z^6: its projection is completed and
+        # logs its `completion:` line, and its basis is the reference's
+        A = twolifts()
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(A)
+        assert [r.msg for r in caplog.records] == ["completion: %s", "lift: %s", "lift: %s"]
+        assert caplog.records[0].args["generated"] == 73
+        basis = kernel_lattice(A).vectors
+        assert list(G) == _complete_lattice(basis, 6, DEFAULT_BUDGET) and len(G) == 555
+
+    def test_the_filter_reads_the_clock(self, monkeypatch):
+        # the clock stands still until a descent's filter counts its first
+        # dominators: for T_BIG, the level of modulus 7, after the 103 sums
+        # of the lift below it
+        counted = []
+        dominators = ConformalIndex.dominators
+
+        def counting(index, i):
+            counted.append(i)
+            return dominators(index, i)
+
+        monkeypatch.setattr(ConformalIndex, "dominators", counting)
+        monkeypatch.setattr(graver_module, "time", SimpleNamespace(
+            monotonic=lambda: 1e9 if counted else 0.0))
+        with pytest.raises(BudgetExceededError) as info:
             fresh_graver_basis(T(*T_BIG), budget=Budget(max_seconds=1.0))
-        assert (info.value.kind, info.value.generated) == ("time", 519 + 691)
-        assert len(lifted) == 26 + 240
-        assert at_jump == [queried.count(5)] and queried.count(5) < 691
+        assert (info.value.kind, info.value.generated) == ("time", 103)
+        assert counted == [0]
+
+    def test_writes_no_memo_entry_but_the_curves(self, monkeypatch):
+        # the reduced curves of a descent are computed at the lattice level:
+        # each memo holds the one curve asked for, and the Graver basis of
+        # the curve is computed once
+        empty_graver_memos(monkeypatch)
+        calls = []
+        engine = graver_module.graver_basis
+
+        def counting(A, budget=None):
+            calls.append(A)
+            return engine(A, budget)
+
+        monkeypatch.setattr(graver_module, "graver_basis", counting)
+        G = graver_module.graver_basis(T(17, 19, 23, 29, 31, 37))
+        assert len(calls) == 1 and len(G) == 1327
+        assert list(graver_module._GRAVER_MEMO) == [(((17, 19, 23, 29, 31, 37),), 6)]
+        assert len(graver_module._LATTICE_MEMO) == 1
+        assert not complexes_module._COMPLEX_MEMO
 
 
 class TestVectorSets:
@@ -917,10 +1107,11 @@ class TestBouquetRoute:
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = graver_basis(example_e())
         messages = [r.getMessage() for r in caplog.records]
-        # Gr(T_BIG), the one computation: its projection's completion and one lift
-        assert messages[0].startswith("completion: ")
-        assert messages[1].startswith("lift: ")
-        assert messages[2:] == ["bouquet route: 11 -> 5 columns, Gr(A_B) computed"]
+        # Gr(T_BIG), the one computation: its projection's descent and one lift
+        assert [(r.msg, r.args) for r in caplog.records[:-1]] == \
+            TestProjectAndLift.PINNED_LINES["T_BIG"]
+        assert messages[-2].startswith("lift: ")
+        assert messages[-1:] == ["bouquet route: 11 -> 5 columns, Gr(A_B) computed"]
         assert len(G) == 266
         assert graver_basis(T(*T_BIG)) is graver_module._GRAVER_MEMO[((T_BIG,), 5)]
 
