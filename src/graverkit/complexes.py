@@ -40,8 +40,8 @@ from .errors import GraverKitError, PreconditionError
 from .graver import (
     DEFAULT_BUDGET,
     Budget,
-    _rank2_graver,
     _remember,
+    _sector_walks,
     _Spent,
     graver_basis,
 )
@@ -345,27 +345,32 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
       of Gr(pi_i L), all in pi_i(+/-Gr L) and below p, so in an antichain p
       is one of them.
 
-    pi_i L is the rank-2 lattice of Z^2 spanned by the projected kernel
-    basis, so Gr(pi_i L) is a sector walk; the three walks share one budget
-    ledger, and no `signed_index` is built. The kernel basis is written
-    down, not computed again: for T = (a, b, c), g = gcd(a, b) and
+    Nothing is computed at s = 3 but the walks: the four sizes are counts of
+    `_sector_walks`, which yields each Graver element once up to sign, on a
+    kernel basis written down. For T = (a, b, c), g = gcd(a, b) and
     a*x + b*y = g, the rows (b/g, -a/g, 0) and (c*x, c*y, -g) lie in L, and
     their 2x2 minors are +-(c, b, a), of gcd 1, so they span a saturated
-    rank-2 sublattice of L, which is L.
+    rank-2 sublattice of L, which is L; their projections span pi_i L, a
+    rank-2 lattice of Z^2. The four walks share one budget ledger, and no
+    vector, kernel lattice, Graver basis or `signed_index` is built, so
+    `graver_basis`'s memos are neither read nor written.
     """
     s = len(t)
-    T = IntMat.row_vector(t)
     rejected = _subcurve_rejects(t, budget) if s >= 4 else set()
     tested = [i for i in range(1, s + 1) if i not in rejected]
     if s == 3:
-        size = len(graver_basis(T, budget=budget))
         a, b, c = t
         g, x, y = _xgcd_min(a, b)
         basis = [(b // g, -a // g, 0), (c * x, c * y, -g)]
         spent = _Spent(budget or DEFAULT_BUDGET)
-        passed = [i for i in tested
-                  if len(_rank2_graver([project_out(v, i) for v in basis], spent)) == size]
+
+        def size(rows: list[IntVec]) -> int:
+            return sum(1 for _ in _sector_walks(rows, spent))
+
+        whole = size(basis)
+        passed = [i for i in tested if size([project_out(v, i) for v in basis]) == whole]
     else:
+        T = IntMat.row_vector(t)
         passed = [i for i in tested if face_test_projection(T, i, budget=budget)]
     log.debug("complex %s: sub-curves reject %s, face tests on %s", t, sorted(rejected), tested)
     result = RobustComplex(T=t, faces=frozenset({frozenset(), *(frozenset({i}) for i in passed)}))

@@ -11,8 +11,8 @@ A lattice of rank 2, such as that of every 1x3 monomial curve, is answered
 in closed form by `_rank2_graver`: its Graver basis is the union of the
 Hilbert bases of its sign sectors, the plane cones between the lines where
 one coordinate vanishes, and each is a Hirzebruch-Jung continued-fraction
-walk (proof in its docstring). A lattice of rank d >= 3, such as that of
-every 1xs curve with s >= 4, is computed by project-and-lift
+walk (`_sector_walks`, proof in its docstring). A lattice of rank d >= 3,
+such as that of every 1xs curve with s >= 4, is computed by project-and-lift
 (`_project_and_lift`): find the Graver basis of its projection onto d
 columns, a full-rank lattice of Z^d, then lift the other columns one at a
 time, each by a completion that forms only the pairs its lifting lemma
@@ -62,7 +62,7 @@ import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
 from operator import add, sub
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bouquet import BouquetDecomposition, bouquet_decomposition, d_map, simple_gale
 from .errors import BudgetExceededError, PreconditionError
@@ -81,7 +81,8 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource caps for one Graver basis computation.
+    """Resource caps for one Graver basis computation, or for the four
+    rank-2 walks that decide a 1x3 complex, which share one ledger.
 
     `max_candidates` caps the candidates: the pair sums formed in every
     stage of project-and-lift together, or the vectors the rank-2 walks
@@ -377,8 +378,8 @@ def _completion_stage(
     J-norm |s_J|_1, J being every column but c, stores a level's irreducible
     sums together after the level's last pop, so one fold of the index
     covers the level, and keeps every row it stores. It forms only the pairs
-    of `pair_sums`'s lift rule that its kappa rule does not skip, taking the
-    kappa of the seeds once all are stored and of a level's rows once the
+    of `pair_sums`'s lift rule that its kappa rule does not skip, setting
+    the seeds' kappa to inf and taking that of a level's rows once the
     level is stored; `_project_and_lift` proves all this exact when the
     seeds, with column c dropped, hold that projection's Graver basis. Each
     stage pairs one sign of each element with the rows stored before it:
@@ -394,7 +395,8 @@ def _completion_stage(
     """
     index = ConformalIndex(n)
     members = index.members
-    kappa = None if lift is None else []  # a lift's kappa of every stored row
+    # a lift's kappa of every stored row; a seed's is inf (proof in `_project_and_lift`)
+    kappa = None if lift is None else [math.inf] * (2 * len(seeds))
 
     def insert(v: IntVec) -> None:
         # v is never a member, and members stays closed under negation, so
@@ -411,7 +413,7 @@ def _completion_stage(
         nonlocal generated, skipped
         rows = range(first, len(index), 2)
         if kappa is not None:
-            for i in rows:
+            for i in range(len(kappa), len(index), 2):  # none for the seeds
                 kappa.extend([index.kappa(i, lift)] * 2)  # kappa(-v) = kappa(v)
         for i in rows:
             sums, skips = index.pair_sums(index.vectors[i], lift, i, kappa)
@@ -584,13 +586,17 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
     - The kappa rule. For a stored row x let kappa(x) = |x_j| + min |r_j|
       over the stored rows r != x with r_J conformally below x_J and
       r_j x_j < 0, or infinity when there is none; kappa(-x) = kappa(x).
-      The stage takes kappa of the seeds once all are stored, and of a
-      level's rows once the level is stored, before it pairs any of them,
-      and it never forms the sum s = v + w of a pair with kappa(w) <= |v_j|
-      or kappa(v) <= |w_j|. Such an s has a stored r != s conformally below
-      it, stored before the level of s began, so the stage would have
-      dropped it. Take kappa(w) <= |v_j|, reached through r; the other case
-      is the mirror image. v and w have the same signs on J, so r_J is
+      A seed's kappa is infinity, and stays so: a stored r != x with r_J
+      conformally below x_J, x a seed, would make r_J a nonzero vector of
+      pi_J(L) other than x_J (pi_J is injective on pi_{J+j}(L)) below
+      x_J, which lies in Gr(pi_J(L)). So the stage sets the seeds' kappa
+      without a query, takes the kappa of a level's rows once the level is
+      stored, before it pairs any of them, and never forms the sum
+      s = v + w of a pair with kappa(w) <= |v_j| or kappa(v) <= |w_j|.
+      Such an s has a stored r != s conformally below it, stored before
+      the level of s began, so the stage would have dropped it. Take
+      kappa(w) <= |v_j|, reached through r; the other case is the mirror
+      image. v and w have the same signs on J, so r_J is
       below w_J, which is below s_J. |v_j| >= |w_j| + |r_j| > |w_j| and
       v_j w_j < 0, so s_j has v_j's sign, and |s_j| = |v_j| - |w_j| >=
       |r_j|; r_j has the sign opposite to w_j's, v_j's. So r is
@@ -598,13 +604,10 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
       |w_J|_1 < |s_J|_1 by 1, so r != s. r was stored when kappa(w) was
       taken, before the pair was formed, hence before the level of s, above
       both parents' levels, began. So a skipped sum is dropped for a stored
-      r below it, as the lemma needs. Taking kappa once is sound: a kappa
-      taken early is no smaller than one taken later, so it skips fewer
-      pairs, never a wrong one. It also loses little: a row stored after a
-      stored sum x has at least x's J-norm, so it is not below x on J, and
-      only a seed's kappa could still fall. Taking the seeds' kappa again at
-      every level skipped no more pairs on perfbench's 297 gated
-      `completion` curves, so it is not done.
+      r below it, as the lemma needs. Taking kappa once loses nothing: no
+      kappa falls later. A row stored after a stored sum x has at least x's
+      J-norm, so by 2 it is not below x on J, and a seed's kappa stays
+      infinity.
 
     `spent` caps the sums formed in all stages together, the descent's
     included, and the seconds from the first seed to the last pop or
@@ -698,9 +701,10 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
-def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
-    """Gr(L) of the rank-2 lattice L = Z b1 + Z b2 in Z^n, by Hirzebruch-Jung
-    walks over its sign sectors; canonical sorted representatives.
+def _sector_walks(basis: Sequence[IntVec], spent: _Spent) -> Iterator[tuple[int, int]]:
+    """Each element of Gr(L), L = Z b1 + Z b2 in Z^n, once up to sign, as its
+    coordinates x, the element being x1*b1 + x2*b2: the Hirzebruch-Jung walks
+    over L's sign sectors.
 
     This is exact:
 
@@ -742,10 +746,11 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
       nonzero would give 1 >= 2. r1 and r2 are primitive extreme rays. So
       the Hilbert basis is exactly h_0, ..., h_k.
 
-    Each sector emits h_0, ..., h_{k-1}: h_k starts the next sector, and
-    -r_0, ending the last one, is r_0 up to sign. So every element is emitted
-    once, and `spent` checks both caps per emitted vector, each counting as
+    Each sector yields h_0, ..., h_{k-1}: h_k starts the next sector, and
+    -r_0, ending the last one, is r_0 up to sign. So every element is yielded
+    once, and `spent` checks both caps before each point, each counting as
     a candidate that stays on `spent`, so walks sharing it count together.
+    The finished walks log one debug line; their `kept` is their count.
     """
     b1, b2 = basis
     lines = set()  # the primitive direction of each line at an angle in (0, pi]
@@ -757,21 +762,28 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
     # at angles in (0, pi], u comes before v iff det(u, v) > 0
     rays = sorted(lines, key=functools.cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
     ends = rays[1:] + [(-rays[0][0], -rays[0][1])]
-    found = []
+    found = 0
     for r1, r2 in zip(rays, ends):
         _, s, t = _xgcd_min(*r1)  # p = (-t, s) has det(r1, p) = 1
         prev, h = (t, -s), r1
         d_prev, d = t * r2[1] + s * r2[0], r1[0] * r2[1] - r1[1] * r2[0]
         while d:
-            found.append(sign_canonical([h[0] * x + h[1] * y for x, y in zip(b1, b2)]))
-            spent.check(len(found))
+            found += 1
+            spent.check(found)
+            yield h
             a = -(-d_prev // d)
             prev, h = h, (a * h[0] - prev[0], a * h[1] - prev[1])
             d_prev, d = d, a * d - d_prev
-    spent.generated += len(found)
-    kept = sorted(found)
-    log.debug("rank-2 walk: %s", dict(sectors=len(rays), candidates=len(found), kept=len(kept)))
-    return kept
+    spent.generated += found
+    log.debug("rank-2 walk: %s", dict(sectors=len(rays), candidates=found, kept=found))
+
+
+def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
+    """Gr(L) of the rank-2 lattice L = Z b1 + Z b2 in Z^n: the points of
+    `_sector_walks` mapped to Z^n; canonical sorted representatives."""
+    b1, b2 = basis
+    return sorted(sign_canonical([x1 * p + x2 * q for p, q in zip(b1, b2)])
+                  for x1, x2 in _sector_walks(basis, spent))
 
 
 def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:

@@ -1,10 +1,22 @@
 """Shared fixed data for the test suite: matrices, expected values and helpers."""
 
+import itertools
+import math
+
 import pytest
 
 import graverkit.complexes as complexes_module
 import graverkit.graver as graver_module
-from graverkit import IntMat, bouquet_decomposition, d_map, graver_basis, lambda_matrix
+from graverkit import (
+    CurveKind,
+    IntMat,
+    bouquet_decomposition,
+    classify_curve3,
+    d_map,
+    graver_basis,
+    lambda_matrix,
+    robust_complex,
+)
 
 # 8x11 matrix whose toric ideal is strongly robust with bouquet ideal the
 # monomial curve (24, 40, 41, 60, 80)
@@ -163,6 +175,31 @@ def betti_degrees(T):
     candidates = {sum(t * x for t, x in zip(T, g) if x > 0) for g in G}
     counts = {b: fiber_components(fiber(T, b)) - 1 for b in sorted(candidates)}
     return {b: k for b, k in counts.items() if k}
+
+
+def check_s3_theorem(bound):
+    """Hold the paper's s = 3 theorem, with the Betti degrees counted from the
+    fibers by `betti_degrees`, to `robust_complex(T).vertex()` and to Herzog's
+    candidates in `classify_curve3` on every gcd-1 triple with entries <=
+    bound: Delta_T has a vertex iff I_T is a complete intersection (2 minimal
+    generators, as I_T has height 2) with exactly two Betti degrees.
+    AssertionError names the first triple that disagrees; returns how many
+    triples were checked and the set of their `CurveKind`s.
+    """
+    curves = [t for t in itertools.combinations_with_replacement(range(1, bound + 1), 3)
+              if math.gcd(*t) == 1]
+    kinds = set()
+    for t in curves:
+        betti = betti_degrees(t)
+        cls = classify_curve3(t)
+        vertex = robust_complex(list(t)).vertex()
+        theorem = sum(betti.values()) == 2 and len(betti) == 2
+        assert theorem == (vertex is not None) == (cls.kind is CurveKind.CI_ON), t
+        assert vertex == cls.on, t
+        assert set(betti) == set(cls.betti_candidates), t
+        assert sum(betti.values()) == (3 if cls.kind is CurveKind.NOT_CI else 2), t
+        kinds.add(cls.kind)
+    return len(curves), kinds
 
 
 def fresh_graver_basis(A, budget=None):

@@ -29,7 +29,7 @@ from graverkit import (
     semigroup_min_multiple,
 )
 from graverkit.complexes import _curve_row, _subcurve_rejects
-from graverkit.graver import ConformalIndex
+from graverkit.graver import DEFAULT_BUDGET, ConformalIndex, _rank2_graver, _sector_walks, _Spent
 from graverkit.linalg import kernel_lattice, project_out, vec_neg
 from graverkit.robustness import dispensability_witness
 from graverkit.search import sullivant_search
@@ -37,7 +37,7 @@ from graverkit.search import sullivant_search
 from _paper import (
     CLASSIFICATION_TABLE,
     T_BIG,
-    betti_degrees,
+    check_s3_theorem,
     empty_graver_memos,
     fresh_graver_basis,
     lift_curve_vector,
@@ -170,22 +170,8 @@ class TestClassification:
         # a complete intersection (2 minimal generators, I_T having height 2)
         # with exactly two Betti degrees, counted from the fibers and held to
         # the complex and to Herzog's candidates in classify_curve3, on every
-        # gcd-1 triple to 20
-        curves = [t for t in itertools.combinations_with_replacement(range(1, 21), 3)
-                  if math.gcd(*t) == 1]
-        assert len(curves) == 1252
-        kinds = set()
-        for t in curves:
-            betti = betti_degrees(t)
-            cls = classify_curve3(t)
-            vertex = robust_complex(list(t)).vertex()
-            theorem = sum(betti.values()) == 2 and len(betti) == 2
-            assert theorem == (vertex is not None) == (cls.kind is CurveKind.CI_ON), t
-            assert vertex == cls.on, t
-            assert set(betti) == set(cls.betti_candidates), t
-            assert sum(betti.values()) == (3 if cls.kind is CurveKind.NOT_CI else 2), t
-            kinds.add(cls.kind)
-        assert kinds == set(CurveKind)
+        # gcd-1 triple to 20; the CI tests job runs it to 30 (4,027 triples)
+        assert check_s3_theorem(20) == (1252, set(CurveKind))
 
 
 class TestFaceTests:
@@ -219,8 +205,8 @@ class TestCountRoute:
                 counted = complexes_module._complex_on_miss(entries, None)
                 assert counted.faces == every_face_test(entries), entries
 
-    def test_a_fresh_complex_computes_one_kernel(self, monkeypatch):
-        # the walks' kernel basis is written down, not computed after Gr(T)'s
+    def test_a_fresh_complex_computes_no_kernel(self, monkeypatch):
+        # the walks' kernel basis is written down, and Gr(T) is counted, not computed
         empty_graver_memos(monkeypatch)
         calls = []
 
@@ -232,15 +218,42 @@ class TestCountRoute:
             if name.startswith("graverkit") and hasattr(module, "kernel_lattice"):
                 monkeypatch.setattr(module, "kernel_lattice", counting)
         counted = robust_complex([6, 10, 15])
-        assert calls == [((6, 10, 15),)]
+        assert calls == []
         assert counted.faces == every_face_test((6, 10, 15))
 
     def test_walks_share_the_budget(self, monkeypatch):
-        # Gr(4 5 6) is memoized; the three projection walks emit 4 + 7 + 5 vectors
+        # a memoized Gr(4 5 6) spares no walk: the four walks, of L and of its
+        # three projections, emit 7 + 4 + 7 + 5 vectors on one ledger
         empty_graver_memos(monkeypatch)
         graver_basis(T(4, 5, 6))
         with pytest.raises(BudgetExceededError):
             robust_complex([4, 5, 6], budget=Budget(max_candidates=10))
+
+    def test_walk_counts_are_the_walks_graver_bases(self):
+        # for L = Ker T and each pi_i L, on every gcd-1 triple to 20
+        curves = [t for t in itertools.combinations_with_replacement(range(1, 21), 3)
+                  if math.gcd(*t) == 1]
+        assert len(curves) == 1252
+        for t in curves:
+            basis = kernel_lattice(T(*t)).vectors
+            for rows in [basis, *([project_out(v, i) for v in basis] for i in (1, 2, 3))]:
+                spent = _Spent(DEFAULT_BUDGET)
+                count = sum(1 for _ in _sector_walks(rows, spent))
+                assert count == spent.generated == len(_rank2_graver(rows, _Spent(DEFAULT_BUDGET)))
+
+    def test_a_fresh_complex_writes_no_graver_memo(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        counted = robust_complex([6, 10, 15])
+        assert graver_module._GRAVER_MEMO == {}
+        assert graver_module._LATTICE_MEMO == {}
+        assert counted.faces == every_face_test((6, 10, 15))
+
+    def test_element_cap_holds_inside_the_counting_walk(self, monkeypatch):
+        # Gr(7 15 20) has 9 elements; the first walk stops at its second point
+        empty_graver_memos(monkeypatch)
+        with pytest.raises(BudgetExceededError) as info:
+            robust_complex([7, 15, 20], budget=Budget(max_candidates=1))
+        assert (info.value.kind, info.value.generated) == ("elements", 2)
 
 
 class TestFaceTestAgainstReference:
@@ -532,10 +545,11 @@ class TestComplexMemo:
             return graver_basis_(A, budget=budget)
 
         monkeypatch.setattr(complexes_module, "graver_basis", counting)
-        first = robust_complex([4, 6, 9, 11])
+        # the sub-curves leave {4} to the projection test, which reads Gr(T)
+        first = robust_complex([3, 4, 6, 7])
         assert calls
         calls.clear()
-        assert robust_complex([8, 12, 18, 22]) is first  # gcd-normalised key
+        assert robust_complex([6, 8, 12, 14]) is first  # gcd-normalised key
         assert calls == []
 
     def test_memo_keeps_the_latest_complexes(self, monkeypatch):
@@ -585,7 +599,7 @@ class TestComplexMemo:
 
     def test_decided_curve_completes_only_its_subcurves(self, monkeypatch):
         # Gr(15,15,29,29,29) forms 7,082 sums; every i is rejected by the
-        # 1x3 sub-curves, whose lattices are the only ones computed
+        # 1x3 sub-curves, whose complexes are walk counts: no lattice is computed
         empty_graver_memos(monkeypatch)
         runs = []
         engine = graver_module._lattice_graver
@@ -597,7 +611,7 @@ class TestComplexMemo:
         monkeypatch.setattr(graver_module, "_lattice_graver", counting)
         budget = Budget(max_candidates=2_000)
         assert robust_complex([15, 15, 29, 29, 29], budget=budget).sorted_faces() == [[]]
-        assert runs and set(runs) == {3}
+        assert runs == []
         with pytest.raises(BudgetExceededError):
             fresh_graver_basis(T(15, 15, 29, 29, 29), budget=budget)
 

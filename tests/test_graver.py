@@ -556,6 +556,23 @@ class TestProjectAndLift:
             descended += sum(len(skipped) for _, skipped in stages[:-1])
         assert total > 50_000 and descended > 0
 
+    @pytest.mark.parametrize("A", [T(7, 12, 19, 25, 31), twolifts()], ids=["curve", "twolifts"])
+    def test_every_seed_kappa_is_infinite(self, monkeypatch, A):
+        # pi_J of a lift's seeds is the antichain Gr(pi_J L), and pi_J is
+        # injective, so the lift sets the seeds' kappa without a query
+        stage, lifts = graver_module._completion_stage, []
+
+        def recording(seeds, n, spent, lift=None):
+            if lift is not None:
+                index = ConformalIndex(n, [w for v in seeds for w in (v, vec_neg(v))])
+                lifts.append([index.kappa(i, lift) for i in range(len(index))])
+            return stage(seeds, n, spent, lift)
+
+        monkeypatch.setattr(graver_module, "_completion_stage", recording)
+        fresh_graver_basis(A)
+        assert lifts and all(k == math.inf for kappa in lifts for k in kappa)
+        assert sum(map(len, lifts)) > 100
+
     def test_a_lift_folds_once_per_level(self, monkeypatch):
         # the lift of (7,12,19,25,31) stores 954 sums; every pop of one J-norm
         # level queries the same index, so only storing a level folds
@@ -1055,12 +1072,12 @@ class TestBouquetRoute:
         return runs
 
     def test_one_completion_per_verified_complex(self, monkeypatch):
-        # the five liftings Lambda(T)_{i} are read off Gr(T); the other runs
-        # compute the 1x3 sub-curves of the pre-reject that verify checks
+        # the five liftings Lambda(T)_{i} are read off Gr(T); the 1x3
+        # sub-curves of the pre-reject are walk counts and compute no lattice
         runs = self.completions(monkeypatch)
         assert robust_complex(T_BIG, verify=True).cross_checked
         assert runs.count(len(T_BIG)) == 1
-        assert set(runs) == {3, len(T_BIG)}
+        assert set(runs) == {len(T_BIG)}
 
     def test_one_completion_per_kernel_lattice(self, monkeypatch):
         # Example E, its A_B (simple, 8x5), T_BIG and 2*T_BIG all complete Ker(T_BIG)
