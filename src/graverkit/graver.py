@@ -16,32 +16,29 @@ such as that of every 1xs curve with s >= 4, is computed by project-and-lift
 (`_project_and_lift`): find the Graver basis of its projection onto d
 columns, a full-rank lattice of Z^d, then lift the other columns one at a
 time, each by a completion that forms only the pairs its lifting lemma
-needs. A lattice of rank d in Z^{d+1}, such as a curve's, has one column to
-lift, and its projection is a congruence lattice {u : u.r = 0 mod D}, whose
-Graver basis descends through the reduced curve (r | D), of smaller
-modulus at each level, like Euclid's algorithm (`_descent`). Only a lattice
-of corank 2 or more completes its projection. A lattice of rank 0 or 1 is
-its own Graver basis up to sign: nothing, or the primitive generator of its
-saturated basis.
+needs. The projection is a congruence lattice {u : u.y_j = 0 mod D for each
+lifted column j}, whose Graver basis descends through the reduced lattice
+of those congruences, of smaller modulus at each level, like Euclid's
+algorithm, down to modulus 1 and the unit vectors (`_descent`). A lattice of
+rank 0 or 1 is its own Graver basis up to sign: nothing, or the primitive
+generator of its saturated basis.
 
-A completion is Pottier-style: seed with a lattice basis and its negations,
-repeatedly form pairwise sums with cancellation, and insert what the stored
-vectors do not reduce away. At the fixpoint the conformally minimal
-elements of the projection stage are exactly its Graver basis, and a lift
-stage stores its Graver basis and nothing else. Pair generation pairs one
-sign of each new element with the vectors stored before it that cancel it,
-read off the index's bitsets, and drops the sums queued before by value: a
-set holds the sign-canonical form of every sum queued so far. A lift also
-skips, unformed, every pair whose sum a vector stored below one of its
-parents is sure to reduce (the kappa rule). Both stages decide a popped
-sum by one loop of index queries for the first stored vector below it:
-none, and the sum is inserted. Otherwise the projection stage subtracts
-that vector and queries again, so it inserts the sum's normal form when
-that is not stored already, and the chains are those of one reducer per
-step; a lift stage drops the sum unreduced. A lift pops its sums level by
-level, by their one-norm off the lifted column, decides a level's pops
-against the index as the level began and stores the level's irreducible
-sums together, in one fold of the index (proofs in `_project_and_lift`).
+A lift stage is a Pottier-style completion: seed with the Graver basis of
+the columns done so far, lifted, and its negations, repeatedly form
+pairwise sums with cancellation, and store what no stored vector lies
+below. At the
+fixpoint it has stored its Graver basis and nothing else. Pair generation
+pairs one sign of each new element with the vectors stored before it that
+cancel it in the lifted column and share its signs in the others, read off
+the index's bitsets, and drops the sums queued before by value: a set holds
+the sign-canonical form of every sum queued so far. It also skips,
+unformed, every pair whose sum a vector stored below one of its parents is
+sure to reduce (the kappa rule). A popped sum takes one index query for a
+stored vector below it: none, and the sum is stored; one, and it is dropped
+unreduced. A lift pops its sums level by level, by their one-norm off the
+lifted column, decides a level's pops against the index as the level began
+and stores the level's irreducible sums together, in one fold of the index
+(proofs in `_project_and_lift`).
 
 All arithmetic is exact, on Python ints alone. Every conformal-dominance
 test outside the oracles goes through `ConformalIndex`, which has one code
@@ -61,7 +58,7 @@ import operator
 import time
 from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass
-from operator import add, sub
+from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .bouquet import BouquetDecomposition, bouquet_decomposition, d_map, simple_gale
@@ -85,16 +82,14 @@ class Budget:
     rank-2 walks that decide a 1x3 complex, which share one ledger.
 
     `max_candidates` caps the candidates: the pair sums formed in every
-    stage of project-and-lift together, or the vectors the rank-2 walks
-    emit. A lattice of corank 1, such as a curve's, gets the Graver basis
-    of its projection by a descent through reduced curves, and their lifts'
-    sums and walks' vectors count too. A pair that
-    a lift skips by its kappa rule forms no sum and is no candidate.
+    lift of project-and-lift together, or the vectors the rank-2 walks
+    emit. The projection's Graver basis comes by a descent through reduced
+    lattices, and their lifts' sums and walks' vectors count too. A pair
+    that a lift skips by its kappa rule forms no sum and is no candidate.
     `max_seconds` caps the wall time, from the first seed to the last pop
-    or minimality filter; the projection stage of a lattice of corank 2 or
-    more and each level of a descent have a filter, a lift stores nothing
-    to filter out. A lattice of rank 0 or 1, answered in closed form,
-    spends neither. ValueError for a negative or NaN cap.
+    or minimality filter; each level of a descent has a filter, a lift
+    stores nothing to filter out. A lattice of rank 0 or 1, answered in
+    closed form, spends neither. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -168,12 +163,12 @@ class ConformalIndex:
     one column whose rows meet that query's hits. The rows added since the
     last query are folded in by the next one (see `_fold`).
 
-    `pair_sums` reads the rows that cancel a vector off each column's map at
-    0, or, by the lift rule of project-and-lift, those that cancel it in one
-    column and share its signs in the others, optionally only the rows
-    below a given one and less the pairs the lift's kappa rule skips, and
-    drops repeated sums by value, through the one set of the sign-canonical
-    sums it has returned, seeded with the zero vector.
+    `pair_sums` reads off each column's map at 0 the rows of the lift rule
+    of project-and-lift, those below a given row that cancel a vector in
+    one column and share its signs in the others, less the pairs the lift's
+    kappa rule skips, and drops repeated sums by value, through the one set
+    of the sign-canonical sums it has returned, seeded with the zero
+    vector.
     """
 
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
@@ -281,53 +276,45 @@ class ConformalIndex:
                     return abs(x) + y
         return math.inf
 
-    def pair_sums(self, v: IntVec, lift: int | None = None, before: int | None = None,
-                  kappa: Sequence[int | float] | None = None
+    def pair_sums(self, v: IntVec, lift: int, before: int, kappa: Sequence[int | float]
                   ) -> tuple[list[tuple[int, IntVec]], int]:
-        """(|s|_1, s) for each sign-canonical nonzero s = v + g, g stored and
-        cancelling v somewhere, that no earlier call returned, in row order;
-        and how many pairs the kappa rule skipped. With `before` a row index,
-        only the g of rows below it. With `lift` a column c, only the g of
-        the lift rule of `_project_and_lift`: g cancels v at c and
-        g_i * v_i >= 0 in every other column i; none when v_c = 0. With
-        `kappa` too, the lift's `kappa` of every stored row, v being row
-        `before`, a pair with kappa(g) <= |v_c| or kappa(v) <= |g_c| is
-        skipped: its sum is not formed.
+        """(|s|_1, s) for each sign-canonical nonzero s = v + g, g a row below
+        `before` of the lift rule of `_project_and_lift` at column c = `lift`,
+        that no earlier call returned, in row order; and how many pairs the
+        kappa rule skipped. The rule: g cancels v at c and g_i * v_i >= 0 in
+        every other column i; no g when v_c = 0. `kappa` holds the lift's
+        `kappa` of every stored row, v's at `before`; a pair with
+        kappa(g) <= |v_c| or kappa(v) <= |g_c| is skipped: its sum is not
+        formed.
 
-        The rows that cancel v are read off the bitsets: those with g+ > 0 in
-        a column where v < 0, or g- > 0 where v > 0; the others have
-        g_c * v_c >= 0 there. Those with |g_c| < kappa(v) are a threshold of
-        the half of column c where g has the other sign. Repeats are dropped
-        by value: the seen set holds the zero vector and every sign-canonical
-        sum returned so far, so a sum is new iff its sign-canonical form is
-        not in it.
+        The rows are read off the bitsets. In a column where v is nonzero,
+        those with a zero in the half of the other sign share v's sign or
+        vanish there, and the others cancel v. Those with |g_c| < kappa(v)
+        are a threshold of the half of column c where g has the other sign.
+        Repeats are dropped by value: the seen set holds the zero vector and
+        every sign-canonical sum returned so far, so a sum is new iff its
+        sign-canonical form is not in it.
         """
-        k = len(self.parts) if before is None else before
-        if not k or lift is not None and not v[lift]:
+        if not before or not v[lift]:
             return [], 0
         if self._folded < len(self.parts):
             self._fold()
-        every, rows = (1 << k) - 1, 0 if lift is None else (1 << k) - 1
+        every = rows = (1 << before) - 1
         for c, x in enumerate(v):
             if x:
                 col = c if x < 0 else c + self.n  # the half where g has the other sign
                 same = self._rows[col].get(0, 0) & every
-                if lift is None:
-                    rows |= every ^ same
-                else:
-                    rows &= every ^ same if c == lift else same
-        skipped, reach = 0, -1  # a row g with kappa(g) <= reach is skipped
-        if kappa is not None:
-            col = lift if v[lift] < 0 else lift + self.n
-            j = bisect_left(self._values[col], kappa[before])  # entries < kappa(v)
-            near = rows & self._masks[col][j - 1] if j else 0
-            skipped, rows, reach = (rows ^ near).bit_count(), near, abs(v[lift])
+                rows &= every ^ same if c == lift else same
+        col = lift if v[lift] < 0 else lift + self.n
+        j = bisect_left(self._values[col], kappa[before])  # entries < kappa(v)
+        near = rows & self._masks[col][j - 1] if j else 0
+        skipped, rows, reach = (rows ^ near).bit_count(), near, abs(v[lift])
         vectors, seen, new = self.vectors, self._seen, []
         # the set bits of rows, lowest first: one find per row, however sparse
         bits = bin(rows)[:1:-1]
         i = bits.find("1")
         while i >= 0:
-            if reach >= 0 and kappa[i] <= reach:
+            if kappa[i] <= reach:  # a row g with kappa(g) <= |v_c| is skipped
                 skipped += 1
             else:
                 s = sign_canonical(tuple(map(add, v, vectors[i])))
@@ -344,9 +331,9 @@ class ConformalIndex:
 class _Spent:
     """The candidates and seconds one computation has spent over its stages:
     the clock runs from the first seed and is read before every pop, every
-    row of a minimality filter (the projection's or a descent level's) and
-    every vector a walk emits, and the candidates are the pair sums of every
-    finished stage, or the vectors the rank-2 walks have emitted."""
+    row of a descent level's minimality filter and every vector a walk
+    emits, and the candidates are the pair sums of every finished lift, or
+    the vectors the rank-2 walks have emitted."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -364,43 +351,34 @@ class _Spent:
 
 
 def _completion_stage(
-    seeds: Sequence[IntVec], n: int, spent: _Spent, lift: int | None = None
+    seeds: Sequence[IntVec], n: int, spent: _Spent, lift: int
 ) -> tuple[list[IntVec], dict]:
-    """Complete `seeds` to the conformally minimal vectors of the lattice they
-    generate; their canonical sorted representatives and the stage's counters.
+    """Lift `seeds` on column c = `lift`: complete them to the conformally
+    minimal vectors of the lattice they generate; their canonical sorted
+    representatives and the stage's counters, in the order of its `lift:`
+    line. `_project_and_lift` proves it exact when the seeds, with c
+    dropped, hold that projection's Graver basis.
 
-    Each popped sum s that is not a member runs one loop of `find` queries,
-    which `scans` counts: with no stored vector below s, s is irreducible;
-    with a first one g, a lift stage, `lift` a column c, drops s unreduced,
-    and the projection stage subtracts g and queries again. The projection
-    pops by |s|_1, stores each irreducible sum at once and keeps the stored
-    rows that its minimality filter finds minimal. A lift pops by the
-    J-norm |s_J|_1, J being every column but c, stores a level's irreducible
-    sums together after the level's last pop, so one fold of the index
-    covers the level, and keeps every row it stores. It forms only the pairs
-    of `pair_sums`'s lift rule that its kappa rule does not skip, setting
-    the seeds' kappa to inf and taking that of a level's rows once the
-    level is stored; `_project_and_lift` proves all this exact when the
-    seeds, with column c dropped, hold that projection's Graver basis. Each
-    stage pairs one sign of each element with the rows stored before it:
-    v + g and -v - g are one sum, so that forms every pair sum the stage
-    would form against every row, once.
-
-    The projection's reducers are those of one ascending pass, each
-    subtracted while it divides. A step subtracts a g conformal to s, so the
-    bound (s+, s-) only shrinks: the rows before g, not below s, are not
-    below s - g, so the next `find` returns g while it still divides, and
-    otherwise the next reducer in ascending order. No row is inserted during
-    one pop, and s - g != 0, as s is never a member before a subtraction.
+    The stage pops its sums by the J-norm |s_J|_1, J being every column but
+    c. A popped sum that is not a member takes one `find` query: with no
+    stored vector below it, it is irreducible, and otherwise it is dropped
+    unreduced. A level's irreducible sums are stored together after the
+    level's last pop, so one fold of the index covers the level, and every
+    stored row is kept. It forms only the pairs of `pair_sums`'s lift rule
+    that its kappa rule does not skip, setting the seeds' kappa to inf and
+    taking that of a level's rows once the level is stored. It pairs one
+    sign of each element with the rows stored before it: v + g and -v - g
+    are one sum, so that forms every pair sum it would form against every
+    row, once.
     """
     index = ConformalIndex(n)
     members = index.members
-    # a lift's kappa of every stored row; a seed's is inf (proof in `_project_and_lift`)
-    kappa = None if lift is None else [math.inf] * (2 * len(seeds))
+    # the kappa of every stored row; a seed's is inf (proof in `_project_and_lift`)
+    kappa = [math.inf] * (2 * len(seeds))
 
     def insert(v: IntVec) -> None:
         # v is never a member, and members stays closed under negation, so
-        # rows 2k and 2k+1 are always a +/- pair (reduction chains mirror)
+        # rows 2k and 2k+1 are always a +/- pair
         index.add(v)
         index.add(vec_neg(v))
 
@@ -411,41 +389,30 @@ def _completion_stage(
         # v + g and -v - g are one sum, so one sign of each element stored
         # from row `first` on is paired, with the rows stored before it
         nonlocal generated, skipped
-        rows = range(first, len(index), 2)
-        if kappa is not None:
-            for i in range(len(kappa), len(index), 2):  # none for the seeds
-                kappa.extend([index.kappa(i, lift)] * 2)  # kappa(-v) = kappa(v)
-        for i in rows:
+        for i in range(len(kappa), len(index), 2):  # none for the seeds
+            kappa.extend([index.kappa(i, lift)] * 2)  # kappa(-v) = kappa(v)
+        for i in range(first, len(index), 2):
             sums, skips = index.pair_sums(index.vectors[i], lift, i, kappa)
             generated += len(sums)
             skipped += skips
             for norm, s in sums:
-                # a lift pops by the J-norm, |s_J|_1, J being every column but c
-                heapq.heappush(heap, (norm if lift is None else norm - abs(s[lift]), s))
+                heapq.heappush(heap, (norm - abs(s[lift]), s))  # by |s_J|_1
 
     for b in seeds:
         insert(b)
     pair_from(0)
 
-    pops = scans = subtractions = inserts = 0
+    pops = inserts = 0
     found: list[IntVec] = []  # the irreducible sums not yet stored
     while heap:
         spent.check(generated)
         level, s = heapq.heappop(heap)
         pops += 1
-        while s not in members:
-            i = index.find(positive_part(s), negative_part(s))
-            scans += 1
-            if i < 0:
-                found.append(s)
-                break
-            if lift is not None:
-                break  # a lift drops a reducible sum unreduced (proof in `_project_and_lift`)
-            s = tuple(map(sub, s, index.vectors[i]))
-            subtractions += 1
-        # the projection stores each sum at once, a lift each level after its
-        # last pop; all are stored before any is paired, so one fold covers them
-        if found and (lift is None or not heap or heap[0][0] > level):
+        if s not in members and index.find(positive_part(s), negative_part(s)) < 0:
+            found.append(s)
+        # a level is stored after its last pop, all of it before any is
+        # paired, so one fold covers it
+        if found and (not heap or heap[0][0] > level):
             first = len(index)
             for v in found:
                 insert(v)
@@ -453,30 +420,19 @@ def _completion_stage(
             inserts += len(found)
             found.clear()
 
-    if lift is None:
-        # only the clock can raise here: every sum is pushed and the drained
-        # heap popped each one after a check, so the last check saw this
-        # `generated` (or none ran and it is 0), and earlier stages' totals
-        # passed the same way
-        minimal = [sign_canonical(v) for v in _minimal_rows(index, spent, generated)]
-    else:  # every stored row is in Gr (proof in `_project_and_lift`)
-        minimal = [sign_canonical(v) for v in index.vectors[::2]]
     spent.generated += generated
-    kept = sorted(minimal)
-    counts = dict(pops=pops, scans=scans, subtractions=subtractions, inserts=inserts,
-                  generated=generated, index=len(index), kept=len(kept))
-    if lift is not None:
-        counts["skipped"] = skipped  # the projection skips no pair
-    return kept, counts
+    kept = sorted(sign_canonical(v) for v in index.vectors[::2])  # every row is in Gr
+    return kept, dict(seeds=len(seeds), generated=generated, skipped=skipped, pops=pops,
+                      inserts=inserts, kept=len(kept))
 
 
-def _minimal_rows(index: ConformalIndex, spent: _Spent, generated: int = 0) -> list[IntVec]:
+def _minimal_rows(index: ConformalIndex, spent: _Spent) -> list[IntVec]:
     """The conformally minimal vectors of an index whose rows 2k and 2k + 1
     are a +/- pair, one sign each: u is minimal iff -u is, so the even rows
-    decide. The clock is read before each, with `generated` candidates."""
+    decide. The clock is read before each."""
     minimal = []
     for i in range(0, len(index), 2):
-        spent.check(generated)
+        spent.check(0)
         if index.dominators(i) == 1:
             minimal.append(index.vectors[i])
     return minimal
@@ -494,27 +450,30 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
       injective on L: a vector of L is known by its projection pi_J. pi_S(L)
       is the full-rank lattice of Z^d spanned by the rows of P, of index
       D = |det(P)| in Z^d. The vector of L over u in pi_S(L) is u P^-1 B, B
-      being the basis, so its column j is u.y / det(P) with y = adj(P) b_j,
-      b_j the basis's column j; by Cramer's rule y_i is the determinant of P
-      with its column i replaced by b_j. That is exact. When L has corank 2
-      or more, Gr(pi_S(L)) is the completion's (`_completion_stage` with no
-      lift); at corank 1 it comes from the descent below.
-    - Descend. Let L have corank 1, rank d in Z^{d+1} (every 1xs curve, and
-      every A_B that is one), so one column j is left, with one y, and let L
-      be saturated, L = (L (x) Q) n Z^{d+1}, as every `kernel_lattice` basis
-      is. For u in Z^d, (u, u.y / det(P)) lies in L (x) Q, so it is in L iff
-      it is integral: pi_S(L) = Lambda = {u in Z^d : u.r = 0 mod D}, with
-      r = y mod D. Lambda has index D, so gcd(r, D) = 1. `_descent` gets
-      Gr(Lambda) from r, exactly:
-      1. Each coordinate i with r_i = 0 splits off: Lambda is the direct sum
-         of Z e_i and the vectors of Lambda that vanish at i, on disjoint
-         supports, and the Graver basis of such a sum is the union of the
-         summands' (a conformal sum splits by support). So e_i is in
-         Gr(Lambda).
-      2. The rest is Lambda' = {u' : u'.r' = 0 mod D} on the coordinates
-         with r_i != 0, r' being those r_i, and Lambda' = pi(K) for the
-         reduced curve K = Ker(r' | D), pi dropping K's last column. pi is
-         injective on K, as D != 0.
+      being the basis, so its column j is u.y_j / det(P) with
+      y_j = adj(P) b_j, b_j the basis's column j; by Cramer's rule y_{j,i}
+      is the determinant of P with its column i replaced by b_j. That is
+      exact. Gr(pi_S(L)) comes from the descent below, at every corank.
+    - Descend. Let L be saturated, L = (L (x) Q) n Z^n, as every
+      `kernel_lattice` basis is, and let k = n - d columns j be left to
+      lift. For u in Z^d, the vector over u lies in L (x) Q, so it is in L
+      iff it is integral: pi_S(L) = Lambda = {u in Z^d : u.r_j = 0 mod D for
+      every j}, with r_j = y_j mod D. `_descent` is given, per coordinate i,
+      the tuple of its k residues r_{j,i}, and gets Gr(Lambda) exactly:
+      1. Each coordinate i whose residues are all 0 splits off: Lambda is
+         the direct sum of Z e_i and the vectors of Lambda that vanish at i,
+         on disjoint supports, and the Graver basis of such a sum is the
+         union of the summands' (a conformal sum splits by support). So e_i
+         is in Gr(Lambda). At corank 0 there are no residues, L = Z^d and
+         D = 1, so Gr(L) is the unit vectors and nothing is lifted.
+      2. The rest is Lambda' = {u' : u'.r'_j = 0 mod D for every j} on the
+         m live coordinates, those with a nonzero residue, r'_j being r_j
+         there. A congruence whose r'_j is 0 holds for every u' and is
+         dropped; the k' others are the rows of Y'. Then Lambda' = pi(K) for
+         the reduced lattice K = Ker(Y' | D I), I the k' x k' identity and pi
+         dropping K's last k' columns: u' is in Lambda' iff some integral z
+         has u'.r'_j + D z_j = 0 for every j. pi is injective on K, as
+         D != 0. At corank 1, K is the reduced curve Ker(r' | D).
       3. Gr(Lambda') is the set of conformally minimal vectors of
          pi(Gr(K)). Restricting a conformal sum to some columns keeps it
          conformal, and pi sends no nonzero vector to 0. So if z is in
@@ -523,16 +482,24 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
          in pi(Gr(K)), and is minimal there as it is in Lambda'. Every other
          vector of pi(Gr(K)) lies in Lambda', so it is a conformal sum of
          elements of Gr(Lambda') and lies above one of them.
-      4. K is again saturated, of corank 1, with rank the number of nonzero
-         r_i, so the same engine gives Gr(K) under the same `spent`: closed
-         form below rank 2, the sector walk at rank 2, project-and-lift at
-         rank 3 and up. (r' | D) has gcd 1, so K's minor off each column is
-         +-its entry there, and K's own projection has modulus min r' < D.
-         The modulus falls at every level, as in Euclid's algorithm, down to
-         D = 1, where every r_i is 0 and Gr(Lambda) is the unit vectors.
+      4. K is again saturated, of rank m, so the same engine gives Gr(K)
+         under the same `spent`: closed form below rank 2, the sector walk
+         at rank 2, project-and-lift at rank 3 and up. Its own projection
+         has a modulus below D. The m x m minors of a saturated lattice's
+         basis have gcd 1, and up to sign they are the complementary k' x k'
+         minors of M = (Y' | D I), whose kernel it is, over their gcd g.
+         K's minor on the live columns is the index of Lambda' in Z^m, which
+         is D, as Lambda = Z^{d-m} (+) Lambda' has index D; M's minor on its
+         last k' columns is D^k', so g = D^(k'-1). K's minor on every live
+         column but i, plus the extra column of row j, is M's minor on
+         column i and the other extra columns, +-r'_{j,i} D^(k'-1), over g:
+         +-r'_{j,i}, in [0, D), and nonzero for some j as i is live. So
+         K's least nonzero |minor| is below D. The modulus falls at every
+         level, as in Euclid's algorithm, down to D = 1, where every residue
+         is 0 and Gr(Lambda) is the unit vectors.
       The minimal vectors of step 3 are found by one `dominators` pass over
       a `ConformalIndex` of +-pi(Gr(K)), which reads the clock before each
-      row, as the projection's minimality filter does.
+      row.
     - Lift. The other columns j are lifted one at a time, in ascending
       order. Let J be the columns done so far, S among them, and G the
       stage's seeds, with pi_J(G) = Gr(pi_J(L)). The stage completes
@@ -561,9 +528,7 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
       place of g and h gives a representation with a smaller sum at j,
       which contradicts the choice. So the representation is conformal on J + j, and z,
       conformally minimal, is one of its terms: a stored vector. The
-      argument never uses the order of the pops. The projection stage
-      has no such induction, as it starts from a bare lattice basis, and
-      reduces every popped sum to a normal form.
+      argument never uses the order of the pops.
     - Levels. The stage pops its sums by |s_J|_1, decides each pop of one
       level against the rows stored before the level began, and stores the
       level's irreducible sums together after its last pop. Then it stores
@@ -611,13 +576,12 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
 
     `spent` caps the sums formed in all stages together, the descent's
     included, and the seconds from the first seed to the last pop or
-    minimality filter. Each stage logs one debug line: `completion:` and the
-    stage's counters for the projection of a lattice of corank 2 or more,
-    `descent: {modulus, zeros, projected, kept}` for each level of a
-    descent, after the reduced curve's own lines, `projected` being |Gr(K)|
-    and `kept` |Gr(Lambda)|, and `lift: {column, seeds, generated, skipped,
-    pops, inserts, kept}` for each lift, whose `skipped` counts the pairs
-    the kappa rule skipped and whose `kept` is `seeds + inserts`.
+    minimality filter. Each stage logs one debug line: `descent: {modulus,
+    zeros, projected, kept}` for each level of the descent, after the
+    reduced lattice's own lines, `projected` being |Gr(K)| and `kept`
+    |Gr(Lambda)|, and `lift: {column, seeds, generated, skipped, pops,
+    inserts, kept}` for each lift, whose `skipped` counts the pairs the
+    kappa rule skipped and whose `kept` is `seeds + inserts`.
     """
     cols = _projected_columns(basis)
     P = [[b[c] for c in cols] for b in basis]
@@ -626,44 +590,46 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
     # by Cramer's rule, y_i is det(P) with its column i replaced by b_j
     cramer = [[_det([[*row[:i], x, *row[i + 1:]] for row, x in zip(P, b_j)])
                for i in range(len(P))] for b_j in ([b[j] for b in basis] for j in rest)]
-    if len(rest) == 1:
-        G = _descent(abs(det), [x % abs(det) for x in cramer[0]], spent)
-    else:
-        G, counts = _completion_stage([tuple(row) for row in P], len(P), spent)
-        log.debug("completion: %s", counts)
+    D = abs(det)
+    G = _descent(D, [tuple(y[i] % D for y in cramer) for i in range(len(P))], spent)
     for j, y in zip(rest, cramer):
         # the first d entries of a stage's vectors are their columns S
         seeds = [(*u, sum(map(operator.mul, u, y)) // det) for u in G]
-        G, counts = _completion_stage(seeds, len(seeds[0]), spent, lift=len(seeds[0]) - 1)
-        log.debug("lift: %s", dict(column=j, seeds=len(seeds), generated=counts["generated"],
-                  skipped=counts["skipped"], pops=counts["pops"], inserts=counts["inserts"],
-                  kept=counts["kept"]))
+        G, counts = _completion_stage(seeds, len(seeds[0]), spent, len(seeds[0]) - 1)
+        log.debug("lift: %s", dict(column=j, **counts))
     # a stage's vectors hold the columns cols + rest; at[c] is where column c is
     at = sorted(range(n), key=[*cols, *rest].__getitem__)
     return sorted(sign_canonical([u[i] for i in at]) for u in G)
 
 
-def _descent(modulus: int, residues: Sequence[int], spent: _Spent) -> list[IntVec]:
-    """Gr of the lattice {u in Z^d : u.residues = 0 mod modulus}, d the number
-    of residues, each in [0, modulus), with gcd(residues, modulus) = 1;
-    canonical sorted representatives. Each zero residue i gives the unit
-    vector e_i; the other elements are the conformally minimal projections
-    of the Graver basis of the reduced curve (the nonzero residues |
-    modulus), which `_graver` computes under the same `spent`, off every
-    memo. The proof is in `_project_and_lift`.
+def _descent(modulus: int, residues: Sequence[tuple[int, ...]], spent: _Spent
+             ) -> list[IntVec]:
+    """Gr of the lattice {u in Z^d : u.r_j = 0 mod modulus for every j}, of
+    index `modulus` in Z^d, given per coordinate i the tuple of its residues
+    r_{j,i}, each in [0, modulus); canonical sorted representatives. Each
+    coordinate whose residues are all 0 gives the unit vector e_i; the other
+    elements are the conformally minimal projections of the Graver basis of
+    the reduced lattice Ker(Y' | modulus I), Y' holding one row per nonzero
+    congruence on the live coordinates, which `_graver` computes under the
+    same `spent`, off every memo. The proof is in `_project_and_lift`.
     """
     d = len(residues)
-    live = [i for i, x in enumerate(residues) if x]
-    reduced = kernel_lattice(IntMat(([residues[i] for i in live] + [modulus],)))
-    projected = [g[:-1] for g in _graver(reduced.vectors, len(live) + 1, spent)]
-    index = ConformalIndex(len(live), [w for g in projected for w in (g, vec_neg(g))])
-    found = [tuple(int(i == j) for j in range(d)) for i, x in enumerate(residues) if not x]
+    live = [i for i, r in enumerate(residues) if any(r)]
+    # Y', one row per congruence that is nonzero on the live coordinates
+    rows = [row for row in zip(*(residues[i] for i in live)) if any(row)]
+    m, k = len(live), len(rows)
+    reduced = kernel_lattice(IntMat(
+        tuple((*row, *(modulus * (j == l) for l in range(k))) for j, row in enumerate(rows)),
+        ncols=m + k))
+    projected = [g[:m] for g in _graver(reduced.vectors, m + k, spent)]
+    index = ConformalIndex(m, [w for g in projected for w in (g, vec_neg(g))])
+    found = [tuple(int(i == j) for j in range(d)) for i, r in enumerate(residues) if not any(r)]
     for g in _minimal_rows(index, spent):
         u = [0] * d
         for i, x in zip(live, g):
             u[i] = x
         found.append(tuple(u))
-    log.debug("descent: %s", dict(modulus=modulus, zeros=d - len(live),
+    log.debug("descent: %s", dict(modulus=modulus, zeros=d - m,
                                   projected=len(projected), kept=len(found)))
     return sorted(found)
 

@@ -1,5 +1,6 @@
 """Shared fixed data for the test suite: matrices, expected values and helpers."""
 
+import heapq
 import itertools
 import math
 
@@ -16,6 +17,15 @@ from graverkit import (
     graver_basis,
     lambda_matrix,
     robust_complex,
+)
+from graverkit.linalg import (
+    negative_part,
+    one_norm,
+    positive_part,
+    sign_canonical,
+    vec_add,
+    vec_neg,
+    vec_sub,
 )
 
 # 8x11 matrix whose toric ideal is strongly robust with bouquet ideal the
@@ -115,12 +125,70 @@ def empty_graver_memos(monkeypatch):
 def _complete_lattice(basis, n, budget):
     """Canonical sorted Gr of the lattice with this basis by one Pottier
     completion of the whole lattice, the reference the engines of
-    `graver_basis` are held to: one `_completion_stage` under a fresh
-    `_Spent`, logged as `completion:` and its counters."""
+    `graver_basis` are held to, under a fresh `_Spent`; logged as
+    `completion:` and its counters.
+
+    Seeded with both signs of the basis, it pairs one sign of each stored
+    element with every row stored before it that cancels it somewhere, by a
+    plain tuple loop, and queues each sign-canonical sum not queued before.
+    It pops by one-norm and reduces each popped sum to a normal form, one
+    reducer at a time: `ConformalIndex.find` gives the first stored row
+    below it, which is subtracted, and the query is made again. A normal
+    form that is not stored is stored with its negation and paired at once.
+    At the fixpoint the conformally minimal stored rows are Gr. `scans`
+    counts the queries; the clock is read before every pop and every row of
+    the minimality filter.
+    """
     if not basis:
         return []
-    kept, counts = graver_module._completion_stage(basis, n, graver_module._Spent(budget))
-    graver_module.log.debug("completion: %s", counts)
+    spent = graver_module._Spent(budget)
+    index = graver_module.ConformalIndex(n)
+    seen, heap = {(0,) * n}, []
+    generated = pops = scans = subtractions = inserts = 0
+
+    def insert(v):
+        index.add(v)
+        index.add(vec_neg(v))
+
+    def pair_from(first):
+        nonlocal generated
+        for i in range(first, len(index), 2):
+            v = index.vectors[i]
+            for g in index.vectors[:i]:
+                if any(a * b < 0 for a, b in zip(v, g)):
+                    s = sign_canonical(vec_add(v, g))
+                    if s not in seen:
+                        seen.add(s)
+                        generated += 1
+                        heapq.heappush(heap, (one_norm(s), s))
+
+    for b in basis:
+        insert(b)
+    pair_from(0)
+    while heap:
+        spent.check(generated)
+        _, s = heapq.heappop(heap)
+        pops += 1
+        while s not in index.members:
+            i = index.find(positive_part(s), negative_part(s))
+            scans += 1
+            if i < 0:
+                first = len(index)
+                insert(s)
+                pair_from(first)
+                inserts += 1
+                break
+            s = vec_sub(s, index.vectors[i])
+            subtractions += 1
+    kept = []
+    for i in range(0, len(index), 2):  # u is minimal iff -u is
+        spent.check(generated)
+        if index.dominators(i) == 1:
+            kept.append(sign_canonical(index.vectors[i]))
+    kept.sort()
+    graver_module.log.debug("completion: %s", dict(
+        pops=pops, scans=scans, subtractions=subtractions, inserts=inserts,
+        generated=generated, index=len(index), kept=len(kept)))
     return kept
 
 
@@ -230,8 +298,6 @@ def lift_curve_vector(dec, u):
 
 def reduce_by_set(vec, pool):
     """Subtract conformal reducers from pool until none applies; return endpoint."""
-    from graverkit.linalg import negative_part, positive_part, vec_sub
-
     current = tuple(vec)
     zero = (0,) * len(current)
     changed = True

@@ -1,14 +1,14 @@
 """ConformalIndex, the one conformal-dominance test, on Python ints alone.
 
 Every operation has one code path. `find` and `dominators` read threshold
-bitsets. `pair_sums` reads the rows that cancel a vector off the same
-bitsets and drops repeated sums by value, through one set of the
-sign-canonical sums it has returned; so does its lift rule, for
-project-and-lift, with or without the kappa rule, whose `kappa` is held to
-its definition by a loop. Its results are held to `_pair_sums_by_loop`,
-the plain tuple loop it replaced, on natural inputs whose entries pass 2^60:
-scalings by 2^61, Lambda(2^61+1, 2^61+3)_0, queries at 2^64 and runs whose
-entries grow past 2^8, 2^63 and 2^64. The folded state itself, each
+bitsets. `pair_sums` reads the rows of the lift rule of project-and-lift off
+the same bitsets, less the pairs of the kappa rule, whose `kappa` is held to
+its definition by a loop, and drops repeated sums by value, through one set
+of the sign-canonical sums it has returned. Its results are held to
+`_pair_sums_by_loop`, a plain tuple loop, at every column, on natural inputs
+whose entries pass 2^60: scalings by 2^61, Lambda(2^61+1, 2^61+3)_0,
+queries at 2^64 and runs whose entries grow past 2^8, 2^63 and 2^64, and in
+every lift of the engine. The folded state itself, each
 column's entry map, sorted entries and thresholds, is held to a rebuild
 from the stored rows after every fold.
 """
@@ -17,7 +17,7 @@ import math
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graverkit import (
@@ -31,7 +31,8 @@ from graverkit import (
     lambda_matrix,
     robust_complex,
 )
-from graverkit.graver import DEFAULT_BUDGET, ConformalIndex
+from graverkit.errors import BudgetExceededError
+from graverkit.graver import DEFAULT_BUDGET, Budget, ConformalIndex, _lattice_graver
 from graverkit.linalg import (
     kernel_lattice,
     negative_part,
@@ -44,26 +45,22 @@ from graverkit.linalg import (
 from _paper import T_BIG, _complete_lattice, empty_graver_memos, example_e, fresh_graver_basis
 
 
-def _pair_sums_by_loop(index, v, seen, lift=None, before=None, kappa=None):
+def _pair_sums_by_loop(index, v, seen, lift, before, kappa):
     """The pure-integer pair loop that `ConformalIndex.pair_sums` replaced:
     the new sums and the number of pairs the kappa rule skipped.
 
     Keeps the sums not yet in `seen`, a plain tuple set it adds them to, with
-    their one-norms. With `before` a row index, pairs v only with the rows
-    below it. With `lift` a column c, pairs v only with the g that have the
-    other sign there and v's sign (or a zero) in every other column. With
-    `kappa` too, the kappa of every row, v being row `before`, it skips the
-    pairs with kappa(g) <= |v_c| or kappa(v) <= |g_c|.
+    their one-norms. It pairs v only with the rows below `before`, and of
+    those only with the g that have the other sign at column c = `lift` and
+    v's sign (or a zero) in every other column. `kappa` is the kappa of
+    every row, v's at `before`; it skips the pairs with kappa(g) <= |v_c| or
+    kappa(v) <= |g_c|.
     """
-    rows = list(enumerate(index.vectors))[:before]
-    if lift is None:
-        pairs = [(i, g) for i, g in rows if any(a * b < 0 for a, b in zip(v, g))]
-    else:
-        pairs = [(i, g) for i, g in rows if v[lift] * g[lift] < 0
-                 and all(a * b >= 0 for c, (a, b) in enumerate(zip(v, g)) if c != lift)]
+    pairs = [(i, g) for i, g in enumerate(index.vectors[:before]) if v[lift] * g[lift] < 0
+             and all(a * b >= 0 for c, (a, b) in enumerate(zip(v, g)) if c != lift)]
     new, skipped = [], 0
     for i, g in pairs:
-        if kappa is not None and (kappa[i] <= abs(v[lift]) or kappa[before] <= abs(g[lift])):
+        if kappa[i] <= abs(v[lift]) or kappa[before] <= abs(g[lift]):
             skipped += 1
             continue
         s = sign_canonical(vec_add(v, g))
@@ -123,16 +120,40 @@ def small_matrices(draw):
     return IntMat.from_rows(rows)
 
 
-@settings(max_examples=60, deadline=None)
-@given(small_matrices())
-def test_completion_identical_on_both_paths(A):
-    # pair_sums against the plain tuple loop, in the engine run on A's own
-    # lattice: graver_basis answers rank-2 lattices without pair sums
+@st.composite
+def lifted_lattices(draw):
+    """The kernel basis and width of a d x n matrix, (d, n) in (1, 4),
+    (1, 5), (2, 5) and (2, 6), entries -3..4, whose kernel has rank 3 or
+    more and corank 1 or more, so that project-and-lift lifts at least one
+    column."""
+    d, n = draw(st.sampled_from([(1, 4), (1, 5), (2, 5), (2, 6)]))
+    entry = st.integers(-3, 4)
+    A = IntMat(tuple(tuple(draw(entry) for _ in range(n)) for _ in range(d)), ncols=n)
     basis = kernel_lattice(A).vectors
-    fast = _complete_lattice(basis, A.ncols, DEFAULT_BUDGET)
+    assume(3 <= len(basis) < n)
+    return basis, n
+
+
+@settings(max_examples=60, deadline=None)
+@given(lifted_lattices())
+def test_completion_identical_on_both_paths(case):
+    # pair_sums against the plain tuple loop, in every lift of the engine,
+    # its descents' included, run on the drawn lattice. A few lattices form
+    # more than 20,000 sums; they are left out, to keep the test short
+    basis, n = case
+    budget = Budget(max_candidates=20_000)
+    try:
+        fast = _lattice_graver(basis, n, budget)
+    except BudgetExceededError:
+        assume(False)
+    calls = []
     with pytest.MonkeyPatch.context() as monkeypatch:
         _by_loop(monkeypatch)
-        assert _complete_lattice(basis, A.ncols, DEFAULT_BUDGET) == fast
+        loop = ConformalIndex.pair_sums
+        monkeypatch.setattr(ConformalIndex, "pair_sums", lambda index, v, *rule: (
+            calls.append(v), loop(index, v, *rule))[1])
+        assert _lattice_graver(basis, n, budget) == fast
+    assert calls
 
 
 # ---------------------------------------------------------------------------
@@ -196,37 +217,43 @@ def test_primitive_sets_match_nested_loops(case):
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([1, 2**61]))
-# (2,-1) + (-3,-1) is the negation of the sum (2,-1) + (-1,3) before it
-@example((2, [(2, -1), (-1, 3), (-3, -1)], None, None, 0), 1)
-# (1,-2) + (-1,2) is zero, as -v is stored
-@example((2, [(1, -2), (3, 0), (-1, 2)], None, None, 0), 2**61)
+# at column 0, (2,0) + (-3,-1) is the negation of the sum (2,0) + (-1,1) before it
+@example((2, [(2, 0), (-1, 1), (-3, -1)], None, None, 0), 1)
+# at column 0, (1,0) + (-1,0) is zero, as -v is stored
+@example((2, [(1, 0), (-1, 0), (-2, 1)], None, None, 0), 2**61)
 def test_pair_sums_match_nested_loops(case, scale):
-    # scaled by 2**61 the entries, and so the sums, pass 2**60
+    # each row paired with the rows before it, as a lift pairs them, at
+    # every column; scaled by 2**61 the entries, and so the sums, pass 2**60
     n, vectors, _, _, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
-    index = ConformalIndex(n, vectors)
-    seen = set()
-    for v in vectors:
-        assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
+    kappa = [math.inf] * len(vectors)  # the kappa rule skips nothing
+    for lift in range(n):
+        index = ConformalIndex(n, vectors)
+        seen = set()
+        for i, v in enumerate(vectors):
+            assert index.pair_sums(v, lift, i, kappa) == _pair_sums_by_loop(
+                index, v, seen, lift, i, kappa)
 
 
 def test_pair_sums_dedup_in_every_completion_call(monkeypatch):
-    # every call of the one-stage completion, whose entries grow from 20 in
-    # the kernel basis to 80 in Gr(24 40 41 60 80), must drop the same repeats
-    # as the tuple loop; so must every call of project-and-lift, whose stages
-    # each have an index
-    pair_sums = ConformalIndex.pair_sums
+    # every call of project-and-lift on Gr(24 40 41 60 80), in the lifts of
+    # its descent and in its last lift, whose entries grow to 80, must drop
+    # the same repeats as the tuple loop; its basis is the one-stage
+    # completion's, which forms its pairs by a loop of its own
+    pair_sums, calls = ConformalIndex.pair_sums, []
 
     def checked(index, v, *rule):
         expected = _pair_sums_by_loop(index, v, vars(index).setdefault("_loop_seen", set()), *rule)
         assert pair_sums(index, v, *rule) == expected
+        calls.append(v)
         return expected
 
     monkeypatch.setattr(ConformalIndex, "pair_sums", checked)
     curve = IntMat.row_vector(T_BIG)
-    G = _complete_lattice(kernel_lattice(curve).vectors, len(T_BIG), DEFAULT_BUDGET)
-    assert len(G) == 266
-    assert fresh_graver_basis(curve).elements == tuple(G)
+    G = fresh_graver_basis(curve)
+    assert len(calls) == 63 + 60 + 266  # one per element each lift keeps
+    assert G.elements == tuple(_complete_lattice(kernel_lattice(curve).vectors, len(T_BIG),
+                                                 DEFAULT_BUDGET))
 
 
 @st.composite
@@ -249,15 +276,20 @@ def growing_runs(draw):
 # sums with an entry of 2^9 = 512, from rows with entries 2^8
 @example((2, [((256, 1), True), ((256, -1), True), ((-256, 2), True), ((-256, -1), True)]))
 def test_pair_sums_while_the_entries_grow(run):
-    # each stored vector is paired again after every add, so sums formed
-    # before larger entries arrive are formed again after them
+    # each stored vector is paired again, with every stored row, after every
+    # add, so sums formed before larger entries arrive are formed again
+    # after them; at every column, the paired vector coming after the rows
     n, steps = run
-    index, seen = ConformalIndex(n), set()
-    for v, stored in steps:
-        if stored:
-            index.add(v)
-        for u in index.vectors if stored else [v]:
-            assert index.pair_sums(u) == _pair_sums_by_loop(index, u, seen)
+    for lift in range(n):
+        index, seen = ConformalIndex(n), set()
+        for v, stored in steps:
+            if stored:
+                index.add(v)
+            k = len(index)
+            kappa = [math.inf] * (k + 1)
+            for u in index.vectors if stored else [v]:
+                assert index.pair_sums(u, lift, k, kappa) == _pair_sums_by_loop(
+                    index, u, seen, lift, k, kappa)
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,14 +299,18 @@ def test_pair_sums_while_the_entries_grow(run):
 # at column 0, (1,0) + (-1,0) is zero, as -v is stored
 @example((2, [(1, 0), (-1, 0), (-2, 1)], None, None, 0), 2**61)
 def test_lift_rule_matches_nested_loops(case, scale):
-    # the lift rule against the tuple loop, at every column of the drawn set
+    # the lift rule against the tuple loop, each row paired with every row
+    # of the drawn set, itself and those after it included, at every column
     n, vectors, _, _, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
+    k = len(vectors)
+    kappa = [math.inf] * (k + 1)
     for lift in range(n):
         index = ConformalIndex(n, vectors)
         seen = set()
         for v in vectors:
-            assert index.pair_sums(v, lift) == _pair_sums_by_loop(index, v, seen, lift)
+            assert index.pair_sums(v, lift, k, kappa) == _pair_sums_by_loop(
+                index, v, seen, lift, k, kappa)
 
 
 def _kappa_by_loop(index, i, c):
@@ -305,7 +341,6 @@ def test_kappa_and_its_rule_match_nested_loops(case, scale):
         for i, v in enumerate(vectors):
             assert index.pair_sums(v, lift, i, kappa) == _pair_sums_by_loop(
                 index, v, seen, lift, i, kappa)
-            assert index.pair_sums(v, None, i) == _pair_sums_by_loop(index, v, seen, None, i)
 
 
 def test_queries_and_pair_sums_at_2_64():
@@ -320,9 +355,12 @@ def test_queries_and_pair_sums_at_2_64():
                 (i for i, v in enumerate(vectors) if i >= start and _satisfies(v, pos, neg)), -1
             )
             assert index.find(pos, neg, start) == first
-    seen = set()
-    for v in [(huge, -huge), (-huge, 1), (1, 1), (4, -2)]:
-        assert index.pair_sums(v) == _pair_sums_by_loop(index, v, seen)
+    seen, k = set(), len(vectors)
+    kappa = [math.inf] * (k + 1)
+    for lift in range(2):
+        for v in [(huge, -huge), (-huge, 1), (1, 1), (4, -2)]:
+            assert index.pair_sums(v, lift, k, kappa) == _pair_sums_by_loop(
+                index, v, seen, lift, k, kappa)
 
 
 @settings(max_examples=150, deadline=None)
@@ -401,7 +439,8 @@ def test_fold_state_matches_a_rebuild(case, scale, data):
         elif query == "kappa":
             index.kappa(0, 0)  # the leading row is nonzero at 0, so this queries
         elif query == "pair_sums":
-            index.pair_sums(tuple(-x for x in v))
+            # the leading row is nonzero at 0, so this folds
+            index.pair_sums(index.vectors[0], 0, k, [math.inf] * (k + 1))
         if query is not None:
             _assert_folded_state(index)
 

@@ -73,8 +73,15 @@ def T(*entries):
 
 def twolifts():
     """A simple 2x6 matrix whose kernel, of rank 4, lifts two columns: a
-    lattice of corank 2, whose projection is completed, not descended."""
+    lattice of corank 2, whose projection descends at modulus 1."""
     return IntMat.from_rows([[2, 3, 5, 7, 11, 13], [1, 0, 2, 5, 3, 4]])
+
+
+def corank3():
+    """A simple 3x6 matrix whose kernel, of rank 3, lifts three columns: a
+    lattice of corank 3, whose projection descends through the moduli 5, 3
+    and 1, the first level with three congruences, two of them void."""
+    return IntMat.from_rows([[0, 6, 6, 0, 4, 5], [5, 1, 2, 4, 1, 5], [6, 2, 1, 2, 1, 5]])
 
 
 def reference_completion(A):
@@ -184,23 +191,30 @@ class TestReductionChain:
         assert completion_run(CHAIN_INPUTS[name]())[1] == self.PINNED_COUNTERS[name]
 
     def test_logged_counters_agree_with_the_result(self, caplog):
-        # graver_basis logs the projection's completion, then one line per
-        # lift; a curve's projection descends instead, so this is a rank-4
-        # lattice of Z^6
+        # the one-stage completion's `completion:` line on the rank-4 lattice
+        # of Z^6 of twolifts; then, apart, the lift chain graver_basis logs
+        # for it: a descent at modulus 1, then one line per lifted column
         A = twolifts()
+        basis = kernel_lattice(A).vectors
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
-            G = fresh_graver_basis(A)
-        [record, lift, last] = caplog.records
-        assert (record.msg, lift.msg, last.msg) == ("completion: %s", "lift: %s", "lift: %s")
+            reference = _complete_lattice(basis, A.ncols, DEFAULT_BUDGET)
+        [record] = caplog.records
+        assert record.msg == "completion: %s"
         counts = record.args
-        assert counts["index"] == 2 * kernel_lattice(A).rank + 2 * counts["inserts"]
+        assert counts["index"] == 2 * len(basis) + 2 * counts["inserts"]
         assert counts["pops"] == counts["generated"]  # the heap is drained
         # each index query that hits is followed by a subtraction, and each miss by an insert
         assert counts["scans"] == counts["subtractions"] + counts["inserts"]
-        assert lift.args["seeds"] == counts["kept"]
+        assert counts["kept"] == len(reference)
+        caplog.clear()
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(A)
+        [descent, lift, last] = caplog.records
+        assert (descent.msg, lift.msg, last.msg) == ("descent: %s", "lift: %s", "lift: %s")
+        assert lift.args["seeds"] == descent.args["kept"]
         assert lift.args["pops"] == lift.args["generated"]
         assert last.args["seeds"] == lift.args["kept"]
-        assert last.args["kept"] == len(G)
+        assert last.args["kept"] == len(G) == len(reference)
 
 
 @st.composite
@@ -323,25 +337,25 @@ class TestProjectAndLift:
     def lifted(basis, n):
         """`_lattice_graver`'s basis and the number of lifts it logs after its
         own projection, asserting that each lift keeps exactly its seeds and
-        the sums it inserts, that the projection descends at corank 1 and is
-        completed otherwise, and that each descent level seeds the next lift
-        and has a larger modulus than the level it read."""
+        the sums it inserts, that the projection descends at every corank
+        and nothing completes a projection, and that each descent level
+        seeds the next lift and has a larger modulus than the level it
+        read."""
         with mock.patch.object(graver_module.log, "debug") as debug:
             G = _lattice_graver(basis, n, DEFAULT_BUDGET)
         lines = [call.args[:2] for call in debug.call_args_list]
         for msg, counts in lines:
+            assert msg in ("descent: %s", "lift: %s", "rank-2 walk: %s"), msg
             if msg == "lift: %s":
                 assert counts["seeds"] + counts["inserts"] == counts["kept"], counts
         levels = [i for i, (msg, _) in enumerate(lines) if msg == "descent: %s"]
+        assert levels
         for i in levels:
             assert lines[i + 1][0] == "lift: %s"
             assert lines[i + 1][1]["seeds"] == lines[i][1]["kept"]
         moduli = [lines[i][1]["modulus"] for i in levels]
         assert moduli == sorted(set(moduli))  # logged innermost first
-        projections = [i for i, (msg, _) in enumerate(lines) if msg == "completion: %s"]
-        corank1 = n - len(basis) == 1
-        assert (bool(levels), len(projections)) == (corank1, 0 if corank1 else 1)
-        lifts = lines[max(levels + projections) + 1:]
+        lifts = lines[levels[-1] + 1:]
         assert all(msg == "lift: %s" for msg, _ in lifts)
         return G, len(lifts)
 
@@ -400,7 +414,7 @@ class TestProjectAndLift:
         stages = []
         stage = graver_module._completion_stage
 
-        def recording(seeds, n, spent, lift=None):
+        def recording(seeds, n, spent, lift):
             kept, counts = stage(seeds, n, spent, lift)
             stages.append((seeds, lift, kept))
             return kept, counts
@@ -414,33 +428,36 @@ class TestProjectAndLift:
         assert caplog.records[0].args == dict(modulus=1, zeros=4, projected=0, kept=4)
 
     def test_a_lift_never_reduces(self, monkeypatch):
-        # the projection reduces to normal forms; a lift makes one index
-        # query per pop. A curve's projection descends, so each of its stages
-        # is a lift: the last one of (7,12,19,25,31) stores 954 of its 2,703
-        # pops and drops the rest. A corank-2 lattice completes its projection
-        stages = []
-        stage = graver_module._completion_stage
+        # every stage is a lift, and a lift makes one index query per pop,
+        # never a second one for a reduced sum: the last stage of
+        # (7,12,19,25,31) stores 954 of its 2,703 pops and drops the rest.
+        # So do the two lifts of twolifts, a corank-2 lattice
+        stages, queried = [], []
+        stage, find = graver_module._completion_stage, ConformalIndex.find
 
-        def recording(seeds, n, spent, lift=None):
+        def recording(seeds, n, spent, lift):
+            first = len(queried)
             kept, counts = stage(seeds, n, spent, lift)
-            stages.append((lift, counts))
+            stages.append((lift, counts, len(queried) - first))
             return kept, counts
 
+        def querying(index, pos, neg, start=0):
+            queried.append(index.n)
+            return find(index, pos, neg, start)
+
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
+        monkeypatch.setattr(ConformalIndex, "find", querying)
         fresh_graver_basis(T(7, 12, 19, 25, 31))
-        [(inner, _), (lift, lifted)] = stages
+        [(inner, _, _), (lift, lifted, _)] = stages
         assert (inner, lift) == (4, 4)
-        for _, counts in stages:
-            assert counts["subtractions"] == 0 and counts["scans"] == counts["pops"]
-        assert lifted == dict(pops=2703, scans=2703, subtractions=0, inserts=954,
-                              generated=2703, index=2 * (66 + 954), kept=1020,
-                              skipped=10867)
+        assert all(queries == counts["pops"] for _, counts, queries in stages)
+        assert lifted == dict(seeds=66, generated=2703, skipped=10867, pops=2703,
+                              inserts=954, kept=1020)
         stages.clear()
         fresh_graver_basis(twolifts())
-        [(no_lift, projection), (first, _), (second, _)] = stages
-        assert (no_lift, first, second) == (None, 4, 5)
-        assert projection["subtractions"] == 428
-        assert all(counts["subtractions"] == 0 for _, counts in stages[1:])
+        [(first, _, _), (second, counts, _)] = stages
+        assert (first, second) == (4, 5) and counts["pops"] == 1742
+        assert all(queries == counts["pops"] for _, counts, queries in stages)
 
     def test_element_cap_counts_every_stage(self, caplog):
         # the descent's two lifts form 103 + 292 sums, under the cap, and log
@@ -461,10 +478,9 @@ class TestProjectAndLift:
         lifted = []
         pair_sums = ConformalIndex.pair_sums
 
-        def recording(index, v, lift=None, *rule):
-            if lift is not None:
-                lifted.append(v)
-            return pair_sums(index, v, lift, *rule)
+        def recording(index, v, *rule):
+            lifted.append(v)
+            return pair_sums(index, v, *rule)
 
         clock = SimpleNamespace(monotonic=lambda: 1e9 if lifted else 0.0)
         monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
@@ -517,19 +533,18 @@ class TestProjectAndLift:
         stages = []  # per lift stage: the basis it returns and the sums it skipped
         pair_sums, stage = ConformalIndex.pair_sums, graver_module._completion_stage
 
-        def listing(index, v, lift=None, before=None, kappa=None):
+        def listing(index, v, lift, before, kappa):
             sums, count = pair_sums(index, v, lift, before, kappa)
-            if kappa is not None:
-                x, bound = v[lift], kappa[before]
-                # the lift rule: g cancels v at the lifted column, and only there
-                pairs = [vec_add(v, g) for k, g in zip(kappa, index.vectors[:before])
-                         if g[lift] * x < 0 and (k <= abs(x) or bound <= abs(g[lift]))
-                         and sum(a * b < 0 for a, b in zip(v, g)) == 1]
-                assert len(pairs) == count
-                stages[-1][1].extend(pairs)
+            x, bound = v[lift], kappa[before]
+            # the lift rule: g cancels v at the lifted column, and only there
+            pairs = [vec_add(v, g) for k, g in zip(kappa, index.vectors[:before])
+                     if g[lift] * x < 0 and (k <= abs(x) or bound <= abs(g[lift]))
+                     and sum(a * b < 0 for a, b in zip(v, g)) == 1]
+            assert len(pairs) == count
+            stages[-1][1].extend(pairs)
             return sums, count
 
-        def staging(seeds, n, spent, lift=None):
+        def staging(seeds, n, spent, lift):
             stages.append(([], []))
             kept, counts = stage(seeds, n, spent, lift)
             stages[-1][0].extend(kept)
@@ -562,10 +577,9 @@ class TestProjectAndLift:
         # injective, so the lift sets the seeds' kappa without a query
         stage, lifts = graver_module._completion_stage, []
 
-        def recording(seeds, n, spent, lift=None):
-            if lift is not None:
-                index = ConformalIndex(n, [w for v in seeds for w in (v, vec_neg(v))])
-                lifts.append([index.kappa(i, lift) for i in range(len(index))])
+        def recording(seeds, n, spent, lift):
+            index = ConformalIndex(n, [w for v in seeds for w in (v, vec_neg(v))])
+            lifts.append([index.kappa(i, lift) for i in range(len(index))])
             return stage(seeds, n, spent, lift)
 
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
@@ -593,12 +607,13 @@ class TestProjectAndLift:
         assert folded.count(lift) <= len(levels) + 1
 
     def test_a_lift_has_no_minimality_filter(self, monkeypatch):
-        # only the projection's filter counts dominators, and it reads the
+        # only a descent level's filter counts dominators, and it reads the
         # clock; a clock that jumps while the last lift stores its last level
         # stops the next pop, after every sum is formed and before its query.
-        # A curve's projection descends, so this is the corank-2 lattice of
-        # twolifts: its projection, of rank 4, forms 73 sums and stores 16
-        # rows; its lifts, on 5 and 6 columns, form 311 and 1,742
+        # The corank-3 lattice descends through the moduli 1, 3 and 5 on 3
+        # coordinates: the levels of moduli 3 and 5 filter 13 and 23
+        # projected rows, after lifts on 4 columns that form 10 and 25 sums.
+        # Its own lifts, on 4, 5 and 6 columns, form 74, 219 and 271
         counted, lifted, queried = [], [], []
         dominators, pair_sums, find = (ConformalIndex.dominators, ConformalIndex.pair_sums,
                                        ConformalIndex.find)
@@ -607,10 +622,9 @@ class TestProjectAndLift:
             counted.append((index.n, i))
             return dominators(index, i)
 
-        def recording(index, v, lift=None, *rule):
-            if lift is not None:
-                lifted.append(v)
-            return pair_sums(index, v, lift, *rule)
+        def recording(index, v, *rule):
+            lifted.append(v)
+            return pair_sums(index, v, *rule)
 
         def querying(index, pos, neg, start=0):
             queried.append(index.n)
@@ -622,23 +636,23 @@ class TestProjectAndLift:
         monkeypatch.setattr(ConformalIndex, "dominators", counting)
         monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
         monkeypatch.setattr(ConformalIndex, "find", querying)
-        fresh_graver_basis(twolifts())
-        assert counted == [(4, i) for i in range(0, 32, 2)]
-        # each lift pairs one sign of each of its seeds and inserts: 4 + 152, then 156 + 399
-        assert len(lifted) == 4 + 152 + 156 + 399
-        assert (queried.count(5), queried.count(6)) == (311, 1742)
+        fresh_graver_basis(corank3())
+        assert counted == [(3, i) for i in range(0, 26, 2)] + [(3, i) for i in range(0, 46, 2)]
+        # the last lift pairs one sign of each of its 130 seeds and 47 inserts
+        assert len(last_lift()) == 130 + 47
+        assert queried.count(6) == 271
         # the first pairing of the last level's rows, J-norms taken off the lifted last column
         top = sum(map(abs, last_lift()[-1][:-1]))
-        last = next(k for k in range(156, len(last_lift()))
+        last = next(k for k in range(130, len(last_lift()))
                     if sum(map(abs, last_lift()[k][:-1])) == top)
 
         counted.clear()
         monkeypatch.setattr(graver_module, "time", SimpleNamespace(
             monotonic=lambda: 1e9 if counted else 0.0))
         with pytest.raises(BudgetExceededError) as info:
-            fresh_graver_basis(twolifts(), budget=Budget(max_seconds=1.0))
-        assert (info.value.kind, info.value.generated) == ("time", 73)
-        assert counted == [(4, 0)]
+            fresh_graver_basis(corank3(), budget=Budget(max_seconds=1.0))
+        assert (info.value.kind, info.value.generated) == ("time", 10)
+        assert counted == [(3, 0)]
 
         lifted.clear()
         queried.clear()
@@ -651,30 +665,30 @@ class TestProjectAndLift:
 
         monkeypatch.setattr(graver_module, "time", SimpleNamespace(monotonic=jumping))
         with pytest.raises(BudgetExceededError) as info:
-            fresh_graver_basis(twolifts(), budget=Budget(max_seconds=1.0))
-        assert (info.value.kind, info.value.generated) == ("time", 73 + 311 + 1742)
-        assert len(last_lift()) == 156 + 399
-        assert at_jump == [queried.count(6)] and queried.count(6) < 1742
+            fresh_graver_basis(corank3(), budget=Budget(max_seconds=1.0))
+        assert (info.value.kind, info.value.generated) == ("time", 10 + 25 + 74 + 219 + 271)
+        assert len(last_lift()) == 130 + 47
+        assert at_jump == [queried.count(6)] and queried.count(6) < 271
 
 
 class TestDescent:
-    """A lattice of corank 1 gets the Graver basis of its projection by a
-    descent through reduced curves; the one-stage completion of the
-    projected lattice is its reference."""
+    """Every lattice gets the Graver basis of its projection by a descent
+    through reduced lattices; the one-stage completion of the projected
+    lattice is its reference."""
 
     def test_every_residue_vector_matches_the_completion(self, monkeypatch):
         # every r in [0, D)^d with gcd(r, D) = 1, zeros included: d = 3 with
-        # D <= 12 and d = 4 with D <= 7, in ascending D. Each descent runs its
-        # own level for real and reads the levels below it, of smaller
-        # modulus, from the results already checked here, as the induction
-        # on the modulus does. The reference is the completion of
-        # {u : u.r = 0 mod D}, shared by the r that a unit multiple c.r and a
-        # permutation of the coordinates carry onto one another, as both
+        # D <= 12 and d = 4 with D <= 7, in ascending D, one congruence each.
+        # Each descent runs its own level for real and reads the levels below
+        # it, of smaller modulus, from the results already checked here, as
+        # the induction on the modulus does. The reference is the completion
+        # of {u : u.r = 0 mod D}, shared by the r that a unit multiple c.r and
+        # a permutation of the coordinates carry onto one another, as both
         # leave the lattice the same up to that permutation
         checked = {}
         descent = graver_module._descent
-        monkeypatch.setattr(graver_module, "_descent",
-                            lambda modulus, residues, spent: checked[modulus, tuple(residues)])
+        monkeypatch.setattr(graver_module, "_descent", lambda modulus, residues, spent: (
+            checked[modulus, tuple(x for (x,) in residues)]))
         references = {}
         for d, top in ((3, 12), (4, 7)):
             for D in range(1, top + 1):
@@ -682,7 +696,7 @@ class TestDescent:
                 for r in itertools.product(range(D), repeat=d):
                     if math.gcd(D, *r) != 1:
                         continue
-                    got = descent(D, list(r), graver_module._Spent(DEFAULT_BUDGET))
+                    got = descent(D, [(x,) for x in r], graver_module._Spent(DEFAULT_BUDGET))
                     # the coordinates of the least sorted unit multiple, and where each is in r
                     key = min(sorted((c * x % D, i) for i, x in enumerate(r)) for c in units)
                     rep = (D, *(x for x, _ in key))
@@ -726,16 +740,91 @@ class TestDescent:
         assert [r.msg for r in caplog.records].count("lift: %s") == len(levels)
         assert levels[-1]["kept"] == 495 and len(G) == 1516
 
-    def test_a_corank_2_lattice_completes_its_projection(self, caplog):
-        # twolifts is a rank-4 lattice of Z^6: its projection is completed and
-        # logs its `completion:` line, and its basis is the reference's
+    def test_a_corank_2_lattice_descends(self, caplog):
+        # twolifts is a rank-4 lattice of Z^6 whose projection has |det| 1:
+        # it descends at modulus 1 to the unit vectors, with no reduced
+        # lattice, and its basis is the reference's
         A = twolifts()
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = fresh_graver_basis(A)
-        assert [r.msg for r in caplog.records] == ["completion: %s", "lift: %s", "lift: %s"]
-        assert caplog.records[0].args["generated"] == 73
+        assert [r.msg for r in caplog.records] == ["descent: %s", "lift: %s", "lift: %s"]
+        assert caplog.records[0].args == dict(modulus=1, zeros=4, projected=0, kept=4)
         basis = kernel_lattice(A).vectors
         assert list(G) == _complete_lattice(basis, 6, DEFAULT_BUDGET) and len(G) == 555
+
+    def test_a_corank_3_lattice_descends_through_three_moduli(self, caplog):
+        # the projection of modulus 5 has three congruences, two of which
+        # vanish mod 5; the reduced lattice of the third descends at modulus
+        # 3, and its own reduced curve at modulus 1. Each level lifts its
+        # reduced lattice's one extra column, and the top lifts three
+        A = corank3()
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(A)
+        assert [(r.msg, r.args) for r in caplog.records] == [
+            ("descent: %s", dict(modulus=1, zeros=3, projected=0, kept=3)),
+            ("lift: %s", dict(column=2, seeds=3, generated=10, skipped=5, pops=10,
+                              inserts=10, kept=13)),
+            ("descent: %s", dict(modulus=3, zeros=0, projected=13, kept=13)),
+            ("lift: %s", dict(column=2, seeds=13, generated=25, skipped=16, pops=25,
+                              inserts=10, kept=23)),
+            ("descent: %s", dict(modulus=5, zeros=0, projected=23, kept=19)),
+            ("lift: %s", dict(column=0, seeds=19, generated=74, skipped=142, pops=74,
+                              inserts=29, kept=48)),
+            ("lift: %s", dict(column=2, seeds=48, generated=219, skipped=245, pops=219,
+                              inserts=82, kept=130)),
+            ("lift: %s", dict(column=5, seeds=130, generated=271, skipped=401, pops=271,
+                              inserts=47, kept=177)),
+        ]
+        basis = kernel_lattice(A).vectors
+        assert list(G) == _complete_lattice(basis, 6, DEFAULT_BUDGET) and len(G) == 177
+
+    def test_every_residue_matrix_matches_the_completion(self):
+        # k in {2, 3} congruences on d in {3, 4} coordinates, moduli D <= 8:
+        # Y = U Y0 mod D, Y0 holding D/a times a random row and D/b times
+        # another, ab = D, and U unimodular, kept when {u : Y u = 0 mod D}
+        # has index D, as every projection has. The reference is the
+        # completion of that lattice, from the basis of Ker(Y | D I) with
+        # its last k columns dropped
+        rng = random.Random(41)
+        cases = {}
+        while len(cases) < 800:
+            k, d, D = rng.choice((2, 3)), rng.choice((3, 4)), rng.randint(1, 8)
+            a = rng.choice([x for x in range(1, D + 1) if D % x == 0])
+            Y0 = [[D // a * rng.randrange(D) for _ in range(d)],
+                  [a * rng.randrange(D) for _ in range(d)]] + [[0] * d] * (k - 2)
+            U = random_unimodular(rng, k)
+            Y = tuple(tuple(sum(u * y[i] for u, y in zip(row, Y0)) % D for i in range(d))
+                      for row in U)
+            M = IntMat(tuple((*row, *(D * (j == l) for l in range(k)))
+                             for j, row in enumerate(Y)), ncols=d + k)
+            basis = [g[:d] for g in kernel_lattice(M).vectors]
+            if abs(_det(basis)) == D:
+                cases[D, Y] = basis
+        for (D, Y), basis in sorted(cases.items()):
+            got = graver_module._descent(D, list(zip(*Y)), graver_module._Spent(DEFAULT_BUDGET))
+            assert got == _complete_lattice(basis, len(basis), DEFAULT_BUDGET), (D, Y)
+        assert {len(Y) for _, Y in cases} == {2, 3} and max(D for D, _ in cases) == 8
+
+    def test_a_full_rank_kernel_is_the_unit_vectors(self, caplog):
+        # corank 0: no column to lift and no residue, so one level of modulus 1
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(IntMat((), ncols=4))
+        assert G.elements == ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0), (1, 0, 0, 0))
+        assert [(r.msg, r.args) for r in caplog.records] == [
+            ("descent: %s", dict(modulus=1, zeros=4, projected=0, kept=4))]
+
+    @pytest.mark.parametrize("A", [IntMat((), ncols=4), T(*T_BIG), example_e(), twolifts(),
+                                   corank3()], ids=["corank0", "curve", "exampleE", "corank2",
+                                                    "corank3"])
+    def test_no_stage_completes_a_projection(self, A, caplog):
+        # every corank descends: graver_basis logs descent levels, lifts,
+        # walks and routes, and never a `completion:` line
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            fresh_graver_basis(A)
+        messages = {r.msg for r in caplog.records}
+        assert "descent: %s" in messages
+        assert messages <= {"descent: %s", "lift: %s", "rank-2 walk: %s",
+                            "bouquet route: %d -> %d columns, Gr(A_B) %s"}
 
     def test_the_filter_reads_the_clock(self, monkeypatch):
         # the clock stands still until a descent's filter counts its first
