@@ -150,7 +150,7 @@ def cmd_circuits(args) -> Output:
 def cmd_indispensable(args) -> Output:
     A = _load(args)
     G = _graver_for(args, A)
-    S = indispensable_set(A, budget=_budget(args), G=G)
+    S = indispensable_set(A, G=G)
     return _vector_set({"n": S.n, "count": len(S), "elements": vectors_to_json(S.elements),
                         "graver_size": len(G), "matrix_hash": A.content_hash()})
 
@@ -183,7 +183,7 @@ def cmd_bouquets(args) -> Output:
 
 def cmd_check_robust(args) -> Output:
     A = _load(args)
-    cert = is_strongly_robust(A, budget=_budget(args), G=_graver_for(args, A))
+    cert = is_strongly_robust(A, G=_graver_for(args, A))
     payload = {
         "matrix_hash": A.content_hash(),
         "strongly_robust": cert.strongly_robust,

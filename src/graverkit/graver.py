@@ -42,8 +42,8 @@ and stores the level's irreducible sums together, in one fold of the index
 
 All arithmetic is exact, on Python ints alone. Every conformal-dominance
 test outside the oracles goes through `ConformalIndex`, which has one code
-path for each operation: the first row below a bound, dominator counts and
-the rows that cancel a vector are all answered from per-column threshold
+path for each operation: the rows below a bound, dominator counts and the
+rows that cancel a vector are all answered from per-column threshold
 bitsets.
 """
 
@@ -148,20 +148,19 @@ class CircuitSet(VectorSet):
 class ConformalIndex:
     """A set of vectors under conformal-dominance queries (g+ <= p and g- <= m).
 
-    Row i, `parts[i]`, holds (g+, g-) of stored vector i. A query bounds g+,
-    g- or both; a half left as None, or a coordinate left free, is bounded
-    by infinity, which every row meets.
+    Row i, `parts[i]`, holds (g+, g-) of stored vector i. The one bound
+    query, `below`, bounds all 2n entries of a row; an entry left free is
+    bounded by infinity, which every row meets.
 
     Each of the 2n columns keeps a map from each of its entries to the
     bitset of the rows that hold it (a Python int, bit i for row i), its
     sorted distinct entries, and per entry a threshold bitset: the union of
     the map's bitsets over every entry <= it, so bit i is set iff row i's
-    entry in the column is <= it. `find` and `dominators` are one bisection
-    and one `&` per column, exact at any size: `find` reads the lowest set
-    bit, `dominators` the popcount of the query by the row itself,
-    optionally with one coordinate left free, and `kappa` the first entry of
-    one column whose rows meet that query's hits. The rows added since the
-    last query are folded in by the next one (see `_fold`).
+    entry in the column is <= it. `below` is one bisection and one `&` per
+    column, exact at any size. `dominators` is the popcount of `below` the
+    row itself, optionally with one coordinate left free, and `kappa` the
+    first entry of one column whose rows meet that bitset. The rows added
+    since the last query are folded in by the next one (see `_fold`).
 
     `pair_sums` reads off each column's map at 0 the rows of the lift rule
     of project-and-lift, those below a given row that cancel a vector in
@@ -174,7 +173,6 @@ class ConformalIndex:
     def __init__(self, n: int, vectors: Iterable[IntVec] = ()):
         self.n = n
         self.vectors: list[IntVec] = []
-        self.members: set[IntVec] = set()
         self.parts: list[tuple[int, ...]] = []  # concatenated (pos, neg)
         self._seen: set[IntVec] = {(0,) * n}  # 0 and every pair sum returned so far
         self._folded = 0  # rows 0.._folded-1 are in the bitsets
@@ -192,7 +190,6 @@ class ConformalIndex:
             raise ValueError(f"{v} has {len(v)} entries, not {self.n}")
         row = tuple([x if x > 0 else 0 for x in v] + [-x if x < 0 else 0 for x in v])
         self.vectors.append(v)
-        self.members.add(v)
         self.parts.append(row)
 
     def _fold(self) -> None:
@@ -220,13 +217,13 @@ class ConformalIndex:
             masks[lo:] = [union := union | rows[x] for x in values[lo:]]
         self._folded = k
 
-    def _hits(self, query: tuple[int, ...], start: int = 0) -> int:
-        """The bitset of the rows i >= start whose row (g+, g-) is <= query;
-        an entry of inf bounds nothing."""
+    def below(self, query: Sequence[int | float]) -> int:
+        """The bitset of the rows whose (g+, g-) is <= query, 2n entries, bit
+        i for row i; an entry of inf bounds nothing."""
         k = len(self.parts)
         if self._folded < k:
             self._fold()
-        hits = ((1 << k) - 1) >> start << start
+        hits = (1 << k) - 1
         for values, masks, x in zip(self._values, self._masks, query):
             j = bisect_right(values, x)
             if not j:
@@ -234,26 +231,18 @@ class ConformalIndex:
             hits &= masks[j - 1]
         return hits
 
-    def find(self, pos: IntVec | None, neg: IntVec | None, start: int = 0) -> int:
-        """First index >= start of a stored g with g+ <= pos and g- <= neg, or -1."""
-        if pos is None or neg is None:
-            free = (math.inf,) * self.n
-            pos, neg = pos or free, neg or free
-        hits = self._hits(pos + neg, start)
-        return (hits & -hits).bit_length() - 1
-
-    def _below(self, idx: int, free: int | None) -> int:
+    def _below_row(self, idx: int, free: int | None) -> int:
         """The bitset of the rows conformally <= row idx, itself included,
         leaving coordinate `free` (0-based) unbounded if given."""
         query = list(self.parts[idx])
         if free is not None:
             query[free] = query[free + self.n] = math.inf
-        return self._hits(query)
+        return self.below(query)
 
     def dominators(self, idx: int, free: int | None = None) -> int:
         """How many stored vectors are conformally <= vector idx (including
         itself), leaving coordinate `free` (0-based) unbounded if given."""
-        return self._below(idx, free).bit_count()
+        return self._below_row(idx, free).bit_count()
 
     def kappa(self, idx: int, c: int) -> int | float:
         """kappa of row idx, v, in a lift on column c, J being every other
@@ -266,7 +255,7 @@ class ConformalIndex:
         x = self.vectors[idx][c]
         if not x:
             return math.inf
-        hits = self._below(idx, c) & ~(1 << idx)  # folds first
+        hits = self._below_row(idx, c) & ~(1 << idx)  # folds first
         col = c if x < 0 else c + self.n  # the half where r has the other sign
         rows = self._rows[col]
         hits &= ~rows.get(0, 0)
@@ -360,8 +349,8 @@ def _completion_stage(
     dropped, hold that projection's Graver basis.
 
     The stage pops its sums by the J-norm |s_J|_1, J being every column but
-    c. A popped sum that is not a member takes one `find` query: with no
-    stored vector below it, it is irreducible, and otherwise it is dropped
+    c. A popped sum takes one `below` query: with no stored vector below
+    it, itself included, it is irreducible, and otherwise it is dropped
     unreduced. A level's irreducible sums are stored together after the
     level's last pop, so one fold of the index covers the level, and every
     stored row is kept. It forms only the pairs of `pair_sums`'s lift rule
@@ -372,13 +361,13 @@ def _completion_stage(
     row, once.
     """
     index = ConformalIndex(n)
-    members = index.members
     # the kappa of every stored row; a seed's is inf (proof in `_project_and_lift`)
     kappa = [math.inf] * (2 * len(seeds))
 
     def insert(v: IntVec) -> None:
-        # v is never a member, and members stays closed under negation, so
-        # rows 2k and 2k+1 are always a +/- pair
+        # v is never stored already, as a stored v lies below itself, and
+        # the rows stay closed under negation, so rows 2k and 2k+1 are
+        # always a +/- pair
         index.add(v)
         index.add(vec_neg(v))
 
@@ -408,7 +397,7 @@ def _completion_stage(
         spent.check(generated)
         level, s = heapq.heappop(heap)
         pops += 1
-        if s not in members and index.find(positive_part(s), negative_part(s)) < 0:
+        if not index.below(positive_part(s) + negative_part(s)):
             found.append(s)
         # a level is stored after its last pop, all of it before any is
         # paired, so one fold covers it

@@ -8,14 +8,16 @@ semiconformal sums u = (v+w') +_sc w'' and u = (v+w'') +_sc w', so a second
 summand of minimal 1-norm is primitive. The brute-force oracle in
 `graverkit.oracle` guards this reduction in the test suite.
 
-The search over that summand w in +-Gr(A), w != u, is one dominance query
-per ordering: u = (u-w) +_sc w forbids u_i - w_i > 0 together with w_i < 0,
-which is exactly w- <= u-, and likewise u = w +_sc (u-w) holds iff
-w+ <= u+. Both summands are nonzero because w != u.
+The search over that summand w in +-Gr(A), w != u, is one
+`ConformalIndex.below` query per ordering, the other half left free:
+u = (u-w) +_sc w forbids u_i - w_i > 0 together with w_i < 0, which is
+exactly w- <= u-, and likewise u = w +_sc (u-w) holds iff w+ <= u+. Both
+summands are nonzero because w != u.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -54,26 +56,23 @@ def dispensability_witness(u: Sequence[int], G: GraverBasis) -> Witness | None:
     Takes the first w != u of +-G, in `full_set()` order, with w- <= u- or
     w+ <= u+, and returns (u-w, w) in the first case, else (w, u-w); both
     orderings matter because semiconformality is not symmetric. The verdict
-    is shared by u and -u.
+    is shared by u and -u. +-G is an antichain, so u is in it exactly when
+    the one row below u is u itself.
     """
     u = sign_canonical(u)
     index = G.signed_index
-    if u not in index.members:
+    pos, neg, free = positive_part(u), negative_part(u), (math.inf,) * index.n
+    own = index.below(pos + neg)
+    if not own or own & (own - 1) or index.vectors[own.bit_length() - 1] != u:
         raise PreconditionError(f"{u} is not a Graver basis element (up to sign)")
-
-    def first_other(pos: IntVec | None, neg: IntVec | None) -> int:
-        i = index.find(pos, neg)
-        if i >= 0 and index.vectors[i] == u:
-            i = index.find(pos, neg, start=i + 1)
-        return len(index) if i < 0 else i
-
-    minus = first_other(None, negative_part(u))
-    plus = first_other(positive_part(u), None)
-    if minus == plus == len(index):
+    minus = index.below(free + neg)
+    hits = (minus | index.below(pos + free)) & ~own
+    if not hits:
         return None
-    w = index.vectors[min(minus, plus)]
+    first = hits & -hits
+    w = index.vectors[first.bit_length() - 1]
     v = vec_sub(u, w)
-    witness = (v, w) if minus <= plus else (w, v)
+    witness = (v, w) if first & minus else (w, v)
     if not is_semiconformal_sum(u, *witness):
         raise GraverKitError(f"dominance query returned a non-semiconformal pair for {u}")
     return witness

@@ -86,16 +86,16 @@ def sullivant_search(
 ) -> SearchReport:
     """Scan curves with s entries up to the bound; exhaustive unless sampled.
 
-    Every argument is checked before any curve is scanned: each s within
-    3..6, bound >= 1 and sample_budget None or >= 1. Every instance is
+    Every argument is checked before any curve is scanned: each s >= 3,
+    bound >= 1 and sample_budget None or >= 1. Every instance is
     gcd-normalized, its complex computed by the projection criterion, and
     two structural facts asserted: at most one vertex, and for
     s = 3 exact agreement between the vertex and the classification verdict.
     """
     s_values = tuple(map(operator.index, s_values))
     for s in s_values:
-        if not 3 <= s <= 6:
-            raise ValueError(f"s must be within 3..6, got {s}")
+        if s < 3:
+            raise ValueError(f"s must be at least 3, got {s}")
     bound = operator.index(bound)
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")

@@ -132,9 +132,11 @@ def _complete_lattice(basis, n, budget):
     element with every row stored before it that cancels it somewhere, by a
     plain tuple loop, and queues each sign-canonical sum not queued before.
     It pops by one-norm and reduces each popped sum to a normal form, one
-    reducer at a time: `ConformalIndex.find` gives the first stored row
-    below it, which is subtracted, and the query is made again. A normal
-    form that is not stored is stored with its negation and paired at once.
+    reducer at a time, until it is a stored row, as its own set of the
+    stored rows tells: the lowest set bit of `ConformalIndex.below` gives
+    the first stored row below it, which is subtracted, and the query is
+    made again. A normal form that is not stored is stored with its
+    negation and paired at once.
     At the fixpoint the conformally minimal stored rows are Gr. `scans`
     counts the queries; the clock is read before every pop and every row of
     the minimality filter.
@@ -143,12 +145,13 @@ def _complete_lattice(basis, n, budget):
         return []
     spent = graver_module._Spent(budget)
     index = graver_module.ConformalIndex(n)
-    seen, heap = {(0,) * n}, []
+    seen, stored, heap = {(0,) * n}, set(), []
     generated = pops = scans = subtractions = inserts = 0
 
     def insert(v):
-        index.add(v)
-        index.add(vec_neg(v))
+        for w in (v, vec_neg(v)):
+            index.add(w)
+            stored.add(w)
 
     def pair_from(first):
         nonlocal generated
@@ -169,16 +172,16 @@ def _complete_lattice(basis, n, budget):
         spent.check(generated)
         _, s = heapq.heappop(heap)
         pops += 1
-        while s not in index.members:
-            i = index.find(positive_part(s), negative_part(s))
+        while s not in stored:
+            hits = index.below(positive_part(s) + negative_part(s))
             scans += 1
-            if i < 0:
+            if not hits:
                 first = len(index)
                 insert(s)
                 pair_from(first)
                 inserts += 1
                 break
-            s = vec_sub(s, index.vectors[i])
+            s = vec_sub(s, index.vectors[(hits & -hits).bit_length() - 1])
             subtractions += 1
     kept = []
     for i in range(0, len(index), 2):  # u is minimal iff -u is

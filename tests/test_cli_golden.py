@@ -85,7 +85,7 @@ BOTH_FORMATS = [
 
 JSON_ERRORS = [
     ("graver", "absent.mat"),  # exit 2: unreadable input
-    ("search", "--s", "9", "--bound", "5"),  # exit 2: bad range
+    ("search", "--s", "2", "--bound", "5"),  # exit 2: s below 3
     ("search", "--s", "4", "--bound", "0", "--samples", "3"),  # exit 2: bound below 1
     ("search", "--s", "3", "--bound", "5", "--samples", "0"),  # exit 2: no samples
     ("check-robust", "unpointed.mat"),  # exit 3: not pointed
@@ -201,7 +201,7 @@ GOLDEN = {
     'graver curve.mat --out result.out --format text': [0, '25d0d418c6296fc99e0b4cd05189c483ef09c51a2ae4760b268badfcc701afba'],
     'graver curve.mat --out result.out --format json': [0, '912cd1cb5dfc64e12f6fcd2c018aa81b6b4e76d487d13323db9630520cae0c6a'],
     'graver absent.mat --format json': [2, '835b7bd77a60ced2716a1f73c321ed40edb3439b19c29a41e3341209e33d1bf3'],
-    'search --s 9 --bound 5 --format json': [2, '087a3225893836577dda724f3f1448a9a20d98009441ae0d86d8bb8584994be4'],
+    'search --s 2 --bound 5 --format json': [2, '48709597abee51a82bb5255b8db5640e93e1b951e1f004d2bf27b181cd813a59'],
     'search --s 4 --bound 0 --samples 3 --format json': [2, '6f979239bcd238ebcbdc360f7be04f163dc9d3e730432373ecf247252ca60ebf'],
     'search --s 3 --bound 5 --samples 0 --format json': [2, '1afdafb70e365da493a604602d074286c45748cb2a5edde949efac2dec09f5f9'],
     'check-robust unpointed.mat --format json': [3, '3b27d6dad2a9a545ee19bb719784ea31987c926c3714363cc3522311209a3a54'],

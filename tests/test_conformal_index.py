@@ -1,10 +1,12 @@
 """ConformalIndex, the one conformal-dominance test, on Python ints alone.
 
-Every operation has one code path. `find` and `dominators` read threshold
-bitsets. `pair_sums` reads the rows of the lift rule of project-and-lift off
-the same bitsets, less the pairs of the kappa rule, whose `kappa` is held to
-its definition by a loop, and drops repeated sums by value, through one set
-of the sign-canonical sums it has returned. Its results are held to
+Every operation has one code path. `below`, the one bound query, reads
+threshold bitsets, and its whole bitset is held to a nested loop, free
+(inf) entries included; `dominators` and `kappa` read it. `pair_sums` reads
+the rows of the lift rule of project-and-lift off the same bitsets, less
+the pairs of the kappa rule, whose `kappa` is held to its definition by a
+loop, and drops repeated sums by value, through one set of the
+sign-canonical sums it has returned. Its results are held to
 `_pair_sums_by_loop`, a plain tuple loop, at every column, on natural inputs
 whose entries pass 2^60: scalings by 2^61, Lambda(2^61+1, 2^61+3)_0,
 queries at 2^64 and runs whose entries grow past 2^8, 2^63 and 2^64, and in
@@ -163,51 +165,48 @@ def _leq(a, b):
     return all(x <= y for x, y in zip(a, b))
 
 
-def _satisfies(v, pos, neg):
-    return (pos is None or _leq(positive_part(v), pos)) and (
-        neg is None or _leq(negative_part(v), neg)
-    )
+def _row(v):
+    return positive_part(v) + negative_part(v)
+
+
+def _below_by_loop(vectors, query):
+    """The bitset of the vectors whose (g+, g-) is <= query, by a loop."""
+    return sum(1 << i for i, v in enumerate(vectors) if _leq(_row(v), query))
+
+
+FREE = math.inf  # a query entry that bounds nothing
 
 
 @st.composite
 def vector_sets(draw):
+    """n, up to 12 vectors of n entries -4..4, and a query of 2n bounds
+    0..4, some left free: single entries, or a whole half."""
     n = draw(st.integers(1, 5))
     entry = st.integers(-4, 4)
     vectors = draw(st.lists(st.tuples(*[entry] * n), max_size=12))
-    bound = st.tuples(*[st.integers(0, 4)] * n)
-    pos = draw(st.none() | bound)
-    neg = draw(bound) if pos is None else draw(st.none() | bound)
-    start = draw(st.integers(0, len(vectors) + 1))
-    return n, vectors, pos, neg, start
+    half = st.just((FREE,) * n) | st.tuples(*[st.integers(0, 4) | st.just(FREE)] * n)
+    return n, vectors, draw(half) + draw(half)
 
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets())
 def test_queries_match_nested_loops(case):
-    n, vectors, pos, neg, start = case
-    first = next(
-        (i for i, v in enumerate(vectors) if i >= start and _satisfies(v, pos, neg)), -1
-    )
-    dominators = [
-        sum(1 for w in vectors if _satisfies(w, positive_part(v), negative_part(v)))
-        for v in vectors
-    ]
+    n, vectors, query = case
+    dominators = [sum(1 for w in vectors if _leq(_row(w), _row(v))) for v in vectors]
 
     index = ConformalIndex(n, vectors)
-    assert index.find(pos, neg, start) == first
+    assert index.below(query) == _below_by_loop(vectors, query)
     assert [index.dominators(i) for i in range(len(vectors))] == dominators
 
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets())
 def test_primitive_sets_match_nested_loops(case):
-    _, vectors, _, _, _ = case
+    _, vectors, _ = case
     pool = set(vectors)
 
     def primitive(u):
-        return not any(
-            w != u and _satisfies(w, positive_part(u), negative_part(u)) for w in pool
-        )
+        return not any(w != u and _leq(_row(w), _row(u)) for w in pool)
 
     expected = frozenset(u for u in pool if primitive(u))
     assert graver_of_set(vectors) == expected
@@ -218,13 +217,13 @@ def test_primitive_sets_match_nested_loops(case):
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([1, 2**61]))
 # at column 0, (2,0) + (-3,-1) is the negation of the sum (2,0) + (-1,1) before it
-@example((2, [(2, 0), (-1, 1), (-3, -1)], None, None, 0), 1)
+@example((2, [(2, 0), (-1, 1), (-3, -1)], ()), 1)
 # at column 0, (1,0) + (-1,0) is zero, as -v is stored
-@example((2, [(1, 0), (-1, 0), (-2, 1)], None, None, 0), 2**61)
+@example((2, [(1, 0), (-1, 0), (-2, 1)], ()), 2**61)
 def test_pair_sums_match_nested_loops(case, scale):
     # each row paired with the rows before it, as a lift pairs them, at
     # every column; scaled by 2**61 the entries, and so the sums, pass 2**60
-    n, vectors, _, _, _ = case
+    n, vectors, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
     kappa = [math.inf] * len(vectors)  # the kappa rule skips nothing
     for lift in range(n):
@@ -295,13 +294,13 @@ def test_pair_sums_while_the_entries_grow(run):
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([1, 2**61]))
 # at column 0, (2,0) + (-3,-1) is the negation of the sum (2,0) + (-1,1) before it
-@example((2, [(2, 0), (-1, 1), (-3, -1)], None, None, 0), 1)
+@example((2, [(2, 0), (-1, 1), (-3, -1)], ()), 1)
 # at column 0, (1,0) + (-1,0) is zero, as -v is stored
-@example((2, [(1, 0), (-1, 0), (-2, 1)], None, None, 0), 2**61)
+@example((2, [(1, 0), (-1, 0), (-2, 1)], ()), 2**61)
 def test_lift_rule_matches_nested_loops(case, scale):
     # the lift rule against the tuple loop, each row paired with every row
     # of the drawn set, itself and those after it included, at every column
-    n, vectors, _, _, _ = case
+    n, vectors, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
     k = len(vectors)
     kappa = [math.inf] * (k + 1)
@@ -326,12 +325,12 @@ def _kappa_by_loop(index, i, c):
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([1, 2**61]))
 # column 0: (1,1) has kappa 1 + 2 through (-2,1), not through (-1,2) or (-3,0)
-@example((2, [(1, 1), (-1, 2), (-2, 1), (-3, 0), (2, 1)], None, None, 0), 1)
+@example((2, [(1, 1), (-1, 2), (-2, 1), (-3, 0), (2, 1)], ()), 1)
 # a duplicate row, and a zero at the lifted column, give no kappa
-@example((2, [(2, -1), (2, -1), (0, -1), (-1, 0)], None, None, 0), 2**61)
+@example((2, [(2, -1), (2, -1), (0, -1), (-1, 0)], ()), 2**61)
 def test_kappa_and_its_rule_match_nested_loops(case, scale):
     # each row paired with the rows before it, against the tuple loop
-    n, vectors, _, _, _ = case
+    n, vectors, _ = case
     vectors = [tuple(scale * x for x in v) for v in vectors]
     for lift in range(n):
         index = ConformalIndex(n, vectors)
@@ -347,14 +346,10 @@ def test_queries_and_pair_sums_at_2_64():
     vectors = [(1, -2), (3, 0), (-5, 4), (0, -7)]
     index = ConformalIndex(2, vectors)
     huge = 2**64  # far above every stored entry
-    queries = [((huge, 0), (0, huge)), ((0, huge), (huge, 0)), ((huge, huge), None),
-               (None, (huge, 1)), ((2, 2), (huge, 0))]
-    for pos, neg in queries:
-        for start in range(len(vectors) + 1):
-            first = next(
-                (i for i, v in enumerate(vectors) if i >= start and _satisfies(v, pos, neg)), -1
-            )
-            assert index.find(pos, neg, start) == first
+    queries = [(huge, 0, 0, huge), (0, huge, huge, 0), (huge, huge, FREE, FREE),
+               (FREE, FREE, huge, 1), (2, 2, huge, 0), (FREE, 0, huge, FREE)]
+    for query in queries:
+        assert index.below(query) == _below_by_loop(vectors, query)
     seen, k = set(), len(vectors)
     kappa = [math.inf] * (k + 1)
     for lift in range(2):
@@ -365,26 +360,22 @@ def test_queries_and_pair_sums_at_2_64():
 
 @settings(max_examples=150, deadline=None)
 @given(vector_sets(), st.sampled_from([(1, 1), (1, 2**61), (2**61, 2**61)]), st.data())
-def test_find_matches_nested_loop(case, scales, data):
+def test_below_matches_nested_loop(case, scales, data):
     # scaled by 2**61 the query, or the rows and the query, pass 2**60.
     # Queries and dominator counts interleave with the adds, so rows are folded
-    # in one or several at a time, and a half left as None, or a coordinate
-    # left free, is bounded on rows added since the last fold by the query
-    # that folds them. The three leading vectors put 2, then 0 (below the
-    # smallest), then 1 (between) into every g+ column, and 0, then 2 (above
-    # the largest), then 0 (an existing entry) into every g- column.
-    n, vectors, _, _, start = case
+    # in one or several at a time, and a half or a coordinate left free is
+    # bounded on rows added since the last fold by the query that folds
+    # them. The three leading vectors put 2, then 0 (below the smallest),
+    # then 1 (between) into every g+ column, and 0, then 2 (above the
+    # largest), then 0 (an existing entry) into every g- column.
+    n, vectors, _ = case
     vscale, qscale = scales
     vectors = [tuple(vscale * x for x in v) for v in [(2,) * n, (-2,) * n, (1,) * n, *vectors]]
-    half = st.none() | st.tuples(*[st.integers(0, 5)] * n).map(
+    half = st.just((FREE,) * n) | st.tuples(*[st.integers(0, 5) | st.just(FREE)] * n).map(
         lambda h: tuple(qscale * x for x in h))
-    steps = [(data.draw(st.booleans()), data.draw(half), data.draw(half),
+    steps = [(data.draw(st.booleans()), data.draw(half) + data.draw(half),
               data.draw(st.integers(0, n - 1)), data.draw(st.booleans()))
              for _ in vectors]
-
-    def first(k, pos, neg):
-        return next((i for i, v in enumerate(vectors[:k])
-                     if i >= start and _satisfies(v, pos, neg)), -1)
 
     def dominators(k, free):
         rows = [[x for j, x in enumerate(positive_part(v) + negative_part(v))
@@ -392,12 +383,12 @@ def test_find_matches_nested_loop(case, scales, data):
         return [sum(1 for r in rows if _leq(r, q)) for q in rows]
 
     index = ConformalIndex(n)
-    for k, (v, (ask, pos, neg, c, free_first)) in enumerate(zip(vectors, steps), start=1):
+    for k, (v, (ask, query, c, free_first)) in enumerate(zip(vectors, steps), start=1):
         index.add(v)
         if ask or k == len(vectors):
             if free_first:
                 assert [index.dominators(i, free=c) for i in range(k)] == dominators(k, c)
-            assert index.find(pos, neg, start) == first(k, pos, neg)
+            assert index.below(query) == _below_by_loop(vectors[:k], query)
             assert [index.dominators(i, free=c) for i in range(k)] == dominators(k, c)
             assert [index.dominators(i) for i in range(k)] == dominators(k, None)
 
@@ -424,16 +415,17 @@ def test_fold_state_matches_a_rebuild(case, scale, data):
     # time. The five leading vectors put 2, then 0 (below the smallest), 1
     # (between), 3 (above the largest) and 0 (an existing entry) into every
     # g+ column, and 0, 2, 0, 0, 1 into every g- column
-    n, vectors, _, _, _ = case
+    n, vectors, _ = case
     lead = [(2,) * n, (-2,) * n, (1,) * n, (3,) * n, (-1,) * n]
     vectors = [tuple(scale * x for x in v) for v in [*lead, *vectors]]
-    queries = st.sampled_from([None, "find", "dominators", "kappa", "pair_sums"])
+    queries = st.sampled_from([None, "below", "dominators", "kappa", "pair_sums"])
     index = ConformalIndex(n)
     for k, v in enumerate(vectors, start=1):
         index.add(v)
-        query = "find" if k == len(vectors) else data.draw(queries)
-        if query == "find":
-            index.find(None, (0,) * n)
+        query = "below" if k == len(vectors) else data.draw(queries)
+        if query == "below":
+            bound = (FREE,) * n + (0,) * n  # the rows with no negative entry
+            assert index.below(bound) == _below_by_loop(index.vectors, bound)
         elif query == "dominators":
             index.dominators(k - 1)
         elif query == "kappa":
@@ -449,7 +441,7 @@ def test_fold_state_matches_a_rebuild(case, scale, data):
 @given(vector_sets())
 def test_dominators_with_a_free_coordinate_match_nested_loop(case):
     # leaving coordinate c free drops the columns c (g+) and c + n (g-)
-    n, vectors, _, _, _ = case
+    n, vectors, _ = case
     index = ConformalIndex(n, vectors)
     for c in range(n):
         rows = [[x for j, x in enumerate(r) if j % n != c] for r in index.parts]

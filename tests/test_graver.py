@@ -4,6 +4,7 @@ import itertools
 import logging
 import math
 import random
+import sys
 from types import SimpleNamespace
 from unittest import mock
 
@@ -69,6 +70,21 @@ from test_lawrence import gen_lawrence_specs
 
 def T(*entries):
     return IntMat.row_vector(entries)
+
+
+def pop_queries(monkeypatch):
+    """The width of the index of each `below` query a lift stage makes
+    itself, one per pop, in a list that fills as lifts run; the queries of
+    `kappa` and `dominators` are left out."""
+    queried, below = [], ConformalIndex.below
+
+    def querying(index, query):
+        if sys._getframe(1).f_code.co_name == "_completion_stage":
+            queried.append(index.n)
+        return below(index, query)
+
+    monkeypatch.setattr(ConformalIndex, "below", querying)
+    return queried
 
 
 def twolifts():
@@ -432,8 +448,8 @@ class TestProjectAndLift:
         # never a second one for a reduced sum: the last stage of
         # (7,12,19,25,31) stores 954 of its 2,703 pops and drops the rest.
         # So do the two lifts of twolifts, a corank-2 lattice
-        stages, queried = [], []
-        stage, find = graver_module._completion_stage, ConformalIndex.find
+        stages, queried = [], pop_queries(monkeypatch)
+        stage = graver_module._completion_stage
 
         def recording(seeds, n, spent, lift):
             first = len(queried)
@@ -441,12 +457,7 @@ class TestProjectAndLift:
             stages.append((lift, counts, len(queried) - first))
             return kept, counts
 
-        def querying(index, pos, neg, start=0):
-            queried.append(index.n)
-            return find(index, pos, neg, start)
-
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
-        monkeypatch.setattr(ConformalIndex, "find", querying)
         fresh_graver_basis(T(7, 12, 19, 25, 31))
         [(inner, _, _), (lift, lifted, _)] = stages
         assert (inner, lift) == (4, 4)
@@ -561,11 +572,11 @@ class TestProjectAndLift:
             order = [*cols, *(c for c in range(len(t)) if c not in cols)]
             assert stages[-1][0] == sorted(sign_canonical([g[c] for c in order]) for g in lifted)
             for kept, skipped in stages:
-                below = ConformalIndex(len(kept[0]), kept + [vec_neg(g) for g in kept])
+                stored = ConformalIndex(len(kept[0]), kept + [vec_neg(g) for g in kept])
                 for s in skipped:
-                    i = below.find(positive_part(s), negative_part(s))
-                    g = below.vectors[i]
-                    assert i >= 0 and g != s and all(
+                    hits = stored.below(positive_part(s) + negative_part(s))
+                    g = stored.vectors[(hits & -hits).bit_length() - 1]
+                    assert hits and g != s and all(
                         a * b >= 0 and abs(a) <= abs(b) for a, b in zip(g, s)), (t, s)
                 total += len(skipped)
             descended += sum(len(skipped) for _, skipped in stages[:-1])
@@ -614,9 +625,8 @@ class TestProjectAndLift:
         # coordinates: the levels of moduli 3 and 5 filter 13 and 23
         # projected rows, after lifts on 4 columns that form 10 and 25 sums.
         # Its own lifts, on 4, 5 and 6 columns, form 74, 219 and 271
-        counted, lifted, queried = [], [], []
-        dominators, pair_sums, find = (ConformalIndex.dominators, ConformalIndex.pair_sums,
-                                       ConformalIndex.find)
+        counted, lifted, queried = [], [], pop_queries(monkeypatch)
+        dominators, pair_sums = ConformalIndex.dominators, ConformalIndex.pair_sums
 
         def counting(index, i):
             counted.append((index.n, i))
@@ -626,16 +636,11 @@ class TestProjectAndLift:
             lifted.append(v)
             return pair_sums(index, v, *rule)
 
-        def querying(index, pos, neg, start=0):
-            queried.append(index.n)
-            return find(index, pos, neg, start)
-
         def last_lift():
             return [v for v in lifted if len(v) == 6]
 
         monkeypatch.setattr(ConformalIndex, "dominators", counting)
         monkeypatch.setattr(ConformalIndex, "pair_sums", recording)
-        monkeypatch.setattr(ConformalIndex, "find", querying)
         fresh_graver_basis(corank3())
         assert counted == [(3, i) for i in range(0, 26, 2)] + [(3, i) for i in range(0, 46, 2)]
         # the last lift pairs one sign of each of its 130 seeds and 47 inserts

@@ -14,7 +14,14 @@ from graverkit import (
     is_strongly_robust,
     lambda_matrix,
 )
-from graverkit.linalg import is_semiconformal_sum, positive_part, sign_canonical, vec_sub
+from graverkit.linalg import (
+    is_semiconformal_sum,
+    negative_part,
+    positive_part,
+    sign_canonical,
+    vec_add,
+    vec_sub,
+)
 from graverkit.oracle import dispensability_witness_by_enumeration
 from graverkit.robustness import dispensability_witness
 
@@ -74,6 +81,26 @@ class TestIndispensable:
         G = graver_basis(T(3, 5, 7))
         with pytest.raises(PreconditionError):
             is_indispensable((1, 1, 1), G)
+
+    @pytest.mark.parametrize("A", [T(3, 5, 7), lambda_matrix((3, 5, 7), (1,)).matrix],
+                             ids=["curve", "lifting"])
+    def test_requires_membership_above_an_element(self, A):
+        # kernel vectors above an element of +-G that are not in it: each
+        # 2g, and each conformal sum g + h of two elements. Some have one
+        # row of +-G below them, others more, and every one is refused
+        G = graver_basis(A)
+        signed = sorted(G.full_set())
+        above = [tuple(2 * x for x in g) for g in G.elements]
+        above += [vec_add(g, h) for g, h in itertools.combinations(signed, 2)
+                  if g != tuple(-x for x in h) and all(a * b >= 0 for a, b in zip(g, h))]
+        index = G.signed_index
+        rows = {index.below(positive_part(u) + negative_part(u)).bit_count() for u in above}
+        assert 1 in rows and max(rows) > 1
+        for u in above:
+            assert A.in_kernel(u)
+            for check in (is_indispensable, dispensability_witness):
+                with pytest.raises(PreconditionError):
+                    check(u, G)
 
     def test_witness_soundness(self):
         for entries in [(3, 5, 7), (6, 10, 15), (4, 5, 6), (7, 15, 20)]:

@@ -36,8 +36,8 @@ def test_failing_instance_is_a_violation_and_the_scan_goes_on(monkeypatch):
 def test_every_s_is_checked_before_any_curve_is_scanned(monkeypatch):
     scanned = []
     monkeypatch.setattr(search_module, "robust_complex", lambda T, **kwargs: scanned.append(T))
-    with pytest.raises(ValueError, match=r"^s must be within 3\.\.6, got 7$"):
-        sullivant_search([3, 7], 14)
+    with pytest.raises(ValueError, match=r"^s must be at least 3, got 2$"):
+        sullivant_search([3, 7, 2], 14)
     assert scanned == []
 
 

@@ -430,5 +430,5 @@ class TestCli:
         assert payload["instances"] == 5 and payload["ok"] is True
 
     def test_search_bad_range_is_usage_error(self, capsys):
-        code, _ = self.run(capsys, "search", "--s", "9", "--bound", "5")
+        code, _ = self.run(capsys, "search", "--s", "2", "--bound", "5")
         assert code == 2
