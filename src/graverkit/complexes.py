@@ -234,6 +234,7 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
     -u has the negated rows under it, so the basis's own elements decide.
     """
     T = _curve_row(T)
+    i = operator.index(i)
     if not 1 <= i <= T.ncols:
         raise PreconditionError(f"index {i} out of range 1..{T.ncols}")
     G = graver_basis(T, budget=budget)
@@ -244,20 +245,26 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
 
 @dataclass(frozen=True)
 class RobustComplex:
+    """Delta_T of the gcd-normalised curve T. Building one raises
+    GraverKitError unless its faces take the shape the paper proves for
+    every monomial curve, {0} or {0, {i}}, so no reader checks it again."""
+
     T: tuple[int, ...]
     faces: frozenset[frozenset[int]]
     cross_checked: bool = False
+
+    def __post_init__(self) -> None:
+        if frozenset() not in self.faces or len(self.faces) > 2 or any(len(f) > 1 for f in self.faces):
+            raise GraverKitError(f"Delta_T of {self.T} has faces {self.sorted_faces()}, "
+                                 "not [[]] or [[], [i]]")
 
     @property
     def dim(self) -> int:
         return max(len(f) for f in self.faces) - 1
 
     def vertex(self) -> int | None:
-        """The unique singleton face, when present."""
-        singles = sorted(min(f) for f in self.faces if len(f) == 1)
-        if len(singles) > 1:
-            raise GraverKitError(f"multiple vertices {singles}: uniqueness violated")
-        return singles[0] if singles else None
+        """The vertex i when Delta_T = {0, {i}}, None when Delta_T = {0}."""
+        return next((i for f in self.faces for i in f), None)
 
     def sorted_faces(self) -> list[list[int]]:
         return sorted([sorted(f) for f in self.faces], key=lambda f: (len(f), f))
@@ -279,7 +286,8 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
        so w' lies under u' with i free: u' has two dominators there.
 
     At most one i survives: any i != j lie in some 3-subset J, and
-    Delta_{T_J} has at most one vertex, so J rejects i or j.
+    Delta_{T_J} has at most one vertex, as every `RobustComplex` does, so
+    J rejects i or j.
     """
     rejected = set()
     for J in itertools.combinations(range(len(t)), 3):

@@ -339,10 +339,8 @@ class _Spent:
             raise BudgetExceededError("time", self.budget.max_seconds, total)
 
 
-def _completion_stage(
-    seeds: Sequence[IntVec], n: int, spent: _Spent, lift: int
-) -> tuple[list[IntVec], dict]:
-    """Lift `seeds` on column c = `lift`: complete them to the conformally
+def _completion_stage(seeds: Sequence[IntVec], spent: _Spent) -> tuple[list[IntVec], dict]:
+    """Lift `seeds` on their last column c: complete them to the conformally
     minimal vectors of the lattice they generate; their canonical sorted
     representatives and the stage's counters, in the order of its `lift:`
     line. `_project_and_lift` proves it exact when the seeds, with c
@@ -360,6 +358,8 @@ def _completion_stage(
     are one sum, so that forms every pair sum it would form against every
     row, once.
     """
+    n = len(seeds[0])
+    lift = n - 1
     index = ConformalIndex(n)
     # the kappa of every stored row; a seed's is inf (proof in `_project_and_lift`)
     kappa = [math.inf] * (2 * len(seeds))
@@ -584,7 +584,7 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
     for j, y in zip(rest, cramer):
         # the first d entries of a stage's vectors are their columns S
         seeds = [(*u, sum(map(operator.mul, u, y)) // det) for u in G]
-        G, counts = _completion_stage(seeds, len(seeds[0]), spent, len(seeds[0]) - 1)
+        G, counts = _completion_stage(seeds, spent)
         log.debug("lift: %s", dict(column=j, **counts))
     # a stage's vectors hold the columns cols + rest; at[c] is where column c is
     at = sorted(range(n), key=[*cols, *rest].__getitem__)

@@ -183,9 +183,6 @@ class IntMat:
             raise IndexError(f"column {j} out of range 1..{self.ncols}")
         return tuple(row[j - 1] for row in self.rows)
 
-    def columns(self) -> list[IntVec]:
-        return [self.column(j) for j in range(1, self.ncols + 1)]
-
     # -- arithmetic --------------------------------------------------------
 
     def mul_vec(self, u: Sequence[int]) -> IntVec:

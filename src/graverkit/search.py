@@ -1,14 +1,16 @@
 """Bounded desk-scale scan of strongly robust complexes of monomial curves.
 
-Checks, over an exhaustive or sampled family of curves, that the complex
-never carries more than one vertex, and (for 1x3 curves) that the vertex
-pattern agrees with the complete-intersection classification. Any violation
-is recorded and fails the run loudly; so is any other toolkit error on an
-instance, and the scan goes on. Budget exhaustion on an instance only skips it.
+Computes the complex of every curve in an exhaustive or sampled family and,
+for 1x3 curves, checks its vertex against the complete-intersection
+classification. Any violation is recorded and fails the run loudly; so is
+any toolkit error on an instance, such as a complex that breaks the
+one-vertex theorem (`RobustComplex`), and the scan goes on. Budget
+exhaustion on an instance only skips it.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import operator
@@ -30,8 +32,8 @@ class SearchReport:
     instances: int = 0
     empty_complex: int = 0  # Delta_T = {0}
     one_vertex: int = 0  # Delta_T = {0, {i}}
-    vertex_instances: list[dict] = field(default_factory=list)
     ci_on_count: int = 0  # s = 3 bookkeeping
+    vertex_instances: list[dict] = field(default_factory=list)
     violations: list[str] = field(default_factory=list)
     skipped: list[dict] = field(default_factory=list)
     runtime_seconds: float = 0.0
@@ -41,20 +43,12 @@ class SearchReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "s_values": list(self.s_values),
-            "bound": self.bound,
-            "sample_budget": self.sample_budget,
-            "instances": self.instances,
-            "empty_complex": self.empty_complex,
-            "one_vertex": self.one_vertex,
-            "ci_on_count": self.ci_on_count,
-            "vertex_instances": self.vertex_instances,
-            "violations": self.violations,
-            "skipped": self.skipped,
-            "runtime_seconds": round(self.runtime_seconds, 3),
-            "ok": self.ok,
-        }
+        """The fields in their order, then `ok`; the lists are shared, not copied."""
+        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        d["s_values"] = list(self.s_values)
+        d["runtime_seconds"] = round(self.runtime_seconds, 3)
+        d["ok"] = self.ok
+        return d
 
 
 def _candidates(s: int, bound: int, sample_budget: int | None, rng: random.Random):
@@ -86,16 +80,19 @@ def sullivant_search(
 ) -> SearchReport:
     """Scan curves with s entries up to the bound; exhaustive unless sampled.
 
-    Every argument is checked before any curve is scanned: each s >= 3,
-    bound >= 1 and sample_budget None or >= 1. Every instance is
-    gcd-normalized, its complex computed by the projection criterion, and
-    two structural facts asserted: at most one vertex, and for
-    s = 3 exact agreement between the vertex and the classification verdict.
+    Every argument is checked before any curve is scanned: each s >= 3 and
+    given once, bound >= 1 and sample_budget None or >= 1. Every instance is
+    gcd-normalized and its complex computed, in the shape `RobustComplex`
+    holds it to (a second vertex or an edge is a GraverKitError and so a
+    violation). For s = 3 the vertex must be the classification's `on`:
+    i for CIOn(i), None for CIOnAll and NotCI.
     """
     s_values = tuple(map(operator.index, s_values))
     for s in s_values:
         if s < 3:
             raise ValueError(f"s must be at least 3, got {s}")
+    if len(set(s_values)) < len(s_values):
+        raise ValueError(f"each s must be given once, got {list(s_values)}")
     bound = operator.index(bound)
     if bound < 1:
         raise ValueError(f"bound must be at least 1, got {bound}")
@@ -111,34 +108,24 @@ def sullivant_search(
             report.instances += 1
             T = IntMat.row_vector(t)
             try:
-                complex_ = robust_complex(T, budget=budget)
+                vertex = robust_complex(T, budget=budget).vertex()
             except BudgetExceededError as exc:
                 report.skipped.append({"T": list(t), "reason": str(exc)})
                 continue
             except GraverKitError as exc:
                 report.violations.append(f"T={t}: {type(exc).__name__}: {exc}")
                 continue
-            singles = [sorted(f)[0] for f in complex_.faces if len(f) == 1]
-            if any(len(f) > 1 for f in complex_.faces):
-                report.violations.append(f"T={t}: face of dimension >= 1")
-            if len(singles) > 1:
-                report.violations.append(f"T={t}: vertices {sorted(singles)} not unique")
-            if singles:
-                report.one_vertex += 1
-                report.vertex_instances.append({"T": list(t), "vertex": singles[0]})
-            else:
+            if vertex is None:
                 report.empty_complex += 1
+            else:
+                report.one_vertex += 1
+                report.vertex_instances.append({"T": list(t), "vertex": vertex})
             if s == 3:
                 cls = classify_curve3(T)
                 if cls.kind is CurveKind.CI_ON:
                     report.ci_on_count += 1
-                    if singles != [cls.on]:
-                        report.violations.append(
-                            f"T={t}: classification CIOn({cls.on}) but vertices {singles}"
-                        )
-                elif singles:
+                if vertex != cls.on:
                     report.violations.append(
-                        f"T={t}: classification {cls.kind.value} but vertex {singles[0]}"
-                    )
+                        f"T={t}: classification {cls.describe()} but vertex {vertex}")
     report.runtime_seconds = time.monotonic() - start
     return report

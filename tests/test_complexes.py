@@ -3,6 +3,7 @@ import itertools
 import logging
 import math
 import random
+import re
 import sys
 
 import pytest
@@ -187,6 +188,23 @@ class TestFaceTests:
     def test_two_element_subsets_fail(self):
         for omega in itertools.combinations(range(1, 4), 2):
             assert not face_test_lifting(T(4, 5, 6), omega)
+
+    def test_no_small_s4_curve_has_an_edge(self):
+        # the dimension half of the one-vertex theorem, which no computed
+        # complex reaches: the complexes list only singletons
+        curves = [t for t in itertools.combinations_with_replacement(range(1, 8), 4)
+                  if math.gcd(*t) == 1]
+        pairs = [(t, omega) for t in curves for omega in itertools.combinations(range(1, 5), 2)]
+        assert (len(curves), len(pairs)) == (189, 1134)
+        assert [p for p in pairs if face_test_lifting(T(*p[0]), p[1])] == []
+
+    def test_a_float_index_is_rejected_before_the_graver_basis(self, monkeypatch):
+        computed = []
+        monkeypatch.setattr(complexes_module, "graver_basis",
+                            lambda *args, **kwargs: computed.append(args))
+        with pytest.raises(TypeError):
+            face_test_projection([3, 4, 5], 1.0)
+        assert computed == []
 
     def test_agreement_on_small_sample(self):
         rng = random.Random(17)
@@ -402,6 +420,19 @@ class TestRobustComplex:
         # the gcd of an all-zero row is 0; the check must come before the division
         with pytest.raises(PreconditionError, match="positive"):
             robust_complex([0, 0, 0])
+
+    @pytest.mark.parametrize("faces", [
+        [[], [1], [2]],
+        [[], [1], [2], [1, 2]],
+        [[], [1, 2]],
+        [[1]],
+        [],
+    ], ids=["two-vertices", "edge", "lone-edge", "no-empty-face", "no-faces"])
+    def test_only_the_theorem_shapes_can_be_built(self, faces):
+        listed = sorted(faces, key=lambda f: (len(f), f))
+        with pytest.raises(GraverKitError, match=rf"^Delta_T of \(4, 5, 6\) has faces "
+                                                 rf"{re.escape(str(listed))}, not "):
+            RobustComplex(T=(4, 5, 6), faces=frozenset(map(frozenset, faces)))
 
     def test_classification_equivalence_small_range(self):
         for entries in itertools.combinations(range(3, 16), 3):

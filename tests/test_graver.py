@@ -430,9 +430,9 @@ class TestProjectAndLift:
         stages = []
         stage = graver_module._completion_stage
 
-        def recording(seeds, n, spent, lift):
-            kept, counts = stage(seeds, n, spent, lift)
-            stages.append((seeds, lift, kept))
+        def recording(seeds, spent):
+            kept, counts = stage(seeds, spent)
+            stages.append((seeds, len(seeds[0]) - 1, kept))
             return kept, counts
 
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
@@ -451,10 +451,10 @@ class TestProjectAndLift:
         stages, queried = [], pop_queries(monkeypatch)
         stage = graver_module._completion_stage
 
-        def recording(seeds, n, spent, lift):
+        def recording(seeds, spent):
             first = len(queried)
-            kept, counts = stage(seeds, n, spent, lift)
-            stages.append((lift, counts, len(queried) - first))
+            kept, counts = stage(seeds, spent)
+            stages.append((len(seeds[0]) - 1, counts, len(queried) - first))
             return kept, counts
 
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
@@ -555,9 +555,9 @@ class TestProjectAndLift:
             stages[-1][1].extend(pairs)
             return sums, count
 
-        def staging(seeds, n, spent, lift):
+        def staging(seeds, spent):
             stages.append(([], []))
-            kept, counts = stage(seeds, n, spent, lift)
+            kept, counts = stage(seeds, spent)
             stages[-1][0].extend(kept)
             return kept, counts
 
@@ -588,10 +588,11 @@ class TestProjectAndLift:
         # injective, so the lift sets the seeds' kappa without a query
         stage, lifts = graver_module._completion_stage, []
 
-        def recording(seeds, n, spent, lift):
+        def recording(seeds, spent):
+            n = len(seeds[0])
             index = ConformalIndex(n, [w for v in seeds for w in (v, vec_neg(v))])
-            lifts.append([index.kappa(i, lift) for i in range(len(index))])
-            return stage(seeds, n, spent, lift)
+            lifts.append([index.kappa(i, n - 1) for i in range(len(index))])
+            return stage(seeds, spent)
 
         monkeypatch.setattr(graver_module, "_completion_stage", recording)
         fresh_graver_basis(A)

@@ -1,5 +1,6 @@
 """The bounded search checks its arguments first, records a failing instance and goes on."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -8,7 +9,7 @@ import random
 import pytest
 
 import graverkit.search as search_module
-from graverkit import PreconditionError
+from graverkit import CurveKind, PreconditionError, RobustComplex
 from graverkit.cli import main
 from graverkit.search import sullivant_search
 
@@ -31,6 +32,63 @@ def test_failing_instance_is_a_violation_and_the_scan_goes_on(monkeypatch):
     assert report.empty_complex + report.one_vertex == clean.instances - 1
     assert report.skipped == []
     assert set(report.to_dict()) == set(clean.to_dict())
+
+
+def test_a_complex_of_another_shape_is_a_violation_and_the_scan_goes_on(monkeypatch):
+    clean = sullivant_search([3], 6)
+    robust_complex = search_module.robust_complex
+
+    def malformed(T, **kwargs):
+        if T.rows[0] == (3, 4, 5):
+            return RobustComplex(T=(3, 4, 5), faces=frozenset(
+                {frozenset(), frozenset({1}), frozenset({2})}))
+        return robust_complex(T, **kwargs)
+
+    monkeypatch.setattr(search_module, "robust_complex", malformed)
+    report = sullivant_search([3], 6)
+    assert not report.ok
+    assert report.violations == ["T=(3, 4, 5): GraverKitError: Delta_T of (3, 4, 5) has "
+                                 "faces [[], [1], [2]], not [[]] or [[], [i]]"]
+    assert report.instances == clean.instances
+    assert report.empty_complex + report.one_vertex == clean.instances - 1
+    assert main(["search", "--s", "3", "--bound", "6"]) == 1
+
+
+@pytest.mark.parametrize("kind, on, message", [
+    (CurveKind.CI_ON, 1, "classification CIOn(1) but vertex 2"),
+    (CurveKind.NOT_CI, None, "classification NotCI but vertex 2"),
+], ids=["wrong-on", "not-ci-with-a-vertex"])
+def test_a_vertex_off_the_classification_is_one_violation(monkeypatch, kind, on, message):
+    # (4, 5, 6) is CIOn(2), with vertex 2
+    clean = sullivant_search([3], 6)
+    classify = search_module.classify_curve3
+
+    def misclassifying(T):
+        cls = classify(T)
+        if T.rows[0] == (4, 5, 6):
+            return dataclasses.replace(cls, kind=kind, on=on)
+        return cls
+
+    monkeypatch.setattr(search_module, "classify_curve3", misclassifying)
+    report = sullivant_search([3], 6)
+    assert report.violations == [f"T=(4, 5, 6): {message}"]
+    assert report.instances == clean.instances
+    assert report.vertex_instances == clean.vertex_instances
+
+
+def test_report_keys_are_pinned_in_order():
+    assert list(sullivant_search([3], 4).to_dict()) == [
+        "s_values", "bound", "sample_budget", "instances", "empty_complex", "one_vertex",
+        "ci_on_count", "vertex_instances", "violations", "skipped", "runtime_seconds", "ok"]
+
+
+def test_a_repeated_s_is_rejected_before_any_curve_is_scanned(monkeypatch):
+    scanned = []
+    monkeypatch.setattr(search_module, "robust_complex", lambda T, **kwargs: scanned.append(T))
+    with pytest.raises(ValueError, match=r"^each s must be given once, got \[3, 4, 3\]$"):
+        sullivant_search([3, 4, 3], 4)
+    assert main(["search", "--s", "3", "3", "--bound", "4"]) == 2
+    assert scanned == []
 
 
 def test_every_s_is_checked_before_any_curve_is_scanned(monkeypatch):
