@@ -5,10 +5,12 @@ a strongly robust toric ideal. For monomial curves the complex is {0} or
 {0,{i}} for a single i, and the singleton faces admit a fast test: {i} is a
 face iff every projection of a Graver element (delete coordinate i) stays
 primitive among all such projections; at s = 3 it is decided by counting
-Graver elements (`_complex_on_miss`). For s >= 4, {i} is rejected without
-Gr(T) when i's column is not the vertex of Delta_{T_J} for some 1x3
-sub-curve T_J (`_subcurve_rejects`), so a curve all of whose singletons
-are rejected that way never reaches Gr(T)'s budget.
+Graver elements (`_complex_on_miss`). For s >= 4, a curve that repeats an
+entry is decided by the curve without the repeat, with no Gr(T)
+(`_complex_on_miss`), and otherwise {i} is rejected without Gr(T) when i's
+column is not the vertex of Delta_{T_J} for some 1x3 sub-curve T_J
+(`_subcurve_rejects`), so a curve all of whose singletons are rejected
+that way never reaches Gr(T)'s budget.
 
 `robust_complex` has one compute path, memoized per gcd-normalised T, and a
 memoized verdict is returned whatever the budget. Its verify option checks
@@ -41,6 +43,7 @@ from .graver import (
     DEFAULT_BUDGET,
     Budget,
     _remember,
+    _repeated_column,
     _sector_walks,
     _Spent,
     graver_basis,
@@ -273,8 +276,7 @@ class RobustComplex:
 def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[int]:
     """The i in 1..s that a 1x3 sub-curve rejects: i's position j in a
     3-subset J of the columns is not the vertex of Delta_{T_J}, read on the
-    gcd-normalised T_J (same kernel) from `_COMPLEX_MEMO` or computed into
-    it, and moved to the newest end of the memo either way.
+    gcd-normalised T_J (same kernel) by `_read_complex`.
     `face_test_projection(T, i)` rejects every such i:
 
     1. The padding u' (zero off J) of u in Gr(T_J) is in +/-Gr(T): a nonzero
@@ -293,11 +295,7 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
     for J in itertools.combinations(range(len(t)), 3):
         g = math.gcd(*(t[j] for j in J))
         t_J = tuple(t[j] // g for j in J)
-        # a read moves t_J to the newest end, so the scan's curves push out
-        # the triples it no longer reads first
-        delta_J = _COMPLEX_MEMO.pop(t_J, None) or _complex_on_miss(t_J, budget)
-        _COMPLEX_MEMO[t_J] = delta_J
-        vertex = delta_J.vertex()
+        vertex = _read_complex(t_J, budget).vertex()
         rejected.update(c + 1 for j, c in enumerate(J, 1) if j != vertex)
     return rejected
 
@@ -306,6 +304,15 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
 # counting as an insert; never cross-checked
 _COMPLEX_MEMO_SIZE = 4096
 _COMPLEX_MEMO: dict[tuple[int, ...], RobustComplex] = {}
+
+
+def _read_complex(t: tuple[int, ...], budget: Budget | None) -> RobustComplex:
+    """Delta_T of the gcd-normalised t, from `_COMPLEX_MEMO` or computed into
+    it, and moved to the newest end of the memo either way, so that a scan
+    pushes out first the complexes it no longer reads."""
+    delta = _COMPLEX_MEMO.pop(t, None) or _complex_on_miss(t, budget)
+    _COMPLEX_MEMO[t] = delta
+    return delta
 
 
 def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> RobustComplex:
@@ -337,10 +344,50 @@ def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> Rob
 
 
 def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex:
-    """Delta_T computed and memoized. For s >= 4 the singletons the 1x3
-    sub-curves reject (`_subcurve_rejects`) skip the projection test; when
-    none survive, Gr(T) is never completed, so the curve never reaches its
-    budget. At s = 3, with L = Ker T and pi_i deleting coordinate i, {i} is a
+    """Delta_T computed and memoized. For s >= 4, a curve with a repeated
+    entry is decided by the curve without the repeat, with no Gr(T) (below).
+    Otherwise the singletons the 1x3 sub-curves reject (`_subcurve_rejects`)
+    skip the projection test; when none survive, Gr(T) is never completed,
+    so the curve never reaches its budget.
+
+    Let a_i = a_j, i < j the first such pair, and T' be T without column j,
+    a curve with s - 1 >= 3 entries and gcd 1, whose complex is read by
+    `_read_complex`. m merges coordinate j into i, mapping Ker T onto Ker T';
+    pi_k deletes coordinate k, and u is below w when it is conformally below.
+    {k} is a face iff no u != w in +/-Gr(T) has pi_k u below pi_k w (the
+    projection test).
+
+    - (A) +/-Gr(T) is +/-(e_i - e_j) and the same-sign splittings u of each
+      g in +/-Gr(T'): u_i + u_j = g_i, u_i u_j >= 0, u = g elsewhere. So
+      m(u) = g is in +/-Gr(T'). The proof is in `graver._split_graver`.
+    - (B) Neither i nor j is a vertex. Delete column i: pi_i(e_i - e_j) =
+      -e_j lies below pi_i of the circuit on {j, k}, for any third column
+      k, taken with its j entry negative; the two are distinct. Likewise
+      for j.
+    - (C) For k not in {i, j}, {k} is a face of T iff it is one of T'.
+      - If pi_k u' is below pi_k w' with u' != w' in +/-Gr(T'), split w' to
+        some w, then u'_i, whose sign is w'_i's and |u'_i| <= |w'_i|, under
+        w_i and w_j to some u. By (A) both are in +/-Gr(T), pi_k u is below
+        pi_k w, and u != w as their merges differ.
+      - Conversely let pi_k u be below pi_k w, u != w in +/-Gr(T). If
+        neither is +/-(e_i - e_j), both are splittings, and m keeps the
+        relation: u_i and u_j lie below w_i and w_j, which share a sign. And
+        m(u) != m(w): equal merges with u below w off k force u = w. If
+        u = +/-(e_i - e_j), then w_i w_j < 0, so w = u by (A). If
+        w = +/-(e_i - e_j), say +, pi_k u is e_i or -e_j, as pi_k is
+        injective on Ker T (a_k > 0); say e_i, the other is the mirror image.
+        So u = e_i - (a_i / a_k) e_k with a_k | a_i, and m(u), the same
+        vector on T''s columns, is in +/-Gr(T'). pi_k m(u) = e_i lies below
+        pi_k of the circuit on {i, l}, l a third column of T' (s - 1 >= 3),
+        taken with its i entry positive; it is zero at k, so it is not m(u).
+
+    So T has no vertex when T' has none or has it at i, and otherwise its
+    vertex is T''s, shifted past j. Applied again, this ends at a curve
+    with distinct entries or at a 1x3 curve. Each reduced complex logs one
+    debug line, `complex T: column j repeats column i, read from T'`, after
+    T''s own lines.
+
+    At s = 3, with L = Ker T and pi_i deleting coordinate i, {i} is a
     face iff |Gr(pi_i L)| = |Gr(L)|, the verdict of `face_test_projection`:
 
     - pi_i is injective on L, as T_i > 0.
@@ -364,23 +411,34 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
     `graver_basis`'s memos are neither read nor written.
     """
     s = len(t)
-    rejected = _subcurve_rejects(t, budget) if s >= 4 else set()
-    tested = [i for i in range(1, s + 1) if i not in rejected]
-    if s == 3:
-        a, b, c = t
-        g, x, y = _xgcd_min(a, b)
-        basis = [(b // g, -a // g, 0), (c * x, c * y, -g)]
-        spent = _Spent(budget or DEFAULT_BUDGET)
-
-        def size(rows: list[IntVec]) -> int:
-            return sum(1 for _ in _sector_walks(rows, spent))
-
-        whole = size(basis)
-        passed = [i for i in tested if size([project_out(v, i) for v in basis]) == whole]
+    pair = _repeated_column(IntMat.row_vector(t)) if s >= 4 else None
+    if pair is not None:
+        i, j = pair
+        reduced = t[:j] + t[j + 1:]
+        vertex = _read_complex(reduced, budget).vertex()
+        # by (B) and (C): T''s vertex, shifted past j, unless it is i
+        passed = [] if vertex in (None, i + 1) else [vertex + (vertex > j)]
+        log.debug("complex %s: column %d repeats column %d, read from %s",
+                  t, j + 1, i + 1, reduced)
     else:
-        T = IntMat.row_vector(t)
-        passed = [i for i in tested if face_test_projection(T, i, budget=budget)]
-    log.debug("complex %s: sub-curves reject %s, face tests on %s", t, sorted(rejected), tested)
+        rejected = _subcurve_rejects(t, budget) if s >= 4 else set()
+        tested = [i for i in range(1, s + 1) if i not in rejected]
+        if s == 3:
+            a, b, c = t
+            g, x, y = _xgcd_min(a, b)
+            basis = [(b // g, -a // g, 0), (c * x, c * y, -g)]
+            spent = _Spent(budget or DEFAULT_BUDGET)
+
+            def size(rows: list[IntVec]) -> int:
+                return sum(1 for _ in _sector_walks(rows, spent))
+
+            whole = size(basis)
+            passed = [i for i in tested if size([project_out(v, i) for v in basis]) == whole]
+        else:
+            T = IntMat.row_vector(t)
+            passed = [i for i in tested if face_test_projection(T, i, budget=budget)]
+        log.debug("complex %s: sub-curves reject %s, face tests on %s",
+                  t, sorted(rejected), tested)
     result = RobustComplex(T=t, faces=frozenset({frozenset(), *(frozenset({i}) for i in passed)}))
     _remember(_COMPLEX_MEMO, t, result, _COMPLEX_MEMO_SIZE)
     return result

@@ -1,11 +1,12 @@
 """Graver bases, circuits, and generalized primitive sets.
 
-Only the kernel lattices of simple matrices are computed. Any other matrix
-with a nonzero kernel is answered from its bouquet ideal, Gr(A) = D(Gr(A_B))
-and likewise for circuits, where D is the kernel isomorphism of the bouquet
-decomposition (proof in `graver_basis`). Graver bases are memoized under the
-canonical basis of the kernel lattice, so every matrix with one lattice, and
-every lifting of one monomial curve, shares one computation.
+Only the kernel lattices of simple matrices, and of the matrices a split
+reduces them to (below), are computed. Any other matrix with a nonzero
+kernel is answered from its bouquet ideal, Gr(A) = D(Gr(A_B)) and likewise
+for circuits, where D is the kernel isomorphism of the bouquet decomposition
+(proof in `graver_basis`). Graver bases are memoized under the canonical
+basis of the kernel lattice, so every matrix with one lattice, and every
+lifting of one monomial curve, shares one computation.
 
 A lattice of rank 2, such as that of every 1x3 monomial curve, is answered
 in closed form by `_rank2_graver`: its Graver basis is the union of the
@@ -22,6 +23,13 @@ of those congruences, of smaller modulus at each level, like Euclid's
 algorithm, down to modulus 1 and the unit vectors (`_descent`). A lattice of
 rank 0 or 1 is its own Graver basis up to sign: nothing, or the primitive
 generator of its saturated basis.
+
+A matrix with two equal nonzero columns i < j is not completed at all
+(`_split_graver`): its Graver basis is +-(e_i - e_j) and the same-sign
+splittings of each element of the Graver basis of the matrix without column
+j, each of its entry at i into two entries of one sign at i and j. That
+matrix is split again while it repeats a column, and its own basis comes
+from the engines above. Equal zero columns are not split.
 
 A lift stage is a Pottier-style completion: seed with the Graver basis of
 the columns done so far, lifted, and its negations, repeatedly form
@@ -86,10 +94,13 @@ class Budget:
     emit. The projection's Graver basis comes by a descent through reduced
     lattices, and their lifts' sums and walks' vectors count too. A pair
     that a lift skips by its kappa rule forms no sum and is no candidate.
-    `max_seconds` caps the wall time, from the first seed to the last pop
-    or minimality filter; each level of a descent has a filter, a lift
-    stores nothing to filter out. A lattice of rank 0 or 1, answered in
-    closed form, spends neither. ValueError for a negative or NaN cap.
+    A matrix with two equal nonzero columns is split, and each splitting,
+    one element of its Graver basis other than +-(e_i - e_j), is a
+    candidate, on top of those of the bases it is split from.
+    `max_seconds` caps the wall time, from the first seed to the last pop,
+    minimality filter or splitting; each level of a descent has a filter,
+    a lift stores nothing to filter out. A lattice of rank 0 or 1, answered
+    in closed form, spends neither. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -320,9 +331,10 @@ class ConformalIndex:
 class _Spent:
     """The candidates and seconds one computation has spent over its stages:
     the clock runs from the first seed and is read before every pop, every
-    row of a descent level's minimality filter and every vector a walk
-    emits, and the candidates are the pair sums of every finished lift, or
-    the vectors the rank-2 walks have emitted."""
+    row of a descent level's minimality filter and every vector a walk or a
+    split emits, and the candidates are the pair sums of every finished
+    lift, the vectors the rank-2 walks have emitted and the splittings of
+    every finished split."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -762,6 +774,81 @@ def _graver(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[IntVec]:
     return _project_and_lift(basis, n, spent)
 
 
+def _repeated_column(X: IntMat) -> tuple[int, int] | None:
+    """(i, j), i < j, for the first column j of X equal to an earlier
+    nonzero column i; None when X repeats no nonzero column."""
+    first: dict[IntVec, int] = {}
+    for j, column in enumerate(zip(*X.rows)):
+        if any(column) and first.setdefault(column, j) != j:
+            return first[column], j
+    return None
+
+
+def _split_graver(X: IntMat, pair: tuple[int, int], spent: _Spent) -> list[IntVec]:
+    """Canonical sorted Gr(X) for X whose columns i < j of `pair` are equal
+    and nonzero, from Gr(X'), X' being X without column j: +-(e_i - e_j)
+    and every same-sign splitting of each g in Gr(X'), the u with u_i + u_j
+    = g_i and u_i u_j >= 0 that agree with g elsewhere. No sum is formed.
+
+    This is exact. Let m merge coordinate j into i: m(u)_i = u_i + u_j,
+    column j dropped. X' m(u) = X u, as X_i = X_j, so m maps Ker X onto
+    Ker X' (v' lifts with v_j = 0), with kernel Z(e_i - e_j).
+
+    - e_i - e_j is in Gr(X): the nonzero vectors below it are itself, e_i
+      and -e_j, and X_i != 0 keeps e_i and e_j out of Ker X. A u in Gr(X)
+      with u_i u_j < 0 lies above one sign of it, so it is that sign.
+    - A u in Gr(X) with u_i u_j >= 0 merges into Gr(X'). m(u) != 0, as u is
+      not a nonzero multiple of e_i - e_j. A nonzero v' in Ker X'
+      conformally below m(u), other than it, splits its entry v'_i, whose
+      sign is that of u_i and u_j and |v'_i| <= |u_i| + |u_j|, into entries
+      conformally below u_i and u_j: a v in Ker X, nonzero and below u, with
+      m(v) = v' != m(u), so v != u, against u's minimality.
+    - Every same-sign splitting u of a g in Gr(X') is in Gr(X); it is in
+      Ker X, as u minus the lift of g lies in Z(e_i - e_j). Let v in Ker X
+      be nonzero and conformally below u. Then m(v) is below m(u) = g, so it
+      is 0 or g. m(v) = 0 needs v_i = -v_j, which signs shared with u_i and
+      u_j allow only at v = 0. m(v) = g gives v = u off {i, j} and
+      |v_i| + |v_j| = |u_i| + |u_j|, with |v_i| <= |u_i| and |v_j| <= |u_j|,
+      so v = u.
+
+    The |g_i| + 1 splittings of each g (u_i from 0 to g_i) merge back to g, so
+    they are distinct across Gr(X'), one per +-pair as its g are, and none
+    is e_i - e_j. So |Gr(X)| = 1 + sum over Gr(X') of (|g_i| + 1), which
+    grows with the multiplicities as the basis itself does.
+
+    Equal zero columns are not a case: e_i and e_j are then in Ker X, and
+    so in Gr(X), and e_i - e_j lies above e_i. `_repeated_column` passes
+    them over.
+
+    While X' still repeats a nonzero column it is split again, else its Gr
+    comes from `_graver` on its kernel lattice, under the same `spent` and
+    off every memo, as a descent's reduced lattices are. Each splitting is a
+    candidate on `spent`, which reads the clock as each is emitted. Each
+    split logs one debug line, `split: column j repeats column i`, and its
+    counters, after X''s own lines.
+    """
+    i, j = pair
+    reduced = IntMat(tuple(row[:j] + row[j + 1:] for row in X.rows), ncols=X.ncols - 1)
+    inner = _repeated_column(reduced)
+    if inner is None:
+        lattice = kernel_lattice(reduced)
+        G = _graver(lattice.vectors, lattice.n, spent)
+    else:
+        G = _split_graver(reduced, inner, spent)
+    found = [tuple(int(k == i) - int(k == j) for k in range(X.ncols))]
+    for g in G:
+        x = g[i]
+        head, middle, tail = g[:i], g[i + 1:j], g[j:]
+        step = 1 if x >= 0 else -1
+        for a in range(0, x + step, step):  # u_i from 0 to g_i, u_j = g_i - u_i
+            spent.check(len(found))
+            found.append(sign_canonical(head + (a,) + middle + (x - a,) + tail))
+    spent.generated += len(found) - 1
+    log.debug("split: column %d repeats column %d: %s", j, i,
+              dict(reduced=len(G), splittings=len(found) - 1))
+    return sorted(found)
+
+
 _GRAVER_MEMO_SIZE = 64
 _GRAVER_MEMO: dict[tuple, GraverBasis] = {}  # by (A.rows, A.ncols)
 _LATTICE_MEMO: dict[tuple, GraverBasis] = {}  # by (canonical kernel basis, n)
@@ -776,6 +863,10 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     the sector walk when it has rank 2, project-and-lift when it has rank 3
     or more, and the basis itself up to sign below that. Any other
     A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B simple.
+    When the matrix whose lattice is computed, A or A_B, has two equal
+    nonzero columns, its Graver basis is split in closed form from that of
+    the matrix without one of them (`_split_graver`, which proves it), and
+    `_lattice_graver` is not called.
     Each result is memoized under the canonical basis of the lattice it
     answers and its width n: `kernel_lattice(X).vectors`, the rows of the
     Hermite form of the saturated kernel, which the lattice alone
@@ -830,14 +921,20 @@ def _remember(memo: dict, key: tuple, value, size: int) -> None:
 def _graver_basis_on_miss(A: IntMat, key: tuple, budget: Budget | None) -> GraverBasis:
     # kept apart from graver_basis so that a memo hit runs in a small frame
     lattice = kernel_lattice(A)
-    dec = _bouquet_route(A, lattice.vectors)
+    X, dec = A, _bouquet_route(A, lattice.vectors)
     if dec is not None:
-        lattice = kernel_lattice(dec.a_matrix)
+        X = dec.a_matrix
+        lattice = kernel_lattice(X)
     lattice_key = (lattice.vectors, lattice.n)
     result = _LATTICE_MEMO.get(lattice_key)
     hit = result is not None
     if not hit:
-        elements = _lattice_graver(lattice.vectors, lattice.n, budget or DEFAULT_BUDGET)
+        budget = budget or DEFAULT_BUDGET
+        pair = _repeated_column(X)
+        if pair is None:
+            elements = _lattice_graver(lattice.vectors, lattice.n, budget)
+        else:
+            elements = _split_graver(X, pair, _Spent(budget))
         result = GraverBasis(n=lattice.n, elements=tuple(elements))
         _remember(_LATTICE_MEMO, lattice_key, result, _GRAVER_MEMO_SIZE)
     if dec is not None:

@@ -18,7 +18,9 @@ from graverkit import (
     lambda_matrix,
     robust_complex,
 )
+from graverkit.graver import DEFAULT_BUDGET, _lattice_graver
 from graverkit.linalg import (
+    kernel_lattice,
     negative_part,
     one_norm,
     positive_part,
@@ -278,6 +280,22 @@ def fresh_graver_basis(A, budget=None):
     with pytest.MonkeyPatch.context() as monkeypatch:
         empty_graver_memos(monkeypatch)
         return graver_basis(A, budget)
+
+
+def engine_graver(A):
+    """Canonical sorted Gr(A) by the engine, `_lattice_graver`, run on A's own
+    kernel lattice: the reference the split of repeated columns is held to.
+    It is bound at import, so a test that patches the miss path's engine
+    away still has it."""
+    lattice = kernel_lattice(A)
+    return tuple(_lattice_graver(lattice.vectors, lattice.n, DEFAULT_BUDGET))
+
+
+def repeated_curves(s, bound):
+    """Every gcd-1 1xs curve with entries in 1..bound, in ascending order,
+    that repeats an entry."""
+    return [t for t in itertools.combinations_with_replacement(range(1, bound + 1), s)
+            if len(set(t)) < s and math.gcd(*t) == 1]
 
 
 def lifting_decomposition(T, omega):

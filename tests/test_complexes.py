@@ -30,7 +30,14 @@ from graverkit import (
     semigroup_min_multiple,
 )
 from graverkit.complexes import _curve_row, _subcurve_rejects
-from graverkit.graver import DEFAULT_BUDGET, ConformalIndex, _rank2_graver, _sector_walks, _Spent
+from graverkit.graver import (
+    DEFAULT_BUDGET,
+    ConformalIndex,
+    GraverBasis,
+    _rank2_graver,
+    _sector_walks,
+    _Spent,
+)
 from graverkit.linalg import kernel_lattice, project_out, vec_neg
 from graverkit.robustness import dispensability_witness
 from graverkit.search import sullivant_search
@@ -40,9 +47,11 @@ from _paper import (
     T_BIG,
     check_s3_theorem,
     empty_graver_memos,
+    engine_graver,
     fresh_graver_basis,
     lift_curve_vector,
     lifting_decomposition,
+    repeated_curves,
 )
 
 
@@ -565,6 +574,49 @@ class TestVerify:
         assert robust_complex([4, 5, 6, 7]) is stored
 
 
+class TestRepeatedEntry:
+    """Delta_T of a curve with a repeated entry, read from the curve without
+    it, against the projection test on the engine's Gr(T)."""
+
+    # sorted curves repeat adjacent entries; shuffled ones put other
+    # columns, the vertex among them, between the two
+    @pytest.mark.parametrize("s, bound, shuffled", [
+        (4, 14, False), (5, 9, False), (4, 10, True), (5, 7, True)])
+    def test_reduced_verdict_matches_the_projection_test(self, monkeypatch, s, bound, shuffled):
+        empty_graver_memos(monkeypatch)
+        rng = random.Random(f"{s}:{bound}")
+        bases = {}
+
+        def engine_basis(A, budget=None):
+            if A.rows not in bases:
+                bases[A.rows] = GraverBasis(A.ncols, engine_graver(A))
+            return bases[A.rows]
+
+        monkeypatch.setattr(complexes_module, "graver_basis", engine_basis)
+        for t in repeated_curves(s, bound):
+            if shuffled:
+                t = tuple(rng.sample(t, s))
+            faces = {frozenset(), *(frozenset({i}) for i in range(1, s + 1)
+                                    if face_test_projection(T(*t), i))}
+            assert robust_complex(t).faces == faces, t
+
+    def test_each_reduced_complex_logs_one_line(self, monkeypatch, caplog):
+        empty_graver_memos(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="graverkit.complexes"):
+            # (1, 2, 3, 4, 6, 8, 14) has its vertex at column 7, shifted past 4
+            assert robust_complex([1, 2, 3, 4, 4, 6, 8, 14]).vertex() == 8
+            # (4, 5, 6) has it at column 2, which repeats in (4, 5, 5, 6)
+            assert robust_complex([4, 5, 5, 6]).vertex() is None
+        lines = [r.getMessage() for r in caplog.records]
+        assert lines[-3:] == [
+            "complex (1, 2, 3, 4, 4, 6, 8, 14): column 5 repeats column 4, "
+            "read from (1, 2, 3, 4, 6, 8, 14)",
+            "complex (4, 5, 6): sub-curves reject [], face tests on [1, 2, 3]",
+            "complex (4, 5, 5, 6): column 3 repeats column 2, read from (4, 5, 6)",
+        ]
+        assert robust_complex([4, 5, 6]).vertex() == 2
+
+
 class TestComplexMemo:
     def test_repeated_complex_computes_no_graver_basis(self, monkeypatch):
         empty_graver_memos(monkeypatch)
@@ -629,8 +681,9 @@ class TestComplexMemo:
         assert robust_complex([24, 40, 41, 60, 80], budget=Budget(max_candidates=1)) is rc
 
     def test_decided_curve_completes_only_its_subcurves(self, monkeypatch):
-        # Gr(15,15,29,29,29) forms 7,082 sums; every i is rejected by the
-        # 1x3 sub-curves, whose complexes are walk counts: no lattice is computed
+        # Gr(15,15,29,29,29), 4,084 elements, takes 4,237 splittings; the
+        # complex is read from (15,29,29,29) and so from (15,29,29), whose
+        # complex is walk counts: no lattice is computed
         empty_graver_memos(monkeypatch)
         runs = []
         engine = graver_module._lattice_graver
@@ -657,11 +710,10 @@ class TestComplexMemo:
             robust_complex([15, 15, 29, 29, 29])
             robust_complex([15, 15, 29, 29, 29])
             robust_complex([4, 5, 6], verify=True)
-        # each sub-curve complex computed on the way logs its own line first
+        # each curve without a repeat, computed on the way, logs its own line first
         assert [r.getMessage() for r in caplog.records if r.name == "graverkit.complexes"] == [
-            "complex (15, 15, 29): sub-curves reject [], face tests on [1, 2, 3]",
             "complex (15, 29, 29): sub-curves reject [], face tests on [1, 2, 3]",
-            "complex (1, 1, 1): sub-curves reject [], face tests on [1, 2, 3]",
-            "complex (15, 15, 29, 29, 29): sub-curves reject [1, 2, 3, 4, 5], face tests on []",
+            "complex (15, 29, 29, 29): column 3 repeats column 2, read from (15, 29, 29)",
+            "complex (15, 15, 29, 29, 29): column 2 repeats column 1, read from (15, 29, 29, 29)",
             "complex (4, 5, 6): sub-curves reject [], face tests on [1, 2, 3]",
         ]

@@ -38,6 +38,7 @@ from graverkit.graver import (
     _det,
     _lattice_graver,
     _projected_columns,
+    _Spent,
 )
 from graverkit.linalg import (
     kernel_lattice,
@@ -57,12 +58,14 @@ from _paper import (
     T_BIG,
     _complete_lattice,
     empty_graver_memos,
+    engine_graver,
     example_e,
     fresh_graver_basis,
     lift_curve_vector,
     lifting_decomposition,
     random_unimodular,
     reduce_by_set,
+    repeated_curves,
 )
 from test_conformal_index import small_matrices
 from test_lawrence import gen_lawrence_specs
@@ -1287,3 +1290,97 @@ class TestPointed:
     def test_full_lawrence_lifting_is_pointed(self):
         lam = lambda_matrix([4, 5, 6], [])
         assert assert_pointed(lam.matrix)
+
+
+@st.composite
+def duplicated_columns(draw):
+    """A d x n matrix, entries -3..3, with one nonzero column copied to one
+    or two drawn positions, five columns at most."""
+    d, n = draw(st.sampled_from([(1, 3), (2, 3), (1, 4), (2, 4), (3, 4)]))
+    rows = [draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)) for _ in range(d)]
+    j = draw(st.integers(0, n - 1))
+    column = [row[j] for row in rows]
+    assume(any(column))
+    for _ in range(draw(st.integers(1, 5 - n))):
+        at = draw(st.integers(0, len(rows[0])))
+        rows = [row[:at] + [x] + row[at:] for row, x in zip(rows, column)]
+    return IntMat.from_rows(rows)
+
+
+class TestSplit:
+    """Gr(X) of a matrix with two equal nonzero columns, split from Gr(X
+    without one of them), against the engine on X's own lattice."""
+
+    @staticmethod
+    def split_only(monkeypatch):
+        """Empty both memos and take the engine off the miss path, so that
+        only the split can answer."""
+        empty_graver_memos(monkeypatch)
+        monkeypatch.setattr(graver_module, "_lattice_graver", None)
+
+    @pytest.mark.parametrize("s, bound", [(4, 10), (5, 8)])
+    def test_repeated_entry_curves_match_the_engine(self, monkeypatch, s, bound):
+        curves = repeated_curves(s, bound)
+        engine = {t: engine_graver(T(*t)) for t in curves}
+        self.split_only(monkeypatch)
+        assert {t: graver_basis(T(*t)).elements for t in curves} == engine
+
+    @settings(max_examples=100, deadline=None)
+    @given(duplicated_columns())
+    @example(IntMat.from_rows([[1, -2, 1, -2, -2]]))
+    @example(IntMat.from_rows([[0, 2, 2], [1, -3, -3]]))
+    def test_duplicated_columns_match_the_engine(self, X):
+        engine = engine_graver(X)
+        pair = graver_module._repeated_column(X)
+        split = graver_module._split_graver(X, pair, _Spent(DEFAULT_BUDGET))
+        assert tuple(split) == engine
+        assert fresh_graver_basis(X).elements == engine
+
+    def test_equal_zero_columns_are_no_repeat(self):
+        # e_2 and e_3 are in Gr, so e_2 - e_3 is not
+        X = IntMat.from_rows([[1, 0, 0]])
+        assert graver_module._repeated_column(X) is None
+        assert fresh_graver_basis(X).elements == engine_graver(X) == ((0, 0, 1), (0, 1, 0))
+        # the bouquet route completes A_B, a zero matrix, on the engine;
+        # A's own columns repeat, and splitting A gives the same basis
+        A = IntMat.from_rows([[1, 1, 0, 0], [0, 0, 1, 1]])
+        assert graver_module._repeated_column(bouquet_decomposition(A).a_matrix) is None
+        expected = ((0, 0, 1, -1), (1, -1, 0, 0))
+        assert fresh_graver_basis(A).elements == engine_graver(A) == expected
+        assert tuple(graver_module._split_graver(A, (0, 1), _Spent(DEFAULT_BUDGET))) == expected
+
+    def test_lifting_of_a_repeated_entry_curve(self, monkeypatch):
+        lam = lambda_matrix([4, 6, 6, 9], [1]).matrix
+        engine = engine_graver(lam)
+        self.split_only(monkeypatch)  # A_B is (4, 6, 6, 9), which repeats a column
+        assert graver_basis(lam).elements == engine
+
+    def test_each_split_logs_one_line(self, caplog):
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            G = fresh_graver_basis(T(15, 15, 29, 29, 29))
+        # (15, 29) is answered in closed form; each split logs after the one it reads
+        assert [r.getMessage() for r in caplog.records] == [
+            "split: column 2 repeats column 1: {'reduced': 1, 'splittings': 16}",
+            "split: column 2 repeats column 1: {'reduced': 17, 'splittings': 138}",
+            "split: column 1 repeats column 0: {'reduced': 139, 'splittings': 4083}",
+        ]
+        assert len(G) == 4084 == 1 + 4083
+
+    def test_each_splitting_is_a_candidate(self):
+        A = T(7, 8, 8, 8, 8, 8, 8)
+        with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(A, budget=Budget(max_candidates=100))
+        assert info.value.kind == "elements" and info.value.generated == 101
+        assert len(fresh_graver_basis(A)) == 807
+
+    def test_the_clock_is_read_as_splittings_are_emitted(self, monkeypatch, caplog):
+        # the clock jumps once the innermost split, (7, 8, 8) from (7, 8),
+        # has logged its 8 splittings; the next split's first one sees it
+        clock = SimpleNamespace(monotonic=lambda: 1e9 if caplog.records else 0.0)
+        monkeypatch.setattr(graver_module, "time", clock)
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"), \
+                pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(T(7, 8, 8, 8, 8, 8, 8), budget=Budget(max_seconds=1.0))
+        assert [r.getMessage() for r in caplog.records] == [
+            "split: column 2 repeats column 1: {'reduced': 1, 'splittings': 8}"]
+        assert info.value.kind == "time" and info.value.generated == 9
