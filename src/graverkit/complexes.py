@@ -12,7 +12,9 @@ column is not the vertex of Delta_{T_J} for some 1x3 sub-curve T_J
 (`_subcurve_rejects`), so a curve all of whose singletons are rejected
 that way never reaches Gr(T)'s budget.
 
-`robust_complex` has one compute path, memoized per gcd-normalised T, and a
+`robust_complex` has one compute path, `_complex_on_miss`, and one memo,
+per gcd-normalised T, that `_read_complex` alone reads and writes, for
+`robust_complex` and for the smaller curves a complex is read from; a
 memoized verdict is returned whatever the budget. Its verify option checks
 that answer against both face tests on every singleton; the lifting test, a
 semiconformal witness search on Gr(Lambda(T)_w) = D(Gr(T)), reads the same
@@ -300,36 +302,39 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
     return rejected
 
 
-# complexes by gcd-normalised T, the oldest out first, a sub-curve read
-# counting as an insert; never cross-checked
+# complexes by gcd-normalised T, the oldest out first, every read counting
+# as an insert; never cross-checked; read and written by _read_complex alone
 _COMPLEX_MEMO_SIZE = 4096
 _COMPLEX_MEMO: dict[tuple[int, ...], RobustComplex] = {}
 
 
 def _read_complex(t: tuple[int, ...], budget: Budget | None) -> RobustComplex:
-    """Delta_T of the gcd-normalised t, from `_COMPLEX_MEMO` or computed into
-    it, and moved to the newest end of the memo either way, so that a scan
-    pushes out first the complexes it no longer reads."""
+    """Delta_T of the gcd-normalised t, from `_COMPLEX_MEMO` or computed by
+    `_complex_on_miss` into it, the oldest entry out first when the memo
+    holds `_COMPLEX_MEMO_SIZE`, and moved to the newest end either way, so
+    that a scan pushes out first the complexes it no longer reads. The one
+    reader and writer of the memo."""
     delta = _COMPLEX_MEMO.pop(t, None) or _complex_on_miss(t, budget)
-    _COMPLEX_MEMO[t] = delta
+    _remember(_COMPLEX_MEMO, t, delta, _COMPLEX_MEMO_SIZE)
     return delta
 
 
 def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> RobustComplex:
     """Delta_T for a monomial curve: the empty face plus the passing singletons.
 
-    T is gcd-normalized first. Every call reads one answer: the complex
-    memoized per normalised T in `_COMPLEX_MEMO` (its last
-    `_COMPLEX_MEMO_SIZE` entries), returned whatever the budget, or on a miss
-    the one `_complex_on_miss` computes. With verify=True that answer is then
-    checked: for every i, `{i} in faces`, the projection test and the
-    Lambda(T)_{i} lifting test must agree, or GraverKitError is raised; the
-    copy marked cross_checked is returned and not memoized.
+    T is gcd-normalized first. Every call reads one answer through
+    `_read_complex`: the complex memoized per normalised T in
+    `_COMPLEX_MEMO` (its last `_COMPLEX_MEMO_SIZE` entries), returned
+    whatever the budget, or on a miss the one `_complex_on_miss` computes;
+    either way T becomes the memo's newest entry. With verify=True that
+    answer is then checked: for every i, `{i} in faces`, the projection test
+    and the Lambda(T)_{i} lifting test must agree, or GraverKitError is
+    raised; the copy marked cross_checked is returned and not memoized.
     """
     T = _curve_row(T)
     g = math.gcd(*T.rows[0])
     t = tuple(x // g for x in T.rows[0])
-    result = _COMPLEX_MEMO.get(t) or _complex_on_miss(t, budget)
+    result = _read_complex(t, budget)
     if not verify:
         return result
     T = IntMat.row_vector(t)
@@ -344,11 +349,12 @@ def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> Rob
 
 
 def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex:
-    """Delta_T computed and memoized. For s >= 4, a curve with a repeated
-    entry is decided by the curve without the repeat, with no Gr(T) (below).
-    Otherwise the singletons the 1x3 sub-curves reject (`_subcurve_rejects`)
-    skip the projection test; when none survive, Gr(T) is never completed,
-    so the curve never reaches its budget.
+    """Delta_T computed, not memoized: `_read_complex` stores it. For
+    s >= 4, a curve with a repeated entry is decided by the curve without
+    the repeat, with no Gr(T) (below). Otherwise the singletons the 1x3
+    sub-curves reject (`_subcurve_rejects`) skip the projection test; when
+    none survive, Gr(T) is never completed, so the curve never reaches its
+    budget.
 
     Let a_i = a_j, i < j the first such pair, and T' be T without column j,
     a curve with s - 1 >= 3 entries and gcd 1, whose complex is read by
@@ -359,7 +365,7 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
 
     - (A) +/-Gr(T) is +/-(e_i - e_j) and the same-sign splittings u of each
       g in +/-Gr(T'): u_i + u_j = g_i, u_i u_j >= 0, u = g elsewhere. So
-      m(u) = g is in +/-Gr(T'). The proof is in `graver._split_graver`.
+      m(u) = g is in +/-Gr(T'). The proof is in `graver._matrix_graver`.
     - (B) Neither i nor j is a vertex. Delete column i: pi_i(e_i - e_j) =
       -e_j lies below pi_i of the circuit on {j, k}, for any third column
       k, taken with its j entry negative; the two are distinct. Likewise
@@ -439,6 +445,4 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
             passed = [i for i in tested if face_test_projection(T, i, budget=budget)]
         log.debug("complex %s: sub-curves reject %s, face tests on %s",
                   t, sorted(rejected), tested)
-    result = RobustComplex(T=t, faces=frozenset({frozenset(), *(frozenset({i}) for i in passed)}))
-    _remember(_COMPLEX_MEMO, t, result, _COMPLEX_MEMO_SIZE)
-    return result
+    return RobustComplex(T=t, faces=frozenset({frozenset(), *(frozenset({i}) for i in passed)}))

@@ -24,12 +24,13 @@ algorithm, down to modulus 1 and the unit vectors (`_descent`). A lattice of
 rank 0 or 1 is its own Graver basis up to sign: nothing, or the primitive
 generator of its saturated basis.
 
-A matrix with two equal nonzero columns i < j is not completed at all
-(`_split_graver`): its Graver basis is +-(e_i - e_j) and the same-sign
-splittings of each element of the Graver basis of the matrix without column
-j, each of its entry at i into two entries of one sign at i and j. That
-matrix is split again while it repeats a column, and its own basis comes
-from the engines above. Equal zero columns are not split.
+Every computed basis comes from one call, `_matrix_graver`. A matrix with
+two equal nonzero columns i < j is not completed at all: its Graver basis
+is +-(e_i - e_j) and the same-sign splittings of each element of the Graver
+basis of the matrix without column j, each of its entry at i into two
+entries of one sign at i and j. That matrix is split again, by the same
+call, while it repeats a column, and the last one's basis comes from the
+engines above. Equal zero columns are not split.
 
 A lift stage is a Pottier-style completion: seed with the Graver basis of
 the columns done so far, lifted, and its negations, repeatedly form
@@ -74,6 +75,7 @@ from .errors import BudgetExceededError, PreconditionError
 from .linalg import (
     IntMat,
     IntVec,
+    LatticeBasis,
     _xgcd_min,
     kernel_lattice,
     negative_part,
@@ -99,8 +101,10 @@ class Budget:
     candidate, on top of those of the bases it is split from.
     `max_seconds` caps the wall time, from the first seed to the last pop,
     minimality filter or splitting; each level of a descent has a filter,
-    a lift stores nothing to filter out. A lattice of rank 0 or 1, answered
-    in closed form, spends neither. ValueError for a negative or NaN cap.
+    a lift stores nothing to filter out. The clock is also read before
+    each column subset whose determinant the projection of project-and-lift
+    tries. A lattice of rank 0 or 1, answered in closed form, spends
+    neither. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -331,10 +335,10 @@ class ConformalIndex:
 class _Spent:
     """The candidates and seconds one computation has spent over its stages:
     the clock runs from the first seed and is read before every pop, every
-    row of a descent level's minimality filter and every vector a walk or a
-    split emits, and the candidates are the pair sums of every finished
-    lift, the vectors the rank-2 walks have emitted and the splittings of
-    every finished split."""
+    row of a descent level's minimality filter, every column subset a
+    projection tries and every vector a walk or a split emits, and the
+    candidates are the pair sums of every finished lift, the vectors the
+    rank-2 walks have emitted and the splittings of every finished split."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -446,7 +450,7 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
     Ideas in the Theory of Discrete Optimization, 2013, ch. 3); canonical
     sorted representatives.
 
-    - Project. P, the basis's columns S = `_projected_columns(basis)`, has
+    - Project. P, the basis's columns S = `_projected_columns`, has
       det(P) != 0, so projecting onto any set of columns J that holds S is
       injective on L: a vector of L is known by its projection pi_J. pi_S(L)
       is the full-rank lattice of Z^d spanned by the rows of P, of index
@@ -577,14 +581,15 @@ def _project_and_lift(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[In
 
     `spent` caps the sums formed in all stages together, the descent's
     included, and the seconds from the first seed to the last pop or
-    minimality filter. Each stage logs one debug line: `descent: {modulus,
-    zeros, projected, kept}` for each level of the descent, after the
-    reduced lattice's own lines, `projected` being |Gr(K)| and `kept`
+    minimality filter, reading the clock also before each column subset
+    that the projection tries. Each stage logs one debug line: `descent:
+    {modulus, zeros, projected, kept}` for each level of the descent, after
+    the reduced lattice's own lines, `projected` being |Gr(K)| and `kept`
     |Gr(Lambda)|, and `lift: {column, seeds, generated, skipped, pops,
     inserts, kept}` for each lift, whose `skipped` counts the pairs the
     kappa rule skipped and whose `kept` is `seeds + inserts`.
     """
-    cols = _projected_columns(basis)
+    cols = _projected_columns(basis, spent)
     P = [[b[c] for c in cols] for b in basis]
     det = _det(P)
     rest = [j for j in range(n) if j not in cols]
@@ -635,13 +640,15 @@ def _descent(modulus: int, residues: Sequence[tuple[int, ...]], spent: _Spent
     return sorted(found)
 
 
-def _projected_columns(basis: Sequence[IntVec]) -> tuple[int, ...]:
+def _projected_columns(basis: Sequence[IntVec], spent: _Spent) -> tuple[int, ...]:
     """The d columns, d = len(basis), on which the basis has the least
     nonzero |det|, the first such in lexicographic order. For a 1xs curve
     (a_1, ..., a_s) with gcd 1 the minor off column k is +-a_k, so they are
-    all the columns but that of its smallest entry."""
+    all the columns but that of its smallest entry. The clock is read
+    before each subset's determinant."""
     least, cols = 0, ()
     for J in itertools.combinations(range(len(basis[0])), len(basis)):
+        spent.check(0)
         det = abs(_det([[b[c] for c in J] for b in basis]))
         if det and (not least or det < least):
             least, cols = det, J
@@ -753,15 +760,11 @@ def _rank2_graver(basis: Sequence[IntVec], spent: _Spent) -> list[IntVec]:
                   for x1, x2 in _sector_walks(basis, spent))
 
 
-def _lattice_graver(basis: Sequence[IntVec], n: int, budget: Budget) -> list[IntVec]:
-    """Canonical sorted Gr of the lattice with this basis, under one budget
-    ledger for all its stages (see `_graver`)."""
-    return _graver(basis, n, _Spent(budget))
-
-
 def _graver(basis: Sequence[IntVec], n: int, spent: _Spent) -> list[IntVec]:
     """Canonical sorted Gr of the lattice with this saturated basis: the walk
-    for rank 2, project-and-lift for rank 3 and up, spending `spent`.
+    for rank 2, project-and-lift for rank 3 and up, spending `spent`. It is
+    the engine of `_matrix_graver`, for a matrix that repeats no nonzero
+    column, and of `_descent`, for its reduced lattices.
 
     Below rank 2 it is the basis up to sign, spending no budget: Gr(Z b) is
     +-b for b primitive (Sturmfels, Groebner Bases and Convex Polytopes,
@@ -784,13 +787,17 @@ def _repeated_column(X: IntMat) -> tuple[int, int] | None:
     return None
 
 
-def _split_graver(X: IntMat, pair: tuple[int, int], spent: _Spent) -> list[IntVec]:
-    """Canonical sorted Gr(X) for X whose columns i < j of `pair` are equal
-    and nonzero, from Gr(X'), X' being X without column j: +-(e_i - e_j)
-    and every same-sign splitting of each g in Gr(X'), the u with u_i + u_j
-    = g_i and u_i u_j >= 0 that agree with g elsewhere. No sum is formed.
+def _matrix_graver(X: IntMat, spent: _Spent, lattice: LatticeBasis | None = None
+                   ) -> list[IntVec]:
+    """Canonical sorted Gr(X), spending `spent`, off every memo. When X
+    repeats no nonzero column, `_graver` on Ker X, given as `lattice` if the
+    caller has it. Otherwise, for its first equal nonzero columns i < j
+    (`_repeated_column`), X is split (A): Gr(X) is +-(e_i - e_j) and every
+    same-sign splitting of each g in Gr(X'), X' being X without column j,
+    the u with u_i + u_j = g_i and u_i u_j >= 0 that agree with g elsewhere,
+    and Gr(X') comes from this function again. No sum is formed.
 
-    This is exact. Let m merge coordinate j into i: m(u)_i = u_i + u_j,
+    (A) is exact. Let m merge coordinate j into i: m(u)_i = u_i + u_j,
     column j dropped. X' m(u) = X u, as X_i = X_j, so m maps Ker X onto
     Ker X' (v' lifts with v_j = 0), with kernel Z(e_i - e_j).
 
@@ -820,21 +827,20 @@ def _split_graver(X: IntMat, pair: tuple[int, int], spent: _Spent) -> list[IntVe
     so in Gr(X), and e_i - e_j lies above e_i. `_repeated_column` passes
     them over.
 
-    While X' still repeats a nonzero column it is split again, else its Gr
-    comes from `_graver` on its kernel lattice, under the same `spent` and
-    off every memo, as a descent's reduced lattices are. Each splitting is a
-    candidate on `spent`, which reads the clock as each is emitted. Each
-    split logs one debug line, `split: column j repeats column i`, and its
-    counters, after X''s own lines.
+    X' is split again while it repeats a nonzero column, and the last
+    one's Gr comes from `_graver`, under the same `spent`, as a descent's
+    reduced lattices do. Each splitting is a candidate on `spent`, which
+    reads the clock as each is emitted. Each split logs one debug line,
+    `split: column j repeats column i`, and its counters, after X''s own
+    lines.
     """
+    pair = _repeated_column(X)
+    if pair is None:
+        lattice = lattice or kernel_lattice(X)
+        return _graver(lattice.vectors, lattice.n, spent)
     i, j = pair
-    reduced = IntMat(tuple(row[:j] + row[j + 1:] for row in X.rows), ncols=X.ncols - 1)
-    inner = _repeated_column(reduced)
-    if inner is None:
-        lattice = kernel_lattice(reduced)
-        G = _graver(lattice.vectors, lattice.n, spent)
-    else:
-        G = _split_graver(reduced, inner, spent)
+    G = _matrix_graver(IntMat(tuple(row[:j] + row[j + 1:] for row in X.rows),
+                              ncols=X.ncols - 1), spent)
     found = [tuple(int(k == i) - int(k == j) for k in range(X.ncols))]
     for g in G:
         x = g[i]
@@ -859,14 +865,14 @@ def graver_basis(A: IntMat, budget: Budget | None = None) -> GraverBasis:
     """Exact Graver basis of Ker_Z(A), canonical order, one element per +/- pair.
 
     Gr(A) depends only on the lattice Ker(A). The lattice of a simple A (no
-    free column, no two parallel Gale rows) is computed by `_lattice_graver`:
-    the sector walk when it has rank 2, project-and-lift when it has rank 3
-    or more, and the basis itself up to sign below that. Any other
-    A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B simple.
-    When the matrix whose lattice is computed, A or A_B, has two equal
-    nonzero columns, its Graver basis is split in closed form from that of
-    the matrix without one of them (`_split_graver`, which proves it), and
-    `_lattice_graver` is not called.
+    free column, no two parallel Gale rows) is computed by one call to
+    `_matrix_graver`: the sector walk when it has rank 2, project-and-lift
+    when it has rank 3 or more, and the basis itself up to sign below that.
+    Any other A with Ker(A) != 0 is answered as Gr(A) = D(Gr(A_B)), with A_B
+    simple. When the matrix whose lattice is computed, A or A_B, has two
+    equal nonzero columns, that call splits its Graver basis in closed form
+    from that of the matrix without one of them (fact (A), proved in
+    `_matrix_graver`), and no lattice of that width is completed.
     Each result is memoized under the canonical basis of the lattice it
     answers and its width n: `kernel_lattice(X).vectors`, the rows of the
     Hermite form of the saturated kernel, which the lattice alone
@@ -929,12 +935,7 @@ def _graver_basis_on_miss(A: IntMat, key: tuple, budget: Budget | None) -> Grave
     result = _LATTICE_MEMO.get(lattice_key)
     hit = result is not None
     if not hit:
-        budget = budget or DEFAULT_BUDGET
-        pair = _repeated_column(X)
-        if pair is None:
-            elements = _lattice_graver(lattice.vectors, lattice.n, budget)
-        else:
-            elements = _split_graver(X, pair, _Spent(budget))
+        elements = _matrix_graver(X, _Spent(budget or DEFAULT_BUDGET), lattice)
         result = GraverBasis(n=lattice.n, elements=tuple(elements))
         _remember(_LATTICE_MEMO, lattice_key, result, _GRAVER_MEMO_SIZE)
     if dec is not None:

@@ -18,7 +18,7 @@ from graverkit import (
     lambda_matrix,
     robust_complex,
 )
-from graverkit.graver import DEFAULT_BUDGET, _lattice_graver
+from graverkit.graver import DEFAULT_BUDGET, _graver, _Spent
 from graverkit.linalg import (
     kernel_lattice,
     negative_part,
@@ -282,11 +282,17 @@ def fresh_graver_basis(A, budget=None):
         return graver_basis(A, budget)
 
 
+def _lattice_graver(basis, n, budget):
+    """Canonical sorted Gr of the lattice with this basis by the engine,
+    `_graver`, under a fresh `_Spent`: the walk, project-and-lift or the
+    basis up to sign, whatever the matrix's columns. `_graver` is bound at
+    import, so a test that patches it still has the engine at the top."""
+    return _graver(basis, n, _Spent(budget))
+
+
 def engine_graver(A):
     """Canonical sorted Gr(A) by the engine, `_lattice_graver`, run on A's own
-    kernel lattice: the reference the split of repeated columns is held to.
-    It is bound at import, so a test that patches the miss path's engine
-    away still has it."""
+    kernel lattice: the reference the split of repeated columns is held to."""
     lattice = kernel_lattice(A)
     return tuple(_lattice_graver(lattice.vectors, lattice.n, DEFAULT_BUDGET))
 

@@ -649,6 +649,18 @@ class TestComplexMemo:
         assert again == first and again is not first
         assert list(memo) == curves[-cap + 1:] + [curves[0]]
 
+    def test_a_hit_becomes_the_newest_entry(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        first = robust_complex([4, 5, 6])
+        robust_complex([3, 5, 7])
+        assert robust_complex([8, 10, 12]) is first
+        assert list(complexes_module._COMPLEX_MEMO) == [(3, 5, 7), (4, 5, 6)]
+
+    def test_the_miss_path_only_computes(self, monkeypatch):
+        empty_graver_memos(monkeypatch)
+        assert complexes_module._complex_on_miss((4, 5, 6), None).vertex() == 2
+        assert complexes_module._COMPLEX_MEMO == {}
+
     def test_a_scan_computes_each_subcurve_once(self, monkeypatch):
         # the 1x4 scan to 10 reads 172 triples and computes 626 curves; a
         # memo between the two sizes keeps the triples it still reads
@@ -686,13 +698,13 @@ class TestComplexMemo:
         # complex is walk counts: no lattice is computed
         empty_graver_memos(monkeypatch)
         runs = []
-        engine = graver_module._lattice_graver
+        engine = graver_module._matrix_graver
 
-        def counting(basis, n, budget):
-            runs.append(n)
-            return engine(basis, n, budget)
+        def counting(X, spent, lattice=None):
+            runs.append(X.ncols)
+            return engine(X, spent, lattice)
 
-        monkeypatch.setattr(graver_module, "_lattice_graver", counting)
+        monkeypatch.setattr(graver_module, "_matrix_graver", counting)
         budget = Budget(max_candidates=2_000)
         assert robust_complex([15, 15, 29, 29, 29], budget=budget).sorted_faces() == [[]]
         assert runs == []

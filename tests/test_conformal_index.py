@@ -34,7 +34,7 @@ from graverkit import (
     robust_complex,
 )
 from graverkit.errors import BudgetExceededError
-from graverkit.graver import DEFAULT_BUDGET, Budget, ConformalIndex, _lattice_graver
+from graverkit.graver import DEFAULT_BUDGET, Budget, ConformalIndex
 from graverkit.linalg import (
     kernel_lattice,
     negative_part,
@@ -44,7 +44,14 @@ from graverkit.linalg import (
     vec_add,
 )
 
-from _paper import T_BIG, _complete_lattice, empty_graver_memos, example_e, fresh_graver_basis
+from _paper import (
+    T_BIG,
+    _complete_lattice,
+    _lattice_graver,
+    empty_graver_memos,
+    example_e,
+    fresh_graver_basis,
+)
 
 
 def _pair_sums_by_loop(index, v, seen, lift, before, kappa):

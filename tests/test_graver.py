@@ -36,7 +36,6 @@ from graverkit.graver import (
     ConformalIndex,
     GraverBasis,
     _det,
-    _lattice_graver,
     _projected_columns,
     _Spent,
 )
@@ -57,6 +56,7 @@ from graverkit.robustness import IndispensableSet
 from _paper import (
     T_BIG,
     _complete_lattice,
+    _lattice_graver,
     empty_graver_memos,
     engine_graver,
     example_e,
@@ -423,9 +423,10 @@ class TestProjectAndLift:
         # the minor off column k is +-a_k; on a tie the first set of columns wins
         for t in [T_BIG, (7, 3, 9, 11), (5, 9, 2, 14, 6), (8, 13, 21, 34, 55, 89)]:
             k = t.index(min(t))
-            cols = _projected_columns(kernel_lattice(T(*t)).vectors)
+            cols = _projected_columns(kernel_lattice(T(*t)).vectors, _Spent(DEFAULT_BUDGET))
             assert cols == tuple(c for c in range(len(t)) if c != k), t
-        assert _projected_columns(kernel_lattice(T(15, 15, 29, 29, 29)).vectors) == (0, 2, 3, 4)
+        assert _projected_columns(kernel_lattice(T(15, 15, 29, 29, 29)).vectors,
+                                  _Spent(DEFAULT_BUDGET)) == (0, 2, 3, 4)
 
     def test_a_unit_entry_projects_onto_the_unit_vectors(self, monkeypatch, caplog):
         # modulus 1: every residue is 0, so the descent reads no reduced curve
@@ -571,7 +572,7 @@ class TestProjectAndLift:
             stages.clear()
             lifted = _lattice_graver(basis, len(t), DEFAULT_BUDGET)
             assert reference is None or reference == lifted, t
-            cols = _projected_columns(basis)
+            cols = _projected_columns(basis, _Spent(DEFAULT_BUDGET))
             order = [*cols, *(c for c in range(len(t)) if c not in cols)]
             assert stages[-1][0] == sorted(sign_canonical([g[c] for c in order]) for g in lifted)
             for kept, skipped in stages:
@@ -1049,6 +1050,22 @@ class TestGraverBasis:
         assert info.value.kind == "time"
         assert counted == [0]
 
+    def test_time_cap_holds_in_the_column_search(self, monkeypatch):
+        # a rank-12 lattice of Z^16: the projection tries up to C(16, 12)
+        # column subsets, one determinant each, and reads the clock first
+        dets = []
+        det = graver_module._det
+        monkeypatch.setattr(graver_module, "_det", lambda rows: (dets.append(1), det(rows))[1])
+        A = IntMat.from_rows([
+            [-5, 9, -7, -1, -6, 6, 5, 6, 3, -3, -6, 6, -9, 3, 4, -9],
+            [5, -1, -2, 9, -6, 1, -9, -9, -9, 8, -9, 3, -3, 4, -9, 7],
+            [-2, 5, 6, 8, -2, 2, -2, -2, 5, 0, -9, 4, 8, -6, -4, 0],
+            [-6, 1, 7, 4, 7, -3, 0, 0, 9, 6, 7, 3, 9, -8, 6, -2]])
+        with pytest.raises(BudgetExceededError) as info:
+            fresh_graver_basis(A, budget=Budget(max_seconds=0.0))
+        assert (info.value.kind, info.value.generated) == ("time", 0)
+        assert dets == []
+
 
 class TestPrimitiveSets:
     def test_componentwise_order(self):
@@ -1123,7 +1140,7 @@ def non_simple_candidates(draw):
 @st.composite
 def low_rank_kernels(draw):
     """An n x n or (n-1) x n matrix, n <= 4, whose kernel has rank 0 or 1: the
-    lattices `_lattice_graver` answers in closed form, routed or not."""
+    lattices `_graver` answers in closed form, routed or not."""
     n = draw(st.integers(1, 4))
     d = draw(st.sampled_from([n - 1, n]))
     A = IntMat(tuple(tuple(draw(st.integers(-3, 3)) for _ in range(n)) for _ in range(d)), ncols=n)
@@ -1157,16 +1174,16 @@ class TestBouquetRoute:
     @staticmethod
     def completions(monkeypatch):
         """Empty both memos; return the list that records the width of every
-        lattice whose Graver basis is computed from here on, by either engine."""
+        matrix whose Graver basis is computed from here on."""
         empty_graver_memos(monkeypatch)
         runs = []
-        engine = graver_module._lattice_graver
+        engine = graver_module._matrix_graver
 
-        def counting(basis, n, budget):
-            runs.append(n)
-            return engine(basis, n, budget)
+        def counting(X, spent, lattice=None):
+            runs.append(X.ncols)
+            return engine(X, spent, lattice)
 
-        monkeypatch.setattr(graver_module, "_lattice_graver", counting)
+        monkeypatch.setattr(graver_module, "_matrix_graver", counting)
         return runs
 
     def test_one_completion_per_verified_complex(self, monkeypatch):
@@ -1208,7 +1225,7 @@ class TestBouquetRoute:
     def test_lifting_reuses_the_curve_memo_entry(self, monkeypatch, caplog):
         empty_graver_memos(monkeypatch)
         G_T = graver_basis(T(4, 5, 6))
-        monkeypatch.setattr(graver_module, "_lattice_graver", None)  # no second computation
+        monkeypatch.setattr(graver_module, "_matrix_graver", None)  # no second computation
         lam = lambda_matrix([4, 5, 6], [2])
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = graver_basis(lam.matrix)
@@ -1312,17 +1329,23 @@ class TestSplit:
     without one of them), against the engine on X's own lattice."""
 
     @staticmethod
-    def split_only(monkeypatch):
-        """Empty both memos and take the engine off the miss path, so that
-        only the split can answer."""
+    def split_only(monkeypatch, width):
+        """Empty both memos and refuse `_graver` on a lattice of this width,
+        so that only the split can answer."""
         empty_graver_memos(monkeypatch)
-        monkeypatch.setattr(graver_module, "_lattice_graver", None)
+        engine = graver_module._graver
+
+        def refusing(basis, n, spent):
+            assert n != width, "a repeated-column matrix was completed"
+            return engine(basis, n, spent)
+
+        monkeypatch.setattr(graver_module, "_graver", refusing)
 
     @pytest.mark.parametrize("s, bound", [(4, 10), (5, 8)])
     def test_repeated_entry_curves_match_the_engine(self, monkeypatch, s, bound):
         curves = repeated_curves(s, bound)
         engine = {t: engine_graver(T(*t)) for t in curves}
-        self.split_only(monkeypatch)
+        self.split_only(monkeypatch, s)
         assert {t: graver_basis(T(*t)).elements for t in curves} == engine
 
     @settings(max_examples=100, deadline=None)
@@ -1331,8 +1354,7 @@ class TestSplit:
     @example(IntMat.from_rows([[0, 2, 2], [1, -3, -3]]))
     def test_duplicated_columns_match_the_engine(self, X):
         engine = engine_graver(X)
-        pair = graver_module._repeated_column(X)
-        split = graver_module._split_graver(X, pair, _Spent(DEFAULT_BUDGET))
+        split = graver_module._matrix_graver(X, _Spent(DEFAULT_BUDGET))
         assert tuple(split) == engine
         assert fresh_graver_basis(X).elements == engine
 
@@ -1347,12 +1369,12 @@ class TestSplit:
         assert graver_module._repeated_column(bouquet_decomposition(A).a_matrix) is None
         expected = ((0, 0, 1, -1), (1, -1, 0, 0))
         assert fresh_graver_basis(A).elements == engine_graver(A) == expected
-        assert tuple(graver_module._split_graver(A, (0, 1), _Spent(DEFAULT_BUDGET))) == expected
+        assert tuple(graver_module._matrix_graver(A, _Spent(DEFAULT_BUDGET))) == expected
 
     def test_lifting_of_a_repeated_entry_curve(self, monkeypatch):
         lam = lambda_matrix([4, 6, 6, 9], [1]).matrix
         engine = engine_graver(lam)
-        self.split_only(monkeypatch)  # A_B is (4, 6, 6, 9), which repeats a column
+        self.split_only(monkeypatch, 4)  # A_B is (4, 6, 6, 9), which repeats a column
         assert graver_basis(lam).elements == engine
 
     def test_each_split_logs_one_line(self, caplog):
