@@ -13,7 +13,13 @@ from graverkit import (
     indispensable_set,
     is_strongly_robust,
 )
-from graverkit.linalg import negative_part, positive_part, sign_canonical
+from graverkit.linalg import (
+    is_semiconformal_sum,
+    negative_part,
+    positive_part,
+    sign_canonical,
+    vec_sub,
+)
 from graverkit.oracle import (
     dispensability_witness_by_enumeration,
     graver_by_enumeration,
@@ -28,6 +34,12 @@ from test_conformal_index import small_matrices
 
 def T(*entries):
     return IntMat.row_vector(entries)
+
+
+def reference_points(A, box):
+    """Every nonzero kernel point of the box, by a loop over the whole box."""
+    return [u for u in itertools.product(range(-box, box + 1), repeat=A.ncols)
+            if any(u) and A.in_kernel(u)]
 
 
 def reference_graver(A, box):
@@ -60,6 +72,16 @@ def reference_indispensable(A, box, wbox):
     """The box enumerated once for the basis and once more per element."""
     return tuple(u for u in reference_graver(A, box)
                  if dispensability_witness_by_enumeration(A, u, wbox) is None)
+
+
+def reference_witness(A, u, box):
+    """The witness loop as first written: the definition tried at every box point."""
+    for w in kernel_points_in_box(A, box):
+        if w != u:
+            v = vec_sub(u, w)
+            if is_semiconformal_sum(u, v, w):
+                return (v, w)
+    return None
 
 
 def outcome(f, *args):
@@ -97,6 +119,21 @@ class TestKernelEnumeration:
     def test_box_zero(self):
         assert kernel_points_in_box(T(2, 3), 0) == []
 
+    @pytest.mark.parametrize("seed", range(30))
+    def test_every_box_point_is_tried(self, seed):
+        # 1-3 rows, 1-5 columns, entries -4..4; every third matrix has a
+        # zero column, the last one in every other such matrix
+        rng = random.Random(seed)
+        m, n = rng.randint(1, 3), rng.randint(1, 5)
+        rows = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(m)]
+        if seed % 3 == 0:
+            zero = n - 1 if seed % 2 == 0 else rng.randrange(n)
+            for row in rows:
+                row[zero] = 0
+        A = IntMat.from_rows(rows)
+        for box in range(6):
+            assert kernel_points_in_box(A, box) == reference_points(A, box)
+
 
 class TestGraverEnumeration:
     def test_boundary_detection(self):
@@ -130,6 +167,18 @@ class TestIndispensabilityEnumeration:
     def test_floats_rejected_not_truncated(self):
         with pytest.raises(TypeError):
             dispensability_witness_by_enumeration(T(3, 5, 7), (4.0, -1.0, -1.0), 10)
+
+    @pytest.mark.parametrize("f, args", [
+        (kernel_points_in_box, (3.5,)),
+        (graver_by_enumeration, (12.0,)),
+        (indispensable_by_enumeration, (3.5, 20)),  # max(3.5, 20) is the int 20
+        (indispensable_by_enumeration, (12.0, 20)),
+        (indispensable_by_enumeration, (12, 20.0)),
+        (dispensability_witness_by_enumeration, ((4, -1, -1), 20.0)),
+    ])
+    def test_float_boxes_rejected(self, f, args):
+        with pytest.raises(TypeError):
+            f(T(3, 5, 7), *args)
 
     def test_indispensable_set_of_3_5_7(self):
         assert set(indispensable_by_enumeration(T(3, 5, 7), 12, 20)) == {
@@ -176,6 +225,21 @@ class TestAgainstReferences:
         assert outcome(graver_by_enumeration, A, box) == outcome(reference_graver, A, box)
         assert outcome(indispensable_by_enumeration, A, box, wbox) == outcome(
             reference_indispensable, A, box, wbox)
+
+    @pytest.mark.parametrize("entries", CURVE_SAMPLE)
+    def test_curve_sample_points(self, entries):
+        # last entries up to 15: the second-to-last coordinate steps through
+        # congruence classes other than 0, which small entries rarely need
+        A = T(*entries)
+        assert kernel_points_in_box(A, 10) == reference_points(A, 10)
+
+    @pytest.mark.parametrize("A, wbox", [(T(*e), 16) for e in CURVE_SAMPLE]
+                             + [(IntMat.from_rows(rows), 12) for rows in FIXED_2X4])
+    def test_first_witness_by_definition(self, A, wbox):
+        for g in fresh_graver_basis(A).elements:
+            for u in (g, tuple(-x for x in g)):
+                assert dispensability_witness_by_enumeration(A, u, wbox) == reference_witness(
+                    A, u, wbox)
 
     def test_one_enumeration_serves_every_smaller_box(self):
         # the enumeration is lexicographic, so filtering it to a smaller box
