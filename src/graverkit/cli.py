@@ -143,7 +143,7 @@ def cmd_graver(args) -> Output:
 
 
 def cmd_circuits(args) -> Output:
-    C = circuits(_load(args))
+    C = circuits(_load(args), budget=_budget(args))
     return _vector_set({"n": C.n, "count": len(C), "elements": vectors_to_json(C.elements)})
 
 

@@ -44,16 +44,19 @@ from .errors import GraverKitError, PreconditionError
 from .graver import (
     DEFAULT_BUDGET,
     Budget,
+    _cone_count,
     _remember,
     _repeated_column,
-    _sector_walks,
+    _sector_rays,
     _Spent,
     graver_basis,
 )
-from .linalg import IntMat, IntVec, _xgcd_min, project_out
+from .linalg import IntMat, IntVec, _xgcd_min, vec_neg
 from .robustness import dispensability_witness, is_strongly_robust
 
 log = logging.getLogger(__name__)
+# the logger of the rank-2 walks, whose lines a 1x3 complex's cone counts replace
+walk_log = logging.getLogger("graverkit.graver")
 
 
 def _as_row(T) -> IntMat:
@@ -406,15 +409,37 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
       of Gr(pi_i L), all in pi_i(+/-Gr L) and below p, so in an antichain p
       is one of them.
 
-    Nothing is computed at s = 3 but the walks: the four sizes are counts of
-    `_sector_walks`, which yields each Graver element once up to sign, on a
-    kernel basis written down. For T = (a, b, c), g = gcd(a, b) and
-    a*x + b*y = g, the rows (b/g, -a/g, 0) and (c*x, c*y, -g) lie in L, and
-    their 2x2 minors are +-(c, b, a), of gcd 1, so they span a saturated
-    rank-2 sublattice of L, which is L; their projections span pi_i L, a
-    rank-2 lattice of Z^2. The four walks share one budget ledger, and no
-    vector, kernel lattice, Graver basis or `signed_index` is built, so
-    `graver_basis`'s memos are neither read nor written.
+    Nothing is computed at s = 3 but six cone counts. For T = (a, b, c),
+    g = gcd(a, b) and a*x + b*y = g, the rows (b/g, -a/g, 0) and
+    (c*x, c*y, -g) lie in L, and their 2x2 minors are +-(c, b, a), of gcd 1,
+    so they span a saturated rank-2 sublattice of L, which is L; their
+    projections span pi_i L, a rank-2 lattice of Z^2. `_sector_walks` on a
+    basis yields each Graver element once up to sign, one per lattice point
+    of its sectors' walks, and `_cone_count` counts one sector's points, so:
+
+    - The three Gale rows of L are nonzero and pairwise non-parallel
+      (`_curve_row`), so in the coordinates x of the basis their lines give
+      three rays r_0, r_1, r_2 at angles in (0, pi] (`_sector_rays`), and
+      L's half-turn has three sectors S_0 = (r_0, r_1), S_1 = (r_1, r_2)
+      and S_2 = (r_2, -r_0), with counts c_0, c_1, c_2, and
+      |Gr(L)| = c_0 + c_1 + c_2. On this basis r_0, r_1, r_2 lie on the
+      lines of columns 2, 1, 3: the Gale rows (b/g, c*x), (-a/g, c*y) and
+      (0, -g) have lines along u = (-c*x, b/g), v = (c*y, a/g) and (-1, 0),
+      at angles in (0, pi), (0, pi) and pi, and det(v, u) = c > 0.
+    - As pi_i is injective on L, pi_i L is read in the same coordinates x,
+      and its Gale rows are the other two rows. So deleting column i removes
+      its line's ray r_p and merges the two sectors beside it into one cone
+      M_p, and pi_i L's half-turn is M_p and S_{p+1}: M_1 = (r_0, r_2) is
+      S_0 + S_1 and M_2 = (r_1, -r_0) is S_1 + S_2, while M_0 = (r_2, -r_1)
+      is S_2 + (-S_0), and -S_0 has the points of S_0 negated, so as many.
+    - So |Gr(pi_i L)| = count(M_p) + c_{p+1}, and {i} is a face iff
+      count(M_p) = c_{p-1} + c_p, indices mod 3.
+
+    The six counts share one budget ledger and log one debug line on the
+    walks' logger, `graverkit.graver`: `cone counts: {'curve': T, 'sectors':
+    [c_0, c_1, c_2], 'merged': [M_0, M_1, M_2]}`. No vector, kernel
+    lattice, Graver basis or `signed_index` is built, so `graver_basis`'s
+    memos are neither read nor written.
     """
     s = len(t)
     pair = _repeated_column(IntMat.row_vector(t)) if s >= 4 else None
@@ -432,14 +457,17 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
         if s == 3:
             a, b, c = t
             g, x, y = _xgcd_min(a, b)
-            basis = [(b // g, -a // g, 0), (c * x, c * y, -g)]
+            basis = (b // g, -a // g, 0), (c * x, c * y, -g)
             spent = _Spent(budget or DEFAULT_BUDGET)
-
-            def size(rows: list[IntVec]) -> int:
-                return sum(1 for _ in _sector_walks(rows, spent))
-
-            whole = size(basis)
-            passed = [i for i in tested if size([project_out(v, i) for v in basis]) == whole]
+            r0, r1, r2 = _sector_rays(basis)
+            sectors = [_cone_count(r0, r1, spent), _cone_count(r1, r2, spent),
+                       _cone_count(r2, vec_neg(r0), spent)]
+            merged = [_cone_count(r2, vec_neg(r1), spent), _cone_count(r0, r2, spent),
+                      _cone_count(r1, vec_neg(r0), spent)]
+            walk_log.debug("cone counts: %s", dict(curve=t, sectors=sectors, merged=merged))
+            # r_0, r_1, r_2 lie on the lines of columns 2, 1, 3 (below)
+            passed = [i for i, p in ((1, 1), (2, 0), (3, 2))
+                      if merged[p] == sectors[p - 1] + sectors[p]]
         else:
             T = IntMat.row_vector(t)
             passed = [i for i in tested if face_test_projection(T, i, budget=budget)]

@@ -88,12 +88,14 @@ log = logging.getLogger(__name__)
 
 @dataclass(frozen=True)
 class Budget:
-    """Resource caps for one Graver basis computation, or for the four
-    rank-2 walks that decide a 1x3 complex, which share one ledger.
+    """Resource caps for one Graver basis computation, for the six cone
+    counts that decide a 1x3 complex, which share one ledger, or for one
+    circuit enumeration.
 
     `max_candidates` caps the candidates: the pair sums formed in every
-    lift of project-and-lift together, or the vectors the rank-2 walks
-    emit. The projection's Graver basis comes by a descent through reduced
+    lift of project-and-lift together, the vectors the rank-2 walks emit,
+    the lattice points the cone counts count, or the circuits found. The
+    projection's Graver basis comes by a descent through reduced
     lattices, and their lifts' sums and walks' vectors count too. A pair
     that a lift skips by its kappa rule forms no sum and is no candidate.
     A matrix with two equal nonzero columns is split, and each splitting,
@@ -103,8 +105,9 @@ class Budget:
     minimality filter or splitting; each level of a descent has a filter,
     a lift stores nothing to filter out. The clock is also read before
     each column subset whose determinant the projection of project-and-lift
-    tries. A lattice of rank 0 or 1, answered in closed form, spends
-    neither. ValueError for a negative or NaN cap.
+    tries, once per run or step of a cone count and before each column
+    subset a circuit enumeration tries. A lattice of rank 0 or 1, answered
+    in closed form, spends neither. ValueError for a negative or NaN cap.
     """
 
     max_candidates: int = 2_000_000
@@ -336,9 +339,12 @@ class _Spent:
     """The candidates and seconds one computation has spent over its stages:
     the clock runs from the first seed and is read before every pop, every
     row of a descent level's minimality filter, every column subset a
-    projection tries and every vector a walk or a split emits, and the
+    projection or a circuit enumeration tries and every vector a walk or a
+    split emits, and after every run or step of a cone count, and the
     candidates are the pair sums of every finished lift, the vectors the
-    rank-2 walks have emitted and the splittings of every finished split."""
+    rank-2 walks have emitted, the points of every finished cone count and
+    the splittings of every finished split; a circuit enumeration counts
+    its circuits."""
 
     def __init__(self, budget: Budget):
         self.budget = budget
@@ -675,6 +681,57 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
     return sign * prev
 
 
+def _sector_rays(basis: Sequence[IntVec]) -> list[tuple[int, int]]:
+    """r_0, ..., r_{m-1} of `_sector_walks`: the primitive direction of each
+    distinct line x.w_c = 0, w_c = (b1_c, b2_c) a nonzero Gale row of the
+    basis, taken at its angle in (0, pi], in angular order."""
+    b1, b2 = basis
+    lines = set()
+    for w1, w2 in zip(b1, b2):
+        if w1 or w2:
+            g = math.gcd(w1, w2)
+            x, y = -w2 // g, w1 // g
+            lines.add((x, y) if y > 0 else (-x, -y))
+    # at angles in (0, pi], u comes before v iff det(u, v) > 0
+    return sorted(lines, key=functools.cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
+
+
+def _cone_count(r1: tuple[int, int], r2: tuple[int, int], spent: _Spent) -> int:
+    """The number of points h_0, ..., h_{k-1} that the walk of
+    `_sector_walks` yields in the sector cone(r1, r2), det(r1, r2) > 0, r1
+    and r2 primitive, counted a run at a time.
+
+    The walk's d_i = det(h_i, r2) follow d_{i+1} = a_i*d_i - d_{i-1},
+    a_i = ceil(d_{i-1} / d_i), one point per step while d_i > 0. With
+    delta = d_{i-1} - d_i, a_i = 2 exactly when 0 < delta <= d_i, and such a
+    step keeps delta: d_{i+1} = 2*d_i - d_{i-1} = d_i - delta. So a run of
+    a_i = 2 from d visits d, d - delta, ... while the value is >= delta:
+    m = floor(d / delta) points, after which (d_{i-1}, d_i) is
+    (d - (m-1)*delta, d - m*delta). Every other step is taken on its own.
+
+    Each run or step reads the clock once (`spent.check`), and its points
+    are candidates that stay on `spent`, as the walk's are. A run is cut at
+    the point that passes the element cap, so an element trip reports the
+    cap plus one, as a check before each point would.
+    """
+    _, s, t = _xgcd_min(*r1)  # p = (-t, s) has det(r1, p) = 1, h_{-1} = -p
+    d_prev, d = t * r2[1] + s * r2[0], r1[0] * r2[1] - r1[1] * r2[0]
+    room = spent.budget.max_candidates - spent.generated + 1  # points to the trip
+    found = 0
+    while d:
+        delta = d_prev - d
+        if 0 < delta <= d:
+            m = min(d // delta, room - found)
+            found += m
+            d_prev, d = d - (m - 1) * delta, d - m * delta
+        else:
+            found += 1
+            d_prev, d = d, -(-d_prev // d) * d - d_prev
+        spent.check(found)
+    spent.generated += found
+    return found
+
+
 def _sector_walks(basis: Sequence[IntVec], spent: _Spent) -> Iterator[tuple[int, int]]:
     """Each element of Gr(L), L = Z b1 + Z b2 in Z^n, once up to sign, as its
     coordinates x, the element being x1*b1 + x2*b2: the Hirzebruch-Jung walks
@@ -724,17 +781,11 @@ def _sector_walks(basis: Sequence[IntVec], spent: _Spent) -> Iterator[tuple[int,
     -r_0, ending the last one, is r_0 up to sign. So every element is yielded
     once, and `spent` checks both caps before each point, each counting as
     a candidate that stays on `spent`, so walks sharing it count together.
-    The finished walks log one debug line; their `kept` is their count.
+    The rays come from `_sector_rays`, as do `_cone_count`'s, which counts
+    a sector's points without yielding them. The finished walks log one
+    debug line; their `kept` is their count.
     """
-    b1, b2 = basis
-    lines = set()  # the primitive direction of each line at an angle in (0, pi]
-    for w1, w2 in zip(b1, b2):
-        if w1 or w2:
-            g = math.gcd(w1, w2)
-            x, y = -w2 // g, w1 // g
-            lines.add((x, y) if y > 0 else (-x, -y))
-    # at angles in (0, pi], u comes before v iff det(u, v) > 0
-    rays = sorted(lines, key=functools.cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
+    rays = _sector_rays(basis)
     ends = rays[1:] + [(-rays[0][0], -rays[0][1])]
     found = 0
     for r1, r2 in zip(rays, ends):
@@ -984,7 +1035,7 @@ def graver_of_set(S: Iterable[IntVec]) -> frozenset[IntVec]:
 # ---------------------------------------------------------------------------
 # circuits
 
-def circuits(A: IntMat) -> CircuitSet:
+def circuits(A: IntMat, budget: Budget | None = None) -> CircuitSet:
     """All circuits of A up to sign: minimal-support primitive kernel vectors.
 
     A simple A is enumerated: a column subset J supports a circuit iff
@@ -997,13 +1048,19 @@ def circuits(A: IntMat) -> CircuitSet:
     w_B != 0, so D preserves support inclusion both ways and maps the
     support-minimal vectors onto each other; and gcd(D(w)) = gcd(w), as
     each c_B has gcd 1, so D(w) is primitive iff w is.
+
+    The enumeration spends `budget` on one ledger: the clock is read before
+    each column subset, and each circuit found is a candidate, checked
+    before the next subset and after the last.
     """
     dec = _bouquet_route(A, kernel_lattice(A).vectors)
     X = A if dec is None else dec.a_matrix
     n = X.ncols
+    spent = _Spent(budget or DEFAULT_BUDGET)
     found: set[IntVec] = set()
     for k in range(1, min(X.rank() + 1, n) + 1):
         for J in itertools.combinations(range(n), k):
+            spent.check(len(found))
             lat = kernel_lattice(IntMat([[row[j] for j in J] for row in X.rows], ncols=k))
             if lat.rank != 1:
                 continue
@@ -1014,6 +1071,7 @@ def circuits(A: IntMat) -> CircuitSet:
             for pos, j in enumerate(J):
                 full[j] = u[pos]
             found.add(sign_canonical(full))
+    spent.check(len(found))
     if dec is not None:
         found = {sign_canonical(d_map(dec, u)) for u in found}
     return CircuitSet(n=A.ncols, elements=tuple(sorted(found)))

@@ -5,6 +5,7 @@ import math
 import random
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
@@ -34,7 +35,9 @@ from graverkit.graver import (
     DEFAULT_BUDGET,
     ConformalIndex,
     GraverBasis,
+    _cone_count,
     _rank2_graver,
+    _sector_rays,
     _sector_walks,
     _Spent,
 )
@@ -233,7 +236,7 @@ class TestCountRoute:
                 assert counted.faces == every_face_test(entries), entries
 
     def test_a_fresh_complex_computes_no_kernel(self, monkeypatch):
-        # the walks' kernel basis is written down, and Gr(T) is counted, not computed
+        # the counts' kernel basis is written down, and Gr(T) is counted, not computed
         empty_graver_memos(monkeypatch)
         calls = []
 
@@ -249,8 +252,9 @@ class TestCountRoute:
         assert counted.faces == every_face_test((6, 10, 15))
 
     def test_walks_share_the_budget(self, monkeypatch):
-        # a memoized Gr(4 5 6) spares no walk: the four walks, of L and of its
-        # three projections, emit 7 + 4 + 7 + 5 vectors on one ledger
+        # a memoized Gr(4 5 6) spares no count: the six cones, L's three
+        # sectors and its three projections' merged cones, count
+        # 3 + 2 + 2 + 5 + 2 + 2 = 16 points on one ledger
         empty_graver_memos(monkeypatch)
         graver_basis(T(4, 5, 6))
         with pytest.raises(BudgetExceededError):
@@ -276,11 +280,100 @@ class TestCountRoute:
         assert counted.faces == every_face_test((6, 10, 15))
 
     def test_element_cap_holds_inside_the_counting_walk(self, monkeypatch):
-        # Gr(7 15 20) has 9 elements; the first walk stops at its second point
+        # Gr(7 15 20) has 9 elements; the first cone count stops at its second point
         empty_graver_memos(monkeypatch)
         with pytest.raises(BudgetExceededError) as info:
             robust_complex([7, 15, 20], budget=Budget(max_candidates=1))
         assert (info.value.kind, info.value.generated) == ("elements", 2)
+
+    def test_a_run_stops_at_the_point_past_the_cap(self, monkeypatch):
+        # this curve's second sector has 100,003 points, almost all in one
+        # run of a_i = 2; counted whole, the run would overshoot the cap
+        for cap in (0, 1, 5, 1000):
+            empty_graver_memos(monkeypatch)
+            with pytest.raises(BudgetExceededError) as info:
+                robust_complex([3, 1000003, 1000033], budget=Budget(max_candidates=cap))
+            assert (info.value.kind, info.value.generated) == ("elements", cap + 1)
+
+    def test_time_cap_holds_inside_the_counts(self, monkeypatch):
+        # a clock that advances a second on every read: the first run or
+        # step of the first cone sees the cap passed
+        empty_graver_memos(monkeypatch)
+        clock = SimpleNamespace(monotonic=itertools.count().__next__)
+        monkeypatch.setattr(graver_module, "time", clock)
+        with pytest.raises(BudgetExceededError) as info:
+            robust_complex([3, 1000003, 1000033], budget=Budget(max_seconds=0.5))
+        assert (info.value.kind, info.value.generated) == ("time", 1)
+
+    def test_one_count_line_per_counted_complex(self, monkeypatch, caplog):
+        # on the walks' logger, in place of their rank-2 walk lines
+        empty_graver_memos(monkeypatch)
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            robust_complex([4, 5, 6])
+            robust_complex([8, 10, 12])
+        assert [(r.msg, r.args) for r in caplog.records if r.name == "graverkit.graver"] == [
+            ("cone counts: %s", dict(curve=(4, 5, 6), sectors=[3, 2, 2], merged=[5, 2, 2]))]
+
+
+def walk_count(rows, r1=None, r2=None):
+    """The points `_sector_walks` yields for the basis rows, on a fresh ledger:
+    all of them, or those of the sector cone(r1, r2), det(r1, h) >= 0 and
+    det(h, r2) > 0."""
+    walk = _sector_walks(rows, _Spent(DEFAULT_BUDGET))
+    if r1 is None:
+        return sum(1 for _ in walk)
+    return sum(1 for h in walk
+               if r1[0] * h[1] - r1[1] * h[0] >= 0 and h[0] * r2[1] - h[1] * r2[0] > 0)
+
+
+def four_walk_vertex(t):
+    """The faces {i} of Delta_T by |Gr(pi_i L)| = |Gr(L)|, each size the
+    length of one `_sector_walks`: the four-walk route the cone counts replace."""
+    basis = kernel_lattice(T(*t)).vectors
+    whole = walk_count(basis)
+    return [i for i in (1, 2, 3) if walk_count([project_out(v, i) for v in basis]) == whole]
+
+
+class TestConeCounts:
+    @staticmethod
+    def assert_counts_equal_the_walks(rows):
+        rays = _sector_rays(rows)
+        for r1, r2 in zip(rays, rays[1:] + [(-rays[0][0], -rays[0][1])]):
+            spent = _Spent(DEFAULT_BUDGET)
+            count = _cone_count(r1, r2, spent)
+            assert count == spent.generated == walk_count(rows, r1, r2), (rows, r1, r2)
+
+    def test_every_cone_of_every_small_curve(self):
+        # the sectors of L and of each pi_i L, on every ordered gcd-1 triple
+        # to 24; the sectors of the pi_i L are L's merged cones
+        curves = [t for t in itertools.product(range(1, 25), repeat=3) if math.gcd(*t) == 1]
+        assert len(curves) == 11_557
+        for t in curves:
+            basis = kernel_lattice(T(*t)).vectors
+            for rows in [basis, *([project_out(v, i) for v in basis] for i in (1, 2, 3))]:
+                self.assert_counts_equal_the_walks(rows)
+
+    def test_every_cone_of_random_rank2_bases(self):
+        rng = random.Random(52)
+        tried = 0
+        while tried < 1000:
+            n = rng.randint(2, 6)
+            rows = [tuple(rng.randint(-30, 30) for _ in range(n)) for _ in range(2)]
+            if any(p * y - q * x for (p, q), (x, y) in itertools.combinations(zip(*rows), 2)):
+                self.assert_counts_equal_the_walks(rows)
+                tried += 1
+
+    def test_the_counted_verdict_is_the_four_walk_verdict(self):
+        for t in itertools.product(range(1, 25), repeat=3):
+            if math.gcd(*t) == 1:
+                counted = complexes_module._complex_on_miss(t, None)
+                assert sorted(i for f in counted.faces for i in f) == four_walk_vertex(t), t
+
+    def test_a_curve_of_long_runs(self, monkeypatch):
+        # its walks take over 100,000 steps each, its counts a few runs
+        empty_graver_memos(monkeypatch)
+        t = (3, 1000003, 1000033)
+        assert robust_complex(t).sorted_faces() == [[], *([i] for i in four_walk_vertex(t))]
 
 
 class TestFaceTestAgainstReference:
@@ -695,7 +788,7 @@ class TestComplexMemo:
     def test_decided_curve_completes_only_its_subcurves(self, monkeypatch):
         # Gr(15,15,29,29,29), 4,084 elements, takes 4,237 splittings; the
         # complex is read from (15,29,29,29) and so from (15,29,29), whose
-        # complex is walk counts: no lattice is computed
+        # complex is six cone counts: no lattice is computed
         empty_graver_memos(monkeypatch)
         runs = []
         engine = graver_module._matrix_graver

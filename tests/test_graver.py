@@ -1188,7 +1188,7 @@ class TestBouquetRoute:
 
     def test_one_completion_per_verified_complex(self, monkeypatch):
         # the five liftings Lambda(T)_{i} are read off Gr(T); the 1x3
-        # sub-curves of the pre-reject are walk counts and compute no lattice
+        # sub-curves of the pre-reject are cone counts and compute no lattice
         runs = self.completions(monkeypatch)
         assert robust_complex(T_BIG, verify=True).cross_checked
         assert runs.count(len(T_BIG)) == 1
@@ -1295,6 +1295,22 @@ class TestCircuits:
         lam, dec = lifting_decomposition(Tm, frozenset({2}))
         lifted = {sign_canonical(lift_curve_vector(dec, c)) for c in circuits(Tm)}
         assert circuits(lam.matrix).as_set() == lifted
+
+    def test_element_cap_counts_the_circuits(self):
+        # Gr(4 5 6) has three circuits, each a candidate
+        with pytest.raises(BudgetExceededError) as info:
+            circuits(T(4, 5, 6), budget=Budget(max_candidates=2))
+        assert (info.value.kind, info.value.generated) == ("elements", 3)
+        assert len(circuits(T(4, 5, 6), budget=Budget(max_candidates=3))) == 3
+
+    def test_time_cap_holds_before_each_subset(self, monkeypatch):
+        # a clock that advances a second on every read, from the ledger's start
+        reads = itertools.count()
+        monkeypatch.setattr(graver_module, "time", SimpleNamespace(monotonic=reads.__next__))
+        with pytest.raises(BudgetExceededError) as info:
+            circuits(T(4, 5, 6), budget=Budget(max_seconds=2.5))
+        assert (info.value.kind, info.value.generated) == ("time", 0)
+        assert next(reads) == 4  # the start, two subsets passed and the third stopped
 
 
 class TestPointed:

@@ -354,6 +354,15 @@ class TestCli:
         payload = json.loads(out)
         assert payload["error"]["type"] == "BudgetExceededError"
 
+    def test_circuits_take_the_budget(self, capsys, tmp_path):
+        # a rank-17 lattice of Z^24 has millions of column subsets to try
+        wide = Path(__file__).resolve().parents[1] / "data" / "wide7x24.mat"
+        code, out = self.run(capsys, "circuits", str(wide), "--budget-secs", "0.05",
+                             "--format", "json")
+        assert code == 4
+        assert json.loads(out)["error"]["message"].startswith(
+            "graver completion exceeded its time budget")
+
     def test_principal_kernel_needs_no_budget(self, capsys, tmp_path, monkeypatch):
         # a rank-1 kernel is answered in closed form, so no cap can stop it
         empty_graver_memos(monkeypatch)
