@@ -12,39 +12,42 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
 from .errors import PreconditionError
-from .linalg import IntMat, IntVec, kernel_lattice, sign_canonical
+from .linalg import Frozen, IntMat, IntVec, kernel_lattice, sign_canonical
 
 FREE = "free"
 MIXED = "mixed"
 NON_MIXED = "non-mixed"
 
 
-@dataclass(frozen=True)
-class Bouquet:
+class Bouquet(Frozen):
     """One bouquet: ordered 1-based member columns, kind, coefficient vector.
 
     The first member is the anchor; its coefficient is always positive and the
     coefficients' gcd is 1.
     """
 
-    members: tuple[int, ...]
-    kind: str
-    c_restriction: IntVec
+    _fields = ("members", "kind", "c_restriction")
+
+    def __init__(self, members: tuple[int, ...], kind: str, c_restriction: IntVec):
+        self.__dict__.update(members=members, kind=kind, c_restriction=c_restriction)
 
     @property
     def anchor(self) -> int:
         return self.members[0]
 
 
-@dataclass(frozen=True)
-class BouquetDecomposition:
-    matrix: IntMat
-    bouquets: tuple[Bouquet, ...]  # non-free bouquets, ordered by anchor column
-    free_bouquet: Bouquet | None
-    a_matrix: IntMat  # A_B: one column per non-free bouquet
+class BouquetDecomposition(Frozen):
+    """The matrix, its non-free bouquets ordered by anchor column, its free
+    bouquet or None, and A_B, with one column per non-free bouquet."""
+
+    _fields = ("matrix", "bouquets", "free_bouquet", "a_matrix")
+
+    def __init__(self, matrix: IntMat, bouquets: tuple[Bouquet, ...],
+                 free_bouquet: Bouquet | None, a_matrix: IntMat):
+        self.__dict__.update(matrix=matrix, bouquets=bouquets, free_bouquet=free_bouquet,
+                             a_matrix=a_matrix)
 
     @property
     def n(self) -> int:

@@ -41,9 +41,9 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", metavar="FILE", help="write the result to FILE instead of stdout")
     p.add_argument("--cache-dir", metavar="PATH", help="persistent result cache (env GRAVERKIT_CACHE_DIR)")
     p.add_argument("--budget-elems", type=int, default=DEFAULT_BUDGET.max_candidates, metavar="N",
-                   help="candidate cap per Graver completion (default 2e6)")
+                   help="candidate cap per computation (default 2e6)")
     p.add_argument("--budget-secs", type=float, default=DEFAULT_BUDGET.max_seconds, metavar="S",
-                   help="wall-clock cap per Graver completion (default 600)")
+                   help="wall-clock cap per computation (default 600)")
 
 
 def build_parser() -> argparse.ArgumentParser:

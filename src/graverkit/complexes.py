@@ -31,14 +31,12 @@ the least multiple of n_i lying in the numerical semigroup of the other two.
 
 from __future__ import annotations
 
-import dataclasses
 import enum
 import itertools
 import logging
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 from .errors import GraverKitError, PreconditionError
 from .graver import (
@@ -51,7 +49,7 @@ from .graver import (
     _Spent,
     graver_basis,
 )
-from .linalg import IntMat, IntVec, _xgcd_min, vec_neg
+from .linalg import Frozen, IntMat, IntVec, _xgcd_min, vec_neg
 from .robustness import dispensability_witness, is_strongly_robust
 
 log = logging.getLogger(__name__)
@@ -70,13 +68,13 @@ def _as_row(T) -> IntMat:
 # ---------------------------------------------------------------------------
 # Lawrence liftings
 
-@dataclass(frozen=True)
-class LambdaMatrix:
+class LambdaMatrix(Frozen):
     """Second Lawrence lifting of T with row 1+i and column s+i removed, i in omega."""
 
-    T: IntMat
-    omega: frozenset[int]
-    matrix: IntMat
+    _fields = ("T", "omega", "matrix")
+
+    def __init__(self, T: IntMat, omega: frozenset[int], matrix: IntMat):
+        self.__dict__.update(T=T, omega=omega, matrix=matrix)
 
 
 def lambda_matrix(T, omega: Iterable[int]) -> LambdaMatrix:
@@ -106,13 +104,15 @@ class CurveKind(enum.Enum):
     CI_ON_ALL = "CIOnAll"
 
 
-@dataclass(frozen=True)
-class CurveClassification:
-    T: tuple[int, int, int]  # gcd-normalized
-    c: tuple[int, int, int]
-    betti_candidates: tuple[int, int, int]  # c_i * n_i
-    kind: CurveKind
-    on: int | None  # 1-based slot when kind is CI_ON
+class CurveClassification(Frozen):
+    """The gcd-normalised T, its c, the Betti candidates c_i * n_i, its kind,
+    and `on`, the 1-based slot when the kind is CI_ON, else None."""
+
+    _fields = ("T", "c", "betti_candidates", "kind", "on")
+
+    def __init__(self, T: tuple[int, int, int], c: tuple[int, int, int],
+                 betti_candidates: tuple[int, int, int], kind: CurveKind, on: int | None):
+        self.__dict__.update(T=T, c=c, betti_candidates=betti_candidates, kind=kind, on=on)
 
     def describe(self) -> str:
         if self.kind is CurveKind.CI_ON:
@@ -251,19 +251,18 @@ def face_test_projection(T, i: int, budget: Budget | None = None) -> bool:
                for k, u in enumerate(index.vectors) if u in elements)
 
 
-@dataclass(frozen=True)
-class RobustComplex:
+class RobustComplex(Frozen):
     """Delta_T of the gcd-normalised curve T. Building one raises
     GraverKitError unless its faces take the shape the paper proves for
     every monomial curve, {0} or {0, {i}}, so no reader checks it again."""
 
-    T: tuple[int, ...]
-    faces: frozenset[frozenset[int]]
-    cross_checked: bool = False
+    _fields = ("T", "faces", "cross_checked")
 
-    def __post_init__(self) -> None:
-        if frozenset() not in self.faces or len(self.faces) > 2 or any(len(f) > 1 for f in self.faces):
-            raise GraverKitError(f"Delta_T of {self.T} has faces {self.sorted_faces()}, "
+    def __init__(self, T: tuple[int, ...], faces: frozenset[frozenset[int]],
+                 cross_checked: bool = False):
+        self.__dict__.update(T=T, faces=faces, cross_checked=cross_checked)
+        if frozenset() not in faces or len(faces) > 2 or any(len(f) > 1 for f in faces):
+            raise GraverKitError(f"Delta_T of {T} has faces {self.sorted_faces()}, "
                                  "not [[]] or [[], [i]]")
 
     @property
@@ -348,7 +347,7 @@ def robust_complex(T, verify: bool = False, budget: Budget | None = None) -> Rob
         if not listed == fast == slow:
             raise GraverKitError(f"face tests disagree at i={i}: complex={listed}, "
                                  f"projection={fast}, lifting={slow}")
-    return dataclasses.replace(result, cross_checked=True)
+    return result.replace(cross_checked=True)
 
 
 def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex:

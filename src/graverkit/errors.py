@@ -10,7 +10,8 @@ class PreconditionError(GraverKitError):
 
 
 class BudgetExceededError(GraverKitError):
-    """A completion run hit its element or wall-clock budget.
+    """A budgeted computation hit its candidate or wall-clock cap: a Graver
+    basis, the cone counts of a 1x3 complex or a circuit enumeration.
 
     This is a resource failure, never a mathematical verdict.
     """
@@ -20,6 +21,5 @@ class BudgetExceededError(GraverKitError):
         self.limit = limit
         self.generated = generated
         super().__init__(
-            f"graver completion exceeded its {kind} budget "
-            f"(limit={limit}, candidates generated={generated})"
+            f"{kind} budget exceeded (limit={limit}, candidates generated={generated})"
         )

@@ -49,6 +49,10 @@ lifted column, decides a level's pops against the index as the level began
 and stores the level's irreducible sums together, in one fold of the index
 (proofs in `_project_and_lift`).
 
+`Budget` and the vector sets `GraverBasis` and `CircuitSet` are value
+classes on `linalg.Frozen`: immutable, hashed as their field tuples and
+equal only within one class. A `GraverBasis` caches its `signed_index`.
+
 All arithmetic is exact, on Python ints alone. Every conformal-dominance
 test outside the oracles goes through `ConformalIndex`, which has one code
 path for each operation: the rows below a bound, dominator counts and the
@@ -66,13 +70,13 @@ import math
 import operator
 import time
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Sequence
 from operator import add
-from typing import Iterable, Iterator, Sequence
 
 from .bouquet import BouquetDecomposition, bouquet_decomposition, d_map, simple_gale
 from .errors import BudgetExceededError, PreconditionError
 from .linalg import (
+    Frozen,
     IntMat,
     IntVec,
     LatticeBasis,
@@ -86,8 +90,7 @@ from .linalg import (
 
 log = logging.getLogger(__name__)
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(Frozen):
     """Resource caps for one Graver basis computation, for the six cone
     counts that decide a 1x3 complex, which share one ledger, or for one
     circuit enumeration.
@@ -110,26 +113,27 @@ class Budget:
     in closed form, spends neither. ValueError for a negative or NaN cap.
     """
 
-    max_candidates: int = 2_000_000
-    max_seconds: float = 600.0
+    _fields = ("max_candidates", "max_seconds")
 
-    def __post_init__(self):
-        object.__setattr__(self, "max_candidates", operator.index(self.max_candidates))
-        if self.max_candidates < 0:
-            raise ValueError(f"max_candidates must be >= 0, got {self.max_candidates}")
-        if not self.max_seconds >= 0:  # false for NaN as well
-            raise ValueError(f"max_seconds must be >= 0, got {self.max_seconds}")
+    def __init__(self, max_candidates: int = 2_000_000, max_seconds: float = 600.0):
+        max_candidates = operator.index(max_candidates)
+        if max_candidates < 0:
+            raise ValueError(f"max_candidates must be >= 0, got {max_candidates}")
+        if not max_seconds >= 0:  # false for NaN as well
+            raise ValueError(f"max_seconds must be >= 0, got {max_seconds}")
+        self.__dict__.update(max_candidates=max_candidates, max_seconds=max_seconds)
 
 
 DEFAULT_BUDGET = Budget()
 
 
-@dataclass(frozen=True)
-class VectorSet:
+class VectorSet(Frozen):
     """n and a tuple of vectors of length n; equal only to the same class."""
 
-    n: int
-    elements: tuple[IntVec, ...]
+    _fields = ("n", "elements")
+
+    def __init__(self, n: int, elements: tuple[IntVec, ...]):
+        self.__dict__.update(n=n, elements=elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -141,7 +145,6 @@ class VectorSet:
         return frozenset(self.elements)
 
 
-@dataclass(frozen=True)
 class GraverBasis(VectorSet):
     """Canonical Graver basis: one sign-normalized representative per +/- pair."""
 
@@ -155,7 +158,6 @@ class GraverBasis(VectorSet):
         return ConformalIndex(self.n, self.full_set())
 
 
-@dataclass(frozen=True)
 class CircuitSet(VectorSet):
     """Circuits up to sign: the minimal-support primitive kernel vectors."""
 
@@ -684,14 +686,15 @@ def _det(rows: Sequence[Sequence[int]]) -> int:
 def _sector_rays(basis: Sequence[IntVec]) -> list[tuple[int, int]]:
     """r_0, ..., r_{m-1} of `_sector_walks`: the primitive direction of each
     distinct line x.w_c = 0, w_c = (b1_c, b2_c) a nonzero Gale row of the
-    basis, taken at its angle in (0, pi], in angular order."""
+    basis, taken at its angle in (0, pi], in angular order. A horizontal
+    line is keyed (-1, 0), at pi, whichever sign its Gale rows have."""
     b1, b2 = basis
     lines = set()
     for w1, w2 in zip(b1, b2):
         if w1 or w2:
             g = math.gcd(w1, w2)
             x, y = -w2 // g, w1 // g
-            lines.add((x, y) if y > 0 else (-x, -y))
+            lines.add((-x, -y) if y < 0 or (y == 0 and x > 0) else (x, y))
     # at angles in (0, pi], u comes before v iff det(u, v) > 0
     return sorted(lines, key=functools.cmp_to_key(lambda u, v: u[1] * v[0] - u[0] * v[1]))
 

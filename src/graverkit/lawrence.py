@@ -13,14 +13,13 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .bouquet import BouquetDecomposition, bouquet_decomposition
 from .complexes import robust_complex
 from .errors import GraverKitError, PreconditionError
 from .graver import Budget
-from .linalg import IntMat, IntVec, _xgcd_min, kernel_lattice
+from .linalg import Frozen, IntMat, IntVec, _xgcd_min, kernel_lattice
 
 
 def extended_gcd_multi(c: Sequence[int]) -> IntVec:
@@ -57,26 +56,19 @@ def extended_gcd_multi(c: Sequence[int]) -> IntVec:
     return tuple(lam)
 
 
-@dataclass(frozen=True)
-class GenLawrenceSpec:
+class GenLawrenceSpec(Frozen):
     """T plus one coefficient vector per bouquet (and optional explicit lambdas)."""
 
-    T: IntVec
-    c_vectors: tuple[IntVec, ...]
-    lambda_vectors: tuple[IntVec, ...] | None = None
+    _fields = ("T", "c_vectors", "lambda_vectors")
 
-    def __post_init__(self):
+    def __init__(self, T: Sequence[int], c_vectors: Sequence[Sequence[int]],
+                 lambda_vectors: Sequence[Sequence[int]] | None = None):
         # operator.index rejects floats rather than truncating them
-        object.__setattr__(self, "T", tuple(map(operator.index, self.T)))
-        object.__setattr__(
-            self, "c_vectors", tuple(tuple(map(operator.index, c)) for c in self.c_vectors)
-        )
-        if self.lambda_vectors is not None:
-            object.__setattr__(
-                self,
-                "lambda_vectors",
-                tuple(tuple(map(operator.index, l)) for l in self.lambda_vectors),
-            )
+        T = tuple(map(operator.index, T))
+        c_vectors = tuple(tuple(map(operator.index, c)) for c in c_vectors)
+        if lambda_vectors is not None:
+            lambda_vectors = tuple(tuple(map(operator.index, l)) for l in lambda_vectors)
+        self.__dict__.update(T=T, c_vectors=c_vectors, lambda_vectors=lambda_vectors)
 
     def validate(self) -> None:
         if len(self.c_vectors) != len(self.T):
@@ -107,12 +99,15 @@ class GenLawrenceSpec:
         return tuple(extended_gcd_multi(c) for c in self.c_vectors)
 
 
-@dataclass(frozen=True)
-class GenLawrenceMatrix:
-    spec: GenLawrenceSpec
-    matrix: IntMat
-    # new-order list of original 1-based column indices (reconstruction only)
-    column_permutation: tuple[int, ...] | None = None
+class GenLawrenceMatrix(Frozen):
+    """The spec, its matrix and, from reconstruction only, the new-order
+    list of the original 1-based column indices."""
+
+    _fields = ("spec", "matrix", "column_permutation")
+
+    def __init__(self, spec: GenLawrenceSpec, matrix: IntMat,
+                 column_permutation: tuple[int, ...] | None = None):
+        self.__dict__.update(spec=spec, matrix=matrix, column_permutation=column_permutation)
 
     @property
     def shape(self) -> tuple[int, int]:

@@ -5,6 +5,12 @@ thin immutable wrapper around a tuple of row tuples. The kernel lattice is
 computed by a deterministic row Hermite reduction of ``[A^T | I]``, which
 yields a basis of the *saturated* integer kernel, i.e. the full lattice
 ``Ker_Z(A)``, never a finite-index sublattice.
+
+`Frozen` is the base of every immutable value class of the toolkit, this
+module's `IntMat` and `LatticeBasis` among them. It gives what frozen
+dataclasses gave, equality, hashing, repr, immutability and `replace`,
+without importing `dataclasses`, which with `inspect` would cost every CLI
+process several milliseconds of start-up, and more for each class built.
 """
 
 from __future__ import annotations
@@ -12,8 +18,7 @@ from __future__ import annotations
 import hashlib
 import math
 import operator
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
 
 IntVec = tuple[int, ...]
 
@@ -116,10 +121,58 @@ def project_out(u: Sequence[int], i: int) -> IntVec:
 
 
 # ---------------------------------------------------------------------------
+# value classes
+
+class Frozen:
+    """Base of the immutable value classes: a subclass names its fields in
+    `_fields` and its `__init__` writes them into the instance dict.
+
+    Two values are equal when they are of the same class with equal fields,
+    and a value hashes as the tuple of its fields, so sets of values keep
+    the order they would have as tuples. The repr is `Name(field=value,
+    ...)`. Assigning or deleting an attribute raises AttributeError;
+    `replace` builds a changed copy through `__init__`, which checks it
+    again. A `functools.cached_property` still caches, as it writes the
+    instance dict directly.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # read as self._values(self), since an attrgetter does not bind; it
+        # gives a tuple, as every value class has two fields or more
+        cls._values = operator.attrgetter(*cls._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        values = self._values
+        return values(self) == values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}"
+                           for name, value in zip(self._fields, self._values(self)))
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def replace(self, **changes):
+        """A copy with the given fields changed, built and checked by `__init__`."""
+        return self.__class__(**{**dict(zip(self._fields, self._values(self))), **changes})
+
+
+# ---------------------------------------------------------------------------
 # matrices
 
-@dataclass(frozen=True)
-class IntMat:
+class IntMat(Frozen):
     """Immutable integer matrix with exact arithmetic.
 
     Entries are taken through `operator.index`, so a float is rejected, not
@@ -127,18 +180,15 @@ class IntMat:
     no rows keeps the column count it is given.
     """
 
-    rows: tuple[IntVec, ...]
-    ncols: int | None = None
+    _fields = ("rows", "ncols")
 
-    def __post_init__(self):
-        rows = tuple(tuple(map(operator.index, row)) for row in self.rows)
-        ncols = self.ncols
+    def __init__(self, rows: Iterable[Iterable[int]], ncols: int | None = None):
+        rows = tuple(tuple(map(operator.index, row)) for row in rows)
         if ncols is None:
             ncols = len(rows[0]) if rows else 0
         if any(len(row) != ncols for row in rows):
             raise ValueError(f"ragged rows: each row must have {ncols} entries")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "ncols", ncols)
+        self.__dict__.update(rows=rows, ncols=ncols)
 
     # -- construction ------------------------------------------------------
 
@@ -259,12 +309,13 @@ def _row_hermite(rows: list[list[int]], ncols: int) -> tuple[list[list[int]], in
     return rows, r
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(Frozen):
     """Basis of the full integer kernel lattice of a matrix."""
 
-    n: int
-    vectors: tuple[IntVec, ...]
+    _fields = ("n", "vectors")
+
+    def __init__(self, n: int, vectors: tuple[IntVec, ...]):
+        self.__dict__.update(n=n, vectors=vectors)
 
     @property
     def rank(self) -> int:

@@ -43,9 +43,9 @@ definition, `is_semiconformal_sum`.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from math import gcd
 from operator import ge, index, le
-from typing import Sequence
 
 from .errors import PreconditionError
 from .linalg import (

@@ -18,12 +18,12 @@ summands are nonzero because w != u.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from collections.abc import Sequence
 
 from .errors import GraverKitError, PreconditionError
 from .graver import Budget, GraverBasis, VectorSet, assert_pointed, graver_basis
 from .linalg import (
+    Frozen,
     IntMat,
     IntVec,
     is_semiconformal_sum,
@@ -36,18 +36,20 @@ from .linalg import (
 Witness = tuple[IntVec, IntVec]
 
 
-@dataclass(frozen=True)
 class IndispensableSet(VectorSet):
     """S(A): Graver elements with no proper semiconformal decomposition."""
 
 
-@dataclass(frozen=True)
-class RobustnessCertificate:
-    strongly_robust: bool
-    graver_size: int
-    indispensable_size: int
-    # (u, v, w): u in Gr(A) with proper semiconformal decomposition u = v + w
-    witness: tuple[IntVec, IntVec, IntVec] | None = None
+class RobustnessCertificate(Frozen):
+    """The verdict Gr(A) = S(A), both sizes and, when it fails, a witness
+    (u, v, w): u in Gr(A) with proper semiconformal decomposition u = v + w."""
+
+    _fields = ("strongly_robust", "graver_size", "indispensable_size", "witness")
+
+    def __init__(self, strongly_robust: bool, graver_size: int, indispensable_size: int,
+                 witness: tuple[IntVec, IntVec, IntVec] | None = None):
+        self.__dict__.update(strongly_robust=strongly_robust, graver_size=graver_size,
+                             indispensable_size=indispensable_size, witness=witness)
 
 
 def dispensability_witness(u: Sequence[int], G: GraverBasis) -> Witness | None:

@@ -5,18 +5,18 @@ for 1x3 curves, checks its vertex against the complete-intersection
 classification. Any violation is recorded and fails the run loudly; so is
 any toolkit error on an instance, such as a complex that breaks the
 one-vertex theorem (`RobustComplex`), and the scan goes on. Budget
-exhaustion on an instance only skips it.
+exhaustion on an instance only skips it. The tallies go into a
+`SearchReport`, a plain mutable class that the scan fills in as it runs and
+whose `to_dict` is the CLI's JSON report.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field
 
 from .complexes import CurveKind, classify_curve3, robust_complex
 from .errors import BudgetExceededError, GraverKitError
@@ -24,27 +24,30 @@ from .graver import Budget
 from .linalg import IntMat
 
 
-@dataclass
 class SearchReport:
-    s_values: tuple[int, ...]
-    bound: int
-    sample_budget: int | None
-    instances: int = 0
-    empty_complex: int = 0  # Delta_T = {0}
-    one_vertex: int = 0  # Delta_T = {0, {i}}
-    ci_on_count: int = 0  # s = 3 bookkeeping
-    vertex_instances: list[dict] = field(default_factory=list)
-    violations: list[str] = field(default_factory=list)
-    skipped: list[dict] = field(default_factory=list)
-    runtime_seconds: float = 0.0
+    """The tallies of one scan, filled in as it runs."""
+
+    def __init__(self, s_values: tuple[int, ...], bound: int, sample_budget: int | None):
+        self.s_values = s_values
+        self.bound = bound
+        self.sample_budget = sample_budget
+        self.instances = 0
+        self.empty_complex = 0  # Delta_T = {0}
+        self.one_vertex = 0  # Delta_T = {0, {i}}
+        self.ci_on_count = 0  # s = 3 bookkeeping
+        self.vertex_instances: list[dict] = []
+        self.violations: list[str] = []
+        self.skipped: list[dict] = []
+        self.runtime_seconds = 0.0
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
     def to_dict(self) -> dict:
-        """The fields in their order, then `ok`; the lists are shared, not copied."""
-        d = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
+        """The fields in the order `__init__` sets them, then `ok`; the lists
+        are shared, not copied."""
+        d = dict(vars(self))
         d["s_values"] = list(self.s_values)
         d["runtime_seconds"] = round(self.runtime_seconds, 3)
         d["ok"] = self.ok

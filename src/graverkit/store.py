@@ -14,8 +14,8 @@ import hashlib
 import json
 import os
 import tempfile
+from collections.abc import Iterable
 from pathlib import Path
-from typing import Iterable
 
 from . import __version__
 from .graver import Budget, GraverBasis, graver_basis

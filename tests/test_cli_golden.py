@@ -210,22 +210,22 @@ GOLDEN = {
     'lambda 4 5 6 --omega x --format json': [2, '6d2cfc6d89d191c04dae6d0737c68def23af36bdabc23e33550fbe3debcbeb2f'],
     'complex 0 0 0 --format json': [3, '5e2b36f4424fb6b9f19ae907947c7f7a6a6c552bfd5ee9f0e95a9b6822f6706f'],
     'genlaw float.json --format json': [2, 'e0769ead5e08841a51d5eadf409c5f5b0c3b2508fb83bbc1c79fc23ee71aaa8b'],
-    'graver wide.mat --budget-elems 1 --format json': [4, '2839bfd2ec638f0cc1c78eadb25f81af209305667b561dd387af8843a29c619e'],
+    'graver wide.mat --budget-elems 1 --format json': [4, '9d0d22ffce16fe72ce4c0ed6ca13be5947ffe3be2f0d71dc34656e014212b73b'],
     'graver curve.mat --budget-elems -5 --format json': [2, '767812eb371aac6138c5da56d7fc052713908f95f66e01f9f4edda5f945cd37d'],
     'graver curve.mat --budget-secs nan --format json': [2, '04612934061d760199e1ec1b135f1098b9e84b1e5a8146421c02df42deeba09d'],
     '--help': [0, '193cba7485a08cfdc24da747a581d7a7195d6911f83fa96de576d16de4161592'],
-    'graver --help': [0, '9fbb1caf6871d9c4aceaf8a8d2868c3be592f1c19c71f5589010cc4eae66a8d6'],
-    'circuits --help': [0, '7772c6841740f8c39d356c18b5b12da669bdc011024b469ce37105bd53f3d374'],
-    'indispensable --help': [0, '5d095cefbe69d92ef86df4640350c22b1095d3bfa6872f4c6b5aa900a5b01dc4'],
-    'bouquets --help': [0, 'ce5fa75c954067c818d60410b0327e101231f2a1e6c36630719d9ac5478dad1f'],
-    'check-robust --help': [0, '4f3463151d9998e1021a1278d2c9b826e7102cb9531ed6eb443ffe92d1bd4fe7'],
-    'complex --help': [0, 'd84789cbd08e13dc50e8685c5e6550f147497970185c64db57b49ae64eae6571'],
-    'classify3 --help': [0, '6076f21c04c6c7fa82009a529c4e964103e7d97e26a05f97f53a37cfe6d415eb'],
-    'lambda --help': [0, 'bb0dfdb0d974ddc43717e9ffe6fd40780ecc19e650bd0231a2a7b7978212c168'],
-    'genlaw --help': [0, 'ac395415ee34f8b838d9ae0cf7abdc65e3a267f398f983cc99260f95cc18ea83'],
-    'reconstruct --help': [0, 'c52218f905b9b9d9bdff499830d17d3812eacd22f73f811a5e384cdd4243e907'],
-    'search --help': [0, '0993cff8bc4881489e619445e2d4aa3d154ccb6616aad247d36b90c58b9a52f6'],
-    'oracle --help': [0, 'fb22fd6d8093575455998189d3502281f997657550d35ac2dc53bc0d1f2166dc'],
+    'graver --help': [0, 'c8e45c07d9155346f664f5e35bd206ee42384a1b3930ee15041d5fb24e823efb'],
+    'circuits --help': [0, '538eeb7b85bc60b659335a1bf6ce42e5688e7405f29b74fb6d7dac048f29d36a'],
+    'indispensable --help': [0, 'e90247162ce31e862db036b7670834ee1d1f5900a9cfc269e9b7f874fbce4196'],
+    'bouquets --help': [0, '11aecffacb75f4e9b0c044c9ba30c44302c69c704e0d3c79860edbc8645d9c45'],
+    'check-robust --help': [0, 'fb7b6e22e1a00754a6683d27eeee7a108c41c39c45c61a899f1482893954f3fc'],
+    'complex --help': [0, '918dbc481f596b3732b88fe6f8d2e7a8849eb2f3c33ed3bd8c0d2bafeeb591c5'],
+    'classify3 --help': [0, 'e1f5dc7f82052292dfb8491027050fc1fb683798c190b4931361782caa30cc1d'],
+    'lambda --help': [0, '9c0e7023b0b928df97c2cc56be1417b852920605ce37b91f3efdaff0cddd85e9'],
+    'genlaw --help': [0, '661527c2c87caf542518e556f5a380b3ede31bceaca2f0cf857822fe6b811471'],
+    'reconstruct --help': [0, '475657709fb61a65138991066da86b9c52ce71457f9b72e0c85fd047fbc4cd3e'],
+    'search --help': [0, 'a166c20dd4b21777e0d7eb87aa7c0ef8b498e7ab4d523cafd1843b97d922f92d'],
+    'oracle --help': [0, '0c1c1c84b283b9bd01af930f91ac9cf8ac496f36361506e85b836157dbdf5175'],
 }
 
 

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import logging
 import math
@@ -663,7 +662,7 @@ class TestVerify:
         verified = robust_complex([4, 5, 6, 7], verify=True)
         stored = complexes_module._COMPLEX_MEMO[(4, 5, 6, 7)]
         assert not stored.cross_checked
-        assert verified == dataclasses.replace(stored, cross_checked=True)
+        assert verified == stored.replace(cross_checked=True)
         assert robust_complex([4, 5, 6, 7]) is stored
 
 

@@ -284,6 +284,18 @@ class TestRank2Walk:
         walk, engine = self.both_engines(basis, 6)
         assert walk == engine and len(walk) == len(fresh_graver_basis(T(4, 5, 6)))
 
+    @pytest.mark.parametrize("signs", [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    def test_a_horizontal_line_is_one_ray_whatever_its_gale_signs(self, signs, caplog):
+        # Gale rows (0, 1) and (0, -1) cut one line, x2 = 0, with (1, 3) and (2, 5)
+        basis = [tuple(sign * x for x in b)
+                 for sign, b in zip(signs, [(0, 0, 1, 2), (1, -1, 3, 5)])]
+        assert len(graver_module._sector_rays(basis)) == 3
+        with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
+            walk, engine = self.both_engines(basis, 4)
+        assert walk == engine and len(walk) == 4
+        [record] = [r for r in caplog.records if r.msg == "rank-2 walk: %s"]
+        assert record.args["sectors"] == 3
+
     def test_graver_basis_logs_one_walk(self, caplog):
         with caplog.at_level(logging.DEBUG, logger="graverkit.graver"):
             G = fresh_graver_basis(T(7, 15, 20))

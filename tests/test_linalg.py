@@ -1,15 +1,37 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from graverkit import (
+    Bouquet,
+    BouquetDecomposition,
+    Budget,
+    CircuitSet,
+    CurveClassification,
+    CurveKind,
+    GenLawrenceMatrix,
+    GenLawrenceSpec,
+    GraverBasis,
+    GraverKitError,
+    IndispensableSet,
     IntMat,
+    LambdaMatrix,
+    LatticeBasis,
+    RobustComplex,
+    RobustnessCertificate,
+    SearchReport,
     is_conformal_sum,
     is_semiconformal_sum,
     kernel_lattice,
     project_out,
 )
-from graverkit.linalg import sign_canonical, vec_add
+from graverkit.bouquet import MIXED
+from graverkit.graver import VectorSet
+from graverkit.linalg import Frozen, sign_canonical, vec_add
 from graverkit.oracle import kernel_points_in_box
 
 from _paper import EXAMPLE_E_GALE_COLUMNS, EXAMPLE_E_ROWS, example_e, random_unimodular
@@ -131,6 +153,115 @@ class TestIntMat:
         assert A.mul_vec((1, 1, -1)) == (0, 3)
         with pytest.raises(IndexError):
             A.column(4)
+
+
+def _value_samples():
+    """One value of every value class, built from already-normal fields."""
+    row = IntMat(((4, 5, 6),), 3)
+    pair = IntMat(((1, 2), (3, 4)), 2)
+    bouquet = Bouquet((1, 2), MIXED, (1, -1))
+    spec = GenLawrenceSpec((4, 5, 6), ((1, -1), (1,), (1, 2)), None)
+    vectors = ((1, -1, 0), (0, 1, -1))
+    return [
+        (IntMat, (((1, 2), (3, 4)), 2)),
+        (LatticeBasis, (3, vectors)),
+        (Bouquet, ((1, 2), MIXED, (1, -1))),
+        (BouquetDecomposition, (pair, (bouquet,), None, row)),
+        (LambdaMatrix, (row, frozenset({2}), pair)),
+        (CurveClassification, ((4, 5, 6), (5, 2, 2), (20, 10, 12), CurveKind.CI_ON, 2)),
+        (RobustComplex, ((4, 5, 6), frozenset({frozenset(), frozenset({2})}), True)),
+        (Budget, (10, 1.5)),
+        (VectorSet, (3, vectors)),
+        (GraverBasis, (3, vectors)),
+        (CircuitSet, (3, vectors)),
+        (IndispensableSet, (3, vectors)),
+        (RobustnessCertificate, (False, 3, 2, ((1, 0), (1, 1), (0, -1)))),
+        (GenLawrenceSpec, ((4, 5, 6), ((1, -1), (1,), (1, 2)), ((1, 0), (1,), (1, 0)))),
+        (GenLawrenceMatrix, (spec, row, (1, 2, 3))),
+    ]
+
+
+SAMPLES = _value_samples()
+each_value_class = pytest.mark.parametrize("cls, values", SAMPLES,
+                                           ids=[cls.__name__ for cls, _ in SAMPLES])
+
+
+class TestFrozen:
+    """The value classes' contract, one test per property callers rely on."""
+
+    @staticmethod
+    def every_subclass(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from TestFrozen.every_subclass(sub)
+
+    def test_every_value_class_is_sampled(self):
+        assert set(self.every_subclass(Frozen)) == {cls for cls, _ in SAMPLES}
+
+    @each_value_class
+    def test_fields_positionally_and_by_keyword(self, cls, values):
+        x = cls(*values)
+        assert x == cls(**dict(zip(cls._fields, values)))
+        assert tuple(getattr(x, name) for name in cls._fields) == values
+
+    @each_value_class
+    def test_hash_is_that_of_the_field_tuple(self, cls, values):
+        assert hash(cls(*values)) == hash(values)
+
+    @each_value_class
+    def test_repr_names_every_field(self, cls, values):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(cls._fields, values))
+        assert repr(cls(*values)) == f"{cls.__qualname__}({fields})"
+
+    def test_repr_reads_as_a_dataclass_repr(self):
+        assert repr(Budget()) == "Budget(max_candidates=2000000, max_seconds=600.0)"
+        assert repr(IntMat([[1, 2]])) == "IntMat(rows=((1, 2),), ncols=2)"
+
+    @each_value_class
+    def test_assignment_and_deletion_raise(self, cls, values):
+        x = cls(*values)
+        for name in (*cls._fields, "other"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, None)
+        for name in cls._fields:
+            with pytest.raises(AttributeError):
+                delattr(x, name)
+        assert tuple(getattr(x, name) for name in cls._fields) == values
+
+    def test_replace_runs_the_checks_again(self):
+        assert Budget(10, 1.5).replace(max_seconds=2.0) == Budget(10, 2.0)
+        with pytest.raises(ValueError):
+            Budget(10, 1.5).replace(max_candidates=-1)
+        complex_ = RobustComplex((4, 5, 6), frozenset({frozenset()}))
+        assert complex_.replace(cross_checked=True).cross_checked
+        with pytest.raises(GraverKitError):
+            complex_.replace(faces=frozenset({frozenset(), frozenset({1}), frozenset({2})}))
+        with pytest.raises(TypeError):
+            complex_.replace(vertex=1)
+
+    def test_equal_fields_of_another_class_are_unequal(self):
+        vectors = ((1, -1, 0),)
+        graver, circuits = GraverBasis(3, vectors), CircuitSet(3, vectors)
+        assert hash(graver) == hash(circuits)
+        assert graver != circuits and not graver == circuits
+        assert graver != VectorSet(3, vectors) and graver != (3, vectors)
+        assert len({graver, circuits}) == 2
+
+    def test_search_report_keys_keep_their_order(self):
+        report = SearchReport((3,), 6, None)
+        assert list(report.to_dict()) == [
+            "s_values", "bound", "sample_budget", "instances", "empty_complex", "one_vertex",
+            "ci_on_count", "vertex_instances", "violations", "skipped", "runtime_seconds", "ok"]
+
+
+def test_the_cli_imports_no_dataclasses_inspect_or_typing():
+    # each costs start-up time in every CLI process; -S keeps site's imports out
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = ("import sys, graverkit.cli; "
+            "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    assert out == "[]\n"
 
 
 class TestKernelLattice:

@@ -1,6 +1,5 @@
 """The bounded search checks its arguments first, records a failing instance and goes on."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -66,7 +65,7 @@ def test_a_vertex_off_the_classification_is_one_violation(monkeypatch, kind, on,
     def misclassifying(T):
         cls = classify(T)
         if T.rows[0] == (4, 5, 6):
-            return dataclasses.replace(cls, kind=kind, on=on)
+            return cls.replace(kind=kind, on=on)
         return cls
 
     monkeypatch.setattr(search_module, "classify_curve3", misclassifying)

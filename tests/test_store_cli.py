@@ -361,7 +361,7 @@ class TestCli:
                              "--format", "json")
         assert code == 4
         assert json.loads(out)["error"]["message"].startswith(
-            "graver completion exceeded its time budget")
+            "time budget exceeded (limit=0.05, candidates generated=")
 
     def test_principal_kernel_needs_no_budget(self, capsys, tmp_path, monkeypatch):
         # a rank-1 kernel is answered in closed form, so no cap can stop it
@@ -376,7 +376,7 @@ class TestCli:
         parser = argparse.ArgumentParser()
         _add_common(parser)
         text = " ".join(parser.format_help().split())
-        stated = [float(re.search(rf"{cap} cap per Graver completion \(default (\S+)\)", text)[1])
+        stated = [float(re.search(rf"{cap} cap per computation \(default (\S+)\)", text)[1])
                   for cap in ("candidate", "wall-clock")]
         assert stated == [DEFAULT_BUDGET.max_candidates, DEFAULT_BUDGET.max_seconds]
 
