@@ -44,8 +44,6 @@ from .graver import (
     Budget,
     _cone_count,
     _remember,
-    _repeated_column,
-    _sector_rays,
     _Spent,
     graver_basis,
 )
@@ -294,18 +292,27 @@ def _subcurve_rejects(t: tuple[int, ...], budget: Budget | None = None) -> set[i
     At most one i survives: any i != j lie in some 3-subset J, and
     Delta_{T_J} has at most one vertex, as every `RobustComplex` does, so
     J rejects i or j.
+
+    The J are taken in combination order. A T_J already in `_COMPLEX_MEMO`
+    is always read, which moves it to the memo's newest end; one that is
+    not is computed only when J holds a column not yet rejected. The result
+    is still the union over every J: J rejects only columns of its own, so
+    a J that is skipped could reject none that is not rejected already.
     """
     rejected = set()
-    for J in itertools.combinations(range(len(t)), 3):
-        g = math.gcd(*(t[j] for j in J))
-        t_J = tuple(t[j] // g for j in J)
-        vertex = _read_complex(t_J, budget).vertex()
-        rejected.update(c + 1 for j, c in enumerate(J, 1) if j != vertex)
-    return rejected
+    for J, t_J in zip(itertools.combinations(range(len(t)), 3), itertools.combinations(t, 3)):
+        g = math.gcd(*t_J)
+        if g > 1:
+            t_J = tuple(x // g for x in t_J)
+        if t_J in _COMPLEX_MEMO or not rejected.issuperset(J):
+            vertex = _read_complex(t_J, budget).vertex()
+            rejected.update(c for j, c in enumerate(J, 1) if j != vertex)
+    return {c + 1 for c in rejected}
 
 
 # complexes by gcd-normalised T, the oldest out first, every read counting
-# as an insert; never cross-checked; read and written by _read_complex alone
+# as an insert; never cross-checked; read and written by _read_complex alone,
+# which alone moves an entry; _subcurve_rejects only tests membership
 _COMPLEX_MEMO_SIZE = 4096
 _COMPLEX_MEMO: dict[tuple[int, ...], RobustComplex] = {}
 
@@ -424,7 +431,8 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
       |Gr(L)| = c_0 + c_1 + c_2. On this basis r_0, r_1, r_2 lie on the
       lines of columns 2, 1, 3: the Gale rows (b/g, c*x), (-a/g, c*y) and
       (0, -g) have lines along u = (-c*x, b/g), v = (c*y, a/g) and (-1, 0),
-      at angles in (0, pi), (0, pi) and pi, and det(v, u) = c > 0.
+      at angles in (0, pi), (0, pi) and pi, and det(v, u) = c > 0. So
+      `_curve3_rays` writes the rays down, with no `_sector_rays` sort.
     - As pi_i is injective on L, pi_i L is read in the same coordinates x,
       and its Gale rows are the other two rows. So deleting column i removes
       its line's ray r_p and merges the two sectors beside it into one cone
@@ -441,7 +449,7 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
     memos are neither read nor written.
     """
     s = len(t)
-    pair = _repeated_column(IntMat.row_vector(t)) if s >= 4 else None
+    pair = _repeated_entry(t) if s >= 4 else None
     if pair is not None:
         i, j = pair
         reduced = t[:j] + t[j + 1:]
@@ -454,11 +462,8 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
         rejected = _subcurve_rejects(t, budget) if s >= 4 else set()
         tested = [i for i in range(1, s + 1) if i not in rejected]
         if s == 3:
-            a, b, c = t
-            g, x, y = _xgcd_min(a, b)
-            basis = (b // g, -a // g, 0), (c * x, c * y, -g)
             spent = _Spent(budget or DEFAULT_BUDGET)
-            r0, r1, r2 = _sector_rays(basis)
+            r0, r1, r2 = _curve3_rays(t)
             sectors = [_cone_count(r0, r1, spent), _cone_count(r1, r2, spent),
                        _cone_count(r2, vec_neg(r0), spent)]
             merged = [_cone_count(r2, vec_neg(r1), spent), _cone_count(r0, r2, spent),
@@ -473,3 +478,25 @@ def _complex_on_miss(t: tuple[int, ...], budget: Budget | None) -> RobustComplex
         log.debug("complex %s: sub-curves reject %s, face tests on %s",
                   t, sorted(rejected), tested)
     return RobustComplex(T=t, faces=frozenset({frozenset(), *(frozenset({i}) for i in passed)}))
+
+
+def _repeated_entry(t: tuple[int, ...]) -> tuple[int, int] | None:
+    """(i, j), i < j, for the first entry t_j equal to an earlier t_i; None
+    when the entries are distinct. `graver._repeated_column` on a row."""
+    first: dict[int, int] = {}
+    for j, x in enumerate(t):
+        if first.setdefault(x, j) != j:
+            return first[x], j
+    return None
+
+
+def _curve3_rays(t: tuple[int, int, int]) -> tuple[tuple[int, int], ...]:
+    """r_0, r_1, r_2 of the 1x3 curve t = (a, b, c): `_sector_rays` of the
+    basis (b/g, -a/g, 0), (c*x, c*y, -g) of Ker T, g = gcd(a, b) = a*x + b*y
+    (`_xgcd_min`), written down as `_complex_on_miss` derives them: the
+    primitive vectors along (c*y, a/g) and (-c*x, b/g), then (-1, 0)."""
+    a, b, c = t
+    g, x, y = _xgcd_min(a, b)
+    a, b = a // g, b // g
+    e, f = math.gcd(c * y, a), math.gcd(c * x, b)
+    return (c * y // e, a // e), (-c * x // f, b // f), (-1, 0)

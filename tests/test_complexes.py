@@ -40,7 +40,7 @@ from graverkit.graver import (
     _sector_walks,
     _Spent,
 )
-from graverkit.linalg import kernel_lattice, project_out, vec_neg
+from graverkit.linalg import _xgcd_min, kernel_lattice, project_out, vec_neg
 from graverkit.robustness import dispensability_witness
 from graverkit.search import sullivant_search
 
@@ -270,6 +270,16 @@ class TestCountRoute:
                 spent = _Spent(DEFAULT_BUDGET)
                 count = sum(1 for _ in _sector_walks(rows, spent))
                 assert count == spent.generated == len(_rank2_graver(rows, _Spent(DEFAULT_BUDGET)))
+
+    def test_the_written_rays_are_the_sector_rays_of_the_basis(self):
+        # _curve3_rays against _sector_rays of the basis the counts are read
+        # in, (b/g, -a/g, 0) and (c*x, c*y, -g), on every ordered gcd-1 triple to 30
+        curves = [t for t in itertools.product(range(1, 31), repeat=3) if math.gcd(*t) == 1]
+        assert len(curves) == 22_495
+        for a, b, c in curves:
+            g, x, y = _xgcd_min(a, b)
+            basis = (b // g, -a // g, 0), (c * x, c * y, -g)
+            assert list(complexes_module._curve3_rays((a, b, c))) == _sector_rays(basis), (a, b, c)
 
     def test_a_fresh_complex_writes_no_graver_memo(self, monkeypatch):
         empty_graver_memos(monkeypatch)
@@ -627,15 +637,84 @@ class TestSubcurveRejects:
         (6, 14, 8, ((2, 6, 6, 11, 16, 16),)),
     ], ids=["s5", "s6"])
     def test_sampled_curves(self, s, top, count, extra):
+        decided, survived = self._outcomes(self._sampled(s, top, count, extra))
+        assert decided > 0 and survived > 0
+        assert all(robust_complex(e).vertex() == 4 for e in extra)
+
+    @staticmethod
+    def _sampled(s, top, count, extra):
+        """count sorted gcd-normalised 1xs curves with entries <= top, and extra."""
         rng = random.Random(2000 + s)
         curves = set(extra)
         while len(curves) < count + len(extra):
             entries = sorted(rng.randint(1, top) for _ in range(s))
             g = math.gcd(*entries)
             curves.add(tuple(x // g for x in entries))
-        decided, survived = self._outcomes(sorted(curves))
-        assert decided > 0 and survived > 0
-        assert all(robust_complex(e).vertex() == 4 for e in extra)
+        return sorted(curves)
+
+    # every gcd-1 sorted 1x4 curve to 14 and 1x5 curve to 10, and the
+    # sampled 1x6 curves, in order. The memo is emptied before each curve
+    # ("empty"), holds what the family's earlier curves left ("scan"), or
+    # holds what robust_complex on every curve of the family left before
+    # the first ("scan-filled")
+    @pytest.mark.parametrize("s, bound", [(4, 14), (5, 10), (6, None)], ids=["s4", "s5", "s6"])
+    @pytest.mark.parametrize("memo", ["empty", "scan", "scan-filled"])
+    def test_the_reads_give_the_union_over_every_subcurve(self, monkeypatch, s, bound, memo):
+        empty_graver_memos(monkeypatch)
+        monkeypatch.setattr(complexes_module, "_COMPLEX_MEMO_SIZE", 1 << 20)  # nothing evicted
+        if bound is None:
+            curves = self._sampled(6, 14, 8, ((2, 6, 6, 11, 16, 16),))
+        else:
+            curves = [t for t in itertools.combinations_with_replacement(range(1, bound + 1), s)
+                      if math.gcd(*t) == 1]
+        on_miss = complexes_module._complex_on_miss
+        vertices = {}  # the reference's own 1x3 verdicts, by gcd-normalised T_J
+
+        def vertex_of(t_J):
+            if t_J not in vertices:
+                vertices[t_J] = on_miss(t_J, None).vertex()
+            return vertices[t_J]
+
+        if memo == "scan-filled":
+            for t in curves:
+                robust_complex(t)
+        computed = []
+
+        def counting(t, budget):
+            computed.append(t)
+            return on_miss(t, budget)
+
+        monkeypatch.setattr(complexes_module, "_complex_on_miss", counting)
+        held_memo = complexes_module._COMPLEX_MEMO
+        skipped = 0
+        for t in curves:
+            if memo == "empty":
+                held_memo.clear()
+            held, union, reads, expected = set(held_memo), set(), [], []
+            for J in itertools.combinations(range(s), 3):
+                g = math.gcd(*(t[j] for j in J))
+                t_J = tuple(t[j] // g for j in J)
+                if t_J in held or not union.issuperset(J):
+                    reads.append(t_J)
+                    if t_J not in held:
+                        expected.append(t_J)
+                        held.add(t_J)
+                else:
+                    skipped += 1
+                # the plain union: every J's rejects, read or skipped
+                union.update(c for j, c in enumerate(J, 1) if j != vertex_of(t_J))
+            computed.clear()
+            assert _subcurve_rejects(t) == {c + 1 for c in union}, t
+            # computed: exactly the J not memoized that hold a column not yet rejected
+            assert computed == expected, t
+            # every read, a hit or a computation, moved its T_J to the newest end
+            newest = {}
+            for t_J in reads:
+                newest.pop(t_J, None)
+                newest[t_J] = None
+            assert list(held_memo)[-len(newest):] == list(newest), t
+        # a hit is never skipped, and a filled memo holds most T_J
+        assert skipped > 0 or memo == "scan-filled"
 
 
 class TestVerify:
@@ -691,6 +770,12 @@ class TestRepeatedEntry:
             faces = {frozenset(), *(frozenset({i}) for i in range(1, s + 1)
                                     if face_test_projection(T(*t), i))}
             assert robust_complex(t).faces == faces, t
+
+    def test_the_tuple_check_is_the_column_check(self):
+        # _complex_on_miss finds the repeat on the tuple, with no IntMat
+        for t in itertools.product(range(1, 5), repeat=5):
+            expected = graver_module._repeated_column(T(*t))
+            assert complexes_module._repeated_entry(t) == expected, t
 
     def test_each_reduced_complex_logs_one_line(self, monkeypatch, caplog):
         empty_graver_memos(monkeypatch)
